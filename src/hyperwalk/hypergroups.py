@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
@@ -90,7 +91,7 @@ class StructureTensor:
                 if self.defined(i, j):
                     yield (i, j)
 
-    @property
+    @cached_property
     def is_exact(self) -> bool:
         return all(
             isinstance(v, (int, Fraction))

@@ -6,6 +6,14 @@ Kraus blocks B[i,j;k] on the degree-of-freedom space (moving the block at
 position j to position i under a jump of distance k), subject to the
 completeness condition sum_i B[i,j;k]^* B[i,j;k] = 1 for every (j, k).
 
+A family is stored as one dense (d, d, d, h, h) complex array holding
+B[i,j;k] at [i, j, k] (d^3 h^2 numbers; absent blocks are zero), a state as
+one (d, h, h) stack of its diagonal blocks.  On states flattened to length
+d h^2 the distance-k map is T_k[(i,a,c), (j,b,e)] = B_ab conj(B_ce) with
+B = B[i,j;k], so stepping one state or a whole stack is one matrix product;
+the Heisenberg picture Phi_k^*(X)_j = sum_i B[i,j;k]^* X_i B[i,j;k] is its
+adjoint, and ``check_hb`` runs there as d matrix products (GEMMs).
+
 Word-order convention, fixed globally because it is easy to get backwards:
 
 * ``walk_distribution`` applies the maps in word order: word (k1, ..., kn)
@@ -19,22 +27,20 @@ Word-order convention, fixed globally because it is easy to get backwards:
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import TruncationExceededError
 from .hypergroups import (
     EPS_PROB,
     StructureTensor,
     Word,
+    as_floats,
     multi_constants,
     structure_tensor,
 )
-from .parallel import pmap
 
 # Completeness and block-decomposition residuals: chains of <= 4 products.
 EPS_KRAUS = 1e-8
@@ -47,38 +53,62 @@ def _as_block(matrix, h_dim: int) -> np.ndarray:
     arr = np.asarray(matrix, dtype=complex)
     if arr.shape != (h_dim, h_dim):
         raise ValueError(f"block has shape {arr.shape}, expected ({h_dim}, {h_dim})")
-    arr = arr.copy()
-    arr.setflags(write=False)
     return arr
 
 
-@dataclass(frozen=True)
-class KrausFamily:
-    """Sparse Kraus blocks B[i,j;k]; an absent block is the zero matrix.
+def worst_residual(residuals) -> tuple[float, int | None]:
+    """The largest residual and the flat index of its first occurrence.
 
+    A non-finite residual outranks every finite one, so NaN or inf never
+    passes a tolerance test.  An empty input gives (-1.0, None).
+    """
+    flat = np.ravel(residuals)
+    if flat.size == 0:
+        return -1.0, None
+    bad = ~np.isfinite(flat)
+    idx = int(np.argmax(bad)) if bad.any() else int(np.argmax(flat))
+    return float(flat[idx]), idx
+
+
+class _PositionArray:
+    """Shape of an array whose first axis is the position and last the h axis."""
+
+    @property
+    def d_size(self) -> int:
+        return self.array.shape[0]
+
+    @property
+    def h_dim(self) -> int:
+        return self.array.shape[-1]
+
+
+@dataclass(frozen=True)
+class KrausFamily(_PositionArray):
+    """Kraus blocks as one dense array: ``array[i, j, k]`` is B[i,j;k].
+
+    The array has shape (d, d, d, h, h); an absent block is the zero matrix.
     ``truncation_radius`` tags families realized from a truncated tensor:
     blocks in rows (k, j) with k + j beyond the radius are an arbitrary
     completion (kept only so each map stays trace preserving) and nothing
     computed through them is certified.
     """
 
-    d_size: int
-    h_dim: int
-    blocks: Mapping[tuple[int, int, int], np.ndarray]
+    array: np.ndarray
     truncation_radius: int | None = None
 
     def block(self, i: int, j: int, k: int) -> np.ndarray:
-        found = self.blocks.get((i, j, k))
-        if found is not None:
-            return found
-        return np.zeros((self.h_dim, self.h_dim), dtype=complex)
+        return self.array[i, j, k]
 
     @cached_property
-    def _by_distance(self) -> dict[int, list[tuple[int, int, np.ndarray]]]:
-        table: dict[int, list[tuple[int, int, np.ndarray]]] = {}
-        for (i, j, k), mat in sorted(self.blocks.items()):
-            table.setdefault(k, []).append((i, j, mat))
-        return table
+    def blocks(self) -> dict[tuple[int, int, int], np.ndarray]:
+        """The nonzero blocks keyed by (i, j, k), in index order."""
+        nonzero = np.argwhere(self.array.any(axis=(-2, -1))).tolist()
+        return {tuple(idx): self.array[tuple(idx)] for idx in nonzero}
+
+    @cached_property
+    def _gram(self) -> np.ndarray:
+        """B[i,j;k]^* B[i,j;k] at [i, j, k]: the blocks of Phi_k^*(E_i)."""
+        return self.array.conj().swapaxes(-1, -2) @ self.array
 
 
 def kraus_family(
@@ -87,24 +117,19 @@ def kraus_family(
     blocks: Mapping[tuple[int, int, int], "np.ndarray"],
     truncation_radius: int | None = None,
 ) -> KrausFamily:
-    """Build a family from an (i, j, k) -> matrix map, dropping zero blocks."""
+    """Build a family from an (i, j, k) -> matrix map; absent blocks are zero."""
     if d_size <= 0 or h_dim <= 0:
         raise ValueError("d_size and h_dim must be positive")
-    stored: dict[tuple[int, int, int], np.ndarray] = {}
+    array = np.zeros((d_size, d_size, d_size, h_dim, h_dim), dtype=complex)
     for (i, j, k), matrix in blocks.items():
-        for idx in (i, j, k):
-            if not (0 <= idx < d_size):
-                raise ValueError(f"block index {(i, j, k)} out of range")
+        if not all(0 <= idx < d_size for idx in (i, j, k)):
+            raise ValueError(f"block index {(i, j, k)} out of range")
         arr = _as_block(matrix, h_dim)
-        if np.abs(arr).max() == 0.0:
-            continue
-        stored[(i, j, k)] = arr
-    return KrausFamily(
-        d_size=d_size,
-        h_dim=h_dim,
-        blocks=stored,
-        truncation_radius=truncation_radius,
-    )
+        if not np.isfinite(arr).all():
+            raise ValueError(f"block {(i, j, k)} has non-finite entries")
+        array[i, j, k] = arr
+    array.setflags(write=False)
+    return KrausFamily(array=array, truncation_radius=truncation_radius)
 
 
 @dataclass(frozen=True)
@@ -124,59 +149,63 @@ class KrausReport:
 
 def validate_kraus(family: KrausFamily, tol: float = EPS_KRAUS) -> KrausReport:
     """Check sum_i B[i,j;k]^* B[i,j;k] = 1 for every (j, k), in max norm."""
-    eye = np.eye(family.h_dim, dtype=complex)
-    sums: dict[tuple[int, int], np.ndarray] = {}
-    for (i, j, k), mat in family.blocks.items():
-        acc = sums.setdefault((j, k), np.zeros_like(eye))
-        acc += mat.conj().T @ mat
-    worst, worst_slot = -1.0, None
-    for j, k in itertools.product(range(family.d_size), repeat=2):
-        total = sums.get((j, k), np.zeros_like(eye))
-        residual = float(np.abs(total - eye).max())
-        if residual > worst:
-            worst, worst_slot = residual, (j, k)
-    return KrausReport(worst <= tol, worst, worst_slot, tol)
+    sums = family._gram.sum(axis=0)
+    residuals = np.abs(sums - np.eye(family.h_dim)).max(axis=(-2, -1))
+    worst, idx = worst_residual(residuals)
+    return KrausReport(worst <= tol, worst, divmod(idx, family.d_size), tol)
 
 
 @dataclass(frozen=True)
-class BlockState:
-    """Block-diagonal density operator: one PSD block per position, total trace 1."""
+class BlockState(_PositionArray):
+    """Block-diagonal density operator as a (d, h, h) stack of its diagonal
+    blocks: one PSD block per position, total trace 1."""
 
-    blocks: tuple[np.ndarray, ...]
-
-    @property
-    def d_size(self) -> int:
-        return len(self.blocks)
+    array: np.ndarray
 
     @property
-    def h_dim(self) -> int:
-        return self.blocks[0].shape[0]
+    def blocks(self) -> tuple[np.ndarray, ...]:
+        return tuple(self.array)
+
+
+def _check_states(stack: np.ndarray) -> None:
+    """Raise ValueError for the first invalid state (in C order) of a
+    (..., d, h, h) stack, naming its first bad block, else its trace."""
+    flat = stack.reshape((-1,) + stack.shape[-3:])
+    adjoint = flat.conj().swapaxes(-1, -2)
+    finite = np.isfinite(flat).all(axis=(-2, -1))
+    hermitian = np.abs(flat - adjoint).max(axis=(-2, -1)) <= EPS_PSD
+    eigmin = np.linalg.eigvalsh((flat + adjoint) / 2)[..., 0]
+    bad = ~finite | ~hermitian | (eigmin < -EPS_PSD)
+    total = np.trace(flat, axis1=-2, axis2=-1).real.sum(axis=-1)
+    failing = bad.any(axis=-1) | ~(np.abs(total - 1.0) <= EPS_PROB)
+    if not failing.any():
+        return
+    n = int(np.argmax(failing))
+    if not bad[n].any():
+        raise ValueError(f"total trace is {float(total[n])}, not 1")
+    idx = int(np.argmax(bad[n]))
+    if not finite[n, idx]:
+        raise ValueError(f"block {idx} has non-finite entries")
+    if not hermitian[n, idx]:
+        raise ValueError(f"block {idx} is not Hermitian")
+    raise ValueError(f"block {idx} has negative eigenvalue {float(eigmin[n, idx])}")
 
 
 def block_state(blocks: Sequence[np.ndarray], validate: bool = True) -> BlockState:
-    if not blocks:
+    if len(blocks) == 0:
         raise ValueError("state needs at least one block")
     h = np.asarray(blocks[0]).shape[0]
-    mats = tuple(_as_block(b, h) for b in blocks)
+    array = np.stack([_as_block(b, h) for b in blocks])
     if validate:
-        total = 0.0
-        for idx, mat in enumerate(mats):
-            if np.abs(mat - mat.conj().T).max() > EPS_PSD:
-                raise ValueError(f"block {idx} is not Hermitian")
-            eigmin = float(np.linalg.eigvalsh((mat + mat.conj().T) / 2).min())
-            if eigmin < -EPS_PSD:
-                raise ValueError(f"block {idx} has negative eigenvalue {eigmin}")
-            total += float(mat.trace().real)
-        if abs(total - 1.0) > EPS_PROB:
-            raise ValueError(f"total trace is {total}, not 1")
-    return BlockState(blocks=mats)
+        _check_states(array)
+    array.setflags(write=False)
+    return BlockState(array=array)
 
 
 def point_state(rho0: np.ndarray, site: int, d_size: int) -> BlockState:
     """State rho0 concentrated at one position."""
     rho0 = np.asarray(rho0, dtype=complex)
-    h = rho0.shape[0]
-    blocks = [np.zeros((h, h), dtype=complex) for _ in range(d_size)]
+    blocks = np.zeros((d_size,) + rho0.shape, dtype=complex)
     blocks[site] = rho0
     return block_state(blocks)
 
@@ -194,36 +223,96 @@ def state_from_density(rho: np.ndarray, h_dim: int, d_size: int) -> BlockState:
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (h_dim * d_size, h_dim * d_size):
         raise ValueError(f"density matrix has shape {rho.shape}")
-    blocks = [
-        rho[j * h_dim : (j + 1) * h_dim, j * h_dim : (j + 1) * h_dim]
-        for j in range(d_size)
-    ]
-    return block_state(blocks)
+    diagonal = np.arange(d_size)
+    return block_state(rho.reshape(d_size, h_dim, d_size, h_dim)[diagonal, :, diagonal])
+
+
+def _transfer(family: KrausFamily, k: int) -> np.ndarray:
+    """Superoperator T_k of the distance-k map on states flattened to d h^2."""
+    b = family.array[:, :, k]
+    n = family.d_size * family.h_dim**2
+    return np.einsum("ijab,ijce->iacjbe", b, b.conj()).reshape(n, n)
+
+
+def _apply(family: KrausFamily, k: int, stack: np.ndarray) -> np.ndarray:
+    """The distance-k map on a (..., d, h, h) stack of states, unvalidated."""
+    vectors = stack.reshape(-1, family.d_size * family.h_dim**2)
+    return (vectors @ _transfer(family, k).T).reshape(stack.shape)
+
+
+def _traces(stack: np.ndarray) -> np.ndarray:
+    return np.trace(stack, axis1=-2, axis2=-1).real
+
+
+def one_step_distributions(family: KrausFamily, stack: np.ndarray) -> np.ndarray:
+    """Mass at i after the m-map, at [..., m, i], for a (..., d, h, h) stack:
+    sum_j tr(B[i,j;m]^* B[i,j;m] rho_j), read off the Gram blocks."""
+    out = np.tensordot(stack, family._gram, axes=([-3, -2, -1], [1, 4, 3]))
+    return out.real.swapaxes(-1, -2)
+
+
+def _checked_walk(family: KrausFamily, state: BlockState, word: Word = ()) -> tuple[int, ...]:
+    """Check a walk's inputs once at entry; returns the word as a tuple."""
+    if state.d_size != family.d_size or state.h_dim != family.h_dim:
+        raise ValueError("state and family dimensions disagree")
+    for k in word:
+        if not (0 <= k < family.d_size):
+            raise ValueError(f"letter {k} out of range for size {family.d_size}")
+    return tuple(word)
 
 
 def step(family: KrausFamily, k: int, state: BlockState) -> BlockState:
     """One application of the distance-k map: rho'_i = sum_j B rho_j B^*."""
-    if state.d_size != family.d_size or state.h_dim != family.h_dim:
-        raise ValueError("state and family dimensions disagree")
+    _checked_walk(family, state)
     if not (0 <= k < family.d_size):
         raise IndexError(f"distance {k} out of range")
-    out = [np.zeros((family.h_dim, family.h_dim), dtype=complex) for _ in range(family.d_size)]
-    for i, j, mat in family._by_distance.get(k, ()):
-        out[i] += mat @ state.blocks[j] @ mat.conj().T
-    return block_state(out)
+    return block_state(_apply(family, k, state.array))
 
 
 def distribution(state: BlockState) -> np.ndarray:
     """Measured position distribution: the block traces."""
-    return np.array([float(b.trace().real) for b in state.blocks])
+    return _traces(state.array)
+
+
+def walk_levels(family: KrausFamily, states: np.ndarray, max_len: int, budget: int | None):
+    """Walk every word of up to ``max_len`` letters, with letter sum within
+    ``budget`` if given, from an (S, d, h, h) stack of states.
+
+    Goes down the prefix trie one length at a time, applying each prefix
+    once.  Yields per length the words in lexicographic order and their
+    distributions as a (words, S, d) array.
+    """
+    d = family.d_size
+    words: list[tuple[int, ...]] = [()]
+    stack = states[None]
+    for _ in range(max_len):
+        children = [
+            (p, k)
+            for p, word in enumerate(words)
+            for k in range(d)
+            if budget is None or sum(word) + k <= budget
+        ]
+        if not children:
+            return
+        parents, letters = np.array(children).T
+        nxt = np.empty((len(children),) + states.shape, dtype=complex)
+        for k in sorted({k for _, k in children}):
+            chosen = letters == k
+            nxt[chosen] = _apply(family, k, stack[parents[chosen]])
+        _check_states(nxt)
+        words = [words[p] + (k,) for p, k in children]
+        stack = nxt
+        yield words, _traces(stack)
 
 
 def walk_distribution(family: KrausFamily, word: Word, state0: BlockState) -> np.ndarray:
     """Distribution after applying the maps of ``word`` in order to ``state0``."""
-    state = state0
+    word = _checked_walk(family, state0, word)
+    stack = state0.array
     for k in word:
-        state = step(family, k, state)
-    return distribution(state)
+        stack = _apply(family, k, stack)
+        _check_states(stack)
+    return _traces(stack)
 
 
 def produced_tensor(family: KrausFamily, state0: BlockState) -> StructureTensor:
@@ -233,16 +322,12 @@ def produced_tensor(family: KrausFamily, state0: BlockState) -> StructureTensor:
     then the k-map to the initial state.  On a truncated family only the
     certified rows (k + l within the radius) are produced.
     """
-    one_step = [step(family, l, state0) for l in range(family.d_size)]
+    _checked_walk(family, state0)
     radius = family.truncation_radius
-    entries = []
-    for k, l in itertools.product(range(family.d_size), repeat=2):
-        if radius is not None and k + l > radius:
-            continue
-        probs = distribution(step(family, k, one_step[l]))
-        for m, p in enumerate(probs):
-            if p > 1e-14:
-                entries.append((k, l, m, float(p)))
+    *_, (words, probs) = walk_levels(family, state0.array[None], 2, radius)
+    # Word (l, k) applies the l-map first: its distribution is the row Q[k, l].
+    entries = [(k, l, m, float(p)) for (l, k), row in zip(words, probs[:, 0])
+               for m, p in enumerate(row) if p > 1e-14]
     return structure_tensor(family.d_size, entries, truncation_radius=radius)
 
 
@@ -268,12 +353,7 @@ def realize(
     eye = np.eye(h_dim, dtype=complex)
 
     def isometry(i: int, j: int, k: int) -> np.ndarray:
-        if isometries is None:
-            return eye
-        if callable(isometries):
-            u = isometries(i, j, k)
-        else:
-            u = isometries.get((i, j, k))
+        u = isometries(i, j, k) if callable(isometries) else (isometries or {}).get((i, j, k))
         if u is None:
             return eye
         u = _as_block(u, h_dim)
@@ -318,6 +398,12 @@ class HBReport:
         )
 
 
+def common_radius(family: KrausFamily, tensor: StructureTensor) -> int | None:
+    """The smaller of the two truncation radii, if either is set."""
+    radii = [r for r in (family.truncation_radius, tensor.truncation_radius) if r is not None]
+    return min(radii) if radii else None
+
+
 def check_hb(
     family: KrausFamily, tensor: StructureTensor, tol: float = EPS_HB
 ) -> HBReport:
@@ -327,68 +413,49 @@ def check_hb(
             == sum_m Q[k,l,m] B[i,j;m]^* B[i,j;m]
 
     for all i, j, k, l.  On truncated inputs, tuples needing rows beyond the
-    radius are skipped and counted.
+    radius (j + k + l past it) are skipped and counted.
+
+    In the Heisenberg picture, with E_i the identity block at position i,
+    this reads Phi_l^*(Phi_k^*(E_i)) == sum_m Q[k,l,m] Phi_m^*(E_i).  Each l
+    is one matrix product of the (d^2, d h^2) stack of all Phi_k^*(E_i) with
+    the superoperator of Phi_l^*, so memory stays O(d^3 h^2 + d^2 h^4).
     """
     if family.d_size != tensor.size:
         raise ValueError(f"size mismatch: family {family.d_size}, tensor {tensor.size}")
     d, h = family.d_size, family.h_dim
-    radius_values = [
-        r for r in (family.truncation_radius, tensor.truncation_radius) if r is not None
-    ]
-    radius = min(radius_values) if radius_values else None
-
-    grams: dict[tuple[int, int, int], np.ndarray] = {}
-
-    def gram(i: int, j: int, k: int) -> np.ndarray:
-        key = (i, j, k)
-        found = grams.get(key)
-        if found is None:
-            mat = family.block(i, j, k)
-            found = grams[key] = mat.conj().T @ mat
-        return found
-
-    def scan(pair: tuple[int, int]) -> tuple[float, tuple | None, int, int]:
-        k, l = pair
-        worst, worst_tuple, checked, skipped = -1.0, None, 0, 0
-        for i, j in itertools.product(range(d), repeat=2):
-            if radius is not None and j + k + l > radius:
-                skipped += 1
-                continue
-            lhs = np.zeros((h, h), dtype=complex)
-            for m in range(d):
-                outer = family.block(m, j, l)
-                if not outer.any():
-                    continue
-                lhs += outer.conj().T @ gram(i, m, k) @ outer
-            try:
-                q_row = tensor.row(k, l)
-            except TruncationExceededError:
-                skipped += 1
-                continue
-            rhs = np.zeros((h, h), dtype=complex)
-            for m, q in q_row.items():
-                rhs += float(q) * gram(i, j, m)
-            residual = float(np.abs(lhs - rhs).max())
-            checked += 1
-            if residual > worst:
-                worst, worst_tuple = residual, (i, j, k, l)
-        return worst, worst_tuple, checked, skipped
-
-    results = pmap(scan, itertools.product(range(d), repeat=2))
-    worst, worst_tuple = -1.0, None
-    checked = skipped = 0
-    for w, t, c, s in results:
-        checked += c
-        skipped += s
-        if w > worst:
-            worst, worst_tuple = w, t
+    radius = common_radius(family, tensor)
+    # heisenberg[(k, i), (m, b, c)] = (B[i,m;k]^* B[i,m;k])_bc = Phi_k^*(E_i)_m
+    heisenberg = family._gram.transpose(2, 0, 1, 3, 4).reshape(d * d, d * h * h)
+    q = np.zeros((d, d, d))  # Q[k, l, m]; rows outside a truncation stay zero
+    for (k, l), row in tensor.rows.items():
+        q[k, l, list(row)] = as_floats(row.values())
+    k_plus_j = np.add.outer(np.arange(d), np.arange(d))
+    # Per l, the first worst residual in (k, i, j) order: ((k, l), value, witness).
+    candidates = []
+    checked = 0
+    for l in range(d):
+        within = k_plus_j + l <= (np.inf if radius is None else radius)  # [k, j]
+        if not within.any():
+            continue
+        lhs = heisenberg @ _transfer(family, l).conj()
+        lhs -= (q[:, l, :] @ heisenberg.reshape(d, -1)).reshape(d * d, -1)
+        residuals = np.abs(lhs).reshape(d, d, d, h * h).max(axis=-1)  # [k, i, j]
+        mask = np.broadcast_to(within[:, None, :], residuals.shape)
+        ks, is_, js = np.nonzero(mask)
+        worst, n = worst_residual(residuals[mask])
+        k, i, j = int(ks[n]), int(is_[n]), int(js[n])
+        candidates.append(((k, l), worst, (i, j, k, l)))
+        checked += ks.size
+    candidates.sort()  # into (k, l, i, j) order; each (k, l) occurs once
+    worst, n = worst_residual([value for _, value, _ in candidates])
+    worst_tuple = None if n is None else candidates[n][2]
     return HBReport(
         passed=worst <= tol,
         max_residual=max(worst, 0.0),
         worst_tuple=worst_tuple,
         tolerance=tol,
         checked=checked,
-        skipped=skipped,
+        skipped=d**4 - checked,
     )
 
 
@@ -403,14 +470,9 @@ def mixture_distribution(
     The fold runs over the reversed word, matching the order in which the
     walk applies its maps.
     """
-    coeffs = multi_constants(tensor, tuple(reversed(tuple(word))))
-    out = np.zeros(family.d_size)
-    for m, coeff in enumerate(coeffs):
-        c = float(coeff)
-        if c == 0.0:
-            continue
-        out += c * distribution(step(family, m, state0))
-    return out
+    word = _checked_walk(family, state0, word)
+    coeffs = np.array(as_floats(multi_constants(tensor, word[::-1])))
+    return coeffs @ one_step_distributions(family, state0.array)
 
 
 @dataclass(frozen=True)
@@ -439,19 +501,12 @@ def check_linear_independence(
     every i (tested by singular values over ``trials`` seeded draws).
     """
     d, h = family.d_size, family.h_dim
-    eye = np.eye(h, dtype=complex)
+    diagonal = np.eye(d, dtype=bool)
     for j0 in range(d):
-        ok = True
-        for i, k in itertools.product(range(d), repeat=2):
-            mat = family.block(i, j0, k)
-            if i != k:
-                if np.abs(mat).max() > EPS_KRAUS:
-                    ok = False
-                    break
-            elif np.abs(mat.conj().T @ mat - eye).max() > EPS_KRAUS:
-                ok = False
-                break
-        if ok:
+        column = family.array[:, j0]  # [i, k]
+        off_diagonal = np.abs(column[~diagonal]).max(initial=0.0)
+        grams = family._gram[:, j0][diagonal]
+        if off_diagonal <= EPS_KRAUS and np.abs(grams - np.eye(h)).max() <= EPS_KRAUS:
             return IndependenceVerdict(kind="condition2", j0=j0)
 
     if d <= h:
@@ -460,15 +515,11 @@ def check_linear_independence(
             for _ in range(trials):
                 xi = rng.standard_normal(h) + 1j * rng.standard_normal(h)
                 xi /= np.linalg.norm(xi)
-                if all(_columns_independent(family, i, j0, xi) for i in range(d)):
+                # Singular values of the vectors B[i,j0;k] xi (over k), per i.
+                sv = np.linalg.svd(family.array[:, j0] @ xi, compute_uv=False)
+                if (sv.min(axis=-1) > 1e-8 * np.maximum(1.0, sv.max(axis=-1))).all():
                     return IndependenceVerdict(kind="condition1", j0=j0, xi0=xi)
     return IndependenceVerdict(kind="inconclusive")
-
-
-def _columns_independent(family: KrausFamily, i: int, j0: int, xi: np.ndarray) -> bool:
-    cols = np.column_stack([family.block(i, j0, k) @ xi for k in range(family.d_size)])
-    sv = np.linalg.svd(cols, compute_uv=False)
-    return bool(sv.min() > 1e-8 * max(1.0, sv.max()))
 
 
 def scalar_isometry_defect(matrix: np.ndarray) -> float:

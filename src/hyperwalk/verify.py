@@ -28,6 +28,7 @@ from .hypergroups import (
     EPS_PROB,
     Hypergroup,
     StructureTensor,
+    as_floats,
     derive_involution,
     multi_constants,
     tensor_difference,
@@ -37,16 +38,16 @@ from .oqrw import (
     BlockState,
     KrausFamily,
     block_state,
+    check_hb,
+    common_radius,
     kraus_family,
-    mixture_distribution,
-    point_state,
+    one_step_distributions,
     produced_tensor,
     realize,
-    check_hb,
     validate_kraus,
-    walk_distribution,
+    walk_levels,
+    worst_residual,
 )
-from .parallel import pmap
 
 
 @dataclass(frozen=True)
@@ -93,13 +94,10 @@ def random_block_state(h_dim: int, d_size: int, seed) -> BlockState:
     """Random full-support state: blocks A_i A_i^* scaled to total trace 1."""
     if h_dim <= 0 or d_size <= 0:
         raise ValueError("dimensions must be positive")
-    rng = _rng(seed)
-    blocks = []
-    for _ in range(d_size):
-        a = rng.standard_normal((h_dim, h_dim)) + 1j * rng.standard_normal((h_dim, h_dim))
-        blocks.append(a @ a.conj().T)
-    total = sum(float(b.trace().real) for b in blocks)
-    return block_state([b / total for b in blocks])
+    draws = _rng(seed).standard_normal((d_size, 2, h_dim, h_dim))
+    a = draws[:, 0] + 1j * draws[:, 1]
+    blocks = a @ a.conj().swapaxes(-1, -2)
+    return block_state(blocks / np.trace(blocks, axis1=1, axis2=2).real.sum())
 
 
 def random_kraus_family(d_size: int, h_dim: int, seed) -> KrausFamily:
@@ -109,19 +107,13 @@ def random_kraus_family(d_size: int, h_dim: int, seed) -> KrausFamily:
     root of their Gram sum, which makes sum_i B^*B the identity exactly (up
     to roundoff).
     """
-    rng = _rng(seed)
-    blocks: dict[tuple[int, int, int], np.ndarray] = {}
-    for j, k in itertools.product(range(d_size), repeat=2):
-        raws = [
-            rng.standard_normal((h_dim, h_dim)) + 1j * rng.standard_normal((h_dim, h_dim))
-            for _ in range(d_size)
-        ]
-        gram = sum(r.conj().T @ r for r in raws)
-        w, v = np.linalg.eigh(gram)
-        whiten = v @ np.diag(w ** -0.5) @ v.conj().T
-        for i, raw in enumerate(raws):
-            blocks[(i, j, k)] = raw @ whiten
-    return kraus_family(d_size, h_dim, blocks)
+    draws = _rng(seed).standard_normal((d_size, d_size, d_size, 2, h_dim, h_dim))
+    raws = draws[..., 0, :, :] + 1j * draws[..., 1, :, :]  # [j, k, i]
+    w, v = np.linalg.eigh((raws.conj().swapaxes(-1, -2) @ raws).sum(axis=2))
+    whiten = (v * w[..., None, :] ** -0.5) @ v.conj().swapaxes(-1, -2)
+    blocks = raws @ whiten[:, :, None]
+    keyed = {(i, j, k): blocks[j, k, i] for j, k, i in np.ndindex(blocks.shape[:3])}
+    return kraus_family(d_size, h_dim, keyed)
 
 
 def spanning_states(h_dim: int) -> list[tuple[tuple, np.ndarray]]:
@@ -131,34 +123,20 @@ def spanning_states(h_dim: int) -> list[tuple[tuple, np.ndarray]]:
     a < b the real combination (E_aa+E_bb+E_ab+E_ba)/2 and its imaginary
     counterpart (E_aa+E_bb-iE_ab+iE_ba)/2.
     """
-    out = []
-    for a in range(h_dim):
-        mat = np.zeros((h_dim, h_dim), dtype=complex)
-        mat[a, a] = 1.0
-        out.append((("diag", a), mat))
-    for a in range(h_dim):
-        for b in range(a + 1, h_dim):
-            real = np.zeros((h_dim, h_dim), dtype=complex)
-            real[a, a] = real[b, b] = 0.5
-            real[a, b] = real[b, a] = 0.5
-            out.append((("real", a, b), real))
-            imag = np.zeros((h_dim, h_dim), dtype=complex)
-            imag[a, a] = imag[b, b] = 0.5
-            imag[a, b] = -0.5j
-            imag[b, a] = 0.5j
-            out.append((("imag", a, b), imag))
+    eye = np.eye(h_dim, dtype=complex)
+    out = [(("diag", a), np.outer(eye[a], eye[a])) for a in range(h_dim)]
+    for a, b in itertools.combinations(range(h_dim), 2):
+        for label, phase in (("real", 1), ("imag", 1j)):
+            v = eye[a] + phase * eye[b]
+            out.append(((label, a, b), np.outer(v, v.conj()) / 2))
     return out
-
-
-def _words(letters: Sequence[int], length: int) -> Iterator[tuple[int, ...]]:
-    yield from itertools.product(letters, repeat=length)
 
 
 def _budgeted_words(
     letters: Sequence[int], max_len: int, budget: int | None
 ) -> Iterator[tuple[int, ...]]:
     for n in range(1, max_len + 1):
-        for word in _words(letters, n):
+        for word in itertools.product(letters, repeat=n):
             if budget is None or sum(word) <= budget:
                 yield word
 
@@ -225,7 +203,7 @@ def verify_corollary_2_6(
 
     worst, witness, cases = 0.0, None, 0
     for n in range(1, max_word_len + 1):
-        for word in _words(range(tensor.size), n):
+        for word in itertools.product(range(tensor.size), repeat=n):
             product = mats[word[0]].copy()
             for t in word[1:]:
                 product = product @ mats[t]
@@ -264,74 +242,69 @@ def verify_theorem_5_1(
     equal the mixture through the reversed-word fold, within ``tol``.  If the
     identity fails, the scan instead looks for the guaranteed witness: a
     basis state (position m, spanning density) and a length-2 word whose two
-    distributions differ by at least ``min_gap``.
+    distributions differ by at least ``min_gap``.  The reported witness is
+    the first worst case, ordered by word length, word, then state.
     """
     hb = check_hb(family, tensor)
     d, h = family.d_size, family.h_dim
 
     if hb.passed:
         rng = _rng(seed)
-        states = [random_block_state(h, d, rng) for _ in range(n_states)]
-        radii = [
-            r
-            for r in (family.truncation_radius, tensor.truncation_radius)
-            if r is not None
-        ]
-        budget = min(radii) if radii else None
-        words = list(_budgeted_words(range(d), max_word_len, budget))
-
-        def scan(word):
-            worst_local, witness_local = -1.0, None
-            for idx, state in enumerate(states):
-                walked = walk_distribution(family, word, state)
-                mixed = mixture_distribution(family, tensor, word, state)
-                residual = float(np.abs(walked - mixed).max())
-                if residual > worst_local:
-                    worst_local, witness_local = residual, (word, idx)
-            return worst_local, witness_local
-
-        worst, witness = -1.0, None
-        for w, wit in pmap(scan, words):
-            if w > worst:
-                worst, witness = w, wit
+        states = np.array(
+            [random_block_state(h, d, rng).array for _ in range(n_states)]
+        ).reshape(n_states, d, h, h)
+        budget = common_radius(family, tensor)
+        words, gaps = _walk_gaps(family, tensor, states, max_word_len, budget)
+        worst, n = worst_residual(gaps)
         return VerificationReport(
-            checked_cases=len(words) * len(states),
+            checked_cases=gaps.size,
             max_residual=max(worst, 0.0),
-            worst_case=witness,
+            worst_case=None if n is None else (words[n // n_states], n % n_states),
             passed=worst <= tol,
             tolerance=tol,
             note="decomposition holds; walk == mixture",
         )
 
     # Identity fails: hunt for the distribution mismatch it guarantees.
-    cases = 0
-    for m in range(d):
-        for label, rho in spanning_states(h):
-            state = point_state(rho, m, d)
-            for word in _words(range(d), 2):
-                if tensor.truncation_radius is not None and sum(word) > tensor.truncation_radius:
-                    continue
-                walked = walk_distribution(family, word, state)
-                mixed = mixture_distribution(family, tensor, word, state)
-                gap = float(np.abs(walked - mixed).max())
-                cases += 1
-                if gap >= min_gap:
-                    return VerificationReport(
-                        checked_cases=cases,
-                        max_residual=gap,
-                        worst_case=(m, label, word),
-                        passed=True,
-                        tolerance=min_gap,
-                        note="decomposition fails; converse witness found",
-                    )
+    spanning = spanning_states(h)
+    starts = np.zeros((d, len(spanning), d, h, h), dtype=complex)
+    starts[np.arange(d), :, np.arange(d)] = [rho for _, rho in spanning]
+    starts = starts.reshape(-1, d, h, h)  # positions outer, spanning states inner
+    words, gaps = _walk_gaps(family, tensor, starts, 2, tensor.truncation_radius)
+    pairs = [n for n, word in enumerate(words) if len(word) == 2]
+    gaps = gaps[pairs].T  # [start, word]
+    hits = np.flatnonzero(gaps >= min_gap)
+    if hits.size:
+        start, w = divmod(int(hits[0]), len(pairs))
+        m, s = divmod(start, len(spanning))
+        return VerificationReport(
+            checked_cases=int(hits[0]) + 1,
+            max_residual=float(gaps[start, w]),
+            worst_case=(m, spanning[s][0], words[pairs[w]]),
+            passed=True,
+            tolerance=min_gap,
+            note="decomposition fails; converse witness found",
+        )
     return VerificationReport(
-        checked_cases=cases,
+        checked_cases=gaps.size,
         max_residual=0.0,
         worst_case=None,
         passed=False,
         tolerance=min_gap,
         note="decomposition fails but no distribution witness found",
     )
+
+
+def _walk_gaps(family, tensor, starts, max_len, budget):
+    """max |walk - mixture| for every word of up to ``max_len`` letters (sum
+    within ``budget``) from each start: the words and a (words, starts) array."""
+    one_step = one_step_distributions(family, starts)
+    words, gaps = [], [np.empty((0, len(starts)))]
+    for level, walked in walk_levels(family, starts, max_len, budget):
+        folds = np.array([as_floats(multi_constants(tensor, w[::-1])) for w in level])
+        gaps.append(np.abs(walked - (folds @ one_step).swapaxes(0, 1)).max(axis=-1))
+        words += level
+    return words, np.concatenate(gaps)
 
 
 def verify_roundtrip(

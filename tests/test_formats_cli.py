@@ -242,3 +242,37 @@ def test_cli_mismatched_verify_is_failure(tmp_path):
     assert run_cli("realize", "--tensor", str(c4h), "--h-dim", "2",
                    "--out-kraus", str(kraus), "--out-state", str(state)) == 0
     assert run_cli("verify-hb", "--kraus", str(kraus), "--tensor", str(pert)) == 1
+
+
+def test_cli_walk_letter_out_of_range_is_input_error(tmp_path, capsys):
+    kraus = tmp_path / "ex44.json"
+    state = tmp_path / "s.json"
+    assert run_cli("gen", "ex44", "--out", str(kraus)) == 0
+    assert run_cli("gen", "ex44-state", "--out", str(state)) == 0
+    assert run_cli("walk", "--kraus", str(kraus), "--state", str(state),
+                   "--word", "5") == 2
+    assert "out of range" in capsys.readouterr().err
+
+
+def test_cli_verify_hb_non_finite_inputs(tmp_path, capsys):
+    c4h = tmp_path / "c4h.json"
+    kraus = tmp_path / "k.json"
+    state = tmp_path / "s.json"
+    assert run_cli("gen", "c4-hypergroup", "--out", str(c4h)) == 0
+    assert run_cli("realize", "--tensor", str(c4h), "--h-dim", "2",
+                   "--out-kraus", str(kraus), "--out-state", str(state)) == 0
+    # A NaN Kraus block is refused when the document is read.
+    doc = json.loads(kraus.read_text())
+    doc["blocks"][0]["matrix"][0][0] = [float("nan"), 0.0]
+    nan_kraus = tmp_path / "nan-k.json"
+    nan_kraus.write_text(json.dumps(doc))
+    assert run_cli("verify-hb", "--kraus", str(nan_kraus), "--tensor", str(c4h)) == 2
+    assert "non-finite" in capsys.readouterr().err
+    # A NaN constant gets through the tensor parser, but never passes the check.
+    doc = json.loads(c4h.read_text())
+    doc["entries"] = [e[:3] + [float("nan")] if e[:3] == [1, 2, 1] else e
+                      for e in doc["entries"]]
+    nan_tensor = tmp_path / "nan-t.json"
+    nan_tensor.write_text(json.dumps(doc))
+    assert run_cli("verify-hb", "--kraus", str(kraus), "--tensor", str(nan_tensor)) == 1
+    assert "nan" in capsys.readouterr().out

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from hyperwalk import (
+    KrausFamily,
+    StructureTensor,
     block_state,
     check_hb,
     check_linear_independence,
@@ -39,6 +41,41 @@ def test_kraus_family_construction_errors():
         kraus_family(2, 2, {(2, 0, 0): np.eye(2)})
     with pytest.raises(ValueError, match="positive"):
         kraus_family(0, 2, {})
+
+
+def test_non_finite_blocks_never_pass():
+    with pytest.raises(ValueError, match="non-finite"):
+        kraus_family(2, 1, {(0, 0, 0): [[np.nan]]})
+    with pytest.raises(ValueError, match="non-finite"):
+        kraus_family(2, 1, {(1, 0, 1): [[np.inf]]})
+    # Built directly, past the constructor's check, the reducers still fail.
+    fam, _ = realize(presets.c4_hypergroup(), h_dim=1)
+    array = fam.array.copy()
+    array[2, 1, 1] = np.nan
+    bad = KrausFamily(array=array)
+    report = validate_kraus(bad)
+    assert not report.passed and np.isnan(report.max_residual)
+    assert report.worst_slot == (1, 1)
+    hb = check_hb(bad, presets.c4_hypergroup().tensor)
+    assert not hb.passed and np.isnan(hb.max_residual)
+    assert hb.worst_tuple is not None
+
+
+def test_check_hb_fails_on_non_finite_constant(c4):
+    fam, _ = realize(c4, h_dim=2)
+    rows = {pair: dict(row) for pair, row in c4.tensor.rows.items()}
+    rows[(1, 2)][1] = float("inf")
+    report = check_hb(fam, StructureTensor(c4.size, rows))
+    assert not report.passed and not np.isfinite(report.max_residual)
+    # The witness lies in the row (k, l) that holds the bad constant.
+    assert report.worst_tuple[2:] == (1, 2)
+
+
+def test_walks_reject_out_of_range_letters(c4):
+    fam, state = realize(c4, h_dim=1)
+    for fn in (walk_distribution, lambda f, w, s: mixture_distribution(f, c4.tensor, w, s)):
+        with pytest.raises(ValueError, match="letter 5 out of range"):
+            fn(fam, (1, 5), state)
 
 
 def test_validate_kraus_pass_and_fail():

@@ -138,16 +138,6 @@ def test_random_unitary_is_unitary():
         assert np.abs(u.conj().T @ u - np.eye(dim)).max() < 1e-12
 
 
-def test_threaded_check_matches_sequential(c4, monkeypatch):
-    fam, _ = realize(c4, h_dim=2, isometries=None)
-    sequential = check_hb(fam, c4.tensor)
-    monkeypatch.setenv("HYPERWALK_THREADS", "4")
-    threaded = check_hb(fam, c4.tensor)
-    assert threaded.passed == sequential.passed
-    assert threaded.max_residual == sequential.max_residual
-    assert threaded.checked == sequential.checked
-
-
 def test_spanning_states_are_density_matrices():
     labelled = spanning_states(3)
     assert len(labelled) == 9
