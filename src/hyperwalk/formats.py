@@ -298,6 +298,20 @@ def parse_state(text: str) -> BlockState:
         raise FormatError(f"invalid state: {exc}") from None
 
 
+_SERIALIZERS = {
+    PointedGraph: serialize_graph,
+    StructureTensor: serialize_tensor,
+    Hypergroup: serialize_hypergroup,
+    KrausFamily: serialize_kraus,
+    BlockState: serialize_state,
+}
+
+
+def serialize(obj) -> str:
+    """The document of a graph, tensor, hypergroup, Kraus family or state."""
+    return _SERIALIZERS[type(obj)](obj)
+
+
 # ---------------------------------------------------------------------------
 # Reports.
 

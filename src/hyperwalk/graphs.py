@@ -26,7 +26,7 @@ from .errors import (
     PathCountExceededError,
     TruncationExceededError,
 )
-from .hypergroups import Number, StructureTensor, Word, structure_tensor
+from .hypergroups import Number, StructureTensor, Word, check_radius, structure_tensor
 
 
 @dataclass(frozen=True)
@@ -69,6 +69,7 @@ def pointed_graph(
         raise ValueError("vertex labels are not unique")
     if not (0 <= base < n):
         raise ValueError(f"base index {base} out of range")
+    window_radius = check_radius(window_radius, "window radius")
     adj: list[set[int]] = [set() for _ in range(n)]
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n):
@@ -455,12 +456,12 @@ def free_ball_graph(n_generators: int, radius: int) -> PointedGraph:
 
 
 _GENERATORS = {
-    "cycle": (cycle_graph, ("n",)),
-    "complete": (complete_graph, ("n",)),
-    "hypercube": (hypercube_graph, ("d",)),
-    "path": (path_graph, ("n",)),
-    "line_window": (line_window_graph, ("radius",)),
-    "free_ball": (free_ball_graph, ("n_generators", "radius")),
+    "cycle": cycle_graph,
+    "complete": complete_graph,
+    "hypercube": hypercube_graph,
+    "path": path_graph,
+    "line_window": line_window_graph,
+    "free_ball": free_ball_graph,
 }
 
 
@@ -470,5 +471,4 @@ def generate_graph(name: str, *args, **kwargs) -> PointedGraph:
     key = name.replace("-", "_")
     if key not in _GENERATORS:
         raise ValueError(f"unknown graph family {name!r}")
-    fn, _ = _GENERATORS[key]
-    return fn(*args, **kwargs)
+    return _GENERATORS[key](*args, **kwargs)

@@ -17,6 +17,8 @@ renormalizing.
 from __future__ import annotations
 
 import itertools
+import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -107,6 +109,15 @@ class StructureTensor:
         return StructureTensor(self.size, rows, self.truncation_radius)
 
 
+def check_radius(value, name: str) -> int | None:
+    """A truncation or window radius: None, or an integer >= 0 (not a bool)."""
+    if value is None:
+        return None
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
+        raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
+    return int(value)
+
+
 def structure_tensor(
     size: int,
     entries: Iterable[tuple[int, int, int, Number]],
@@ -120,8 +131,7 @@ def structure_tensor(
     """
     if size <= 0:
         raise ValueError("size must be positive")
-    if truncation_radius is not None and truncation_radius < 0:
-        raise ValueError("truncation radius must be nonnegative")
+    truncation_radius = check_radius(truncation_radius, "truncation radius")
     rows: dict[tuple[int, int], dict[int, Number]] = {}
     for i, j, k, value in entries:
         for idx in (i, j, k):
@@ -131,6 +141,8 @@ def structure_tensor(
             raise ValueError(
                 f"entry ({i}, {j}, {k}) lies outside truncation radius {truncation_radius}"
             )
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"non-finite constant at ({i}, {j}, {k}): {value}")
         if value < 0:
             if float(value) < -EPS_PROB:
                 raise ValueError(f"negative constant at ({i}, {j}, {k}): {value}")

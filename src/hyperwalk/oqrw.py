@@ -38,6 +38,7 @@ from .hypergroups import (
     StructureTensor,
     Word,
     as_floats,
+    check_radius,
     multi_constants,
     structure_tensor,
 )
@@ -120,6 +121,7 @@ def kraus_family(
     """Build a family from an (i, j, k) -> matrix map; absent blocks are zero."""
     if d_size <= 0 or h_dim <= 0:
         raise ValueError("d_size and h_dim must be positive")
+    truncation_radius = check_radius(truncation_radius, "truncation radius")
     array = np.zeros((d_size, d_size, d_size, h_dim, h_dim), dtype=complex)
     for (i, j, k), matrix in blocks.items():
         if not all(0 <= idx < d_size for idx in (i, j, k)):
@@ -204,6 +206,8 @@ def block_state(blocks: Sequence[np.ndarray], validate: bool = True) -> BlockSta
 
 def point_state(rho0: np.ndarray, site: int, d_size: int) -> BlockState:
     """State rho0 concentrated at one position."""
+    if not 0 <= site < d_size:
+        raise ValueError(f"site {site} out of range for d_size {d_size}")
     rho0 = np.asarray(rho0, dtype=complex)
     blocks = np.zeros((d_size,) + rho0.shape, dtype=complex)
     blocks[site] = rho0

@@ -8,10 +8,20 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
-from .graphs import PointedGraph, cycle_graph, line_window_graph
+from .graphs import (
+    PointedGraph,
+    complete_graph,
+    cycle_graph,
+    free_ball_graph,
+    hypercube_graph,
+    line_window_graph,
+    path_graph,
+)
 from .hypergroups import Hypergroup, StructureTensor, structure_tensor, hypergroup_from_group
 from .oqrw import BlockState, KrausFamily, kraus_family, maximally_mixed_state, point_state
 
@@ -259,3 +269,36 @@ def left_zero_family() -> KrausFamily:
 def stationary_start_state() -> BlockState:
     """Maximally mixed qubit at position 0 on the two-point distance set."""
     return maximally_mixed_state(2, 2, site=0)
+
+
+# ---------------------------------------------------------------------------
+# The command line ``gen`` registry.
+
+# name -> (builder, the ``gen`` options passed to it positionally, in order).
+FIXTURES: dict[str, tuple[Callable, tuple[str, ...]]] = {
+    "c4": (c4_graph, ()),
+    "k2": (partial(complete_graph, 2), ()),
+    "p3": (partial(path_graph, 3), ()),
+    "q3": (partial(hypercube_graph, 3), ()),
+    "cycle": (cycle_graph, ("n",)),
+    "complete": (complete_graph, ("n",)),
+    "path": (path_graph, ("n",)),
+    "hypercube": (hypercube_graph, ("d",)),
+    "z-window": (line_window_graph, ("radius",)),
+    "free-ball": (free_ball_graph, ("generators", "radius")),
+    "c4-hypergroup": (c4_hypergroup, ()),
+    "z-lattice": (zlattice_hypergroup, ("radius",)),
+    "z2": (z2_hypergroup, ()),
+    "z3": (z3_hypergroup, ()),
+    "s3": (s3_hypergroup, ()),
+    "s3-classes": (s3_class_hypergroup, ()),
+    "lo2": (lo2_tensor, ()),
+    "c4-perturbed": (perturbed_c4_tensor, ()),
+    "ex44": (c4_qubit_family, ()),
+    "ex44-state": (diagonal_qubit_state, ("x",)),
+    "ex45": (zwindow_family, ("radius", "h_dim")),
+    "ex55": (stationary_family, ()),
+    "ex55-state": (stationary_start_state, ()),
+    "ex56": (left_zero_family, ()),
+    "mixed-state": (maximally_mixed_state, ("h_dim", "d_size", "site")),
+}

@@ -90,6 +90,19 @@ def random_unitary(dim: int, rng) -> np.ndarray:
     return q * phases
 
 
+def random_isometries(
+    tensor: StructureTensor, h_dim: int, rng
+) -> dict[tuple[int, int, int], np.ndarray]:
+    """One random unitary per block (i, j, k) that ``realize`` builds from
+    ``tensor``, drawn in sorted (k, j), then sorted i order."""
+    rng = _rng(rng)
+    return {
+        (i, j, k): random_unitary(h_dim, rng)
+        for k, j in sorted(tensor.defined_pairs())
+        for i in sorted(tensor.row(k, j))
+    }
+
+
 def random_block_state(h_dim: int, d_size: int, seed) -> BlockState:
     """Random full-support state: blocks A_i A_i^* scaled to total trace 1."""
     if h_dim <= 0 or d_size <= 0:
@@ -155,6 +168,8 @@ def verify_theorem_2_4(
     """
     if mode not in ("exact", "float"):
         raise ValueError("mode must be 'exact' or 'float'")
+    if max_word_len < 1:
+        raise ValueError("max_word_len must be at least 1")
     table = graph if isinstance(graph, SphereTable) else build_spheres(graph)
     condition = check_condition_s(table)
     if not condition.passed:
@@ -196,6 +211,8 @@ def verify_corollary_2_6(
     sum_m q[t1,...,tn; m] P_m, and the base row of the product must equal
     the fold vector itself.
     """
+    if max_word_len < 1:
+        raise ValueError("max_word_len must be at least 1")
     tensor = hypergroup.tensor
     family = transition_family(tensor)
     mats = family.matrices
@@ -245,6 +262,8 @@ def verify_theorem_5_1(
     distributions differ by at least ``min_gap``.  The reported witness is
     the first worst case, ordered by word length, word, then state.
     """
+    if max_word_len < 1 or n_states < 1:
+        raise ValueError("max_word_len and n_states must be at least 1")
     hb = check_hb(family, tensor)
     d, h = family.d_size, family.h_dim
 
@@ -322,16 +341,9 @@ def verify_roundtrip(
     the produced tensor.
     """
     tensor = hypergroup.tensor
-    if isometries == "identity":
-        iso = None
-    elif isometries == "random":
-        rng = _rng(seed)
-        iso = {}
-        for k, j in sorted(tensor.defined_pairs()):
-            for i in sorted(tensor.row(k, j)):
-                iso[(i, j, k)] = random_unitary(h_dim, rng)
-    else:
+    if isometries not in ("identity", "random"):
         raise ValueError("isometries must be 'identity' or 'random'")
+    iso = random_isometries(tensor, h_dim, seed) if isometries == "random" else None
 
     family, state = realize(hypergroup, h_dim=h_dim, isometries=iso)
     kraus_ok = validate_kraus(family).passed

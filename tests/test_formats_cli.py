@@ -268,11 +268,52 @@ def test_cli_verify_hb_non_finite_inputs(tmp_path, capsys):
     nan_kraus.write_text(json.dumps(doc))
     assert run_cli("verify-hb", "--kraus", str(nan_kraus), "--tensor", str(c4h)) == 2
     assert "non-finite" in capsys.readouterr().err
-    # A NaN constant gets through the tensor parser, but never passes the check.
+    # A NaN constant is refused when the document is read, too.
     doc = json.loads(c4h.read_text())
     doc["entries"] = [e[:3] + [float("nan")] if e[:3] == [1, 2, 1] else e
                       for e in doc["entries"]]
     nan_tensor = tmp_path / "nan-t.json"
     nan_tensor.write_text(json.dumps(doc))
-    assert run_cli("verify-hb", "--kraus", str(kraus), "--tensor", str(nan_tensor)) == 1
-    assert "nan" in capsys.readouterr().out
+    assert run_cli("verify-hb", "--kraus", str(kraus), "--tensor", str(nan_tensor)) == 2
+    assert "non-finite" in capsys.readouterr().err
+
+
+def test_cli_refuses_empty_verifications(tmp_path, capsys):
+    c4 = tmp_path / "c4.json"
+    c4h = tmp_path / "c4h.json"
+    ex56 = tmp_path / "ex56.json"
+    lo2 = tmp_path / "lo2.json"
+    for name, path in (("c4", c4), ("c4-hypergroup", c4h), ("ex56", ex56), ("lo2", lo2)):
+        assert run_cli("gen", name, "--out", str(path)) == 0
+    assert run_cli("verify-t24", "--graph", str(c4), "--max-len", "0") == 2
+    assert run_cli("verify-c26", "--tensor", str(c4h), "--max-len", "-1") == 2
+    assert run_cli("verify-t51", "--kraus", str(ex56), "--tensor", str(lo2),
+                   "--states", "0") == 2
+    err = capsys.readouterr().err
+    assert err.count("error:") == 3 and "must be at least 1" in err
+
+
+def test_cli_refuses_bad_radius_and_nan_documents(tmp_path, capsys):
+    window = tmp_path / "z.json"
+    assert run_cli("gen", "z-window", "--radius", "3", "--out", str(window)) == 0
+    doc = json.loads(window.read_text())
+    doc["window_radius"] = "x"
+    window.write_text(json.dumps(doc))
+    assert run_cli("check-graph", "--graph", str(window)) == 2
+    assert "window radius must be a nonnegative integer" in capsys.readouterr().err
+    c4h = tmp_path / "c4h.json"
+    assert run_cli("gen", "c4-hypergroup", "--out", str(c4h)) == 0
+    doc = json.loads(c4h.read_text())
+    doc["entries"] = [e[:3] + [float("nan")] if e[:3] == [1, 2, 1] else e
+                      for e in doc["entries"]]
+    c4h.write_text(json.dumps(doc))
+    assert run_cli("validate", "--tensor", str(c4h)) == 2
+    assert run_cli("verify-c26", "--tensor", str(c4h)) == 2
+    assert capsys.readouterr().err.count("non-finite constant") == 2
+
+
+def test_cli_gen_state_site_out_of_range(capsys):
+    assert run_cli("gen", "mixed-state", "--site", "5") == 2
+    assert run_cli("gen", "mixed-state", "--site", "-1", "--d-size", "3") == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("out of range") == 2

@@ -207,3 +207,12 @@ def test_base_point_independence_on_distance_regular():
                 reference = tensor.rows
             else:
                 assert tensor.rows == reference
+
+
+def test_pointed_graph_checks_window_radius():
+    edges = [(0, 1), (1, 2)]
+    for bad in ("x", -1, True, 1.5):
+        with pytest.raises(ValueError, match="window radius"):
+            pointed_graph(["a", "b", "c"], edges, 1, window_radius=bad)
+    assert pointed_graph(["a", "b", "c"], edges, 1, window_radius=np.int64(1)).window_radius == 1
+    assert pointed_graph(["a", "b", "c"], edges, 1).window_radius is None

@@ -33,6 +33,21 @@ def test_structure_tensor_rejects_bad_rows():
         structure_tensor(1, [(0, 0, 1, 1)])
 
 
+def test_structure_tensor_rejects_non_finite_constants():
+    # A NaN row sums to NaN, which no tolerance comparison catches.
+    for value in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="non-finite constant at"):
+            structure_tensor(2, [(0, 0, 0, 1), (0, 1, 1, 1), (1, 0, 1, 1),
+                                 (1, 1, 0, value), (1, 1, 1, 0.5)])
+
+
+def test_structure_tensor_checks_truncation_radius():
+    for bad in ("x", -1, True, 2.0):
+        with pytest.raises(ValueError, match="truncation radius"):
+            structure_tensor(1, [(0, 0, 0, 1)], truncation_radius=bad)
+    assert structure_tensor(1, [(0, 0, 0, 1)], truncation_radius=0).truncation_radius == 0
+
+
 def test_c4_axioms_pass(c4):
     report = validate_hypergroup(c4.tensor, c4.involution)
     assert report.passed

@@ -350,3 +350,18 @@ def test_random_unitary_isometries_keep_roundtrip(c4):
     produced = produced_tensor(fam, state)
     residual, _ = tensor_difference(produced, c4.tensor)
     assert residual < 1e-12
+
+
+def test_kraus_family_checks_truncation_radius():
+    eye = np.eye(1)
+    for bad in ("x", -3, True):
+        with pytest.raises(ValueError, match="truncation radius"):
+            kraus_family(1, 1, {(0, 0, 0): eye}, truncation_radius=bad)
+    assert kraus_family(1, 1, {(0, 0, 0): eye}, truncation_radius=0).truncation_radius == 0
+
+
+def test_point_state_checks_site():
+    for site in (5, 3, -1):
+        with pytest.raises(ValueError, match="out of range"):
+            point_state(np.eye(1), site, 3)
+    assert point_state(np.eye(1), 2, 3).blocks[2][0, 0] == 1

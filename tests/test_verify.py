@@ -17,6 +17,7 @@ from hyperwalk import (
 from hyperwalk import presets
 from hyperwalk.verify import (
     random_block_state,
+    random_isometries,
     random_kraus_family,
     random_unitary,
     spanning_states,
@@ -149,3 +150,28 @@ def test_spanning_states_are_density_matrices():
         mats.append(rho.reshape(-1))
     # They span the full Hermitian space.
     assert np.linalg.matrix_rank(np.array(mats)) == 9
+
+
+def test_random_isometries_draw_in_block_order(zlattice8):
+    # The seeded draws run over sorted (k, j), then sorted i, so a seed keeps
+    # giving the same walk.
+    rng = np.random.default_rng(4)
+    expected = {}
+    for k, j in sorted(zlattice8.tensor.defined_pairs()):
+        for i in sorted(zlattice8.tensor.row(k, j)):
+            expected[(i, j, k)] = random_unitary(2, rng)
+    got = random_isometries(zlattice8.tensor, 2, 4)
+    assert list(got) == list(expected)
+    assert all(np.array_equal(got[key], expected[key]) for key in expected)
+
+
+def test_empty_scans_are_refused(c4):
+    # A scan over no words or no states would pass having checked nothing.
+    with pytest.raises(ValueError, match="max_word_len must be at least 1"):
+        verify_theorem_2_4(cycle_graph(4), max_word_len=0)
+    with pytest.raises(ValueError, match="max_word_len must be at least 1"):
+        verify_corollary_2_6(c4, max_word_len=-1)
+    family, _ = realize(c4)
+    for kwargs in ({"max_word_len": 0}, {"n_states": 0}):
+        with pytest.raises(ValueError, match="must be at least 1"):
+            verify_theorem_5_1(family, c4.tensor, **kwargs)
