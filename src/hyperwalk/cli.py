@@ -86,13 +86,11 @@ def cmd_check_graph(args, graph) -> int:
 
 
 def cmd_validate(args, tensor) -> int:
-    tensor, text = tensor
+    tensor, sigma = tensor
     if args.involution:
         sigma = _parse_word(args.involution)
-    else:
-        sigma = formats.stored_involution(text)
-        if sigma is None:
-            sigma = derive_involution(tensor)
+    elif sigma is None:
+        sigma = derive_involution(tensor)
     report = validate_hypergroup(tensor, sigma)
     payload = {"passed": report.passed, "hermitian": report.hermitian,
                "checks": list(report.checks), "involution": list(sigma)}
@@ -190,9 +188,8 @@ def build_parser() -> argparse.ArgumentParser:
     add("check-graph", cmd_check_graph,
         "sphere-symmetry and distance-regularity checks", graph=graph)
 
-    # validate reads the stored involution off the text as well.
     p = add("validate", cmd_validate, "hypergroup axiom report for a tensor",
-            tensor=lambda text: (formats.parse_tensor(text), text))
+            tensor=formats.tensor_and_involution)
     p.add_argument("--involution", help="comma-separated permutation, overrides the document")
 
     p = add("realize", cmd_realize, "build the walk that reproduces a tensor", tensor=tensor)

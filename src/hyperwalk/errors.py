@@ -50,15 +50,6 @@ class BoundaryContactError(HyperwalkError):
         )
 
 
-class PathCountExceededError(HyperwalkError):
-    """Exhaustive path enumeration would exceed the configured cap."""
-
-    def __init__(self, count: int, cap: int):
-        self.count = count
-        self.cap = cap
-        super().__init__(f"word requires {count} paths, cap is {cap}")
-
-
 class ConditionSViolatedError(HyperwalkError):
     """The graph fails the sphere-symmetry condition required by an oracle."""
 
@@ -98,7 +89,7 @@ class HypergroupAxiomError(HyperwalkError):
 
     def __init__(self, report):
         self.report = report
-        failed = ", ".join(c.axiom for c in report.checks if not c.passed)
+        failed = ", ".join(c.check for c in report.checks if not c.passed)
         super().__init__(f"hypergroup axioms failed: {failed}")
 
 

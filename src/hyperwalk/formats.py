@@ -182,7 +182,9 @@ def serialize_hypergroup(h: Hypergroup) -> str:
     return serialize_tensor(h.tensor, involution=h.involution, kind="hypergroup")
 
 
-def parse_tensor(text: str) -> StructureTensor:
+def tensor_and_involution(text: str) -> tuple[StructureTensor, tuple[int, ...] | None]:
+    """A tensor/hypergroup document's tensor and its optional stored
+    involution, decoded once."""
     doc = _load(text, ("tensor", "hypergroup"))
     size = _require(doc, "size")
     if not isinstance(size, int) or size <= 0:
@@ -195,20 +197,33 @@ def parse_tensor(text: str) -> StructureTensor:
         if not all(isinstance(x, int) for x in (i, j, k)):
             raise FormatError(f"bad entry indices in {entry!r}")
         entries.append((i, j, k, decode_value(raw)))
-    return structure_tensor(size, entries, truncation_radius=doc.get("truncation_radius"))
+    tensor = structure_tensor(size, entries, truncation_radius=doc.get("truncation_radius"))
+    return tensor, _involution(doc)
+
+
+def _involution(doc: dict) -> tuple[int, ...] | None:
+    sigma = doc.get("involution")
+    if sigma is None:
+        return None
+    if not isinstance(sigma, list) or not all(
+        isinstance(s, int) and not isinstance(s, bool) for s in sigma
+    ):
+        raise FormatError(f"involution must be a list of integers, got {sigma!r}")
+    return tuple(sigma)
+
+
+def parse_tensor(text: str) -> StructureTensor:
+    return tensor_and_involution(text)[0]
 
 
 def stored_involution(text: str):
     """The optional involution list of a tensor/hypergroup document."""
-    doc = _load(text, ("tensor", "hypergroup"))
-    sigma = doc.get("involution")
-    return None if sigma is None else tuple(int(s) for s in sigma)
+    return _involution(_load(text, ("tensor", "hypergroup")))
 
 
 def parse_hypergroup(text: str) -> Hypergroup:
     """Parse and fully validate; raises if the axioms fail."""
-    tensor = parse_tensor(text)
-    sigma = stored_involution(text)
+    tensor, sigma = tensor_and_involution(text)
     if sigma is None:
         sigma = derive_involution(tensor)
     return Hypergroup.build(tensor, sigma)

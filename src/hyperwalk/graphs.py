@@ -12,6 +12,7 @@ graph (a truncated tensor).
 from __future__ import annotations
 
 import itertools
+import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -23,10 +24,10 @@ from .errors import (
     BoundaryContactError,
     DisconnectedGraphError,
     EmptySphereError,
-    PathCountExceededError,
     TruncationExceededError,
 )
 from .hypergroups import Number, StructureTensor, Word, check_radius, structure_tensor
+from .report import Report
 
 
 @dataclass(frozen=True)
@@ -207,26 +208,14 @@ def wildberger_tensor(graph_or_table) -> StructureTensor:
     return structure_tensor(size, entries, truncation_radius=window)
 
 
-@dataclass(frozen=True)
-class GraphCheckReport:
-    name: str
-    passed: bool
-    witness: tuple | None
-
-    def __str__(self) -> str:
-        status = "pass" if self.passed else "FAIL"
-        out = f"{self.name}: {status}"
-        if self.witness is not None:
-            out += f"  witness={self.witness}"
-        return out
-
-
-def check_condition_s(graph_or_table) -> GraphCheckReport:
+def check_condition_s(graph_or_table) -> Report:
     """Sphere-symmetry condition: |S_i(v)| constant over vertices, and
     |S_i(v) & S_j(base)| constant over v in S_k(base), for all i, j, k.
 
     On a windowed graph the scan is restricted to the spheres that agree
     with the infinite graph (base distance plus radius within the window).
+    The scan stops at the first uneven class: the witness names it and two
+    vertices whose counts differ, and the residual is that difference.
     """
     table = _as_table(graph_or_table)
     graph = table.graph
@@ -236,39 +225,38 @@ def check_condition_s(graph_or_table) -> GraphCheckReport:
     def in_window(v: int, i: int) -> bool:
         return window is None or table.dist[base, v] + i <= window
 
-    for i in table.index_set:
-        sizes: dict[int, int] = {}
-        for v in range(graph.n_vertices):
-            if not in_window(v, i):
-                continue
-            sizes[v] = table.sphere_size(v, i)
-        if len(set(sizes.values())) > 1:
-            v = next(iter(sizes))
-            v2 = next(u for u in sizes if sizes[u] != sizes[v])
-            return GraphCheckReport(
-                "condition-S", False,
-                ("sphere-size", i, graph.labels[v], graph.labels[v2]),
-            )
-    for i, j, k in itertools.product(table.index_set, repeat=3):
-        counts: dict[int, int] = {}
-        target = set(table.base_sphere(j))
-        for v in table.base_sphere(k):
-            if not in_window(v, i):
-                continue
-            counts[v] = len(target.intersection(table.sphere(v, i)))
+    def classes():
+        for i in table.index_set:
+            yield ("sphere-size", i), {
+                v: table.sphere_size(v, i) for v in range(graph.n_vertices) if in_window(v, i)
+            }
+        for i, j, k in itertools.product(table.index_set, repeat=3):
+            target = set(table.base_sphere(j))
+            yield ("intersection", i, j, k), {
+                v: len(target.intersection(table.sphere(v, i)))
+                for v in table.base_sphere(k) if in_window(v, i)
+            }
+
+    checked = 0
+    for name, counts in classes():
+        checked += 1
         if len(set(counts.values())) > 1:
             v = next(iter(counts))
             v2 = next(u for u in counts if counts[u] != counts[v])
-            return GraphCheckReport(
-                "condition-S", False,
-                ("intersection", i, j, k, graph.labels[v], graph.labels[v2]),
-            )
-    return GraphCheckReport("condition-S", True, None)
+            witness = name + (graph.labels[v], graph.labels[v2])
+            return Report("condition-S", False, float(abs(counts[v] - counts[v2])),
+                          witness, 0.0, checked)
+    return Report("condition-S", True, 0.0, None, 0.0, checked)
 
 
-def check_distance_regular(graph_or_table) -> GraphCheckReport:
-    """Whether |S_i(u) & S_j(v)| depends only on (i, j, d(u, v))."""
+def check_distance_regular(graph_or_table) -> Report:
+    """Whether |S_i(u) & S_j(v)| depends only on (i, j, d(u, v)).
+
+    The scan stops at the first count that differs from the first count of
+    its class (i, j, d); the residual is their difference.
+    """
     table = _as_table(graph_or_table)
+    labels = table.graph.labels
     n = table.graph.n_vertices
     max_dist = int(table.dist.max())
     seen: dict[tuple[int, int, int], tuple[int, tuple[int, int]]] = {}
@@ -278,31 +266,24 @@ def check_distance_regular(graph_or_table) -> GraphCheckReport:
             su = set(table.sphere(u, i))
             for j in range(max_dist + 1):
                 count = len(su.intersection(table.sphere(v, j)))
-                key = (i, j, d)
-                if key in seen:
-                    expected, first_pair = seen[key]
-                    if count != expected:
-                        return GraphCheckReport(
-                            "distance-regular", False,
-                            (i, j, d,
-                             tuple(table.graph.labels[x] for x in first_pair),
-                             (table.graph.labels[u], table.graph.labels[v])),
-                        )
-                else:
-                    seen[key] = (count, (u, v))
-    return GraphCheckReport("distance-regular", True, None)
+                expected, (a, b) = seen.setdefault((i, j, d), (count, (u, v)))
+                if count != expected:
+                    witness = (i, j, d, (labels[a], labels[b]), (labels[u], labels[v]))
+                    return Report("distance-regular", False, float(abs(count - expected)),
+                                  witness, 0.0, len(seen))
+    return Report("distance-regular", True, 0.0, None, 0.0, len(seen))
 
 
-def path_sum_distribution(
-    graph_or_table, word: Word, path_cap: int = 10_000_000
-) -> list[Number]:
-    """Exhaustive jump-path enumeration of the distance distribution.
+def path_sum_distribution(graph_or_table, word: Word) -> list[Number]:
+    """Exact jump-path sum of the distance distribution.
 
     Sums over every chain v_1 in S_{k1}(base), v_2 in S_{k2}(v_1), ... the
     product of the uniform sphere weights, placing the mass at the final base
-    distance.  This is the graph-level oracle: it never touches structure
-    constants.  Refuses with PathCountExceededError when the number of
-    chains exceeds ``path_cap``.
+    distance.  The sum runs as a recursion on exact vertex masses: each
+    letter spreads every vertex's mass uniformly over its sphere, so the
+    cost grows with vertices times sphere sizes per letter, not with the
+    number of chains.  This is the graph-level oracle: it never touches
+    structure constants.
     """
     table = _as_table(graph_or_table)
     graph = table.graph
@@ -313,36 +294,28 @@ def path_sum_distribution(
         if k not in table.index_set:
             raise IndexError(f"letter {k} not in index set {table.index_set}")
 
-    # Integer chain count first, so the cap trips before any long enumeration.
-    counts = {graph.base: 1}
-    total = 1
+    # Integer masses over one common denominator, scaled per letter by the
+    # lcm of the sphere sizes, so the sum needs no Fraction arithmetic.
+    mass, denominator = {graph.base: 1}, 1
     for k in word:
-        nxt: dict[int, int] = {}
-        for v, c in counts.items():
-            for w in table.sphere(v, k):
-                nxt[w] = nxt.get(w, 0) + c
-        counts = nxt
-        total = sum(counts.values())
-        if total > path_cap:
-            raise PathCountExceededError(total, path_cap)
-
-    size = len(table.index_set)
-    out: list[Number] = [Fraction(0)] * size
-    stack = [(graph.base, 0, Fraction(1))]
-    while stack:
-        v, depth, weight = stack.pop()
-        if depth == len(word):
-            out[int(table.dist[v, graph.base])] += weight
-            continue
-        k = word[depth]
-        table._window_check(v, k)
-        sphere = table.sphere(v, k)
-        if not sphere:
-            raise EmptySphereError(graph.labels[v], k)
-        share = weight / len(sphere)
-        for w in sphere:
-            stack.append((w, depth + 1, share))
-    return out
+        spheres = {}
+        for v in mass:
+            table._window_check(v, k)
+            spheres[v] = table.sphere(v, k)
+            if not spheres[v]:
+                raise EmptySphereError(graph.labels[v], k)
+        scale = math.lcm(*map(len, spheres.values()))
+        spread: dict[int, int] = {}
+        for v, weight in mass.items():
+            share = weight * (scale // len(spheres[v]))
+            for w in spheres[v]:
+                spread[w] = spread.get(w, 0) + share
+        mass, denominator = spread, denominator * scale
+    totals = [0] * len(table.index_set)
+    for v, weight in mass.items():
+        totals[int(table.dist[v, graph.base])] += weight
+    zero = Fraction(0)
+    return [Fraction(x, denominator) if x else zero for x in totals]
 
 
 @dataclass(frozen=True)

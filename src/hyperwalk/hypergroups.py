@@ -24,6 +24,8 @@ from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
+import numpy as np
+
 from .errors import (
     AmbiguousInvolutionError,
     HypergroupAxiomError,
@@ -32,6 +34,7 @@ from .errors import (
     NotInvolutiveError,
     TruncationExceededError,
 )
+from .report import Report, scan_report, worst_case, worst_residual
 
 # Stochasticity and support decisions; inputs are exact at machine precision.
 EPS_PROB = 1e-9
@@ -161,10 +164,17 @@ def structure_tensor(
     return tensor
 
 
+def _dense(tensor: StructureTensor, pairs: Sequence[tuple[int, int]]) -> np.ndarray:
+    """The rows ``pairs`` of ``tensor`` as a (len(pairs), size) float array."""
+    rows = [tensor.dense_row(i, j) for i, j in pairs]
+    return np.array(rows, dtype=float).reshape(len(pairs), tensor.size)
+
+
 def tensor_difference(
     a: StructureTensor, b: StructureTensor
 ) -> tuple[float, tuple[int, int, int] | None]:
-    """Max entrywise |a - b| over the common domain, with an argmax witness.
+    """Max entrywise |a - b| over the common domain, with the first entry
+    (i, j, k) attaining it; None when the tensors agree.
 
     Both tensors must have the same size and truncation radius.
     """
@@ -172,15 +182,9 @@ def tensor_difference(
         raise ValueError(f"size mismatch: {a.size} vs {b.size}")
     if a.truncation_radius != b.truncation_radius:
         raise ValueError("truncation mismatch between tensors")
-    worst = 0.0
-    witness = None
-    for i, j in a.defined_pairs():
-        ra, rb = a.row(i, j), b.row(i, j)
-        for k in set(ra) | set(rb):
-            diff = abs(float(ra.get(k, 0)) - float(rb.get(k, 0)))
-            if diff > worst:
-                worst, witness = diff, (i, j, k)
-    return worst, witness
+    pairs = list(a.defined_pairs())
+    gaps = np.abs(_dense(a, pairs) - _dense(b, pairs))
+    return worst_case(gaps, lambda n: (*pairs[n // a.size], n % a.size))
 
 
 def multi_constants(tensor: StructureTensor, word: Word) -> list[Number]:
@@ -214,43 +218,45 @@ def as_floats(vec: Sequence[Number]) -> list[float]:
 
 
 @dataclass(frozen=True)
-class AxiomCheck:
-    axiom: str
-    passed: bool
-    residual: float
-    witness: tuple | None
-
-
-@dataclass(frozen=True)
 class ValidationReport:
-    """Per-axiom pass/fail results with worst residuals and witnesses."""
+    """One report per axiom, and whether the involution is the identity."""
 
-    checks: tuple[AxiomCheck, ...]
+    checks: tuple[Report, ...]
     hermitian: bool
-    skipped_triples: int = 0
 
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def check(self, axiom: str) -> AxiomCheck:
+    @property
+    def skipped_triples(self) -> int:
+        """Associativity triples and star pairs outside a truncation."""
+        return sum(c.skipped for c in self.checks)
+
+    def check(self, axiom: str) -> Report:
         for c in self.checks:
-            if c.axiom == axiom:
+            if c.check == axiom:
                 return c
         raise KeyError(axiom)
 
     def __str__(self) -> str:
-        lines = []
-        for c in self.checks:
-            status = "pass" if c.passed else "FAIL"
-            line = f"{c.axiom:<14} {status}  residual={c.residual:.3e}"
-            if c.witness is not None and not c.passed:
-                line += f"  witness={c.witness}"
-            lines.append(line)
-        lines.append(f"hermitian: {self.hermitian}")
-        if self.skipped_triples:
-            lines.append(f"triples outside truncation (skipped): {self.skipped_triples}")
-        return "\n".join(lines)
+        return "\n".join([str(c) for c in self.checks] + [f"hermitian: {self.hermitian}"])
+
+
+def _associator(tensor: StructureTensor, i: int, j: int, k: int) -> dict[int, float]:
+    """|((x_i x_j) x_k - x_i (x_j x_k))_l| on the l where either side is
+    nonzero, from the exact sums sum_m Q[i,j,m] Q[m,k,l] and
+    sum_m Q[j,k,m] Q[i,m,l].  Raises TruncationExceededError when a row it
+    needs lies outside the stored domain."""
+    lhs: dict[int, Number] = {}
+    for m, q in tensor.row(i, j).items():
+        for l, q2 in tensor.row(m, k).items():
+            lhs[l] = lhs.get(l, 0) + q * q2
+    rhs: dict[int, Number] = {}
+    for m, q in tensor.row(j, k).items():
+        for l, q2 in tensor.row(i, m).items():
+            rhs[l] = rhs.get(l, 0) + q * q2
+    return {l: abs(float(lhs.get(l, 0)) - float(rhs.get(l, 0))) for l in lhs.keys() | rhs.keys()}
 
 
 def validate_hypergroup(
@@ -270,83 +276,56 @@ def validate_hypergroup(
             raise ValueError(f"involution is not self-inverse at index {i}")
 
     size = tensor.size
+    pairs = list(tensor.defined_pairs())
+    row_of = {pair: n for n, pair in enumerate(pairs)}
+    dense = _dense(tensor, pairs)
 
-    # Row stochasticity.
-    worst, witness = 0.0, None
-    for i, j in tensor.defined_pairs():
-        residual = abs(float(sum(tensor.row(i, j).values())) - 1.0)
-        if residual > worst:
-            worst, witness = residual, (i, j)
-    stochastic = AxiomCheck("stochasticity", worst <= EPS_PROB, worst, witness)
+    def entry(rows):
+        return lambda n: (*rows[n // size], n % size)
 
-    # Unit laws.
-    worst, witness = 0.0, None
-    for j in range(size):
-        for a, b in ((UNIT, j), (j, UNIT)):
-            if not tensor.defined(a, b):
-                continue
-            for k in range(size):
-                want = 1.0 if k == j else 0.0
-                residual = abs(float(tensor.entry(a, b, k)) - want)
-                if residual > worst:
-                    worst, witness = residual, (a, b, k)
-    unit = AxiomCheck("unit", worst <= EPS_PROB, worst, witness)
+    sums = [abs(float(sum(tensor.row(i, j).values())) - 1.0) for i, j in pairs]
+    stochastic = scan_report("stochasticity", sums, pairs.__getitem__, EPS_PROB)
 
-    # Associativity: sum_m Q[i,j,m] Q[m,k,l] == sum_m Q[j,k,m] Q[i,m,l].
-    worst, witness = 0.0, None
-    skipped = 0
-    for i, j, k in itertools.product(range(size), repeat=3):
-        try:
-            left_row = tensor.row(i, j)
-            right_row = tensor.row(j, k)
-            lhs: list[Number] = [0] * size
-            for m, q in left_row.items():
-                for l, q2 in tensor.row(m, k).items():
-                    lhs[l] += q * q2
-            rhs: list[Number] = [0] * size
-            for m, q in right_row.items():
-                for l, q2 in tensor.row(i, m).items():
-                    rhs[l] += q * q2
-        except TruncationExceededError:
-            skipped += 1
-            continue
-        for l in range(size):
-            residual = abs(float(lhs[l]) - float(rhs[l]))
-            if residual > worst:
-                worst, witness = residual, (i, j, k, l)
-    associativity = AxiomCheck("associativity", worst <= EPS_ASSOC, worst, witness)
+    # Unit laws: the rows (0, j) and (j, 0) are the point mass at j.
+    units = [(a, b) for j in range(size) for a, b in ((UNIT, j), (j, UNIT)) if (a, b) in row_of]
+    gaps = dense[[row_of[p] for p in units]] - np.eye(size)[[a + b for a, b in units]]
+    unit = scan_report("unit", np.abs(gaps), entry(units), EPS_PROB)
 
-    # Star law.
-    worst, witness = 0.0, None
-    for i, j in tensor.defined_pairs():
-        if not tensor.defined(sigma[j], sigma[i]):
-            skipped += 1
-            continue
-        mirror = tensor.row(sigma[j], sigma[i])
-        for k in set(tensor.row(i, j)) | {sigma[m] for m in mirror}:
-            residual = abs(
-                float(tensor.entry(i, j, k)) - float(mirror.get(sigma[k], 0))
-            )
-            if residual > worst:
-                worst, witness = residual, (i, j, k)
-    star = AxiomCheck("star", worst <= EPS_PROB, worst, witness)
+    # Associativity, reduced per i so only size^3 residuals are held at once.
+    skipped, per_i = 0, []
+    for i in range(size):
+        gaps = [0.0] * size**3  # [j, k, l]; skipped triples stay 0
+        for n, (j, k) in enumerate(itertools.product(range(size), repeat=2)):
+            try:
+                for l, gap in _associator(tensor, i, j, k).items():
+                    gaps[n * size + l] = gap
+            except TruncationExceededError:
+                skipped += 1
+        worst, n = worst_residual(gaps)
+        per_i.append((worst, (i, n // size**2, n // size % size, n % size)))
+    associativity = scan_report(
+        "associativity", [w for w, _ in per_i], lambda i: per_i[i][1],
+        EPS_ASSOC, checked=size**3 - skipped, skipped=skipped,
+    )
+
+    # Star law: Q[i,j,k] == Q[s(j),s(i),s(k)], wherever the mirror row is stored.
+    mirrored = [(i, j) for i, j in pairs if (sigma[j], sigma[i]) in row_of]
+    mirrors = dense[[row_of[(sigma[j], sigma[i])] for i, j in mirrored]][:, list(sigma)]
+    gaps = np.abs(dense[[row_of[p] for p in mirrored]] - mirrors)
+    star = scan_report("star", gaps, entry(mirrored), EPS_PROB,
+                       skipped=len(pairs) - len(mirrored))
 
     # Zero-index support: Q[i,j,0] > EPS_PROB iff j == sigma(i).
     worst, witness = 0.0, None
-    support_ok = True
-    for i, j in tensor.defined_pairs():
+    for i, j in pairs:
         value = float(tensor.entry(i, j, UNIT))
-        positive = value > EPS_PROB
-        if positive != (j == sigma[i]):
-            support_ok = False
-            if witness is None or value > worst:
-                worst, witness = value, (i, j)
-    support = AxiomCheck("unit-support", support_ok, worst, witness)
+        if (value > EPS_PROB) != (j == sigma[i]) and (witness is None or value > worst):
+            worst, witness = value, (i, j)
+    support = Report("unit-support", witness is None, worst, witness, EPS_PROB, len(pairs))
 
     return ValidationReport(
         checks=(stochastic, unit, associativity, star, support),
         hermitian=sigma == identity_permutation(size),
-        skipped_triples=skipped,
     )
 
 

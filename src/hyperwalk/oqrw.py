@@ -42,6 +42,7 @@ from .hypergroups import (
     multi_constants,
     structure_tensor,
 )
+from .report import Report, scan_report, worst_residual
 
 # Completeness and block-decomposition residuals: chains of <= 4 products.
 EPS_KRAUS = 1e-8
@@ -55,20 +56,6 @@ def _as_block(matrix, h_dim: int) -> np.ndarray:
     if arr.shape != (h_dim, h_dim):
         raise ValueError(f"block has shape {arr.shape}, expected ({h_dim}, {h_dim})")
     return arr
-
-
-def worst_residual(residuals) -> tuple[float, int | None]:
-    """The largest residual and the flat index of its first occurrence.
-
-    A non-finite residual outranks every finite one, so NaN or inf never
-    passes a tolerance test.  An empty input gives (-1.0, None).
-    """
-    flat = np.ravel(residuals)
-    if flat.size == 0:
-        return -1.0, None
-    bad = ~np.isfinite(flat)
-    idx = int(np.argmax(bad)) if bad.any() else int(np.argmax(flat))
-    return float(flat[idx]), idx
 
 
 class _PositionArray:
@@ -134,27 +121,11 @@ def kraus_family(
     return KrausFamily(array=array, truncation_radius=truncation_radius)
 
 
-@dataclass(frozen=True)
-class KrausReport:
-    passed: bool
-    max_residual: float
-    worst_slot: tuple[int, int] | None
-    tolerance: float
-
-    def __str__(self) -> str:
-        status = "pass" if self.passed else "FAIL"
-        return (
-            f"completeness: {status}  max residual {self.max_residual:.3e} "
-            f"at (j, k)={self.worst_slot}  tol {self.tolerance:.1e}"
-        )
-
-
-def validate_kraus(family: KrausFamily, tol: float = EPS_KRAUS) -> KrausReport:
+def validate_kraus(family: KrausFamily, tol: float = EPS_KRAUS) -> Report:
     """Check sum_i B[i,j;k]^* B[i,j;k] = 1 for every (j, k), in max norm."""
     sums = family._gram.sum(axis=0)
-    residuals = np.abs(sums - np.eye(family.h_dim)).max(axis=(-2, -1))
-    worst, idx = worst_residual(residuals)
-    return KrausReport(worst <= tol, worst, divmod(idx, family.d_size), tol)
+    residuals = np.abs(sums - np.eye(family.h_dim)).max(axis=(-2, -1))  # [j, k]
+    return scan_report("completeness", residuals.ravel(), lambda n: divmod(n, family.d_size), tol)
 
 
 @dataclass(frozen=True)
@@ -197,6 +168,8 @@ def block_state(blocks: Sequence[np.ndarray], validate: bool = True) -> BlockSta
     if len(blocks) == 0:
         raise ValueError("state needs at least one block")
     h = np.asarray(blocks[0]).shape[0]
+    if h == 0:
+        raise ValueError("state blocks must be at least 1x1")
     array = np.stack([_as_block(b, h) for b in blocks])
     if validate:
         _check_states(array)
@@ -382,26 +355,6 @@ def realize(
     return family, point_state(rho0, 0, d)
 
 
-@dataclass(frozen=True)
-class HBReport:
-    """Residuals of the block-decomposition identity over all index tuples."""
-
-    passed: bool
-    max_residual: float
-    worst_tuple: tuple[int, int, int, int] | None
-    tolerance: float
-    checked: int
-    skipped: int = 0
-
-    def __str__(self) -> str:
-        status = "pass" if self.passed else "FAIL"
-        return (
-            f"block decomposition: {status}  max residual {self.max_residual:.3e} "
-            f"at (i, j, k, l)={self.worst_tuple}  tol {self.tolerance:.1e} "
-            f"({self.checked} tuples)"
-        )
-
-
 def common_radius(family: KrausFamily, tensor: StructureTensor) -> int | None:
     """The smaller of the two truncation radii, if either is set."""
     radii = [r for r in (family.truncation_radius, tensor.truncation_radius) if r is not None]
@@ -410,7 +363,7 @@ def common_radius(family: KrausFamily, tensor: StructureTensor) -> int | None:
 
 def check_hb(
     family: KrausFamily, tensor: StructureTensor, tol: float = EPS_HB
-) -> HBReport:
+) -> Report:
     """Operator identity equivalent to walk distributions folding through Q:
 
         sum_m B[m,j;l]^* B[i,m;k]^* B[i,m;k] B[m,j;l]
@@ -451,15 +404,9 @@ def check_hb(
         candidates.append(((k, l), worst, (i, j, k, l)))
         checked += ks.size
     candidates.sort()  # into (k, l, i, j) order; each (k, l) occurs once
-    worst, n = worst_residual([value for _, value, _ in candidates])
-    worst_tuple = None if n is None else candidates[n][2]
-    return HBReport(
-        passed=worst <= tol,
-        max_residual=max(worst, 0.0),
-        worst_tuple=worst_tuple,
-        tolerance=tol,
-        checked=checked,
-        skipped=d**4 - checked,
+    return scan_report(
+        "block-decomposition", [value for _, value, _ in candidates],
+        lambda n: candidates[n][2], tol, checked=checked, skipped=d**4 - checked,
     )
 
 

@@ -9,7 +9,6 @@ deterministic given its seed.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -46,32 +45,8 @@ from .oqrw import (
     realize,
     validate_kraus,
     walk_levels,
-    worst_residual,
 )
-
-
-@dataclass(frozen=True)
-class VerificationReport:
-    """Outcome of one oracle run: worst residual over all checked cases."""
-
-    checked_cases: int
-    max_residual: float
-    worst_case: tuple | None
-    passed: bool
-    tolerance: float
-    note: str = ""
-
-    def __str__(self) -> str:
-        status = "pass" if self.passed else "FAIL"
-        out = (
-            f"{status}: {self.checked_cases} cases, max residual "
-            f"{self.max_residual:.3e} (tol {self.tolerance:.1e})"
-        )
-        if self.worst_case is not None:
-            out += f", worst case {self.worst_case}"
-        if self.note:
-            out += f" [{self.note}]"
-        return out
+from .report import Report, scan_report
 
 
 def _rng(seed) -> np.random.Generator:
@@ -158,13 +133,12 @@ def verify_theorem_2_4(
     graph: PointedGraph | SphereTable,
     max_word_len: int,
     mode: str = "exact",
-    path_cap: int = 10_000_000,
-) -> VerificationReport:
+) -> Report:
     """Path sums versus algebra folds on a condition-(S) graph.
 
-    For every word up to ``max_word_len`` the exhaustive jump-path
-    distribution must coincide with the fold of the sphere-count constants:
-    identically in exact mode, within 1e-12 in float mode.
+    For every word up to ``max_word_len`` the exact path-sum distribution
+    must coincide with the fold of the sphere-count constants: identically
+    in exact mode, within 1e-12 in float mode.
     """
     if mode not in ("exact", "float"):
         raise ValueError("mode must be 'exact' or 'float'")
@@ -177,34 +151,22 @@ def verify_theorem_2_4(
     tensor = wildberger_tensor(table)
     fold_tensor = tensor if mode == "exact" else tensor.to_float()
     tolerance = 0.0 if mode == "exact" else 1e-12
-    budget = table.graph.window_radius
+    words = list(_budgeted_words(table.index_set, max_word_len, table.graph.window_radius))
 
-    worst, witness, cases = 0.0, None, 0
-    for word in _budgeted_words(table.index_set, max_word_len, budget):
-        paths = path_sum_distribution(table, word, path_cap=path_cap)
+    def residual(word) -> float:
+        paths = path_sum_distribution(table, word)
         fold = multi_constants(fold_tensor, word)
         if mode == "exact":
-            residual = float(max(abs(p - f) for p, f in zip(paths, fold)))
-        else:
-            residual = max(
-                abs(float(p) - float(f)) for p, f in zip(paths, fold)
-            )
-        cases += 1
-        if residual > worst:
-            worst, witness = residual, (word,)
-    return VerificationReport(
-        checked_cases=cases,
-        max_residual=worst,
-        worst_case=witness,
-        passed=worst <= tolerance,
-        tolerance=tolerance,
-        note=mode,
-    )
+            return float(max(abs(p - f) for p, f in zip(paths, fold)))
+        return max(abs(float(p) - float(f)) for p, f in zip(paths, fold))
+
+    residuals = np.fromiter(map(residual, words), float, len(words))
+    return scan_report("paths-vs-fold", residuals, lambda n: (words[n],), tolerance, note=mode)
 
 
 def verify_corollary_2_6(
     hypergroup: Hypergroup, max_word_len: int, tol: float = 1e-12
-) -> VerificationReport:
+) -> Report:
     """Products of transition matrices versus folds of the constants.
 
     For every word (t1, ..., tn): P_{t1} P_{t2} ... P_{tn} must equal
@@ -214,33 +176,21 @@ def verify_corollary_2_6(
     if max_word_len < 1:
         raise ValueError("max_word_len must be at least 1")
     tensor = hypergroup.tensor
-    family = transition_family(tensor)
-    mats = family.matrices
+    mats = transition_family(tensor).matrices
     float_tensor = tensor.to_float()
+    words = list(_budgeted_words(range(tensor.size), max_word_len, None))
 
-    worst, witness, cases = 0.0, None, 0
-    for n in range(1, max_word_len + 1):
-        for word in itertools.product(range(tensor.size), repeat=n):
-            product = mats[word[0]].copy()
-            for t in word[1:]:
-                product = product @ mats[t]
-            coeffs = multi_constants(float_tensor, word)
-            expected = sum(c * mats[m] for m, c in enumerate(coeffs))
-            residual = float(np.abs(product - expected).max())
-            residual = max(
-                residual,
-                float(np.abs(product[0, :] - np.array(coeffs)).max()),
-            )
-            cases += 1
-            if residual > worst:
-                worst, witness = residual, (word,)
-    return VerificationReport(
-        checked_cases=cases,
-        max_residual=worst,
-        worst_case=witness,
-        passed=worst <= tol,
-        tolerance=tol,
-    )
+    def residual(word) -> float:
+        product = mats[word[0]].copy()
+        for t in word[1:]:
+            product = product @ mats[t]
+        coeffs = multi_constants(float_tensor, word)
+        expected = sum(c * mats[m] for m, c in enumerate(coeffs))
+        return np.maximum(np.abs(product - expected).max(),
+                          np.abs(product[0, :] - np.array(coeffs)).max())
+
+    residuals = np.fromiter(map(residual, words), float, len(words))
+    return scan_report("transition-products", residuals, lambda n: (words[n],), tol)
 
 
 def verify_theorem_5_1(
@@ -251,7 +201,7 @@ def verify_theorem_5_1(
     seed: int = 0,
     tol: float = 1e-9,
     min_gap: float = 1e-8,
-) -> VerificationReport:
+) -> Report:
     """Walk distributions versus Q-mixture distributions.
 
     If the block-decomposition identity holds, every walk distribution (all
@@ -274,14 +224,9 @@ def verify_theorem_5_1(
         ).reshape(n_states, d, h, h)
         budget = common_radius(family, tensor)
         words, gaps = _walk_gaps(family, tensor, states, max_word_len, budget)
-        worst, n = worst_residual(gaps)
-        return VerificationReport(
-            checked_cases=gaps.size,
-            max_residual=max(worst, 0.0),
-            worst_case=None if n is None else (words[n // n_states], n % n_states),
-            passed=worst <= tol,
-            tolerance=tol,
-            note="decomposition holds; walk == mixture",
+        return scan_report(
+            "walk-vs-mixture", gaps, lambda n: (words[n // n_states], n % n_states), tol,
+            checked=gaps.size, note="decomposition holds; walk == mixture",
         )
 
     # Identity fails: hunt for the distribution mismatch it guarantees.
@@ -296,20 +241,13 @@ def verify_theorem_5_1(
     if hits.size:
         start, w = divmod(int(hits[0]), len(pairs))
         m, s = divmod(start, len(spanning))
-        return VerificationReport(
-            checked_cases=int(hits[0]) + 1,
-            max_residual=float(gaps[start, w]),
-            worst_case=(m, spanning[s][0], words[pairs[w]]),
-            passed=True,
-            tolerance=min_gap,
+        return Report(
+            "walk-vs-mixture", True, float(gaps[start, w]),
+            (m, spanning[s][0], words[pairs[w]]), min_gap, int(hits[0]) + 1,
             note="decomposition fails; converse witness found",
         )
-    return VerificationReport(
-        checked_cases=gaps.size,
-        max_residual=0.0,
-        worst_case=None,
-        passed=False,
-        tolerance=min_gap,
+    return Report(
+        "walk-vs-mixture", False, 0.0, None, min_gap, gaps.size,
         note="decomposition fails but no distribution witness found",
     )
 
@@ -332,7 +270,7 @@ def verify_roundtrip(
     seed: int = 0,
     isometries: str = "identity",
     tol: float = EPS_PROB,
-) -> VerificationReport:
+) -> Report:
     """Realize the constants as a walk, read them back, and compare.
 
     Checks the realized family's completeness, the produced constants
@@ -364,11 +302,7 @@ def verify_roundtrip(
         notes.append("involution mismatch")
     if not axioms_ok:
         notes.append("produced tensor failed validation")
-    return VerificationReport(
-        checked_cases=sum(1 for _ in tensor.defined_pairs()),
-        max_residual=residual,
-        worst_case=worst,
-        passed=passed,
-        tolerance=tol,
+    return Report(
+        "roundtrip", passed, residual, worst, tol, sum(1 for _ in tensor.defined_pairs()),
         note="; ".join(notes) or f"{isometries} isometries, h_dim={h_dim}",
     )

@@ -4,8 +4,10 @@ These are the per-block Python loops over a sparse (i, j, k) -> block map
 that the dense superoperator code in ``hyperwalk.oqrw`` and
 ``hyperwalk.verify`` replaced, kept unchanged as an oracle for the
 differential tests.  Only the glue differs: the thread fan-out is a plain
-sequential map, and ``from_family``/``from_state`` convert the library's
-dense objects into the sparse ones used here.  Do not optimise this file.
+sequential map, ``from_family``/``from_state`` convert the library's
+dense objects into the sparse ones used here, and ``VerificationReport`` is
+a local copy of the report class the library has since replaced.  Do not
+optimise this file.
 """
 
 from __future__ import annotations
@@ -25,11 +27,35 @@ from hyperwalk.hypergroups import (
     multi_constants,
     structure_tensor,
 )
-from hyperwalk.verify import VerificationReport, spanning_states
+from hyperwalk.verify import spanning_states
 
 EPS_KRAUS = 1e-8
 EPS_HB = 1e-8
 EPS_PSD = 1e-10
+
+
+@dataclass(frozen=True)
+class VerificationReport:
+    """Outcome of one oracle run: worst residual over all checked cases."""
+
+    checked_cases: int
+    max_residual: float
+    worst_case: tuple | None
+    passed: bool
+    tolerance: float
+    note: str = ""
+
+    def __str__(self) -> str:
+        status = "pass" if self.passed else "FAIL"
+        out = (
+            f"{status}: {self.checked_cases} cases, max residual "
+            f"{self.max_residual:.3e} (tol {self.tolerance:.1e})"
+        )
+        if self.worst_case is not None:
+            out += f", worst case {self.worst_case}"
+        if self.note:
+            out += f" [{self.note}]"
+        return out
 
 
 def pmap(fn, items):

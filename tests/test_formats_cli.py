@@ -317,3 +317,25 @@ def test_cli_gen_state_site_out_of_range(capsys):
     assert run_cli("gen", "mixed-state", "--site", "-1", "--d-size", "3") == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.count("out of range") == 2
+
+
+@pytest.mark.parametrize("involution", [[None, 1, 2], [[0], 1, 2], 5, "012", [0.5, 1, 2],
+                                        [True, 1, 2]])
+def test_cli_refuses_malformed_stored_involution(tmp_path, capsys, involution):
+    c4h = tmp_path / "c4h.json"
+    assert run_cli("gen", "c4-hypergroup", "--out", str(c4h)) == 0
+    doc = json.loads(c4h.read_text())
+    doc["involution"] = involution
+    c4h.write_text(json.dumps(doc))
+    assert run_cli("validate", "--tensor", str(c4h)) == 2
+    assert run_cli("verify-c26", "--tensor", str(c4h)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("error: involution must be a list of integers") == 2
+    with pytest.raises(FormatError, match="involution must be a list of integers"):
+        formats.stored_involution(c4h.read_text())
+
+
+def test_cli_gen_state_refuses_empty_blocks(capsys):
+    assert run_cli("gen", "mixed-state", "--h-dim", "0") == 2
+    assert capsys.readouterr().err == "error: state blocks must be at least 1x1\n"

@@ -7,7 +7,6 @@ from hyperwalk import (
     BoundaryContactError,
     DisconnectedGraphError,
     EmptySphereError,
-    PathCountExceededError,
     TruncationExceededError,
     build_spheres,
     check_condition_s,
@@ -155,8 +154,6 @@ def test_path_sum_matches_fold_on_q3():
 
 def test_path_sum_guards():
     table = build_spheres(cycle_graph(4))
-    with pytest.raises(PathCountExceededError):
-        path_sum_distribution(table, (1, 1, 1), path_cap=4)
     with pytest.raises(IndexError):
         path_sum_distribution(table, (5,))
     with pytest.raises(EmptySphereError):

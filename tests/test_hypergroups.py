@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -9,12 +10,14 @@ from hyperwalk import (
     NoCandidateError,
     NotAGroupError,
     NotInvolutiveError,
+    StructureTensor,
     TruncationExceededError,
     check_isomorphism,
     derive_involution,
     hypergroup_from_group,
     multi_constants,
     structure_tensor,
+    tensor_difference,
     validate_hypergroup,
 )
 from hyperwalk import presets
@@ -52,7 +55,7 @@ def test_c4_axioms_pass(c4):
     report = validate_hypergroup(c4.tensor, c4.involution)
     assert report.passed
     assert report.hermitian
-    assert all(check.residual == 0.0 for check in report.checks)
+    assert all(check.max_residual == 0.0 for check in report.checks)
 
 
 def test_group_tensor_is_hypergroup(z3):
@@ -79,8 +82,8 @@ def test_perturbed_c4_fails_associativity_only():
     rhs = sum(
         tensor.entry(j, k, m) * tensor.entry(i, m, l) for m in range(3)
     )
-    assert abs(float(lhs - rhs)) == pytest.approx(assoc.residual)
-    assert assoc.residual == pytest.approx(0.2)
+    assert abs(float(lhs - rhs)) == pytest.approx(assoc.max_residual)
+    assert assoc.max_residual == pytest.approx(0.2)
     with pytest.raises(HypergroupAxiomError):
         Hypergroup.build(tensor)
 
@@ -238,3 +241,18 @@ def test_validate_rejects_bad_involution(c4):
         validate_hypergroup(c4.tensor, (0, 1))
     with pytest.raises(ValueError, match="self-inverse"):
         validate_hypergroup(presets.s3_hypergroup().tensor, (1, 2, 0, 3, 4, 5))
+
+
+def test_nan_constant_never_passes(c4):
+    rows = {pair: dict(row) for pair, row in c4.tensor.rows.items()}
+    rows[(1, 1)][2] = float("nan")  # set directly, past the constructor's check
+    bad = StructureTensor(c4.size, rows)
+    report = validate_hypergroup(bad, c4.involution)
+    assert not report.passed
+    stochastic = report.check("stochasticity")
+    assert not stochastic.passed and math.isnan(stochastic.max_residual)
+    assert stochastic.witness == (1, 1)
+    residual, witness = tensor_difference(bad, c4.tensor)
+    assert math.isnan(residual) and witness == (1, 1, 2)
+    with pytest.raises(HypergroupAxiomError, match="stochasticity"):
+        Hypergroup.build(bad, c4.involution)

@@ -55,10 +55,10 @@ def test_non_finite_blocks_never_pass():
     bad = KrausFamily(array=array)
     report = validate_kraus(bad)
     assert not report.passed and np.isnan(report.max_residual)
-    assert report.worst_slot == (1, 1)
+    assert report.witness == (1, 1)
     hb = check_hb(bad, presets.c4_hypergroup().tensor)
     assert not hb.passed and np.isnan(hb.max_residual)
-    assert hb.worst_tuple is not None
+    assert hb.witness is not None
 
 
 def test_check_hb_fails_on_non_finite_constant(c4):
@@ -68,7 +68,7 @@ def test_check_hb_fails_on_non_finite_constant(c4):
     report = check_hb(fam, StructureTensor(c4.size, rows))
     assert not report.passed and not np.isfinite(report.max_residual)
     # The witness lies in the row (k, l) that holds the bad constant.
-    assert report.worst_tuple[2:] == (1, 2)
+    assert report.witness[2:] == (1, 2)
 
 
 def test_walks_reject_out_of_range_letters(c4):
@@ -89,7 +89,7 @@ def test_validate_kraus_pass_and_fail():
                               (0, 0, 1): np.eye(2)})
     report = validate_kraus(bad)
     assert not report.passed
-    assert report.worst_slot == (1, 1)
+    assert report.witness == (1, 1)
     # The scaled block inflates its Gram term by the factor 1.1^2 - 1.
     assert report.max_residual == pytest.approx(0.21 * np.abs(b.conj().T @ b).max() / 1.21)
 
@@ -101,6 +101,8 @@ def test_block_state_invariants():
         block_state([np.diag([1.5, -0.5])])
     with pytest.raises(ValueError, match="trace"):
         block_state([np.diag([0.45, 0.45])])
+    with pytest.raises(ValueError, match="^state blocks must be at least 1x1$"):
+        block_state([np.zeros((0, 0)), np.zeros((0, 0))])
 
 
 def test_step_moves_point_mass():
@@ -247,7 +249,7 @@ def test_check_hb_fails_on_non_associative():
     report = check_hb(fam, pert)
     assert not report.passed
     assert report.max_residual > 1e-3
-    assert report.worst_tuple is not None
+    assert report.witness is not None
 
 
 def test_check_hb_size_mismatch(c4):

@@ -124,7 +124,7 @@ def dense_rows(tensor):
 def assert_same_check(new, old, witness_field, residual_at=None):
     assert new.passed == old.passed
     assert abs(new.max_residual - old.max_residual) <= TOL
-    witness = getattr(new, witness_field)
+    witness = new.witness
     if not new.passed and witness != getattr(old, witness_field):
         assert residual_at is not None, (witness, getattr(old, witness_field))
         assert residual_at(witness) >= old.max_residual - TOL
@@ -213,10 +213,10 @@ def test_theorem_5_1_matches_loops(name):
     old = ref.verify_theorem_5_1(old_family, tensor, **kwargs)
     if "converse" in old.note:
         # The converse witness is the first gap found, pass or fail.
-        assert new.worst_case == old.worst_case
+        assert new.witness == old.worst_case
     residual = walk_residual(old_family, tensor, kwargs["n_states"], kwargs["seed"])
     assert_same_check(new, old, "worst_case", residual)
-    assert new.checked_cases == old.checked_cases
+    assert new.checked == old.checked_cases
     assert new.note == old.note
 
 

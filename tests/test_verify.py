@@ -4,6 +4,7 @@ import pytest
 from hyperwalk import (
     ConditionSViolatedError,
     Hypergroup,
+    StructureTensor,
     check_hb,
     complete_graph,
     cycle_graph,
@@ -65,6 +66,15 @@ def test_verify_corollary_2_6_fails_without_associativity():
     assert report.max_residual > 1e-3
 
 
+def test_verify_corollary_2_6_fails_on_nan_constant(c4):
+    rows = {pair: dict(row) for pair, row in c4.tensor.rows.items()}
+    rows[(1, 1)][2] = float("nan")  # set directly, past the constructor's check
+    fake = Hypergroup(tensor=StructureTensor(c4.size, rows), involution=c4.involution)
+    report = verify_corollary_2_6(fake, 2)
+    assert not report.passed and np.isnan(report.max_residual)
+    assert report.witness is not None
+
+
 def test_verify_theorem_5_1_forward(c4):
     fam, _ = realize(c4, h_dim=2)
     report = verify_theorem_5_1(fam, c4.tensor, max_word_len=4, n_states=5, seed=1)
@@ -92,7 +102,7 @@ def test_verify_theorem_5_1_converse_witness(c4):
     assert report.passed
     assert "witness" in report.note
     assert report.max_residual >= 1e-4
-    m, label, word = report.worst_case
+    m, label, word = report.witness
     assert len(word) == 2
 
 
