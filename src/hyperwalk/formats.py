@@ -9,6 +9,7 @@ digits).  Parsing runs the full invariant checks of the domain constructors.
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import asdict, is_dataclass
 from fractions import Fraction
@@ -84,6 +85,21 @@ def _require(doc: dict, field: str):
     return doc[field]
 
 
+def _count(doc: dict, field: str) -> int:
+    """A size field: an integer >= 1, not a bool."""
+    value = _require(doc, field)
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise FormatError(f"{field} must be an integer >= 1, got {value!r}")
+    return value
+
+
+def _list(doc: dict, field: str) -> list:
+    value = _require(doc, field)
+    if not isinstance(value, list):
+        raise FormatError(f"{field} must be a list, got {value!r}")
+    return value
+
+
 def _has_dict(node) -> bool:
     if isinstance(node, dict):
         return True
@@ -99,7 +115,7 @@ def _dump(doc: dict) -> str:
     def mark(node):
         if isinstance(node, (list, tuple)):
             if not _has_dict(node):
-                compact = json.dumps(list(node))
+                compact = json.dumps(list(node), allow_nan=False)
                 if len(compact) <= 76:
                     compacted.append(compact)
                     return f"\u0000{len(compacted) - 1}\u0000"
@@ -108,7 +124,7 @@ def _dump(doc: dict) -> str:
             return {key: mark(value) for key, value in node.items()}
         return node
 
-    text = json.dumps(mark(doc), indent=2)
+    text = json.dumps(mark(doc), indent=2, allow_nan=False)
     text = re.sub(r'"\\u0000(\d+)\\u0000"', lambda m: compacted[int(m.group(1))], text)
     return text + "\n"
 
@@ -132,12 +148,12 @@ def serialize_graph(graph: PointedGraph) -> str:
 
 def parse_graph(text: str) -> PointedGraph:
     doc = _load(text, ("graph",))
-    labels = [str(v) for v in _require(doc, "vertices")]
+    labels = [str(v) for v in _list(doc, "vertices")]
     index = {label: i for i, label in enumerate(labels)}
     if len(index) != len(labels):
         raise FormatError("vertex labels are not unique")
     edges = []
-    for edge in _require(doc, "edges"):
+    for edge in _list(doc, "edges"):
         if not isinstance(edge, (list, tuple)) or len(edge) != 2:
             raise FormatError(f"bad edge {edge!r}")
         a, b = str(edge[0]), str(edge[1])
@@ -186,11 +202,9 @@ def tensor_and_involution(text: str) -> tuple[StructureTensor, tuple[int, ...] |
     """A tensor/hypergroup document's tensor and its optional stored
     involution, decoded once."""
     doc = _load(text, ("tensor", "hypergroup"))
-    size = _require(doc, "size")
-    if not isinstance(size, int) or size <= 0:
-        raise FormatError(f"bad size {size!r}")
+    size = _count(doc, "size")
     entries = []
-    for entry in _require(doc, "entries"):
+    for entry in _list(doc, "entries"):
         if not isinstance(entry, (list, tuple)) or len(entry) != 4:
             raise FormatError(f"bad entry {entry!r}")
         i, j, k, raw = entry
@@ -242,7 +256,7 @@ def _decode_matrix(raw, where: str) -> np.ndarray:
         arr = np.asarray(
             [[complex(cell[0], cell[1]) for cell in row] for row in raw]
         )
-    except (TypeError, ValueError, IndexError):
+    except (TypeError, ValueError, IndexError, KeyError):
         raise FormatError(f"bad matrix in {where}") from None
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise FormatError(f"matrix in {where} is not square")
@@ -268,12 +282,10 @@ def serialize_kraus(family: KrausFamily) -> str:
 
 def parse_kraus(text: str) -> KrausFamily:
     doc = _load(text, ("kraus",))
-    d_size = _require(doc, "d_size")
-    h_dim = _require(doc, "h_dim")
-    if not isinstance(d_size, int) or not isinstance(h_dim, int):
-        raise FormatError("d_size and h_dim must be integers")
+    d_size = _count(doc, "d_size")
+    h_dim = _count(doc, "h_dim")
     blocks = {}
-    for block in _require(doc, "blocks"):
+    for block in _list(doc, "blocks"):
         if not isinstance(block, dict):
             raise FormatError(f"bad block {block!r}")
         try:
@@ -300,8 +312,8 @@ def serialize_state(state: BlockState) -> str:
 
 def parse_state(text: str) -> BlockState:
     doc = _load(text, ("state",))
-    h_dim = _require(doc, "h_dim")
-    raw_blocks = _require(doc, "blocks")
+    h_dim = _count(doc, "h_dim")
+    raw_blocks = _list(doc, "blocks")
     if not raw_blocks:
         raise FormatError("state has no blocks")
     blocks = [_decode_matrix(raw, f"state block {i}") for i, raw in enumerate(raw_blocks)]
@@ -332,10 +344,14 @@ def serialize(obj) -> str:
 
 
 def _jsonable(value):
+    """Plain JSON values; a non-finite float becomes the string "NaN",
+    "Infinity" or "-Infinity", since JSON has no such numbers."""
     if isinstance(value, np.ndarray):
-        return _encode_matrix(value) if value.ndim == 2 else [float(x) for x in value]
+        return _jsonable(_encode_matrix(value) if value.ndim == 2 else [float(x) for x in value])
     if isinstance(value, (np.floating, np.integer)):
-        return value.item()
+        value = value.item()
+    if isinstance(value, float) and not math.isfinite(value):
+        return "NaN" if math.isnan(value) else ("Infinity" if value > 0 else "-Infinity")
     if is_dataclass(value) and not isinstance(value, type):
         return {k: _jsonable(v) for k, v in asdict(value).items()}
     if isinstance(value, dict):

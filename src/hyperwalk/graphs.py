@@ -11,10 +11,10 @@ graph (a truncated tensor).
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -102,31 +102,50 @@ def pointed_graph(
 
 @dataclass(frozen=True)
 class SphereTable:
-    """All-pairs distances and the spheres S_n(v) of a pointed graph."""
+    """All-pairs distances and the spheres S_r(v) of a pointed graph.
+
+    ``order[v]`` lists the vertices by distance from v, ties in index order,
+    and S_r(v) is ``order[v, starts[v, r]:starts[v, r + 1]]`` for r up to the
+    diameter.
+    """
 
     graph: PointedGraph
     dist: np.ndarray
     index_set: tuple[int, ...]
-    spheres: tuple[tuple[tuple[int, ...], ...], ...]  # [v][n] -> vertices
+    order: np.ndarray  # (n, n) int32
+    starts: np.ndarray  # (n, diameter + 2)
 
     def sphere(self, v: int, n: int) -> tuple[int, ...]:
-        if n < 0 or n >= len(self.spheres[v]):
+        if n < 0 or n >= self.starts.shape[1] - 1:
             return ()
-        return self.spheres[v][n]
+        return tuple(self.order[v, self.starts[v, n]:self.starts[v, n + 1]].tolist())
 
     def sphere_size(self, v: int, n: int) -> int:
-        return len(self.sphere(v, n))
+        if n < 0 or n >= self.starts.shape[1] - 1:
+            return 0
+        return int(self.starts[v, n + 1] - self.starts[v, n])
 
     def base_sphere(self, n: int) -> tuple[int, ...]:
         return self.sphere(self.graph.base, n)
 
-    def standing_assumption_witness(self) -> tuple[int, int] | None:
-        """First (vertex, n) with S_n(v) empty for n in the index set, if any."""
-        for v in range(self.graph.n_vertices):
-            for n in self.index_set:
-                if self.sphere_size(v, n) == 0:
-                    return (v, n)
-        return None
+    @property
+    def sphere_sizes(self) -> np.ndarray:
+        """``sphere_sizes[v, r] = |S_r(v)|`` for r up to the diameter."""
+        return np.diff(self.starts, axis=1)
+
+    @cached_property
+    def base_counts(self) -> np.ndarray:
+        """``base_counts[v, r, k] = |S_r(v) & S_k(base)|`` for r up to the
+        diameter and k in the index set."""
+        n, width = self.starts.shape[0], self.starts.shape[1] - 1
+        size = len(self.index_set)
+        base_dist = self.dist[self.graph.base]
+        counts = np.empty((n, width, size), dtype=np.intp)
+        for v in range(n):
+            counts[v] = np.bincount(self.dist[v] * size + base_dist,
+                                    minlength=width * size).reshape(width, size)
+        counts.setflags(write=False)
+        return counts
 
     def _window_check(self, v: int, radius: int) -> None:
         window = self.graph.window_radius
@@ -137,31 +156,39 @@ class SphereTable:
 
 
 def build_spheres(graph: PointedGraph) -> SphereTable:
-    """BFS from every vertex; the index set is the set of base distances."""
+    """Distances from every vertex at once, one BFS level at a time; the
+    index set is the set of base distances."""
     n = graph.n_vertices
+    # Neighbour lists padded with n, a column that is never on a frontier.
+    nbrs = np.full((n, max(map(len, graph.neighbors), default=0)), n, dtype=np.intp)
+    for v, row in enumerate(graph.neighbors):
+        nbrs[v, : len(row)] = row
     dist = np.full((n, n), -1, dtype=int)
-    for source in range(n):
-        dist[source, source] = 0
-        queue = deque([source])
-        while queue:
-            u = queue.popleft()
-            for v in graph.neighbors[u]:
-                if dist[source, v] < 0:
-                    dist[source, v] = dist[source, u] + 1
-                    queue.append(v)
+    np.fill_diagonal(dist, 0)
+    frontier = np.zeros((n, n + 1), dtype=bool)  # [source, vertex]
+    frontier[:, :n] = dist == 0
+    level = 0
+    while True:
+        reached = np.zeros((n, n), dtype=bool)
+        for column in nbrs.T:
+            reached |= frontier[:, column]
+        reached &= dist < 0
+        if not reached.any():
+            break
+        level += 1
+        dist[reached] = level
+        frontier[:, :n] = reached
     if (dist < 0).any():
         raise DisconnectedGraphError("distance matrix has unreachable pairs")
-    max_dist = int(dist.max())
-    spheres = tuple(
-        tuple(
-            tuple(int(w) for w in np.flatnonzero(dist[v] == r))
-            for r in range(max_dist + 1)
-        )
-        for v in range(n)
-    )
-    index_set = tuple(sorted({int(d) for d in dist[graph.base]}))
-    dist.setflags(write=False)
-    return SphereTable(graph=graph, dist=dist, index_set=index_set, spheres=spheres)
+    width = level + 1
+    sizes = np.bincount((np.arange(n)[:, None] * width + dist).ravel(), minlength=n * width)
+    starts = np.zeros((n, width + 1), dtype=np.intp)
+    np.cumsum(sizes.reshape(n, width), axis=1, out=starts[:, 1:])
+    order = np.argsort(dist, axis=1, kind="stable").astype(np.int32)
+    index_set = tuple(np.unique(dist[graph.base]).tolist())
+    for array in (dist, order, starts):
+        array.setflags(write=False)
+    return SphereTable(graph=graph, dist=dist, index_set=index_set, order=order, starts=starts)
 
 
 def _as_table(graph_or_table) -> SphereTable:
@@ -177,7 +204,8 @@ def wildberger_tensor(graph_or_table) -> StructureTensor:
     fraction of the second sphere S_j(v) that lands at base distance k.  The
     result is exact and row-stochastic.  For windowed graphs only the rows
     with i + j <= window radius are produced (as a truncated tensor), since
-    those are the rows that agree with the underlying infinite graph.
+    those are the rows that agree with the underlying infinite graph; the
+    spheres S_j(v) they use then stay inside the window.
     """
     table = _as_table(graph_or_table)
     graph = table.graph
@@ -186,25 +214,39 @@ def wildberger_tensor(graph_or_table) -> StructureTensor:
     if index_set != tuple(range(size)):
         raise ValueError(f"index set {index_set} is not contiguous")
     window = graph.window_radius
+    base_row, starts = table.order[graph.base], table.starts[graph.base]
+    cuts = starts[:size]
+    # Per base sphere S_i(base): the least and largest |S_j(v)| over its
+    # vertices v, and the summed counts |S_j(v) & S_k(base)|.
+    sizes = table.sphere_sizes[base_row, :size]
+    low, high = np.minimum.reduceat(sizes, cuts), np.maximum.reduceat(sizes, cuts)
+    sums = np.add.reduceat(table.base_counts[base_row, :size], cuts)  # [i, j, k]
+    allowed = np.ones((size, size), dtype=bool)
+    if window is not None:
+        allowed = np.add.outer(np.arange(size), np.arange(size)) <= window
+    empty = allowed & (low == 0)
+    if empty.any():
+        i, j = divmod(int(np.argmax(empty)), size)
+        lo, hi = starts[i], starts[i + 1]
+        raise EmptySphereError(graph.labels[base_row[lo + np.argmin(sizes[lo:hi, j])]], j)
+    base_sizes = np.diff(starts[:size + 1]).tolist()
     entries: list[tuple[int, int, int, Number]] = []
-    for i in index_set:
-        first = table.base_sphere(i)
-        if not first:
-            raise EmptySphereError(graph.labels[graph.base], i)
-        for j in index_set:
-            if window is not None and i + j > window:
-                continue
-            row: dict[int, Fraction] = {}
-            for v in first:
-                table._window_check(v, j)
-                second = table.sphere(v, j)
-                if not second:
-                    raise EmptySphereError(graph.labels[v], j)
-                weight = Fraction(1, len(first) * len(second))
-                for w in second:
-                    k = int(table.dist[w, graph.base])
-                    row[k] = row.get(k, Fraction(0)) + weight
-            entries.extend((i, j, k, q) for k, q in row.items())
+    for i, j in zip(*(axis.tolist() for axis in np.nonzero(allowed))):
+        if low[i, j] == high[i, j]:
+            numerators, scale = sums[i, j].tolist(), int(low[i, j])
+        else:
+            # Group the landing vertices by sphere size and bring the groups
+            # over the lcm of their sizes: exact integer numerators.
+            lo, hi = starts[i], starts[i + 1]
+            groups, group_of = np.unique(sizes[lo:hi, j], return_inverse=True)
+            grouped = np.zeros((len(groups), size), dtype=np.int64)
+            np.add.at(grouped, group_of, table.base_counts[base_row[lo:hi], j])
+            groups = groups.tolist()
+            scale = math.lcm(*groups)
+            numerators = [sum(scale // s * c for s, c in zip(groups, column))
+                          for column in grouped.T.tolist()]
+        denominator = scale * base_sizes[i]
+        entries += [(i, j, k, Fraction(x, denominator)) for k, x in enumerate(numerators) if x]
     return structure_tensor(size, entries, truncation_radius=window)
 
 
@@ -214,64 +256,84 @@ def check_condition_s(graph_or_table) -> Report:
 
     On a windowed graph the scan is restricted to the spheres that agree
     with the infinite graph (base distance plus radius within the window).
-    The scan stops at the first uneven class: the witness names it and two
-    vertices whose counts differ, and the residual is that difference.
+    Classes are scanned sphere sizes first (by i), then intersections (by
+    i, j, k), and the scan stops at the first uneven class: the witness names
+    it and two vertices whose counts differ, and the residual is that
+    difference.
     """
     table = _as_table(graph_or_table)
     graph = table.graph
     window = graph.window_radius
     base = graph.base
+    size = len(table.index_set)
+    radii = np.arange(size)
 
-    def in_window(v: int, i: int) -> bool:
-        return window is None or table.dist[base, v] + i <= window
+    def uneven(name: tuple, members: np.ndarray, counts: np.ndarray, checked: int) -> Report:
+        other = int(np.argmax(counts != counts[0]))
+        witness = name + (graph.labels[members[0]], graph.labels[members[other]])
+        return Report("condition-S", False, float(abs(int(counts[0]) - int(counts[other]))),
+                      witness, 0.0, checked)
 
-    def classes():
-        for i in table.index_set:
-            yield ("sphere-size", i), {
-                v: table.sphere_size(v, i) for v in range(graph.n_vertices) if in_window(v, i)
-            }
-        for i, j, k in itertools.product(table.index_set, repeat=3):
-            target = set(table.base_sphere(j))
-            yield ("intersection", i, j, k), {
-                v: len(target.intersection(table.sphere(v, i)))
-                for v in table.base_sphere(k) if in_window(v, i)
-            }
+    sizes = table.sphere_sizes[:, :size]
+    inside = np.ones(sizes.shape, dtype=bool)
+    if window is not None:
+        inside = table.dist[base][:, None] + radii <= window
+    highest = np.where(inside, sizes, -1).max(axis=0)
+    spread = highest > np.where(inside, sizes, sizes.max()).min(axis=0)
+    if spread.any():
+        i = int(np.argmax(spread))
+        members = np.flatnonzero(inside[:, i])
+        return uneven(("sphere-size", i), members, sizes[members, i], i + 1)
 
-    checked = 0
-    for name, counts in classes():
-        checked += 1
-        if len(set(counts.values())) > 1:
-            v = next(iter(counts))
-            v2 = next(u for u in counts if counts[u] != counts[v])
-            witness = name + (graph.labels[v], graph.labels[v2])
-            return Report("condition-S", False, float(abs(counts[v] - counts[v2])),
-                          witness, 0.0, checked)
-    return Report("condition-S", True, 0.0, None, 0.0, checked)
+    # counts[v, i, j] over the base spheres S_k(base), one reduction per k.
+    counts = table.base_counts[table.order[base], :size]
+    cuts = table.starts[base, :size]
+    spread = np.maximum.reduceat(counts, cuts) > np.minimum.reduceat(counts, cuts)  # [k, i, j]
+    spread = spread.transpose(1, 2, 0)
+    if window is not None:
+        spread &= (radii[:, None] + radii <= window)[:, None, :]
+    if spread.any():
+        n = int(np.argmax(spread))
+        i, j, k = (int(x) for x in np.unravel_index(n, spread.shape))
+        members = table.order[base, cuts[k]:table.starts[base, k + 1]]
+        return uneven(("intersection", i, j, k), members, table.base_counts[members, i, j],
+                      size + n + 1)
+    return Report("condition-S", True, 0.0, None, 0.0, size + size**3)
 
 
 def check_distance_regular(graph_or_table) -> Report:
     """Whether |S_i(u) & S_j(v)| depends only on (i, j, d(u, v)).
 
-    The scan stops at the first count that differs from the first count of
-    its class (i, j, d); the residual is their difference.
+    The scan visits the pairs (u, v) in order and every (i, j) at each pair;
+    a class (i, j, d) expects the count of the first pair at distance d.  It
+    stops at the first count that differs from its class's; the residual is
+    their difference.  The counts of one row u come from one integer
+    histogram of (d(u, w), d(v, w)) over all v and w.
     """
     table = _as_table(graph_or_table)
     labels = table.graph.labels
-    n = table.graph.n_vertices
-    max_dist = int(table.dist.max())
-    seen: dict[tuple[int, int, int], tuple[int, tuple[int, int]]] = {}
-    for u, v in itertools.product(range(n), repeat=2):
-        d = int(table.dist[u, v])
-        for i in range(max_dist + 1):
-            su = set(table.sphere(u, i))
-            for j in range(max_dist + 1):
-                count = len(su.intersection(table.sphere(v, j)))
-                expected, (a, b) = seen.setdefault((i, j, d), (count, (u, v)))
-                if count != expected:
-                    witness = (i, j, d, (labels[a], labels[b]), (labels[u], labels[v]))
-                    return Report("distance-regular", False, float(abs(count - expected)),
-                                  witness, 0.0, len(seen))
-    return Report("distance-regular", True, 0.0, None, 0.0, len(seen))
+    dist = table.dist
+    n, width = dist.shape[0], table.starts.shape[1] - 1
+    firsts = np.unique(dist, return_index=True)[1]  # first pair at each distance
+    first_u, first_v = np.divmod(firsts, n)
+    expected = np.zeros((width, width * width), dtype=np.intp)  # [d, (i, j)]
+    offsets = np.arange(n)[:, None] * width * width
+    for u in range(n):
+        keys = dist[u] * width + dist + offsets  # [v, w] -> bin (v, i, j)
+        counts = np.bincount(keys.ravel(), minlength=n * width * width).reshape(n, -1)
+        opened = first_u == u
+        expected[opened] = counts[first_v[opened]]
+        mismatch = counts != expected[dist[u]]
+        if mismatch.any():
+            v, ij = divmod(int(np.argmax(mismatch)), width * width)
+            i, j = divmod(ij, width)
+            d = int(dist[u, v])
+            a, b = int(first_u[d]), int(first_v[d])
+            witness = (i, j, d, (labels[a], labels[b]), (labels[u], labels[v]))
+            residual = float(abs(int(counts[v, ij]) - int(expected[d, ij])))
+            checked = width * width * int((firsts < u * n + v).sum())
+            return Report("distance-regular", False, residual, witness, 0.0, checked)
+    return Report("distance-regular", True, 0.0, None, 0.0, width**3)
 
 
 def path_sum_distribution(graph_or_table, word: Word) -> list[Number]:
@@ -296,14 +358,19 @@ def path_sum_distribution(graph_or_table, word: Word) -> list[Number]:
 
     # Integer masses over one common denominator, scaled per letter by the
     # lcm of the sphere sizes, so the sum needs no Fraction arithmetic.
+    # Spheres are read as slices of a flat view of ``order``: no copies.
+    n, width = table.starts.shape
+    order = memoryview(table.order.reshape(-1))
+    starts = memoryview(table.starts.reshape(-1))
     mass, denominator = {graph.base: 1}, 1
     for k in word:
         spheres = {}
         for v in mass:
             table._window_check(v, k)
-            spheres[v] = table.sphere(v, k)
-            if not spheres[v]:
+            lo, hi = starts[v * width + k], starts[v * width + k + 1]
+            if lo == hi:
                 raise EmptySphereError(graph.labels[v], k)
+            spheres[v] = order[v * n + lo:v * n + hi]
         scale = math.lcm(*map(len, spheres.values()))
         spread: dict[int, int] = {}
         for v, weight in mass.items():
@@ -311,9 +378,10 @@ def path_sum_distribution(graph_or_table, word: Word) -> list[Number]:
             for w in spheres[v]:
                 spread[w] = spread.get(w, 0) + share
         mass, denominator = spread, denominator * scale
+    base_dist = table.dist[graph.base]
     totals = [0] * len(table.index_set)
     for v, weight in mass.items():
-        totals[int(table.dist[v, graph.base])] += weight
+        totals[base_dist[v]] += weight
     zero = Fraction(0)
     return [Fraction(x, denominator) if x else zero for x in totals]
 

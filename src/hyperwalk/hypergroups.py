@@ -243,20 +243,23 @@ class ValidationReport:
         return "\n".join([str(c) for c in self.checks] + [f"hermitian: {self.hermitian}"])
 
 
-def _associator(tensor: StructureTensor, i: int, j: int, k: int) -> dict[int, float]:
-    """|((x_i x_j) x_k - x_i (x_j x_k))_l| on the l where either side is
-    nonzero, from the exact sums sum_m Q[i,j,m] Q[m,k,l] and
-    sum_m Q[j,k,m] Q[i,m,l].  Raises TruncationExceededError when a row it
-    needs lies outside the stored domain."""
-    lhs: dict[int, Number] = {}
-    for m, q in tensor.row(i, j).items():
-        for l, q2 in tensor.row(m, k).items():
-            lhs[l] = lhs.get(l, 0) + q * q2
-    rhs: dict[int, Number] = {}
-    for m, q in tensor.row(j, k).items():
-        for l, q2 in tensor.row(i, m).items():
-            rhs[l] = rhs.get(l, 0) + q * q2
-    return {l: abs(float(lhs.get(l, 0)) - float(rhs.get(l, 0))) for l in lhs.keys() | rhs.keys()}
+def _numerators(tensor: StructureTensor, pairs) -> tuple[np.ndarray, int]:
+    """An exact tensor's rows ``pairs`` as integer numerators N = L * Q over
+    the lcm L of their denominators: a dense (size, size, size) array, zero
+    on the other rows.  It holds float64 when every partial sum of size
+    products of two numerators is an integer below 2**53, so that a BLAS
+    product of them is exact in any order, and Python ints otherwise."""
+    size = tensor.size
+    scale = math.lcm(*(q.denominator for p in pairs for q in tensor.row(*p).values()))
+    cube = np.zeros((size, size, size), dtype=object)
+    peak = 0
+    for i, j in pairs:
+        for k, q in tensor.row(i, j).items():
+            cube[i, j, k] = q.numerator * (scale // q.denominator)
+            peak = max(peak, abs(cube[i, j, k]))
+    if peak * peak * size < 2**53:
+        cube = cube.astype(float)
+    return cube, scale
 
 
 def validate_hypergroup(
@@ -291,16 +294,37 @@ def validate_hypergroup(
     gaps = dense[[row_of[p] for p in units]] - np.eye(size)[[a + b for a, b in units]]
     unit = scan_report("unit", np.abs(gaps), entry(units), EPS_PROB)
 
-    # Associativity, reduced per i so only size^3 residuals are held at once.
-    skipped, per_i = 0, []
+    # Associativity: (x_i x_j) x_k against x_i (x_j x_k), contracted per i so
+    # only size^3 residuals are held at once.  A triple is skipped when a row
+    # it needs, (i, j), (j, k), (m, k) or (i, m) for m in the support of
+    # (i, j) or (j, k), lies outside the stored domain.
+    rows = tuple(np.array(pairs).T)
+    undefined = np.ones((size, size))
+    undefined[rows] = 0
+    support = np.zeros((size * size, size))
+    for i, j in pairs:
+        support[i * size + j, list(tensor.row(i, j))] = 1
+    skip = (undefined[:, :, None] + undefined
+            + (support @ undefined).reshape(size, size, size)
+            + (undefined @ support.T).reshape(size, size, size)) > 0
+    if tensor.is_exact:
+        cube, scale = _numerators(tensor, pairs)
+    else:
+        cube, scale = np.zeros((size, size, size)), None
+        cube[rows] = dense
+    skipped, per_i = int(skip.sum()), []
     for i in range(size):
-        gaps = [0.0] * size**3  # [j, k, l]; skipped triples stay 0
-        for n, (j, k) in enumerate(itertools.product(range(size), repeat=2)):
-            try:
-                for l, gap in _associator(tensor, i, j, k).items():
-                    gaps[n * size + l] = gap
-            except TruncationExceededError:
-                skipped += 1
+        lhs = (cube[i] @ cube.reshape(size, -1)).reshape(-1)  # [j, k, l]
+        rhs = (cube.reshape(-1, size) @ cube[i]).reshape(-1)
+        keep = ~np.repeat(skip[i].reshape(-1), size)
+        if scale is None:
+            gaps = np.where(keep, np.abs(lhs - rhs), 0.0)
+        else:
+            # Both sides are exact sums over scale**2: only where they differ
+            # is a residual converted, each side correctly rounded to float.
+            gaps = np.zeros(size**3)
+            for n in np.flatnonzero((lhs != rhs) & keep):
+                gaps[n] = abs(int(lhs[n]) / scale**2 - int(rhs[n]) / scale**2)
         worst, n = worst_residual(gaps)
         per_i.append((worst, (i, n // size**2, n // size % size, n % size)))
     associativity = scan_report(

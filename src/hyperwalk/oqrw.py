@@ -95,8 +95,11 @@ class KrausFamily(_PositionArray):
 
     @cached_property
     def _gram(self) -> np.ndarray:
-        """B[i,j;k]^* B[i,j;k] at [i, j, k]: the blocks of Phi_k^*(E_i)."""
-        return self.array.conj().swapaxes(-1, -2) @ self.array
+        """B[i,j;k]^* B[i,j;k] at [i, j, k]: the blocks of Phi_k^*(E_i).
+        Blocks too large to square give inf or NaN here, which every check
+        reports as its worst residual, so numpy's warnings are not raised."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self.array.conj().swapaxes(-1, -2) @ self.array
 
 
 def kraus_family(
@@ -394,8 +397,9 @@ def check_hb(
         within = k_plus_j + l <= (np.inf if radius is None else radius)  # [k, j]
         if not within.any():
             continue
-        lhs = heisenberg @ _transfer(family, l).conj()
-        lhs -= (q[:, l, :] @ heisenberg.reshape(d, -1)).reshape(d * d, -1)
+        with np.errstate(over="ignore", invalid="ignore"):  # see KrausFamily._gram
+            lhs = heisenberg @ _transfer(family, l).conj()
+            lhs -= (q[:, l, :] @ heisenberg.reshape(d, -1)).reshape(d * d, -1)
         residuals = np.abs(lhs).reshape(d, d, d, h * h).max(axis=-1)  # [k, i, j]
         mask = np.broadcast_to(within[:, None, :], residuals.shape)
         ks, is_, js = np.nonzero(mask)

@@ -157,6 +157,8 @@ def verify_theorem_2_4(
         paths = path_sum_distribution(table, word)
         fold = multi_constants(fold_tensor, word)
         if mode == "exact":
+            if paths == fold:
+                return 0.0
             return float(max(abs(p - f) for p, f in zip(paths, fold)))
         return max(abs(float(p) - float(f)) for p, f in zip(paths, fold))
 

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import settings
 
 from hyperwalk import presets
 
@@ -21,3 +22,10 @@ def s3_classes():
 @pytest.fixture(scope="session")
 def zlattice8():
     return presets.zlattice_hypergroup(8)
+
+
+# Property tests draw a fixed sequence of examples and keep no database, so
+# every run of the suite checks the same cases.
+settings.register_profile("tier1", derandomize=True, database=None, deadline=None,
+                          max_examples=150)
+settings.load_profile("tier1")

@@ -1,22 +1,172 @@
-"""Frozen reference copy of the chain enumeration behind
-``hyperwalk.graphs.path_sum_distribution``.
+"""Frozen reference copies of the graph-layer loops that ``hyperwalk.graphs``
+replaced with array code.
 
-The library now pushes exact vertex masses through the spheres of each
-letter; this is the enumeration it replaced, one stack entry per chain, kept
-as an oracle for ``tests/test_graph_differential.py``.  The only change is
-that the integer chain-count pre-pass is gone: it guarded a path cap that
-no longer exists.  Do not optimise this file.
+- ``path_sum_distribution``: the chain enumeration behind the exact mass
+  recursion, one stack entry per chain.  The integer chain-count pre-pass is
+  gone: it guarded a path cap that no longer exists.
+- ``build_spheres`` (BFS from each vertex, spheres as tuples), and
+  ``check_condition_s``, ``check_distance_regular`` and ``wildberger_tensor``
+  as Python set intersections and ``Fraction`` sums over the tuple spheres.
+
+They are oracles for ``tests/test_graph_differential.py``.  Do not optimise
+this file.
 """
 
 from __future__ import annotations
 
+import itertools
+from collections import deque
+from dataclasses import dataclass
 from fractions import Fraction
 
-from hyperwalk.errors import EmptySphereError
-from hyperwalk.graphs import SphereTable
+import numpy as np
+
+from hyperwalk.errors import BoundaryContactError, DisconnectedGraphError, EmptySphereError
+from hyperwalk.graphs import PointedGraph
+from hyperwalk.hypergroups import structure_tensor
+from hyperwalk.report import Report
 
 
-def path_sum_distribution(table: SphereTable, word) -> list:
+@dataclass(frozen=True)
+class SphereTable:
+    """All-pairs distances and the spheres S_n(v) of a pointed graph."""
+
+    graph: PointedGraph
+    dist: np.ndarray
+    index_set: tuple[int, ...]
+    spheres: tuple[tuple[tuple[int, ...], ...], ...]  # [v][n] -> vertices
+
+    def sphere(self, v: int, n: int) -> tuple[int, ...]:
+        if n < 0 or n >= len(self.spheres[v]):
+            return ()
+        return self.spheres[v][n]
+
+    def sphere_size(self, v: int, n: int) -> int:
+        return len(self.sphere(v, n))
+
+    def base_sphere(self, n: int) -> tuple[int, ...]:
+        return self.sphere(self.graph.base, n)
+
+    def _window_check(self, v: int, radius: int) -> None:
+        window = self.graph.window_radius
+        if window is None:
+            return
+        if self.dist[self.graph.base, v] + radius > window:
+            raise BoundaryContactError(self.graph.labels[v], radius, window)
+
+
+def build_spheres(graph: PointedGraph) -> SphereTable:
+    """BFS from every vertex; the index set is the set of base distances."""
+    n = graph.n_vertices
+    dist = np.full((n, n), -1, dtype=int)
+    for source in range(n):
+        dist[source, source] = 0
+        queue = deque([source])
+        while queue:
+            u = queue.popleft()
+            for v in graph.neighbors[u]:
+                if dist[source, v] < 0:
+                    dist[source, v] = dist[source, u] + 1
+                    queue.append(v)
+    if (dist < 0).any():
+        raise DisconnectedGraphError("distance matrix has unreachable pairs")
+    max_dist = int(dist.max())
+    spheres = tuple(
+        tuple(
+            tuple(int(w) for w in np.flatnonzero(dist[v] == r))
+            for r in range(max_dist + 1)
+        )
+        for v in range(n)
+    )
+    index_set = tuple(sorted({int(d) for d in dist[graph.base]}))
+    dist.setflags(write=False)
+    return SphereTable(graph=graph, dist=dist, index_set=index_set, spheres=spheres)
+
+
+def wildberger_tensor(table):
+    """Distance-distribution constants of a two-jump walk from the base."""
+    graph = table.graph
+    index_set = table.index_set
+    size = len(index_set)
+    if index_set != tuple(range(size)):
+        raise ValueError(f"index set {index_set} is not contiguous")
+    window = graph.window_radius
+    entries = []
+    for i in index_set:
+        first = table.base_sphere(i)
+        if not first:
+            raise EmptySphereError(graph.labels[graph.base], i)
+        for j in index_set:
+            if window is not None and i + j > window:
+                continue
+            row: dict[int, Fraction] = {}
+            for v in first:
+                table._window_check(v, j)
+                second = table.sphere(v, j)
+                if not second:
+                    raise EmptySphereError(graph.labels[v], j)
+                weight = Fraction(1, len(first) * len(second))
+                for w in second:
+                    k = int(table.dist[w, graph.base])
+                    row[k] = row.get(k, Fraction(0)) + weight
+            entries.extend((i, j, k, q) for k, q in row.items())
+    return structure_tensor(size, entries, truncation_radius=window)
+
+
+def check_condition_s(table) -> Report:
+    """Sphere-symmetry condition, scanned class by class."""
+    graph = table.graph
+    window = graph.window_radius
+    base = graph.base
+
+    def in_window(v: int, i: int) -> bool:
+        return window is None or table.dist[base, v] + i <= window
+
+    def classes():
+        for i in table.index_set:
+            yield ("sphere-size", i), {
+                v: table.sphere_size(v, i) for v in range(graph.n_vertices) if in_window(v, i)
+            }
+        for i, j, k in itertools.product(table.index_set, repeat=3):
+            target = set(table.base_sphere(j))
+            yield ("intersection", i, j, k), {
+                v: len(target.intersection(table.sphere(v, i)))
+                for v in table.base_sphere(k) if in_window(v, i)
+            }
+
+    checked = 0
+    for name, counts in classes():
+        checked += 1
+        if len(set(counts.values())) > 1:
+            v = next(iter(counts))
+            v2 = next(u for u in counts if counts[u] != counts[v])
+            witness = name + (graph.labels[v], graph.labels[v2])
+            return Report("condition-S", False, float(abs(counts[v] - counts[v2])),
+                          witness, 0.0, checked)
+    return Report("condition-S", True, 0.0, None, 0.0, checked)
+
+
+def check_distance_regular(table) -> Report:
+    """Whether |S_i(u) & S_j(v)| depends only on (i, j, d(u, v))."""
+    labels = table.graph.labels
+    n = table.graph.n_vertices
+    max_dist = int(table.dist.max())
+    seen: dict[tuple[int, int, int], tuple[int, tuple[int, int]]] = {}
+    for u, v in itertools.product(range(n), repeat=2):
+        d = int(table.dist[u, v])
+        for i in range(max_dist + 1):
+            su = set(table.sphere(u, i))
+            for j in range(max_dist + 1):
+                count = len(su.intersection(table.sphere(v, j)))
+                expected, (a, b) = seen.setdefault((i, j, d), (count, (u, v)))
+                if count != expected:
+                    witness = (i, j, d, (labels[a], labels[b]), (labels[u], labels[v]))
+                    return Report("distance-regular", False, float(abs(count - expected)),
+                                  witness, 0.0, len(seen))
+    return Report("distance-regular", True, 0.0, None, 0.0, len(seen))
+
+
+def path_sum_distribution(table, word) -> list:
     """Exhaustive jump-path enumeration of the distance distribution.
 
     Sums over every chain v_1 in S_{k1}(base), v_2 in S_{k2}(v_1), ... the

@@ -1,4 +1,5 @@
 import json
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -276,6 +277,111 @@ def test_cli_verify_hb_non_finite_inputs(tmp_path, capsys):
     nan_tensor.write_text(json.dumps(doc))
     assert run_cli("verify-hb", "--kraus", str(kraus), "--tensor", str(nan_tensor)) == 2
     assert "non-finite" in capsys.readouterr().err
+
+
+def _strict_json(text: str):
+    """json.loads that refuses the bare NaN, Infinity and -Infinity tokens."""
+    def refuse(token):
+        raise ValueError(f"bare {token} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_report_document_writes_non_finite_floats_as_strings():
+    payload = {"max_residual": float("nan"), "tolerance": np.float64("inf"),
+               "gaps": np.array([1.0, -np.inf]), "passed": False}
+    doc = _strict_json(formats.report_document("demo", payload))
+    assert (doc["max_residual"], doc["tolerance"]) == ("NaN", "Infinity")
+    assert doc["gaps"] == [1.0, "-Infinity"]
+
+
+def test_cli_verify_hb_json_overflowing_family(tmp_path, capsys):
+    # A finite entry of 1e200 passes kraus_family, but its Gram product
+    # overflows: the check fails with a NaN residual, reported as valid JSON
+    # and without numpy warnings.
+    kraus, z2 = tmp_path / "ex56.json", tmp_path / "z2.json"
+    assert run_cli("gen", "ex56", "--out", str(kraus)) == 0
+    assert run_cli("gen", "z2", "--out", str(z2)) == 0
+    doc = json.loads(kraus.read_text())
+    doc["blocks"][0]["matrix"][0][0] = [1e200, 0.0]
+    kraus.write_text(json.dumps(doc))
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli("verify-hb", "--kraus", str(kraus), "--tensor", str(z2), "--json") == 1
+    out, err = capsys.readouterr()
+    report = _strict_json(out)
+    assert report["passed"] is False and report["max_residual"] == "NaN"
+    assert err == ""
+
+
+@pytest.mark.parametrize("field, value", [
+    ("d_size", True), ("d_size", 0), ("d_size", 2.0), ("d_size", "2"),
+    ("h_dim", True), ("h_dim", -1), ("h_dim", 2.0), ("h_dim", None),
+])
+def test_cli_kraus_sizes_must_be_integers(tmp_path, capsys, field, value):
+    kraus, z2 = tmp_path / "ex56.json", tmp_path / "z2.json"
+    assert run_cli("gen", "ex56", "--out", str(kraus)) == 0
+    assert run_cli("gen", "z2", "--out", str(z2)) == 0
+    doc = json.loads(kraus.read_text())
+    doc[field] = value
+    kraus.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run_cli("verify-hb", "--kraus", str(kraus), "--tensor", str(z2)) == 2
+    assert f"{field} must be an integer >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", [True, 1.0, 0, "1"])
+def test_cli_state_h_dim_must_be_an_integer(tmp_path, capsys, value):
+    kraus, state = tmp_path / "ex55.json", tmp_path / "state.json"
+    assert run_cli("gen", "ex55", "--out", str(kraus)) == 0
+    assert run_cli("gen", "ex55-state", "--out", str(state)) == 0
+    assert run_cli("walk", "--kraus", str(kraus), "--state", str(state), "--word", "1") == 0
+    doc = json.loads(state.read_text())
+    doc["h_dim"] = value
+    state.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run_cli("walk", "--kraus", str(kraus), "--state", str(state), "--word", "1") == 2
+    assert "h_dim must be an integer >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name, command, edit, message", [
+    ("c4", ["check-graph", "--graph"], {"vertices": None}, "vertices must be a list"),
+    ("c4", ["check-graph", "--graph"], {"edges": 5}, "edges must be a list"),
+    ("z2", ["validate", "--tensor"], {"entries": "x"}, "entries must be a list"),
+    ("ex56", ["produce", "--state", "{state}", "--kraus"], {"blocks": None},
+     "blocks must be a list"),
+    ("ex55-state", ["walk", "--kraus", "{kraus}", "--word", "1", "--state"], {"blocks": True},
+     "blocks must be a list"),
+    ("ex56", ["produce", "--state", "{state}", "--kraus"], "matrix cell", "bad matrix"),
+])
+def test_cli_malformed_document_structure(tmp_path, capsys, name, command, edit, message):
+    # Each of these escaped cli.main as a TypeError or KeyError traceback.
+    paths = {"kraus": tmp_path / "ex55.json", "state": tmp_path / "state.json"}
+    assert run_cli("gen", "ex55", "--out", str(paths["kraus"])) == 0
+    assert run_cli("gen", "ex55-state", "--out", str(paths["state"])) == 0
+    doc_path = tmp_path / "doc.json"
+    assert run_cli("gen", name, "--out", str(doc_path)) == 0
+    doc = json.loads(doc_path.read_text())
+    if edit == "matrix cell":
+        doc["blocks"][0]["matrix"][0][1] = {}
+    else:
+        doc.update(edit)
+    doc_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    argv = [part.format(**paths) for part in command] + [str(doc_path)]
+    assert run_cli(*argv) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_cli_tensor_size_must_be_an_integer(tmp_path, capsys):
+    tensor = tmp_path / "z2.json"
+    assert run_cli("gen", "z2", "--out", str(tensor)) == 0
+    doc = json.loads(tensor.read_text())
+    doc["size"] = True
+    tensor.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run_cli("validate", "--tensor", str(tensor)) == 2
+    assert "size must be an integer >= 1" in capsys.readouterr().err
 
 
 def test_cli_refuses_empty_verifications(tmp_path, capsys):

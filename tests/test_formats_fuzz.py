@@ -1,0 +1,140 @@
+"""Property tests: malformed documents never escape as a traceback.
+
+Each case is a valid document edited at one to three random places (a value
+replaced by random JSON, or a field or list item dropped), or random text.
+Every ``parse_*`` function must return its object or raise an error that
+``cli.main`` reports with exit code 2, and ``cli.main`` on a command reading
+the document must return 0, 1 or 2.  The examples are derandomized (see the
+``tier1`` profile in ``conftest.py``), so the suite is deterministic.
+"""
+
+from __future__ import annotations
+
+import copy
+import json
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from hyperwalk import (
+    BlockState,
+    Hypergroup,
+    HyperwalkError,
+    KrausFamily,
+    PointedGraph,
+    StructureTensor,
+    formats,
+    presets,
+)
+from hyperwalk.cli import main
+
+
+def _document(name: str, *options) -> dict:
+    build, names = presets.FIXTURES[name]
+    defaults = {"n": 4, "d": 3, "radius": 3, "generators": 2, "x": 0.5,
+                "h_dim": 1, "d_size": 2, "site": 0}
+    defaults.update(options)
+    return json.loads(formats.serialize(build(*(defaults[o] for o in names))))
+
+
+# (parser, expected type, valid documents, command reading the document at
+# {doc}, with the other documents it needs)
+CASES = {
+    "graph": (formats.parse_graph, PointedGraph,
+              [_document("c4"), _document("free-ball", ("radius", 2))],
+              ["check-graph", "--graph", "{doc}"]),
+    "tensor": (formats.parse_tensor, StructureTensor,
+               [_document("z3"), _document("z-lattice", ("radius", 3))],
+               ["validate", "--tensor", "{doc}"]),
+    "hypergroup": (formats.parse_hypergroup, Hypergroup,
+                   [_document("c4-hypergroup"), _document("s3-classes")],
+                   ["verify-c26", "--tensor", "{doc}", "--max-len", "1"]),
+    "kraus": (formats.parse_kraus, KrausFamily,
+              [_document("ex56"), _document("ex55")],
+              ["verify-hb", "--kraus", "{doc}", "--tensor", "{z2}"]),
+    "state": (formats.parse_state, BlockState,
+              [_document("ex55-state"), _document("mixed-state", ("h_dim", 2))],
+              ["walk", "--kraus", "{ex55}", "--state", "{doc}", "--word", "1"]),
+}
+
+KEYS = ["kind", "version", "size", "entries", "involution", "truncation_radius",
+        "vertices", "edges", "base", "window_radius", "d_size", "h_dim", "blocks",
+        "i", "j", "k", "matrix", "x"]
+SCALARS = (st.none() | st.booleans() | st.integers(-2, 4) | st.floats()
+           | st.sampled_from(["", "a", "0", "1/2", "1/0", "graph", "1"]))
+JSON = st.recursive(
+    SCALARS,
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.sampled_from(KEYS), inner, max_size=3)),
+    max_leaves=8,
+)
+
+
+def _paths(node, prefix=()):
+    yield prefix
+    if isinstance(node, dict):
+        children = node.items()
+    else:
+        children = enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield from _paths(child, prefix + (key,))
+
+
+@st.composite
+def edited(draw, documents):
+    doc = copy.deepcopy(draw(st.sampled_from(documents)))
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(_paths(doc))))
+        if not path:
+            doc = draw(JSON)
+            continue
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if draw(st.booleans()):
+            parent[path[-1]] = draw(JSON)
+        else:
+            del parent[path[-1]]
+    return json.dumps(doc)
+
+
+def _texts(documents):
+    return edited(documents) | st.text(max_size=20)
+
+
+@pytest.fixture(scope="module")
+def fixtures(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    paths = {}
+    for name in ("z2", "ex55"):
+        paths[name] = str(root / f"{name}.json")
+        assert main(["gen", name, "--out", paths[name]]) == 0
+    paths["doc"] = str(root / "doc.json")
+    return paths
+
+
+def _check(kind, text, fixtures, capsys):
+    parse, expected, _, command = CASES[kind]
+    try:
+        parsed = parse(text)
+    except (HyperwalkError, ValueError):
+        parsed = None
+    else:
+        assert isinstance(parsed, expected)
+    with open(fixtures["doc"], "w", encoding="utf-8") as fh:
+        fh.write(text)
+    code = main([part.format(**fixtures) for part in command])
+    capsys.readouterr()
+    assert code in (0, 1, 2)
+    if parsed is None:
+        assert code == 2
+
+
+@pytest.mark.parametrize("kind", CASES)
+def test_parsers_refuse_or_accept(kind, fixtures, capsys):
+    @given(_texts(CASES[kind][2]))
+    def run(text):
+        _check(kind, text, fixtures, capsys)
+
+    run()

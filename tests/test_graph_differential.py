@@ -1,18 +1,46 @@
-"""Differential test: the exact mass recursion of ``path_sum_distribution``
-against the frozen chain enumeration in ``tests/reference/graph_loops.py``.
+"""Differential tests of the array graph layer and the associativity axiom
+against the frozen loops in ``tests/reference/``.
 
-Every word of up to three letters over the index set of every graph in
-``test_properties.py`` (words past a window's radius included, so that the
-window refusal is exercised) and a set of refusal cases must give exactly
-equal ``Fraction`` vectors, or the same refusal type.
+- Path sums: every word of up to three letters over the index set of every
+  graph in ``test_properties.py`` (words past a window's radius included, so
+  that the window refusal is exercised) and a set of refusal cases must give
+  exactly equal ``Fraction`` vectors, or the same refusal type.
+- Spheres, condition (S), distance-regularity, the sphere-count constants and
+  the associativity report: those graphs and 400 seeded random connected
+  graphs (2 to 14 vertices, random base, windowed or not) must give equal
+  spheres and distances, equal reports, equal tensor rows, or the same
+  refusal with the same message.  Exact tensors must give bit-identical
+  associativity reports; their float copies agree within round-off.
 """
 
 import itertools
+import math
+import random
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from hyperwalk import HyperwalkError, build_spheres, line_window_graph, path_graph, path_sum_distribution
+from hyperwalk import (
+    HyperwalkError,
+    build_spheres,
+    check_condition_s,
+    check_distance_regular,
+    complete_graph,
+    cycle_graph,
+    free_ball_graph,
+    hypercube_graph,
+    line_window_graph,
+    path_graph,
+    path_sum_distribution,
+    pointed_graph,
+    structure_tensor,
+    validate_hypergroup,
+    wildberger_tensor,
+)
+from hyperwalk.hypergroups import _numerators
 from reference import graph_loops as ref
+from reference import hypergroup_loops as ref_assoc
 from test_properties import CONDITION_S_GRAPHS, path_graph_based_mid
 
 GRAPHS = CONDITION_S_GRAPHS + [path_graph_based_mid(), line_window_graph(5), line_window_graph(9)]
@@ -54,3 +82,160 @@ def test_refusals_match_enumeration(graph, word):
     new = _outcome(path_sum_distribution, table, word)
     assert isinstance(new, type)
     assert new is _outcome(ref.path_sum_distribution, table, word)
+
+
+def random_graph(seed: int):
+    """A connected graph on 2 to 14 vertices, shuffled labels, a random base,
+    and half the time a window.  One in three is a circulant, whose sphere
+    sizes are all equal, so that condition (S) also fails at intersection
+    classes; the others are a random tree plus random chords."""
+    rng = random.Random(seed)
+    if rng.random() < 1 / 3:
+        n = rng.randint(5, 14)
+        steps = rng.sample(range(1, n // 2 + 1), rng.randint(1, min(3, n // 2)))
+        if math.gcd(n, *steps) != 1:
+            steps.append(1)
+        edges = {tuple(sorted((v, (v + s) % n))) for v in range(n) for s in steps}
+    else:
+        n = rng.randint(2, 14)
+        edges = {tuple(sorted((v, rng.randrange(v)))) for v in range(1, n)}
+        density = rng.random() * 0.6
+        edges |= {(u, v) for u, v in itertools.combinations(range(n), 2) if rng.random() < density}
+    labels = [f"v{x}" for x in rng.sample(range(100), n)]
+    window = rng.randint(0, n) if rng.random() < 0.5 else None
+    return pointed_graph(labels, sorted(edges), rng.randrange(n), window_radius=window)
+
+
+SHAPES = GRAPHS + [
+    cycle_graph(6),
+    cycle_graph(9),
+    complete_graph(5),
+    hypercube_graph(4),
+    path_graph(6),
+    free_ball_graph(2, 3),
+    free_ball_graph(1, 4),
+]
+
+
+def _result(fn, table):
+    """The result, or the type and message of the refusal."""
+    try:
+        return fn(table)
+    except (HyperwalkError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def _rows(tensor):
+    if isinstance(tensor, tuple):
+        return tensor
+    rows = {pair: {k: (type(q), q) for k, q in row.items()} for pair, row in tensor.rows.items()}
+    return tensor.size, tensor.truncation_radius, rows
+
+
+def _assert_same_float_associativity(tensor):
+    """The float copy's report against the loop's, within round-off: a
+    different witness is accepted only at a tie within round-off."""
+    floats = tensor.to_float()
+    new = validate_hypergroup(floats, range(tensor.size)).check("associativity")
+    old = ref_assoc.associativity(floats)
+    assert (new.passed, new.checked, new.skipped) == (old.passed, old.checked, old.skipped)
+    assert new.max_residual == pytest.approx(old.max_residual, abs=1e-13)
+    if new.witness != old.witness and old.max_residual > 1e-13:
+        i, j, k, l = new.witness
+        at = ref_assoc._associator(floats, i, j, k).get(l, 0.0)
+        assert at == pytest.approx(old.max_residual, abs=1e-13)
+
+
+def _assert_same_graph_layer(graph):
+    table, old_table = build_spheres(graph), ref.build_spheres(graph)
+    assert table.dist.dtype == old_table.dist.dtype
+    assert np.array_equal(table.dist, old_table.dist)
+    assert table.index_set == old_table.index_set
+    for v in range(graph.n_vertices):
+        for r in range(-1, int(table.dist.max()) + 3):
+            assert table.sphere(v, r) == old_table.sphere(v, r), (v, r)
+            assert table.sphere_size(v, r) == old_table.sphere_size(v, r)
+    for r in range(-1, len(table.index_set) + 1):
+        assert table.base_sphere(r) == old_table.base_sphere(r)
+
+    assert check_condition_s(table) == ref.check_condition_s(old_table)
+    assert check_distance_regular(table) == ref.check_distance_regular(old_table)
+    tensor = _result(wildberger_tensor, table)
+    assert _rows(tensor) == _rows(_result(ref.wildberger_tensor, old_table))
+    if isinstance(tensor, tuple):
+        return
+    new = validate_hypergroup(tensor, range(tensor.size)).check("associativity")
+    assert new == ref_assoc.associativity(tensor)
+    _assert_same_float_associativity(tensor)
+
+
+@pytest.mark.parametrize("graph", SHAPES, ids=lambda g: f"n{g.n_vertices}-base{g.base}")
+def test_graph_layer_matches_loops(graph):
+    _assert_same_graph_layer(graph)
+
+
+@pytest.mark.parametrize("seed", range(400))
+def test_random_graph_layer_matches_loops(seed):
+    _assert_same_graph_layer(random_graph(seed))
+
+
+def test_random_graphs_cover_refusals_and_failures():
+    """The random corpus reaches every outcome the comparisons rely on."""
+    outcomes = set()
+    for seed in range(400):
+        table = build_spheres(random_graph(seed))
+        window = table.graph.window_radius
+        condition = check_condition_s(table)
+        outcomes.add(("condition-S", condition.passed))
+        if not condition.passed:
+            outcomes.add(("uneven", condition.witness[0]))
+            if condition.witness[0] == "intersection":
+                i, _, k = condition.witness[1:4]
+                outcomes.add(("window edge", window is not None and i + k == window))
+        outcomes.add(("distance-regular", check_distance_regular(table).passed))
+        tensor = _result(wildberger_tensor, table)
+        outcomes.add(("tensor", tensor[0].__name__ if isinstance(tensor, tuple) else "ok"))
+        outcomes.add(("windowed", window is not None))
+    for check in ("condition-S", "distance-regular", "windowed", "window edge"):
+        assert {(check, True), (check, False)} <= outcomes
+    assert {("uneven", "sphere-size"), ("uneven", "intersection")} <= outcomes
+    assert {("tensor", "ok"), ("tensor", "EmptySphereError")} <= outcomes
+
+
+def _large_denominator_tensor(seed: int, primes):
+    """A random exact size-3 tensor: unit rows at index 0, and random rows
+    over denominators drawn from ``primes``."""
+    rng = random.Random(seed)
+    size = 3
+    entries = [(i, 0, i, Fraction(1)) for i in range(size)]
+    entries += [(0, j, j, Fraction(1)) for j in range(1, size)]
+    for i, j in itertools.product(range(1, size), repeat=2):
+        den = rng.choice(primes)
+        cuts = sorted(rng.randrange(1, den) for _ in range(size - 1))
+        parts = [b - a for a, b in zip([0] + cuts, cuts + [den])]
+        entries += [(i, j, k, Fraction(p, den)) for k, p in enumerate(parts)]
+    return structure_tensor(size, entries)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize(
+    "primes, dtype",
+    [
+        ((33554393,), float),  # numerators near 2**25: products near 2**50
+        ((1099511627791, 1099511627817, 1099511627839), object),  # past 2**53
+    ],
+    ids=["float64", "python-ints"],
+)
+def test_associativity_large_numerators_match_loop(seed, primes, dtype):
+    tensor = _large_denominator_tensor(seed, primes)
+    assert _numerators(tensor, list(tensor.defined_pairs()))[0].dtype == dtype
+    new = validate_hypergroup(tensor, range(tensor.size)).check("associativity")
+    assert new == ref_assoc.associativity(tensor)
+    assert not new.passed
+
+
+def test_truncated_skip_count_matches_loop():
+    tensor = wildberger_tensor(line_window_graph(30))
+    new = validate_hypergroup(tensor, range(tensor.size)).check("associativity")
+    assert new == ref_assoc.associativity(tensor)
+    assert new.skipped == 24335

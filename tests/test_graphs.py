@@ -165,6 +165,14 @@ def test_path_sum_guards():
     assert sum(path_sum_distribution(window, (2, 1))) == 1
 
 
+def test_path_sum_refusal_names_first_carrier():
+    # Both carriers of the last letter refuse; the first one reached is named.
+    with pytest.raises(EmptySphereError, match="around vertex '1' is empty"):
+        path_sum_distribution(build_spheres(path_graph(5)), (2, 1, 4))
+    with pytest.raises(BoundaryContactError, match="around '-1' exceeds"):
+        path_sum_distribution(build_spheres(line_window_graph(3)), (1, 3))
+
+
 def test_transition_family_c4(c4):
     family = transition_family(c4.tensor)
     p0, p1, p2 = family.matrices
