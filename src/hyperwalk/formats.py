@@ -251,12 +251,19 @@ def _encode_matrix(matrix: np.ndarray) -> list:
     return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(matrix)]
 
 
+def _decode_cell(cell) -> complex:
+    """A matrix entry: a [re, im] pair of JSON numbers (not bools)."""
+    if len(cell) != 2 or not all(
+        isinstance(x, (int, float)) and not isinstance(x, bool) for x in cell
+    ):
+        raise ValueError(f"bad matrix cell {cell!r}")
+    return complex(cell[0], cell[1])
+
+
 def _decode_matrix(raw, where: str) -> np.ndarray:
     try:
-        arr = np.asarray(
-            [[complex(cell[0], cell[1]) for cell in row] for row in raw]
-        )
-    except (TypeError, ValueError, IndexError, KeyError):
+        arr = np.asarray([[_decode_cell(cell) for cell in row] for row in raw])
+    except (TypeError, ValueError, OverflowError):
         raise FormatError(f"bad matrix in {where}") from None
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise FormatError(f"matrix in {where} is not square")

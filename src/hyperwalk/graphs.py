@@ -26,7 +26,14 @@ from .errors import (
     EmptySphereError,
     TruncationExceededError,
 )
-from .hypergroups import Number, StructureTensor, Word, check_radius, structure_tensor
+from .hypergroups import (
+    Number,
+    StructureTensor,
+    Word,
+    check_radius,
+    exact_tier,
+    structure_tensor,
+)
 from .report import Report
 
 
@@ -147,6 +154,11 @@ class SphereTable:
         counts.setflags(write=False)
         return counts
 
+    @cached_property
+    def tensor(self) -> StructureTensor:
+        """The sphere-count constants of ``wildberger_tensor``, built once."""
+        return _sphere_count_tensor(self)
+
     def _window_check(self, v: int, radius: int) -> None:
         window = self.graph.window_radius
         if window is None:
@@ -205,9 +217,13 @@ def wildberger_tensor(graph_or_table) -> StructureTensor:
     result is exact and row-stochastic.  For windowed graphs only the rows
     with i + j <= window radius are produced (as a truncated tensor), since
     those are the rows that agree with the underlying infinite graph; the
-    spheres S_j(v) they use then stay inside the window.
+    spheres S_j(v) they use then stay inside the window.  A sphere table
+    builds its tensor once and keeps it (``SphereTable.tensor``).
     """
-    table = _as_table(graph_or_table)
+    return _as_table(graph_or_table).tensor
+
+
+def _sphere_count_tensor(table: SphereTable) -> StructureTensor:
     graph = table.graph
     index_set = table.index_set
     size = len(index_set)
@@ -384,6 +400,56 @@ def path_sum_distribution(graph_or_table, word: Word) -> list[Number]:
         totals[base_dist[v]] += weight
     zero = Fraction(0)
     return [Fraction(x, denominator) if x else zero for x in totals]
+
+
+def path_sum_levels(table: SphereTable, levels):
+    """Exact path sums of every word of a ``prefix_trie`` over the index
+    set, one level at a time: ``path_sum_distribution`` for whole levels.
+
+    The table must satisfy condition (S), and on a windowed graph the
+    words' letter sums must stay within the window radius.  Then every
+    vertex v a prefix reaches has |S_k(v)| = |S_k(base)|, never 0, and
+    d(base, v) + k stays within the window, so no word refuses
+    (``path_sum_distribution`` is the single-word sum that refuses) and a
+    letter k multiplies every denominator by |S_k(base)|.
+
+    Holds the integer vertex masses of every prefix in a level and extends
+    them per letter k by one product with the distance-k indicator of the
+    prefixes' support.  The distributions need only the counts
+    |S_k(v) & S_r(base)|, and the last level only those.  Yields per level
+    the numerators of the distributions, a (words, size) array, and their
+    denominators, a list.  The masses of a word sum to its denominator, so
+    the sums run in float64 while every denominator is below 2**53, and in
+    Python ints above.  Like the single-word sum, this never reads
+    structure constants.
+    """
+    graph = table.graph
+    n, size = graph.n_vertices, len(table.index_set)
+    spheres = table.sphere_sizes[graph.base, :size].tolist()
+    levels = list(levels)
+    mass = np.zeros((1, n))
+    mass[0, graph.base] = 1
+    denominators = [1]
+    for depth, (words, parents, letters) in enumerate(levels):
+        children = [denominators[p] * spheres[k] for p, k in zip(parents.tolist(), letters.tolist())]
+        bound = max(children)
+        mass = exact_tier(bound, mass)
+        counts = exact_tier(bound, table.base_counts[:, :size])
+        totals = exact_tier(bound, np.zeros((len(words), size)))
+        last = depth == len(levels) - 1
+        nxt = None if last else exact_tier(bound, np.zeros((len(words), n)))
+        for k in sorted(set(letters.tolist())):
+            chosen = letters == k
+            prefixes = mass[parents[chosen]]
+            on = np.flatnonzero(prefixes.any(axis=0))
+            prefixes = prefixes[:, on]
+            # Counted by base distance, |S_k(v) & S_r(base)|, and spread
+            # through the distance-k indicator of the support.
+            totals[chosen] = prefixes @ counts[on, k]
+            if not last:
+                nxt[chosen] = prefixes @ exact_tier(bound, table.dist[on] == k)
+        yield totals, children
+        mass, denominators = nxt, children
 
 
 @dataclass(frozen=True)

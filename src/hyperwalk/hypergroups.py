@@ -104,6 +104,13 @@ class StructureTensor:
             for v in row.values()
         )
 
+    @cached_property
+    def numerators(self) -> tuple[np.ndarray, int]:
+        """An exact tensor's rows as ``_numerators``, built once."""
+        cube, scale = _numerators(self, list(self.defined_pairs()))
+        cube.setflags(write=False)
+        return cube, scale
+
     def to_float(self) -> "StructureTensor":
         rows = {
             pair: {k: float(v) for k, v in row.items()}
@@ -153,15 +160,28 @@ def structure_tensor(
         if value == 0:
             continue
         row = rows.setdefault((i, j), {})
-        row[k] = row.get(k, 0) + value
+        if k in row:
+            row[k] += value
+        else:
+            row[k] = value
     tensor = StructureTensor(size, rows, truncation_radius)
     for i, j in tensor.defined_pairs():
         if (i, j) not in rows:
             raise ValueError(f"row ({i}, {j}) missing (sums to 0, not 1)")
-        total = sum(rows[(i, j)].values())
-        if abs(float(total) - 1.0) > EPS_PROB:
-            raise ValueError(f"row ({i}, {j}) sums to {float(total)}, not 1")
+        total = _row_total(rows[(i, j)].values(), tensor.is_exact)
+        if abs(total - 1.0) > EPS_PROB:
+            raise ValueError(f"row ({i}, {j}) sums to {total}, not 1")
     return tensor
+
+
+def _row_total(values, exact: bool) -> float:
+    """The sum of a row's values as a float.  A row of an exact tensor is
+    summed once as integers over the lcm of its denominators and rounded
+    once."""
+    if not exact:
+        return float(sum(values))
+    scale = math.lcm(*(v.denominator for v in values))
+    return sum(v.numerator * (scale // v.denominator) for v in values) / scale
 
 
 def _dense(tensor: StructureTensor, pairs: Sequence[tuple[int, int]]) -> np.ndarray:
@@ -203,14 +223,84 @@ def multi_constants(tensor: StructureTensor, word: Word) -> list[Number]:
     vec: list[Number] = [0] * tensor.size
     vec[word[0]] = unity
     for k in word[1:]:
-        nxt: list[Number] = [0] * tensor.size
-        for j, weight in enumerate(vec):
-            if weight == 0:
-                continue
-            for m, q in tensor.row(j, k).items():
-                nxt[m] += weight * q
-        vec = nxt
+        vec = fold_step(tensor, vec, k)
     return vec
+
+
+def fold_step(tensor: StructureTensor, vec: Sequence[Number], k: int) -> list[Number]:
+    """The fold of a word extended by the letter k: ``vec`` times the rows
+    (j, k), accumulated over j in increasing order."""
+    nxt: list[Number] = [0] * tensor.size
+    for j, weight in enumerate(vec):
+        if weight == 0:
+            continue
+        for m, q in tensor.row(j, k).items():
+            nxt[m] += weight * q
+    return nxt
+
+
+def prefix_trie(letters: Sequence[int], max_len: int, budget: int | None):
+    """The words of up to ``max_len`` letters, with letter sum within
+    ``budget`` if given, one length at a time.
+
+    Yields per length the words in lexicographic order, and for each word
+    the index of its prefix in the previous level and its last letter, as
+    two integer arrays.  Stops at the first length with no words.
+    """
+    letters = sorted(letters)
+    words: list[tuple[int, ...]] = [()]
+    for _ in range(max_len):
+        children = [
+            (p, k)
+            for p, word in enumerate(words)
+            for k in letters
+            if budget is None or sum(word) + k <= budget
+        ]
+        if not children:
+            return
+        words = [words[p] + (k,) for p, k in children]
+        parents, last = np.array(children, dtype=np.intp).T
+        yield words, parents, last
+
+
+def exact_tier(bound: int, values: np.ndarray) -> np.ndarray:
+    """Integer ``values`` in float64 while ``bound`` < 2**53 proves every
+    sum and product that is formed from them exact, as Python ints otherwise."""
+    if bound < 2**53:
+        return values.astype(float, copy=False)
+    if values.dtype == object:
+        return values
+    return values.astype(np.int64).astype(object)
+
+
+def fold_levels(tensor: StructureTensor, levels):
+    """Folds of every word of a ``prefix_trie`` over an exact tensor, one
+    level at a time.
+
+    A level extends the folds of its prefixes by their last letter k with
+    one product with the rows (j, k), and yields the integer numerators, a
+    (words, size) array, over their common denominator L**(length - 1),
+    where L is the lcm of the tensor's denominators.  Every fold must stay
+    inside the stored domain: on a truncated tensor, the words' letter sums
+    within its truncation radius.
+    """
+    cube, scale = tensor.numerators
+    # The folds of a length have row sums of at most growth**(length - 1).
+    growth = int(cube.sum(axis=2).max())
+    for length, (words, parents, letters) in enumerate(levels, start=1):
+        if length == 1:
+            folds = np.zeros((len(words), tensor.size))
+            folds[np.arange(len(words)), letters] = 1
+            yield folds, 1
+            continue
+        bound = growth ** (length - 1)
+        folds, rows = exact_tier(bound, folds), exact_tier(bound, cube)
+        nxt = np.zeros((len(words), tensor.size), dtype=folds.dtype)
+        for k in sorted(set(letters.tolist())):
+            chosen = letters == k
+            nxt[chosen] = folds[parents[chosen]] @ rows[:, k]
+        folds = nxt
+        yield folds, scale ** (length - 1)
 
 
 def as_floats(vec: Sequence[Number]) -> list[float]:
@@ -257,9 +347,7 @@ def _numerators(tensor: StructureTensor, pairs) -> tuple[np.ndarray, int]:
         for k, q in tensor.row(i, j).items():
             cube[i, j, k] = q.numerator * (scale // q.denominator)
             peak = max(peak, abs(cube[i, j, k]))
-    if peak * peak * size < 2**53:
-        cube = cube.astype(float)
-    return cube, scale
+    return exact_tier(peak * peak * size, cube), scale
 
 
 def validate_hypergroup(
@@ -286,7 +374,7 @@ def validate_hypergroup(
     def entry(rows):
         return lambda n: (*rows[n // size], n % size)
 
-    sums = [abs(float(sum(tensor.row(i, j).values())) - 1.0) for i, j in pairs]
+    sums = [abs(_row_total(tensor.row(i, j).values(), tensor.is_exact) - 1.0) for i, j in pairs]
     stochastic = scan_report("stochasticity", sums, pairs.__getitem__, EPS_PROB)
 
     # Unit laws: the rows (0, j) and (j, 0) are the point mass at j.
@@ -308,7 +396,7 @@ def validate_hypergroup(
             + (support @ undefined).reshape(size, size, size)
             + (undefined @ support.T).reshape(size, size, size)) > 0
     if tensor.is_exact:
-        cube, scale = _numerators(tensor, pairs)
+        cube, scale = tensor.numerators
     else:
         cube, scale = np.zeros((size, size, size)), None
         cube[rows] = dense

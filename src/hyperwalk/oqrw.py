@@ -40,6 +40,7 @@ from .hypergroups import (
     as_floats,
     check_radius,
     multi_constants,
+    prefix_trie,
     structure_tensor,
 )
 from .report import Report, scan_report, worst_residual
@@ -262,25 +263,13 @@ def walk_levels(family: KrausFamily, states: np.ndarray, max_len: int, budget: i
     once.  Yields per length the words in lexicographic order and their
     distributions as a (words, S, d) array.
     """
-    d = family.d_size
-    words: list[tuple[int, ...]] = [()]
     stack = states[None]
-    for _ in range(max_len):
-        children = [
-            (p, k)
-            for p, word in enumerate(words)
-            for k in range(d)
-            if budget is None or sum(word) + k <= budget
-        ]
-        if not children:
-            return
-        parents, letters = np.array(children).T
-        nxt = np.empty((len(children),) + states.shape, dtype=complex)
-        for k in sorted({k for _, k in children}):
+    for words, parents, letters in prefix_trie(range(family.d_size), max_len, budget):
+        nxt = np.empty((len(words),) + states.shape, dtype=complex)
+        for k in sorted(set(letters.tolist())):
             chosen = letters == k
             nxt[chosen] = _apply(family, k, stack[parents[chosen]])
         _check_states(nxt)
-        words = [words[p] + (k,) for p, k in children]
         stack = nxt
         yield words, _traces(stack)
 

@@ -9,7 +9,7 @@ deterministic given its seed.
 from __future__ import annotations
 
 import itertools
-from typing import Iterator, Sequence
+from fractions import Fraction
 
 import numpy as np
 
@@ -19,7 +19,7 @@ from .graphs import (
     SphereTable,
     build_spheres,
     check_condition_s,
-    path_sum_distribution,
+    path_sum_levels,
     transition_family,
     wildberger_tensor,
 )
@@ -29,7 +29,11 @@ from .hypergroups import (
     StructureTensor,
     as_floats,
     derive_involution,
+    exact_tier,
+    fold_levels,
+    fold_step,
     multi_constants,
+    prefix_trie,
     tensor_difference,
     validate_hypergroup,
 )
@@ -120,15 +124,6 @@ def spanning_states(h_dim: int) -> list[tuple[tuple, np.ndarray]]:
     return out
 
 
-def _budgeted_words(
-    letters: Sequence[int], max_len: int, budget: int | None
-) -> Iterator[tuple[int, ...]]:
-    for n in range(1, max_len + 1):
-        for word in itertools.product(letters, repeat=n):
-            if budget is None or sum(word) <= budget:
-                yield word
-
-
 def verify_theorem_2_4(
     graph: PointedGraph | SphereTable,
     max_word_len: int,
@@ -138,7 +133,9 @@ def verify_theorem_2_4(
 
     For every word up to ``max_word_len`` the exact path-sum distribution
     must coincide with the fold of the sphere-count constants: identically
-    in exact mode, within 1e-12 in float mode.
+    in exact mode, within 1e-12 in float mode.  Both sides walk the prefix
+    trie of the words one length at a time (``path_sum_levels``, and
+    ``fold_levels`` or, in float mode, ``fold_step`` per word).
     """
     if mode not in ("exact", "float"):
         raise ValueError("mode must be 'exact' or 'float'")
@@ -148,22 +145,49 @@ def verify_theorem_2_4(
     condition = check_condition_s(table)
     if not condition.passed:
         raise ConditionSViolatedError(str(condition))
-    tensor = wildberger_tensor(table)
-    fold_tensor = tensor if mode == "exact" else tensor.to_float()
+    words, residuals = _theorem_2_4_residuals(table, wildberger_tensor(table), max_word_len, mode)
     tolerance = 0.0 if mode == "exact" else 1e-12
-    words = list(_budgeted_words(table.index_set, max_word_len, table.graph.window_radius))
-
-    def residual(word) -> float:
-        paths = path_sum_distribution(table, word)
-        fold = multi_constants(fold_tensor, word)
-        if mode == "exact":
-            if paths == fold:
-                return 0.0
-            return float(max(abs(p - f) for p, f in zip(paths, fold)))
-        return max(abs(float(p) - float(f)) for p, f in zip(paths, fold))
-
-    residuals = np.fromiter(map(residual, words), float, len(words))
     return scan_report("paths-vs-fold", residuals, lambda n: (words[n],), tolerance, note=mode)
+
+
+def _theorem_2_4_residuals(table: SphereTable, tensor: StructureTensor, max_word_len: int,
+                           mode: str) -> tuple[list[tuple[int, ...]], np.ndarray]:
+    """Every budgeted word and its largest |path sum - fold| over the
+    distances: in exact mode, the exact difference rounded once (0.0 where
+    the two agree), and in float mode the difference of the two rounded
+    sides.  The table must satisfy condition (S)."""
+    levels = list(prefix_trie(table.index_set, max_word_len, table.graph.window_radius))
+    exact = mode == "exact"
+    fold_walk = fold_levels(tensor, levels) if exact else None
+    float_tensor = None if exact else tensor.to_float()
+    words, residuals, floats = [], [], []
+    for (level, parents, letters), (numerators, denominators) in zip(
+        levels, path_sum_levels(table, levels)
+    ):
+        words += level
+        if not exact:
+            # Each word extends its prefix's fold, as multi_constants forms it.
+            floats = [
+                multi_constants(float_tensor, word) if len(word) == 1
+                else fold_step(float_tensor, floats[p], k)
+                for word, p, k in zip(level, parents.tolist(), letters.tolist())
+            ]
+            dens = np.array(denominators, dtype=numerators.dtype)[:, None]
+            paths = (numerators / dens).astype(float)
+            residuals.append(np.abs(paths - np.array(floats, dtype=float)).max(axis=1))
+            continue
+        folds, scale = next(fold_walk)
+        # Cross-multiplied: numerator / denominator == fold / scale.
+        bound = max(denominators) * max(scale, int(folds.max()))
+        dens = exact_tier(bound, np.array(denominators, dtype=object))[:, None]
+        numerators, folds = exact_tier(bound, numerators), exact_tier(bound, folds)
+        gaps = np.zeros(len(level))
+        for w in np.flatnonzero((numerators * scale != folds * dens).any(axis=1)).tolist():
+            path = [Fraction(int(x), denominators[w]) for x in numerators[w].tolist()]
+            fold = [Fraction(int(x), scale) for x in folds[w].tolist()]
+            gaps[w] = float(max(abs(p - f) for p, f in zip(path, fold)))
+        residuals.append(gaps)
+    return words, np.concatenate(residuals)
 
 
 def verify_corollary_2_6(
@@ -173,26 +197,36 @@ def verify_corollary_2_6(
 
     For every word (t1, ..., tn): P_{t1} P_{t2} ... P_{tn} must equal
     sum_m q[t1,...,tn; m] P_m, and the base row of the product must equal
-    the fold vector itself.
+    the fold vector itself.  Each word extends the product and the fold of
+    its prefix in the trie, still formed left to right.  Only the products
+    and folds of the words shorter than ``max_word_len`` are kept, one
+    length at a time.
     """
     if max_word_len < 1:
         raise ValueError("max_word_len must be at least 1")
     tensor = hypergroup.tensor
     mats = transition_family(tensor).matrices
     float_tensor = tensor.to_float()
-    words = list(_budgeted_words(range(tensor.size), max_word_len, None))
-
-    def residual(word) -> float:
-        product = mats[word[0]].copy()
-        for t in word[1:]:
-            product = product @ mats[t]
-        coeffs = multi_constants(float_tensor, word)
-        expected = sum(c * mats[m] for m, c in enumerate(coeffs))
-        return np.maximum(np.abs(product - expected).max(),
-                          np.abs(product[0, :] - np.array(coeffs)).max())
-
-    residuals = np.fromiter(map(residual, words), float, len(words))
-    return scan_report("transition-products", residuals, lambda n: (words[n],), tol)
+    words, residuals = [], []
+    products, folds = [], []
+    for level, parents, letters in prefix_trie(range(tensor.size), max_word_len, None):
+        keep = len(level[0]) < max_word_len
+        kept_products, kept_folds = [], []
+        for word, p, k in zip(level, parents.tolist(), letters.tolist()):
+            if len(word) == 1:
+                product, coeffs = mats[k], multi_constants(float_tensor, word)
+            else:
+                product, coeffs = products[p] @ mats[k], fold_step(float_tensor, folds[p], k)
+            expected = sum(c * mats[m] for m, c in enumerate(coeffs))
+            residuals.append(np.maximum(np.abs(product - expected).max(),
+                                        np.abs(product[0, :] - np.array(coeffs)).max()))
+            if keep:
+                kept_products.append(product)
+                kept_folds.append(coeffs)
+        products, folds = kept_products, kept_folds
+        words += level
+    return scan_report("transition-products", np.array(residuals, dtype=float),
+                       lambda n: (words[n],), tol)
 
 
 def verify_theorem_5_1(

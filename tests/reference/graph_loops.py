@@ -8,6 +8,10 @@ replaced with array code.
   ``check_condition_s``, ``check_distance_regular`` and ``wildberger_tensor``
   as Python set intersections and ``Fraction`` sums over the tuple spheres.
 
+- ``verify_theorem_2_4``: one ``path_sum_distribution`` and one
+  ``multi_constants`` fold per word, compared as ``Fraction`` lists, over the
+  words of ``itertools.product``; and ``residual``, its per-word residual.
+
 They are oracles for ``tests/test_graph_differential.py``.  Do not optimise
 this file.
 """
@@ -21,10 +25,16 @@ from fractions import Fraction
 
 import numpy as np
 
-from hyperwalk.errors import BoundaryContactError, DisconnectedGraphError, EmptySphereError
+from hyperwalk import graphs
+from hyperwalk.errors import (
+    BoundaryContactError,
+    ConditionSViolatedError,
+    DisconnectedGraphError,
+    EmptySphereError,
+)
 from hyperwalk.graphs import PointedGraph
-from hyperwalk.hypergroups import structure_tensor
-from hyperwalk.report import Report
+from hyperwalk.hypergroups import multi_constants, structure_tensor
+from hyperwalk.report import Report, scan_report
 
 
 @dataclass(frozen=True)
@@ -198,3 +208,41 @@ def path_sum_distribution(table, word) -> list:
         for w in sphere:
             stack.append((w, depth + 1, share))
     return out
+
+
+def _budgeted_words(letters, max_len, budget):
+    for n in range(1, max_len + 1):
+        for word in itertools.product(letters, repeat=n):
+            if budget is None or sum(word) <= budget:
+                yield word
+
+
+def residual(paths, fold, mode) -> float:
+    """The largest |path sum - fold| of one word."""
+    if mode == "exact":
+        if paths == fold:
+            return 0.0
+        return float(max(abs(p - f) for p, f in zip(paths, fold)))
+    return max(abs(float(p) - float(f)) for p, f in zip(paths, fold))
+
+
+def verify_theorem_2_4(graph, max_word_len, mode="exact") -> Report:
+    """Path sums versus algebra folds on a condition-(S) graph, word by word."""
+    if mode not in ("exact", "float"):
+        raise ValueError("mode must be 'exact' or 'float'")
+    if max_word_len < 1:
+        raise ValueError("max_word_len must be at least 1")
+    table = graph if isinstance(graph, graphs.SphereTable) else graphs.build_spheres(graph)
+    condition = graphs.check_condition_s(table)
+    if not condition.passed:
+        raise ConditionSViolatedError(str(condition))
+    tensor = graphs.wildberger_tensor(table)
+    fold_tensor = tensor if mode == "exact" else tensor.to_float()
+    tolerance = 0.0 if mode == "exact" else 1e-12
+    words = list(_budgeted_words(table.index_set, max_word_len, table.graph.window_radius))
+    residuals = np.fromiter(
+        (residual(graphs.path_sum_distribution(table, word),
+                  multi_constants(fold_tensor, word), mode) for word in words),
+        float, len(words),
+    )
+    return scan_report("paths-vs-fold", residuals, lambda n: (words[n],), tolerance, note=mode)

@@ -373,6 +373,31 @@ def test_cli_malformed_document_structure(tmp_path, capsys, name, command, edit,
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cell", [[True, False, 7], [True, False], [1.0, 0.0, 7], [0.5, True]])
+@pytest.mark.parametrize("name, command", [
+    ("ex56", ["produce", "--state", "{state}", "--kraus"]),
+    ("ex55-state", ["walk", "--kraus", "{kraus}", "--word", "1", "--state"]),
+])
+def test_cli_refuses_bool_and_long_matrix_cells(tmp_path, capsys, cell, name, command):
+    # A cell is a [re, im] pair of numbers: [true, false, 7] used to read as 1+0j.
+    paths = {"kraus": tmp_path / "ex55.json", "state": tmp_path / "state.json"}
+    assert run_cli("gen", "ex55", "--out", str(paths["kraus"])) == 0
+    assert run_cli("gen", "ex55-state", "--out", str(paths["state"])) == 0
+    doc_path = tmp_path / "doc.json"
+    assert run_cli("gen", name, "--out", str(doc_path)) == 0
+    doc = json.loads(doc_path.read_text())
+    matrix = doc["blocks"][0]["matrix"] if name == "ex56" else doc["blocks"][0]
+    matrix[0][0] = cell
+    doc_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    argv = [part.format(**paths) for part in command] + [str(doc_path)]
+    assert run_cli(*argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "bad matrix" in captured.err
+    with pytest.raises(FormatError, match="bad matrix"):
+        (formats.parse_kraus if name == "ex56" else formats.parse_state)(json.dumps(doc))
+
+
 def test_cli_tensor_size_must_be_an_integer(tmp_path, capsys):
     tensor = tmp_path / "z2.json"
     assert run_cli("gen", "z2", "--out", str(tensor)) == 0

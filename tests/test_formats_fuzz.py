@@ -69,6 +69,13 @@ JSON = st.recursive(
                    | st.dictionaries(st.sampled_from(KEYS), inner, max_size=3)),
     max_leaves=8,
 )
+# Matrix cells that are not a [re, im] pair of numbers: bool parts, too
+# short or too long.
+BAD_CELLS = (
+    st.lists(st.integers(-2, 4) | st.floats(allow_nan=False), min_size=3, max_size=4)
+    | st.lists(st.integers(-2, 4) | st.floats(allow_nan=False) | st.booleans(), max_size=4)
+    .filter(lambda cell: len(cell) != 2 or any(isinstance(x, bool) for x in cell))
+)
 
 
 def _paths(node, prefix=()):
@@ -93,7 +100,7 @@ def edited(draw, documents):
         for key in path[:-1]:
             parent = parent[key]
         if draw(st.booleans()):
-            parent[path[-1]] = draw(JSON)
+            parent[path[-1]] = draw(JSON | BAD_CELLS)
         else:
             del parent[path[-1]]
     return json.dumps(doc)
@@ -135,6 +142,28 @@ def _check(kind, text, fixtures, capsys):
 def test_parsers_refuse_or_accept(kind, fixtures, capsys):
     @given(_texts(CASES[kind][2]))
     def run(text):
+        _check(kind, text, fixtures, capsys)
+
+    run()
+
+
+def _cells(doc, kind):
+    matrices = [b["matrix"] for b in doc["blocks"]] if kind == "kraus" else doc["blocks"]
+    return [(row, c) for matrix in matrices for row in matrix for c in range(len(row))]
+
+
+@pytest.mark.parametrize("kind", ["kraus", "state"])
+def test_bad_matrix_cells_are_refused(kind, fixtures, capsys):
+    parse = CASES[kind][0]
+
+    @given(st.data())
+    def run(data):
+        doc = copy.deepcopy(data.draw(st.sampled_from(CASES[kind][2])))
+        row, c = data.draw(st.sampled_from(_cells(doc, kind)))
+        row[c] = data.draw(BAD_CELLS)
+        text = json.dumps(doc)
+        with pytest.raises(formats.FormatError, match="bad matrix"):
+            parse(text)
         _check(kind, text, fixtures, capsys)
 
     run()

@@ -11,6 +11,14 @@ against the frozen loops in ``tests/reference/``.
   spheres and distances, equal reports, equal tensor rows, or the same
   refusal with the same message.  Exact tensors must give bit-identical
   associativity reports; their float copies agree within round-off.
+- Theorem 2.4: the level walk must give the frozen word loop's report, or
+  its refusal with the same message, in exact and float mode, on the same
+  graphs and on complete graphs whose sums cross 2**53.  The path and fold
+  level walks must give each word's single-word sum and fold exactly (float
+  folds bit for bit), and refuse at the level of the first word that does.
+  A perturbed tensor drives the mismatch branch against the frozen residual.
+- Corollary 2.6: the prefix-trie products and folds must give the frozen
+  word loop's report bit for bit, or its refusal.
 """
 
 import itertools
@@ -22,6 +30,7 @@ import numpy as np
 import pytest
 
 from hyperwalk import (
+    Hypergroup,
     HyperwalkError,
     build_spheres,
     check_condition_s,
@@ -31,14 +40,20 @@ from hyperwalk import (
     free_ball_graph,
     hypercube_graph,
     line_window_graph,
+    multi_constants,
     path_graph,
     path_sum_distribution,
     pointed_graph,
+    presets,
     structure_tensor,
     validate_hypergroup,
+    verify_corollary_2_6,
+    verify_theorem_2_4,
     wildberger_tensor,
 )
-from hyperwalk.hypergroups import _numerators
+from hyperwalk.graphs import path_sum_levels
+from hyperwalk.hypergroups import _numerators, fold_levels, prefix_trie
+from hyperwalk.verify import _theorem_2_4_residuals
 from reference import graph_loops as ref
 from reference import hypergroup_loops as ref_assoc
 from test_properties import CONDITION_S_GRAPHS, path_graph_based_mid
@@ -239,3 +254,161 @@ def test_truncated_skip_count_matches_loop():
     new = validate_hypergroup(tensor, range(tensor.size)).check("associativity")
     assert new == ref_assoc.associativity(tensor)
     assert new.skipped == 24335
+
+
+def _report(fn, graph, max_len, mode):
+    """The report, or the type and message of the refusal."""
+    try:
+        return fn(graph, max_len, mode)
+    except (HyperwalkError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def _assert_same_theorem_2_4(graph, max_len):
+    table = build_spheres(graph)
+    for mode in ("exact", "float"):
+        for n in range(1, max_len + 1):
+            new = _report(verify_theorem_2_4, table, n, mode)
+            assert new == _report(ref.verify_theorem_2_4, table, n, mode), (mode, n)
+
+
+@pytest.mark.parametrize("graph", SHAPES, ids=lambda g: f"n{g.n_vertices}-base{g.base}")
+def test_theorem_2_4_matches_word_loop(graph):
+    _assert_same_theorem_2_4(graph, 4 if graph.n_vertices <= 20 else 3)
+
+
+@pytest.mark.parametrize("seed", range(400))
+def test_random_theorem_2_4_matches_word_loop(seed):
+    _assert_same_theorem_2_4(random_graph(seed), 3)
+
+
+def _assert_residuals_match(table, tensor, max_len):
+    """The level walk's residuals against the frozen per-word residual, in
+    both modes (returned by mode); the per-word path sums are formed once."""
+    words = list(ref._budgeted_words(table.index_set, max_len, table.graph.window_radius))
+    paths = [path_sum_distribution(table, w) for w in words]
+    out = {}
+    for mode, fold_tensor in (("exact", tensor), ("float", tensor.to_float())):
+        level_words, residuals = _theorem_2_4_residuals(table, tensor, max_len, mode)
+        assert level_words == words
+        expected = [ref.residual(p, multi_constants(fold_tensor, w), mode)
+                    for p, w in zip(paths, words)]
+        assert residuals.tolist() == expected
+        out[mode] = expected
+    return out
+
+
+def test_theorem_2_4_python_ints():
+    # On K100 the words of 8 letters have path sums over up to 99**8 > 2**53,
+    # held as Python ints, and from 4 letters on the cross-products of the
+    # exact comparison pass 2**53 too.
+    table = build_spheres(complete_graph(100))
+    assert not any(_assert_residuals_match(table, wildberger_tensor(table), 8)["exact"])
+
+
+def _assert_level_walks_match(table, levels, tensor):
+    """Each word's path sum and exact fold from the level walks equal its
+    single-word sum and fold."""
+    walks = zip(levels, path_sum_levels(table, levels), fold_levels(tensor, levels), strict=True)
+    for (words, _, _), (numerators, denominators), (folds, scale) in walks:
+        for word, row, den, fold in zip(words, numerators.tolist(), denominators, folds.tolist()):
+            assert [Fraction(int(x), den) for x in row] == path_sum_distribution(table, word)
+            assert [Fraction(int(x), scale) for x in fold] == multi_constants(tensor, word)
+
+
+def _assert_walkable_match(graph, max_len):
+    """On a condition-(S) graph, the level walks over the words within its
+    window budget, the words ``verify_theorem_2_4`` walks, match the
+    single-word sums.  Other graphs are refused before any walk, which
+    ``_assert_same_theorem_2_4`` compares."""
+    table = build_spheres(graph)
+    if not check_condition_s(table).passed:
+        return False
+    levels = list(prefix_trie(table.index_set, max_len, graph.window_radius))
+    _assert_level_walks_match(table, levels, wildberger_tensor(table))
+    return True
+
+
+def test_random_level_walks_match_single_words():
+    walked = sum(_assert_walkable_match(random_graph(seed), 3) for seed in range(400))
+    assert walked == 124
+
+
+@pytest.mark.parametrize(
+    "graph", [g for g in SHAPES if check_condition_s(g).passed],
+    ids=lambda g: f"n{g.n_vertices}-base{g.base}",
+)
+def test_level_walks_match_single_words(graph):
+    assert _assert_walkable_match(graph, 4 if graph.n_vertices <= 20 else 3)
+
+
+def test_level_walks_cross_into_python_ints():
+    # On K200 the word 1**n has path sums over 199**n and folds over
+    # 199**(n - 1): from n = 7 and n = 8 on they pass 2**53 and are held as
+    # Python ints, and from n = 9 and n = 10 on they pass 2**63 too.
+    table = build_spheres(complete_graph(200))
+    tensor = wildberger_tensor(table)
+    levels = list(prefix_trie((1,), 10, None))
+    _assert_level_walks_match(table, levels, tensor)
+    paths = list(path_sum_levels(table, levels))
+    assert [numerators.dtype for numerators, _ in paths] == [float] * 6 + [object] * 4
+    assert paths[-1][1] == [199**10]
+    folds = list(fold_levels(tensor, levels))
+    assert [folds.dtype for folds, _ in folds] == [float] * 7 + [object] * 3
+    assert folds[-1][1] == 199**9
+    # C5's constants have denominators 2 and rows of up to two entries:
+    # folds of 1**n are over 2**(n - 1), held as Python ints from n = 54.
+    tensor = wildberger_tensor(cycle_graph(5))
+    levels = list(prefix_trie((1,), 56, None))
+    _assert_level_walks_match(build_spheres(cycle_graph(5)), levels, tensor)
+    folds = list(fold_levels(tensor, levels))
+    assert [folds.dtype for folds, _ in folds] == [float] * 53 + [object] * 3
+
+
+def test_theorem_2_4_mismatch_matches_frozen_residual():
+    # A real condition-(S) graph never disagrees: a perturbed tensor must.
+    # Row (1, 1) of Q3 is [1/3, 0, 2/3, 0]; moving 1/7 from each of its
+    # entries to index 1 makes the fold's largest excess and largest deficit
+    # differ, so a residual that is not the largest |difference| shows.
+    table = build_spheres(hypercube_graph(3))
+    exact = wildberger_tensor(table)
+    rows = {pair: dict(row) for pair, row in exact.rows.items()}
+    for k, delta in ((0, Fraction(-1, 7)), (1, Fraction(2, 7)), (2, Fraction(-1, 7))):
+        rows[(1, 1)][k] = rows[(1, 1)].get(k, 0) + delta
+    entries = [(i, j, k, q) for (i, j), row in rows.items() for k, q in row.items()]
+    tensor = structure_tensor(exact.size, entries)
+    residuals = _assert_residuals_match(table, tensor, 3)["exact"]
+    assert 0 < sum(r > 0 for r in residuals) < len(residuals)
+
+
+def test_theorem_2_4_mismatch_below_float_resolution():
+    # Moving 1/99**8 within row (1, 1) of K100's constants brings the fold
+    # denominators to 99**8 per letter: the cross-products of the exact
+    # comparison pass 2**53, and the paths and folds differ by about 1e-16
+    # relative, below what float64 products of them could tell apart.
+    table = build_spheres(complete_graph(100))
+    exact = wildberger_tensor(table)
+    delta = Fraction(1, 99**8)
+    rows = {pair: dict(row) for pair, row in exact.rows.items()}
+    rows[(1, 1)] = {0: rows[(1, 1)][0] + delta, 1: rows[(1, 1)][1] - delta}
+    entries = [(i, j, k, q) for (i, j), row in rows.items() for k, q in row.items()]
+    tensor = structure_tensor(exact.size, entries)
+    residuals = _assert_residuals_match(table, tensor, 3)["exact"]
+    # The five words that use row (1, 1) disagree.
+    assert sum(r > 0 for r in residuals) == 5 and max(residuals) < 1e-15
+
+
+def _corollary_cases():
+    cases = [presets.FIXTURES[name][0]() for name in ("c4-hypergroup", "z2", "z3", "s3-classes")]
+    cases += [presets.FIXTURES["s3"][0](), presets.FIXTURES["z-lattice"][0](3)]
+    cases.append(Hypergroup(presets.FIXTURES["c4-perturbed"][0](), (0, 1, 2)))
+    cases += [Hypergroup.build(wildberger_tensor(g))
+              for g in (cycle_graph(6), hypercube_graph(3), complete_graph(5), cycle_graph(9))]
+    return cases
+
+
+@pytest.mark.parametrize("hypergroup", _corollary_cases(), ids=lambda h: f"size{h.size}")
+def test_corollary_2_6_matches_word_loop(hypergroup):
+    for n in range(1, 5 if hypergroup.size <= 5 else 4):
+        new = _report(verify_corollary_2_6, hypergroup, n, 1e-12)
+        assert new == _report(ref_assoc.verify_corollary_2_6, hypergroup, n, 1e-12), n

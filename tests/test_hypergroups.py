@@ -256,3 +256,13 @@ def test_nan_constant_never_passes(c4):
     assert math.isnan(residual) and witness == (1, 1, 2)
     with pytest.raises(HypergroupAxiomError, match="stochasticity"):
         Hypergroup.build(bad, c4.involution)
+
+
+def test_exact_row_sums_are_rounded_once():
+    # A repeated k adds up; the row sum is the exact rational, rounded once.
+    with pytest.raises(ValueError, match=r"row \(0, 0\) sums to 0\.8333333333333334, not 1"):
+        structure_tensor(1, [(0, 0, 0, Fraction(1, 2)), (0, 0, 0, Fraction(1, 3))])
+    near = Fraction(10**10 + 1, 10**10)
+    tensor = structure_tensor(1, [(0, 0, 0, near)])
+    stochastic = validate_hypergroup(tensor, (0,)).check("stochasticity")
+    assert stochastic.passed and stochastic.max_residual == abs(float(near) - 1.0) > 0

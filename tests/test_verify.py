@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -73,6 +75,20 @@ def test_verify_corollary_2_6_fails_on_nan_constant(c4):
     report = verify_corollary_2_6(fake, 2)
     assert not report.passed and np.isnan(report.max_residual)
     assert report.witness is not None
+
+
+def test_verify_corollary_2_6_keeps_no_last_level_products():
+    # C48's constants have size 25: the 625 products of the two-letter words
+    # would take 625 * 25**2 * 8 bytes = 3.1 MB if they were all kept.
+    c48 = Hypergroup.build(wildberger_tensor(cycle_graph(48)))
+    tracemalloc.start()
+    try:
+        report = verify_corollary_2_6(c48, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed and report.checked == 25 + 625
+    assert peak < 1.5 * 2**20
 
 
 def test_verify_theorem_5_1_forward(c4):
