@@ -42,7 +42,6 @@ from .hypergroups import (
     Hypergroup,
     StructureTensor,
     ValidationReport,
-    as_floats,
     check_isomorphism,
     derive_involution,
     hypergroup_from_group,

@@ -178,8 +178,8 @@ def serialize_tensor(
 ) -> str:
     entries = [
         [i, j, k, encode_value(v)]
-        for (i, j) in sorted(tensor.rows)
-        for k, v in sorted(tensor.rows[(i, j)].items())
+        for (i, j), row in tensor.rows.items()
+        for k, v in row.items()
     ]
     doc = {
         "kind": kind,

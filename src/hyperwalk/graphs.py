@@ -31,8 +31,8 @@ from .hypergroups import (
     StructureTensor,
     Word,
     check_radius,
+    exact_tensor,
     exact_tier,
-    structure_tensor,
 )
 from .report import Report
 
@@ -159,6 +159,11 @@ class SphereTable:
         """The sphere-count constants of ``wildberger_tensor``, built once."""
         return _sphere_count_tensor(self)
 
+    @cached_property
+    def condition_s(self) -> Report:
+        """The report of ``check_condition_s``, computed once."""
+        return _condition_s(self)
+
     def _window_check(self, v: int, radius: int) -> None:
         window = self.graph.window_radius
         if window is None:
@@ -196,7 +201,9 @@ def build_spheres(graph: PointedGraph) -> SphereTable:
     sizes = np.bincount((np.arange(n)[:, None] * width + dist).ravel(), minlength=n * width)
     starts = np.zeros((n, width + 1), dtype=np.intp)
     np.cumsum(sizes.reshape(n, width), axis=1, out=starts[:, 1:])
-    order = np.argsort(dist, axis=1, kind="stable").astype(np.int32)
+    # Keys of 8 or 16 bits take numpy's radix sort.
+    keys = dist.astype(np.min_scalar_type(level))
+    order = np.argsort(keys, axis=1, kind="stable").astype(np.int32)
     index_set = tuple(np.unique(dist[graph.base]).tolist())
     for array in (dist, order, starts):
         array.setflags(write=False)
@@ -232,38 +239,32 @@ def _sphere_count_tensor(table: SphereTable) -> StructureTensor:
     window = graph.window_radius
     base_row, starts = table.order[graph.base], table.starts[graph.base]
     cuts = starts[:size]
-    # Per base sphere S_i(base): the least and largest |S_j(v)| over its
-    # vertices v, and the summed counts |S_j(v) & S_k(base)|.
+    base_sizes = np.diff(starts[:size + 1])
+    # The landing sphere sizes |S_j(v)| of the vertices v of each S_i(base),
+    # and the rows (i, j) inside the window, per vertex.
     sizes = table.sphere_sizes[base_row, :size]
-    low, high = np.minimum.reduceat(sizes, cuts), np.maximum.reduceat(sizes, cuts)
-    sums = np.add.reduceat(table.base_counts[base_row, :size], cuts)  # [i, j, k]
     allowed = np.ones((size, size), dtype=bool)
     if window is not None:
         allowed = np.add.outer(np.arange(size), np.arange(size)) <= window
-    empty = allowed & (low == 0)
+    inside = allowed[np.repeat(np.arange(size), base_sizes)]
+    empty = allowed & (np.minimum.reduceat(sizes, cuts) == 0)
     if empty.any():
         i, j = divmod(int(np.argmax(empty)), size)
         lo, hi = starts[i], starts[i + 1]
         raise EmptySphereError(graph.labels[base_row[lo + np.argmin(sizes[lo:hi, j])]], j)
-    base_sizes = np.diff(starts[:size + 1]).tolist()
-    entries: list[tuple[int, int, int, Number]] = []
-    for i, j in zip(*(axis.tolist() for axis in np.nonzero(allowed))):
-        if low[i, j] == high[i, j]:
-            numerators, scale = sums[i, j].tolist(), int(low[i, j])
-        else:
-            # Group the landing vertices by sphere size and bring the groups
-            # over the lcm of their sizes: exact integer numerators.
-            lo, hi = starts[i], starts[i + 1]
-            groups, group_of = np.unique(sizes[lo:hi, j], return_inverse=True)
-            grouped = np.zeros((len(groups), size), dtype=np.int64)
-            np.add.at(grouped, group_of, table.base_counts[base_row[lo:hi], j])
-            groups = groups.tolist()
-            scale = math.lcm(*groups)
-            numerators = [sum(scale // s * c for s, c in zip(groups, column))
-                          for column in grouped.T.tolist()]
-        denominator = scale * base_sizes[i]
-        entries += [(i, j, k, Fraction(x, denominator)) for k, x in enumerate(numerators) if x]
-    return structure_tensor(size, entries, truncation_radius=window)
+    # Over the lcm M of the landing sphere sizes, each v in S_i(base) adds
+    # |S_j(v) & S_k(base)| * M / |S_j(v)| to M * |S_i(base)| * Q[i, j, k].
+    # Over the lcm of the base sphere sizes too, every row has the one
+    # denominator its numerators sum to, so they fit where it does.
+    landing = math.lcm(*np.unique(sizes[inside]).tolist())
+    denominator = landing * math.lcm(*base_sizes.tolist())
+    dtype = np.int64 if denominator < 2**63 else object
+    weights = np.zeros(sizes.shape, dtype=dtype)
+    weights[inside] = landing // sizes[inside].astype(dtype)
+    counts = table.base_counts[base_row, :size].astype(dtype) * weights[:, :, None]
+    scale = denominator // (landing * base_sizes.astype(dtype))
+    cube = np.add.reduceat(counts, cuts) * scale[:, None, None]
+    return exact_tensor(cube, denominator, window)
 
 
 def check_condition_s(graph_or_table) -> Report:
@@ -275,9 +276,13 @@ def check_condition_s(graph_or_table) -> Report:
     Classes are scanned sphere sizes first (by i), then intersections (by
     i, j, k), and the scan stops at the first uneven class: the witness names
     it and two vertices whose counts differ, and the residual is that
-    difference.
+    difference.  A sphere table scans once and keeps the report
+    (``SphereTable.condition_s``).
     """
-    table = _as_table(graph_or_table)
+    return _as_table(graph_or_table).condition_s
+
+
+def _condition_s(table: SphereTable) -> Report:
     graph = table.graph
     window = graph.window_radius
     base = graph.base
@@ -469,15 +474,7 @@ def transition_family(tensor: StructureTensor) -> TransitionMatrixFamily:
         raise TruncationExceededError(
             tensor.size - 1, tensor.size - 1, tensor.truncation_radius
         )
-    mats = []
-    for k in range(tensor.size):
-        mat = np.zeros((tensor.size, tensor.size))
-        for i in range(tensor.size):
-            for j, q in tensor.row(k, i).items():
-                mat[i, j] = float(q)
-        mat.setflags(write=False)
-        mats.append(mat)
-    return TransitionMatrixFamily(matrices=tuple(mats))
+    return TransitionMatrixFamily(matrices=tuple(tensor.to_float().cube))
 
 
 # ---------------------------------------------------------------------------

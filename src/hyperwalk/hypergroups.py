@@ -2,10 +2,10 @@
 
 A structure tensor stores nonnegative constants Q[i,j,k], one probability
 row per pair (i, j), so every product of two basis elements is a probability
-distribution over the basis.  Tensors built from combinatorial counts keep
-their entries as exact rationals (`fractions.Fraction`/int) and everything
-folded out of them stays exact; tensors read off numerical simulations hold
-floats and are compared with the tolerances below.
+distribution over the basis.  Tensors built from combinatorial counts are
+exact: one cube of integer numerators over one common denominator, and
+everything folded out of them stays exact.  Tensors read off numerical
+simulations hold floats and are compared with the tolerances below.
 
 Index sets are {0, ..., size-1} with the unit always at index 0.  Structures
 whose natural index set is the half-line are represented by a finite
@@ -22,6 +22,7 @@ import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 import numpy as np
@@ -58,21 +59,61 @@ def _check_permutation(perm: Sequence[int], size: int) -> tuple[int, ...]:
     return perm
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StructureTensor:
-    """Sparse nonnegative constants Q[i,j,k] with row sums equal to one."""
+    """Nonnegative constants Q[i,j,k] with row sums equal to one, as one
+    dense (size, size, size) cube.
 
-    size: int
-    rows: Mapping[tuple[int, int], Mapping[int, Number]]
+    An exact tensor holds integer numerators over one common denominator,
+    the lcm of its entries' denominators: Q = cube / denominator, in int64
+    when every row sum fits and as Python ints otherwise.  A float tensor
+    holds float64 constants and ``denominator`` None.  Rows outside the
+    stored domain (i + j > truncation_radius) are zero.
+    """
+
+    cube: np.ndarray
+    denominator: int | None = None
     truncation_radius: int | None = None
+
+    @property
+    def size(self) -> int:
+        return self.cube.shape[0]
+
+    @property
+    def is_exact(self) -> bool:
+        return self.denominator is not None
+
+    @cached_property
+    def domain(self) -> np.ndarray:
+        """``domain[i, j]``: whether the row (i, j) is stored."""
+        domain = np.ones((self.size, self.size), dtype=bool)
+        if self.truncation_radius is not None:
+            indices = np.arange(self.size)
+            domain = np.add.outer(indices, indices) <= self.truncation_radius
+        domain.setflags(write=False)
+        return domain
 
     def defined(self, i: int, j: int) -> bool:
         """Whether the row (i, j) is inside the stored domain."""
-        if not (0 <= i < self.size and 0 <= j < self.size):
-            return False
-        if self.truncation_radius is not None and i + j > self.truncation_radius:
-            return False
-        return True
+        return 0 <= i < self.size and 0 <= j < self.size and bool(self.domain[i, j])
+
+    def defined_pairs(self) -> Iterator[tuple[int, int]]:
+        return zip(*(axis.tolist() for axis in np.nonzero(self.domain)))
+
+    @cached_property
+    def rows(self) -> Mapping[tuple[int, int], Mapping[int, Number]]:
+        """Read-only view of the stored rows (i, j) -> {k: Q[i,j,k]} over
+        their nonzero entries, in (i, j, k) order: ``Fraction``s on an exact
+        tensor, floats on a float tensor."""
+        rows: dict[tuple[int, int], dict[int, Number]] = {p: {} for p in self.defined_pairs()}
+        i, j, k = (axis.tolist() for axis in np.nonzero((self.cube != 0) & self.domain[:, :, None]))
+        values = self.cube[i, j, k].tolist()
+        if self.is_exact:
+            fractions = {v: Fraction(v, self.denominator) for v in set(values)}
+            values = [fractions[v] for v in values]
+        for a, b, c, value in zip(i, j, k, values):
+            rows[(a, b)][c] = value
+        return MappingProxyType({p: MappingProxyType(row) for p, row in rows.items()})
 
     def row(self, i: int, j: int) -> Mapping[int, Number]:
         if not self.defined(i, j):
@@ -90,33 +131,55 @@ class StructureTensor:
             out[k] = value
         return out
 
-    def defined_pairs(self) -> Iterator[tuple[int, int]]:
-        for i in range(self.size):
-            for j in range(self.size):
-                if self.defined(i, j):
-                    yield (i, j)
-
-    @cached_property
-    def is_exact(self) -> bool:
-        return all(
-            isinstance(v, (int, Fraction))
-            for row in self.rows.values()
-            for v in row.values()
-        )
-
-    @cached_property
-    def numerators(self) -> tuple[np.ndarray, int]:
-        """An exact tensor's rows as ``_numerators``, built once."""
-        cube, scale = _numerators(self, list(self.defined_pairs()))
-        cube.setflags(write=False)
-        return cube, scale
-
     def to_float(self) -> "StructureTensor":
-        rows = {
-            pair: {k: float(v) for k, v in row.items()}
-            for pair, row in self.rows.items()
-        }
-        return StructureTensor(self.size, rows, self.truncation_radius)
+        """The float view, built once: each constant as ``float(Fraction)``."""
+        return self._float if self.is_exact else self
+
+    @cached_property
+    def _float(self) -> "StructureTensor":
+        cube = quotients(self.cube, self.denominator)
+        cube.setflags(write=False)
+        return StructureTensor(cube, None, self.truncation_radius)
+
+    @cached_property
+    def row_sums(self) -> np.ndarray:
+        """Each row's sum as a float: an exact row summed as integers and
+        rounded once, a float row summed over k in increasing order."""
+        if self.is_exact:
+            return quotients(self.cube.sum(axis=2), self.denominator)
+        return np.cumsum(self.cube, axis=2)[:, :, -1]  # one add at a time, unlike sum
+
+
+def quotients(numerators: np.ndarray, denominator: int) -> np.ndarray:
+    """Integer ``numerators`` (any dtype) over ``denominator`` in float64,
+    each correctly rounded like Python's int / int: one float64 division
+    while both are exact in float64, Python int division otherwise."""
+    if denominator < 2**53 and int(numerators.max(initial=0)) < 2**53:
+        return numerators.astype(float) / denominator
+    return (exact_tier(2**53, numerators) / denominator).astype(float)
+
+
+def exact_tensor(cube: np.ndarray, denominator: int,
+                 truncation_radius: int | None = None) -> StructureTensor:
+    """The exact tensor ``cube / denominator`` of nonnegative integer
+    numerators, brought over the lcm of its entries' reduced denominators."""
+    common = math.gcd(denominator, int(np.gcd.reduce(cube, axis=None)))
+    cube, denominator = cube // common, denominator // common
+    cube = cube.astype(np.int64 if cube.sum(axis=2).max(initial=0) < 2**63 else object)
+    cube.setflags(write=False)
+    return StructureTensor(cube, denominator, truncation_radius)
+
+
+def check_rows(tensor: StructureTensor) -> StructureTensor:
+    """Refuse the first stored row, in (i, j) order, that has no entry or
+    whose sum is off one by more than EPS_PROB."""
+    bad = tensor.domain & ~(np.abs(tensor.row_sums - 1.0) <= EPS_PROB)
+    if bad.any():
+        i, j = divmod(int(np.argmax(bad)), tensor.size)
+        if not (tensor.cube[i, j] != 0).any():
+            raise ValueError(f"row ({i}, {j}) missing (sums to 0, not 1)")
+        raise ValueError(f"row ({i}, {j}) sums to {float(tensor.row_sums[i, j])}, not 1")
+    return tensor
 
 
 def check_radius(value, name: str) -> int | None:
@@ -136,13 +199,14 @@ def structure_tensor(
     """Build a tensor from (i, j, k, value) entries and check the row sums.
 
     Values of exactly zero are dropped; small negative float noise (within
-    EPS_PROB) is discarded as zero.  Every row inside the domain must be
-    present and sum to one within EPS_PROB.
+    EPS_PROB) is discarded as zero, and repeated (i, j, k) add up.  Every
+    row inside the domain must be present and sum to one within EPS_PROB.
+    The tensor is exact when every value is an int or a ``Fraction``.
     """
     if size <= 0:
         raise ValueError("size must be positive")
     truncation_radius = check_radius(truncation_radius, "truncation radius")
-    rows: dict[tuple[int, int], dict[int, Number]] = {}
+    values: dict[tuple[int, int, int], Number] = {}
     for i, j, k, value in entries:
         for idx in (i, j, k):
             if not (0 <= idx < size):
@@ -151,7 +215,7 @@ def structure_tensor(
             raise ValueError(
                 f"entry ({i}, {j}, {k}) lies outside truncation radius {truncation_radius}"
             )
-        if isinstance(value, float) and not math.isfinite(value):
+        if not isinstance(value, (int, Fraction)) and not math.isfinite(value):
             raise ValueError(f"non-finite constant at ({i}, {j}, {k}): {value}")
         if value < 0:
             if float(value) < -EPS_PROB:
@@ -159,35 +223,19 @@ def structure_tensor(
             continue
         if value == 0:
             continue
-        row = rows.setdefault((i, j), {})
-        if k in row:
-            row[k] += value
-        else:
-            row[k] = value
-    tensor = StructureTensor(size, rows, truncation_radius)
-    for i, j in tensor.defined_pairs():
-        if (i, j) not in rows:
-            raise ValueError(f"row ({i}, {j}) missing (sums to 0, not 1)")
-        total = _row_total(rows[(i, j)].values(), tensor.is_exact)
-        if abs(total - 1.0) > EPS_PROB:
-            raise ValueError(f"row ({i}, {j}) sums to {total}, not 1")
-    return tensor
-
-
-def _row_total(values, exact: bool) -> float:
-    """The sum of a row's values as a float.  A row of an exact tensor is
-    summed once as integers over the lcm of its denominators and rounded
-    once."""
-    if not exact:
-        return float(sum(values))
-    scale = math.lcm(*(v.denominator for v in values))
-    return sum(v.numerator * (scale // v.denominator) for v in values) / scale
-
-
-def _dense(tensor: StructureTensor, pairs: Sequence[tuple[int, int]]) -> np.ndarray:
-    """The rows ``pairs`` of ``tensor`` as a (len(pairs), size) float array."""
-    rows = [tensor.dense_row(i, j) for i, j in pairs]
-    return np.array(rows, dtype=float).reshape(len(pairs), tensor.size)
+        key = (i, j, k)
+        values[key] = values[key] + value if key in values else value
+    where = tuple(np.array(list(values), dtype=np.intp).reshape(-1, 3).T)
+    if all(isinstance(v, (int, Fraction)) for v in values.values()):
+        scale = math.lcm(*(v.denominator for v in values.values()))
+        numerators = [v.numerator * (scale // v.denominator) for v in values.values()]
+        cube = np.zeros((size,) * 3, dtype=np.int64 if sum(numerators) < 2**63 else object)
+        cube[where] = numerators
+        return check_rows(exact_tensor(cube, scale, truncation_radius))
+    cube = np.zeros((size, size, size))
+    cube[where] = [float(v) for v in values.values()]
+    cube.setflags(write=False)
+    return check_rows(StructureTensor(cube, None, truncation_radius))
 
 
 def tensor_difference(
@@ -203,15 +251,16 @@ def tensor_difference(
     if a.truncation_radius != b.truncation_radius:
         raise ValueError("truncation mismatch between tensors")
     pairs = list(a.defined_pairs())
-    gaps = np.abs(_dense(a, pairs) - _dense(b, pairs))
+    gaps = np.abs(a.to_float().cube[a.domain] - b.to_float().cube[a.domain])
     return worst_case(gaps, lambda n: (*pairs[n // a.size], n % a.size))
 
 
 def multi_constants(tensor: StructureTensor, word: Word) -> list[Number]:
     """Coefficients of the left-nested product x_{k1} o x_{k2} o ... o x_{kn}.
 
-    A word of length one yields the point mass at its letter.  Folding keeps
-    exact arithmetic when the tensor is exact.
+    A word of length one yields the point mass at its letter.  The word is
+    folded as a one-word ``prefix_trie`` by ``fold_levels``: an exact tensor
+    yields ``Fraction``s, a float tensor floats, and a zero coefficient 0.
     """
     word = list(word)
     if not word:
@@ -219,23 +268,37 @@ def multi_constants(tensor: StructureTensor, word: Word) -> list[Number]:
     for k in word:
         if not (0 <= k < tensor.size):
             raise IndexError(f"letter {k} out of range for size {tensor.size}")
-    unity: Number = Fraction(1) if tensor.is_exact else 1.0
-    vec: list[Number] = [0] * tensor.size
-    vec[word[0]] = unity
-    for k in word[1:]:
-        vec = fold_step(tensor, vec, k)
-    return vec
+    levels = [([tuple(word[:n])], np.zeros(1, dtype=np.intp), np.array([word[n - 1]]))
+              for n in range(1, len(word) + 1)]
+    *_, (folds, scale) = fold_levels(tensor, levels)
+    if not tensor.is_exact:
+        return [v if v else 0 for v in folds[0].tolist()]
+    return [Fraction(int(v), scale) if v else 0 for v in folds[0].tolist()]
 
 
-def fold_step(tensor: StructureTensor, vec: Sequence[Number], k: int) -> list[Number]:
-    """The fold of a word extended by the letter k: ``vec`` times the rows
-    (j, k), accumulated over j in increasing order."""
-    nxt: list[Number] = [0] * tensor.size
-    for j, weight in enumerate(vec):
-        if weight == 0:
-            continue
-        for m, q in tensor.row(j, k).items():
-            nxt[m] += weight * q
+def _check_stored(tensor: StructureTensor, folds: np.ndarray, k: int) -> None:
+    """Every row (j, k) that a weight of ``folds`` needs must be stored."""
+    if tensor.truncation_radius is None:
+        return
+    needed = np.asarray(folds != 0).reshape(-1, tensor.size).any(axis=0)
+    outside = np.flatnonzero(needed & ~tensor.domain[:, k])
+    if outside.size:
+        raise TruncationExceededError(int(outside[0]), k, tensor.truncation_radius)
+
+
+def fold_step(tensor: StructureTensor, folds: np.ndarray, k: int) -> np.ndarray:
+    """Float folds extended by the letter k: each fold (the last axis of
+    ``folds``) times the rows (j, k) of the float view, summed as a loop
+    would: over j in increasing order, over nonzero weights and entries."""
+    folds = np.asarray(folds, dtype=float)
+    _check_stored(tensor, folds, k)
+    rows = tensor.to_float().cube[:, k]  # [j, m]
+    nxt, term = np.zeros(folds.shape), np.empty(folds.shape)
+    for j in np.flatnonzero(folds.reshape(-1, tensor.size).any(axis=0) & rows.any(axis=1)):
+        weights = folds[..., j, None]
+        term.fill(0.0)
+        np.multiply(weights, rows[j], out=term, where=(weights != 0) & (rows[j] != 0))
+        nxt += term
     return nxt
 
 
@@ -274,19 +337,18 @@ def exact_tier(bound: int, values: np.ndarray) -> np.ndarray:
 
 
 def fold_levels(tensor: StructureTensor, levels):
-    """Folds of every word of a ``prefix_trie`` over an exact tensor, one
-    level at a time.
+    """Folds of every word of a ``prefix_trie``, one level at a time.
 
-    A level extends the folds of its prefixes by their last letter k with
-    one product with the rows (j, k), and yields the integer numerators, a
-    (words, size) array, over their common denominator L**(length - 1),
-    where L is the lcm of the tensor's denominators.  Every fold must stay
-    inside the stored domain: on a truncated tensor, the words' letter sums
-    within its truncation radius.
+    A level extends the folds of its prefixes by their last letter k through
+    the rows (j, k), and yields them, a (words, size) array, with their
+    common denominator.  An exact tensor's folds are integer numerators over
+    L**(length - 1), L its denominator, formed by one product per letter; a
+    float tensor's are floats over 1, formed by ``fold_step``.  A fold that
+    needs a row outside the stored domain raises TruncationExceededError.
     """
-    cube, scale = tensor.numerators
-    # The folds of a length have row sums of at most growth**(length - 1).
-    growth = int(cube.sum(axis=2).max())
+    exact = tensor.is_exact
+    # Exact folds of a length have row sums of at most growth**(length - 1).
+    growth = int(tensor.cube.sum(axis=2).max()) if exact else 0
     for length, (words, parents, letters) in enumerate(levels, start=1):
         if length == 1:
             folds = np.zeros((len(words), tensor.size))
@@ -294,17 +356,18 @@ def fold_levels(tensor: StructureTensor, levels):
             yield folds, 1
             continue
         bound = growth ** (length - 1)
-        folds, rows = exact_tier(bound, folds), exact_tier(bound, cube)
+        folds = exact_tier(bound, folds)
         nxt = np.zeros((len(words), tensor.size), dtype=folds.dtype)
         for k in sorted(set(letters.tolist())):
             chosen = letters == k
-            nxt[chosen] = folds[parents[chosen]] @ rows[:, k]
+            prefixes = folds[parents[chosen]]
+            if exact:
+                _check_stored(tensor, prefixes, k)
+                nxt[chosen] = prefixes @ exact_tier(bound, tensor.cube[:, k])
+            else:
+                nxt[chosen] = fold_step(tensor, prefixes, k)
         folds = nxt
-        yield folds, scale ** (length - 1)
-
-
-def as_floats(vec: Sequence[Number]) -> list[float]:
-    return [float(v) for v in vec]
+        yield folds, tensor.denominator ** (length - 1) if exact else 1
 
 
 @dataclass(frozen=True)
@@ -333,23 +396,6 @@ class ValidationReport:
         return "\n".join([str(c) for c in self.checks] + [f"hermitian: {self.hermitian}"])
 
 
-def _numerators(tensor: StructureTensor, pairs) -> tuple[np.ndarray, int]:
-    """An exact tensor's rows ``pairs`` as integer numerators N = L * Q over
-    the lcm L of their denominators: a dense (size, size, size) array, zero
-    on the other rows.  It holds float64 when every partial sum of size
-    products of two numerators is an integer below 2**53, so that a BLAS
-    product of them is exact in any order, and Python ints otherwise."""
-    size = tensor.size
-    scale = math.lcm(*(q.denominator for p in pairs for q in tensor.row(*p).values()))
-    cube = np.zeros((size, size, size), dtype=object)
-    peak = 0
-    for i, j in pairs:
-        for k, q in tensor.row(i, j).items():
-            cube[i, j, k] = q.numerator * (scale // q.denominator)
-            peak = max(peak, abs(cube[i, j, k]))
-    return exact_tier(peak * peak * size, cube), scale
-
-
 def validate_hypergroup(
     tensor: StructureTensor, involution: Sequence[int]
 ) -> ValidationReport:
@@ -366,40 +412,34 @@ def validate_hypergroup(
         if sigma[s] != i:
             raise ValueError(f"involution is not self-inverse at index {i}")
 
-    size = tensor.size
+    size, domain = tensor.size, tensor.domain
     pairs = list(tensor.defined_pairs())
-    row_of = {pair: n for n, pair in enumerate(pairs)}
-    dense = _dense(tensor, pairs)
+    floats = tensor.to_float().cube
 
     def entry(rows):
         return lambda n: (*rows[n // size], n % size)
 
-    sums = [abs(_row_total(tensor.row(i, j).values(), tensor.is_exact) - 1.0) for i, j in pairs]
+    sums = np.abs(tensor.row_sums[domain] - 1.0)
     stochastic = scan_report("stochasticity", sums, pairs.__getitem__, EPS_PROB)
 
     # Unit laws: the rows (0, j) and (j, 0) are the point mass at j.
-    units = [(a, b) for j in range(size) for a, b in ((UNIT, j), (j, UNIT)) if (a, b) in row_of]
-    gaps = dense[[row_of[p] for p in units]] - np.eye(size)[[a + b for a, b in units]]
-    unit = scan_report("unit", np.abs(gaps), entry(units), EPS_PROB)
+    units = [(a, b) for j in range(size) for a, b in ((UNIT, j), (j, UNIT)) if domain[a, b]]
+    a, b = np.array(units, dtype=np.intp).reshape(-1, 2).T
+    unit = scan_report("unit", np.abs(floats[a, b] - np.eye(size)[a + b]), entry(units), EPS_PROB)
 
     # Associativity: (x_i x_j) x_k against x_i (x_j x_k), contracted per i so
     # only size^3 residuals are held at once.  A triple is skipped when a row
     # it needs, (i, j), (j, k), (m, k) or (i, m) for m in the support of
     # (i, j) or (j, k), lies outside the stored domain.
-    rows = tuple(np.array(pairs).T)
-    undefined = np.ones((size, size))
-    undefined[rows] = 0
-    support = np.zeros((size * size, size))
-    for i, j in pairs:
-        support[i * size + j, list(tensor.row(i, j))] = 1
+    undefined = (~domain).astype(float)
+    support = (tensor.cube != 0).reshape(size * size, size).astype(float)
     skip = (undefined[:, :, None] + undefined
             + (support @ undefined).reshape(size, size, size)
             + (undefined @ support.T).reshape(size, size, size)) > 0
-    if tensor.is_exact:
-        cube, scale = tensor.numerators
-    else:
-        cube, scale = np.zeros((size, size, size)), None
-        cube[rows] = dense
+    # Numerators are exact in float64 while every partial sum of size
+    # products of two is an integer below 2**53, in any BLAS order.
+    scale = tensor.denominator
+    cube = floats if scale is None else exact_tier(int(tensor.cube.max())**2 * size, tensor.cube)
     skipped, per_i = int(skip.sum()), []
     for i in range(size):
         lhs = (cube[i] @ cube.reshape(size, -1)).reshape(-1)  # [j, k, l]
@@ -421,16 +461,15 @@ def validate_hypergroup(
     )
 
     # Star law: Q[i,j,k] == Q[s(j),s(i),s(k)], wherever the mirror row is stored.
-    mirrored = [(i, j) for i, j in pairs if (sigma[j], sigma[i]) in row_of]
-    mirrors = dense[[row_of[(sigma[j], sigma[i])] for i, j in mirrored]][:, list(sigma)]
-    gaps = np.abs(dense[[row_of[p] for p in mirrored]] - mirrors)
-    star = scan_report("star", gaps, entry(mirrored), EPS_PROB,
-                       skipped=len(pairs) - len(mirrored))
+    s = np.array(sigma)
+    mirrored = domain & domain[np.ix_(s, s)].T
+    gaps = np.abs(floats - floats[np.ix_(s, s, s)].transpose(1, 0, 2))[mirrored]
+    star = scan_report("star", gaps, entry(list(zip(*(x.tolist() for x in np.nonzero(mirrored))))),
+                       EPS_PROB, skipped=len(pairs) - len(gaps))
 
     # Zero-index support: Q[i,j,0] > EPS_PROB iff j == sigma(i).
     worst, witness = 0.0, None
-    for i, j in pairs:
-        value = float(tensor.entry(i, j, UNIT))
+    for (i, j), value in zip(pairs, floats[:, :, UNIT][domain].tolist()):
         if (value > EPS_PROB) != (j == sigma[i]) and (witness is None or value > worst):
             worst, witness = value, (i, j)
     support = Report("unit-support", witness is None, worst, witness, EPS_PROB, len(pairs))
@@ -480,13 +519,10 @@ def derive_involution(tensor: StructureTensor, partial: bool = False):
     as None instead of raising; determined pairs are still required to be
     mutually inverse.
     """
+    hits = tensor.domain & (tensor.to_float().cube[:, :, UNIT] > EPS_PROB)
     sigma: list[int | None] = []
     for i in range(tensor.size):
-        candidates = [
-            j
-            for j in range(tensor.size)
-            if tensor.defined(i, j) and float(tensor.entry(i, j, UNIT)) > EPS_PROB
-        ]
+        candidates = np.flatnonzero(hits[i]).tolist()
         if not candidates:
             if partial and tensor.truncation_radius is not None:
                 sigma.append(None)
@@ -557,11 +593,8 @@ def check_isomorphism(h1: Hypergroup, h2: Hypergroup, phi: Sequence[int]) -> boo
         return False
     if any(phi[h1.involution[i]] != h2.involution[phi[i]] for i in range(h1.size)):
         return False
-    for i, j in h1.tensor.defined_pairs():
-        if not h2.tensor.defined(phi[i], phi[j]):
-            return False
-        image = h2.tensor.row(phi[i], phi[j])
-        for k in range(h1.size):
-            if abs(float(h1.tensor.entry(i, j, k)) - float(image.get(phi[k], 0))) > EPS_PROB:
-                return False
-    return True
+    a, b = h1.tensor, h2.tensor
+    if not b.domain[np.ix_(phi, phi)][a.domain].all():
+        return False
+    image = b.to_float().cube[np.ix_(phi, phi, phi)]
+    return not (np.abs(a.to_float().cube - image)[a.domain] > EPS_PROB).any()

@@ -37,11 +37,10 @@ from .hypergroups import (
     EPS_PROB,
     StructureTensor,
     Word,
-    as_floats,
     check_radius,
+    check_rows,
     multi_constants,
     prefix_trie,
-    structure_tensor,
 )
 from .report import Report, scan_report, worst_residual
 
@@ -295,9 +294,12 @@ def produced_tensor(family: KrausFamily, state0: BlockState) -> StructureTensor:
     radius = family.truncation_radius
     *_, (words, probs) = walk_levels(family, state0.array[None], 2, radius)
     # Word (l, k) applies the l-map first: its distribution is the row Q[k, l].
-    entries = [(k, l, m, float(p)) for (l, k), row in zip(words, probs[:, 0])
-               for m, p in enumerate(row) if p > 1e-14]
-    return structure_tensor(family.d_size, entries, truncation_radius=radius)
+    # The walk refuses any state that is not finite, so every mass is finite.
+    l, k = np.array(words).T
+    cube = np.zeros((family.d_size,) * 3)
+    cube[k, l] = np.where(probs[:, 0] > 1e-14, probs[:, 0], 0.0)
+    cube.setflags(write=False)
+    return check_rows(StructureTensor(cube, None, radius))
 
 
 def realize(
@@ -330,17 +332,12 @@ def realize(
             raise ValueError(f"supplied matrix for {(i, j, k)} is not an isometry")
         return u
 
-    blocks: dict[tuple[int, int, int], np.ndarray] = {}
-    for k in range(d):
-        for j in range(d):
-            if tensor.defined(k, j):
-                for i, q in tensor.row(k, j).items():
-                    if q == 0:
-                        continue
-                    blocks[(i, j, k)] = np.sqrt(float(q)) * isometry(i, j, k)
-            else:
-                # Arbitrary completion outside the certified rows.
-                blocks[(abs(j - k), j, k)] = eye
+    floats = tensor.to_float().cube
+    blocks = {(i, j, k): np.sqrt(floats[k, j, i]) * isometry(i, j, k)
+              for k, j, i in zip(*(axis.tolist() for axis in np.nonzero(tensor.cube)))}
+    # Arbitrary completion outside the certified rows.
+    blocks.update({(abs(j - k), j, k): eye
+                   for k, j in zip(*(axis.tolist() for axis in np.nonzero(~tensor.domain)))})
     if rho0 is None:
         rho0 = eye / h_dim
     family = kraus_family(d, h_dim, blocks, truncation_radius=tensor.truncation_radius)
@@ -375,9 +372,7 @@ def check_hb(
     radius = common_radius(family, tensor)
     # heisenberg[(k, i), (m, b, c)] = (B[i,m;k]^* B[i,m;k])_bc = Phi_k^*(E_i)_m
     heisenberg = family._gram.transpose(2, 0, 1, 3, 4).reshape(d * d, d * h * h)
-    q = np.zeros((d, d, d))  # Q[k, l, m]; rows outside a truncation stay zero
-    for (k, l), row in tensor.rows.items():
-        q[k, l, list(row)] = as_floats(row.values())
+    q = tensor.to_float().cube  # Q[k, l, m]; rows outside a truncation are zero
     k_plus_j = np.add.outer(np.arange(d), np.arange(d))
     # Per l, the first worst residual in (k, i, j) order: ((k, l), value, witness).
     candidates = []
@@ -415,7 +410,7 @@ def mixture_distribution(
     walk applies its maps.
     """
     word = _checked_walk(family, state0, word)
-    coeffs = np.array(as_floats(multi_constants(tensor, word[::-1])))
+    coeffs = np.array(multi_constants(tensor, word[::-1]), dtype=float)
     return coeffs @ one_step_distributions(family, state0.array)
 
 

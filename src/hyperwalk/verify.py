@@ -27,13 +27,11 @@ from .hypergroups import (
     EPS_PROB,
     Hypergroup,
     StructureTensor,
-    as_floats,
     derive_involution,
     exact_tier,
     fold_levels,
-    fold_step,
-    multi_constants,
     prefix_trie,
+    quotients,
     tensor_difference,
     validate_hypergroup,
 )
@@ -134,8 +132,8 @@ def verify_theorem_2_4(
     For every word up to ``max_word_len`` the exact path-sum distribution
     must coincide with the fold of the sphere-count constants: identically
     in exact mode, within 1e-12 in float mode.  Both sides walk the prefix
-    trie of the words one length at a time (``path_sum_levels``, and
-    ``fold_levels`` or, in float mode, ``fold_step`` per word).
+    trie of the words one length at a time (``path_sum_levels`` and
+    ``fold_levels``, in float mode over the float view).
     """
     if mode not in ("exact", "float"):
         raise ValueError("mode must be 'exact' or 'float'")
@@ -158,25 +156,17 @@ def _theorem_2_4_residuals(table: SphereTable, tensor: StructureTensor, max_word
     sides.  The table must satisfy condition (S)."""
     levels = list(prefix_trie(table.index_set, max_word_len, table.graph.window_radius))
     exact = mode == "exact"
-    fold_walk = fold_levels(tensor, levels) if exact else None
-    float_tensor = None if exact else tensor.to_float()
-    words, residuals, floats = [], [], []
-    for (level, parents, letters), (numerators, denominators) in zip(
-        levels, path_sum_levels(table, levels)
+    words, residuals = [], []
+    for (level, _, _), (numerators, denominators), (folds, scale) in zip(
+        levels, path_sum_levels(table, levels),
+        fold_levels(tensor if exact else tensor.to_float(), levels),
     ):
         words += level
         if not exact:
-            # Each word extends its prefix's fold, as multi_constants forms it.
-            floats = [
-                multi_constants(float_tensor, word) if len(word) == 1
-                else fold_step(float_tensor, floats[p], k)
-                for word, p, k in zip(level, parents.tolist(), letters.tolist())
-            ]
             dens = np.array(denominators, dtype=numerators.dtype)[:, None]
             paths = (numerators / dens).astype(float)
-            residuals.append(np.abs(paths - np.array(floats, dtype=float)).max(axis=1))
+            residuals.append(np.abs(paths - folds).max(axis=1))
             continue
-        folds, scale = next(fold_walk)
         # Cross-multiplied: numerator / denominator == fold / scale.
         bound = max(denominators) * max(scale, int(folds.max()))
         dens = exact_tier(bound, np.array(denominators, dtype=object))[:, None]
@@ -198,32 +188,27 @@ def verify_corollary_2_6(
     For every word (t1, ..., tn): P_{t1} P_{t2} ... P_{tn} must equal
     sum_m q[t1,...,tn; m] P_m, and the base row of the product must equal
     the fold vector itself.  Each word extends the product and the fold of
-    its prefix in the trie, still formed left to right.  Only the products
-    and folds of the words shorter than ``max_word_len`` are kept, one
-    length at a time.
+    its prefix in the trie, still formed left to right (``fold_levels`` over
+    the float view).  Only the products of the words shorter than
+    ``max_word_len`` are kept, one length at a time.
     """
     if max_word_len < 1:
         raise ValueError("max_word_len must be at least 1")
     tensor = hypergroup.tensor
     mats = transition_family(tensor).matrices
-    float_tensor = tensor.to_float()
-    words, residuals = [], []
-    products, folds = [], []
-    for level, parents, letters in prefix_trie(range(tensor.size), max_word_len, None):
+    levels = list(prefix_trie(range(tensor.size), max_word_len, None))
+    words, residuals, products = [], [], []
+    for (level, parents, letters), (folds, _) in zip(levels, fold_levels(tensor.to_float(), levels)):
         keep = len(level[0]) < max_word_len
-        kept_products, kept_folds = [], []
-        for word, p, k in zip(level, parents.tolist(), letters.tolist()):
-            if len(word) == 1:
-                product, coeffs = mats[k], multi_constants(float_tensor, word)
-            else:
-                product, coeffs = products[p] @ mats[k], fold_step(float_tensor, folds[p], k)
+        kept = []
+        for word, p, k, coeffs in zip(level, parents.tolist(), letters.tolist(), folds):
+            product = mats[k] if len(word) == 1 else products[p] @ mats[k]
             expected = sum(c * mats[m] for m, c in enumerate(coeffs))
             residuals.append(np.maximum(np.abs(product - expected).max(),
-                                        np.abs(product[0, :] - np.array(coeffs)).max()))
+                                        np.abs(product[0, :] - coeffs).max()))
             if keep:
-                kept_products.append(product)
-                kept_folds.append(coeffs)
-        products, folds = kept_products, kept_folds
+                kept.append(product)
+        products = kept
         words += level
     return scan_report("transition-products", np.array(residuals, dtype=float),
                        lambda n: (words[n],), tol)
@@ -293,9 +278,14 @@ def _walk_gaps(family, tensor, starts, max_len, budget):
     within ``budget``) from each start: the words and a (words, starts) array."""
     one_step = one_step_distributions(family, starts)
     words, gaps = [], [np.empty((0, len(starts)))]
-    for level, walked in walk_levels(family, starts, max_len, budget):
-        folds = np.array([as_floats(multi_constants(tensor, w[::-1])) for w in level])
-        gaps.append(np.abs(walked - (folds @ one_step).swapaxes(0, 1)).max(axis=-1))
+    folds = fold_levels(tensor, prefix_trie(range(tensor.size), max_len, budget))
+    for (level, walked), (fold, scale) in zip(walk_levels(family, starts, max_len, budget), folds):
+        # The mixture folds the reversed word, which the level holds too:
+        # reversing keeps the letter sum.
+        at = {word: n for n, word in enumerate(level)}
+        fold = quotients(fold, scale) if tensor.is_exact else fold
+        mixed = fold[[at[word[::-1]] for word in level]] @ one_step
+        gaps.append(np.abs(walked - mixed.swapaxes(0, 1)).max(axis=-1))
         words += level
     return words, np.concatenate(gaps)
 

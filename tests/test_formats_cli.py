@@ -56,6 +56,18 @@ def test_tensor_roundtrip_truncated(zlattice8):
     assert back.tensor.rows == zlattice8.tensor.rows
 
 
+def test_mixed_tensor_document_serializes_as_floats():
+    # A document mixing floats with ints and fractions is a float tensor:
+    # it writes every constant back as a float, and that output is stable.
+    doc = {"kind": "tensor", "version": "1", "size": 2,
+           "entries": [[0, 0, 0, 1], [0, 1, 1, 1.0], [1, 0, 1, "1"],
+                       [1, 1, 0, 0.5], [1, 1, 1, "1/4"], [1, 1, 1, "1/4"]]}
+    text = formats.serialize_tensor(formats.parse_tensor(json.dumps(doc)))
+    assert json.loads(text)["entries"] == [
+        [0, 0, 0, 1.0], [0, 1, 1, 1.0], [1, 0, 1, 1.0], [1, 1, 0, 0.5], [1, 1, 1, 0.5]]
+    assert formats.serialize_tensor(formats.parse_tensor(text)) == text
+
+
 def test_value_codec():
     assert formats.decode_value("3/4") == Fraction(3, 4)
     assert formats.decode_value(1) == 1

@@ -51,8 +51,9 @@ from hyperwalk import (
     verify_theorem_2_4,
     wildberger_tensor,
 )
+from hyperwalk import hypergroups
 from hyperwalk.graphs import path_sum_levels
-from hyperwalk.hypergroups import _numerators, fold_levels, prefix_trie
+from hyperwalk.hypergroups import exact_tier, fold_levels, prefix_trie
 from hyperwalk.verify import _theorem_2_4_residuals
 from reference import graph_loops as ref
 from reference import hypergroup_loops as ref_assoc
@@ -241,10 +242,20 @@ def _large_denominator_tensor(seed: int, primes):
     ],
     ids=["float64", "python-ints"],
 )
-def test_associativity_large_numerators_match_loop(seed, primes, dtype):
+def test_associativity_large_numerators_match_loop(seed, primes, dtype, monkeypatch):
     tensor = _large_denominator_tensor(seed, primes)
-    assert _numerators(tensor, list(tensor.defined_pairs()))[0].dtype == dtype
+    tensor.to_float()  # built once, outside the recorded calls
+    contracted = []
+
+    def recording_tier(bound, values):
+        out = exact_tier(bound, values)
+        if values is tensor.cube:
+            contracted.append(out.dtype)
+        return out
+
+    monkeypatch.setattr(hypergroups, "exact_tier", recording_tier)
     new = validate_hypergroup(tensor, range(tensor.size)).check("associativity")
+    assert contracted == [np.dtype(dtype)]
     assert new == ref_assoc.associativity(tensor)
     assert not new.passed
 

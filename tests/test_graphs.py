@@ -131,6 +131,24 @@ def test_condition_s():
     assert check_condition_s(free_ball_graph(2, 2)).passed
 
 
+def test_condition_s_is_scanned_once_per_table(monkeypatch):
+    from hyperwalk import ConditionSViolatedError, graphs, verify_theorem_2_4
+
+    scans = []
+    scan = graphs._condition_s
+    monkeypatch.setattr(graphs, "_condition_s", lambda table: scans.append(table) or scan(table))
+    for graph in (hypercube_graph(3), path_graph(3)):
+        table = build_spheres(graph)
+        report = check_condition_s(table)
+        assert check_condition_s(table) is report
+        try:
+            verify_theorem_2_4(table, 2)
+        except ConditionSViolatedError as exc:
+            assert str(exc) == str(report)
+        assert scans == [table]
+        scans.clear()
+
+
 def test_distance_regular():
     assert check_distance_regular(cycle_graph(4)).passed
     assert check_distance_regular(hypercube_graph(3)).passed

@@ -244,9 +244,9 @@ def test_validate_rejects_bad_involution(c4):
 
 
 def test_nan_constant_never_passes(c4):
-    rows = {pair: dict(row) for pair, row in c4.tensor.rows.items()}
-    rows[(1, 1)][2] = float("nan")  # set directly, past the constructor's check
-    bad = StructureTensor(c4.size, rows)
+    cube = c4.tensor.to_float().cube.copy()
+    cube[1, 1, 2] = float("nan")  # set directly, past the constructor's check
+    bad = StructureTensor(cube)
     report = validate_hypergroup(bad, c4.involution)
     assert not report.passed
     stochastic = report.check("stochasticity")

@@ -63,9 +63,9 @@ def test_non_finite_blocks_never_pass():
 
 def test_check_hb_fails_on_non_finite_constant(c4):
     fam, _ = realize(c4, h_dim=2)
-    rows = {pair: dict(row) for pair, row in c4.tensor.rows.items()}
-    rows[(1, 2)][1] = float("inf")
-    report = check_hb(fam, StructureTensor(c4.size, rows))
+    cube = c4.tensor.to_float().cube.copy()
+    cube[1, 2, 1] = float("inf")
+    report = check_hb(fam, StructureTensor(cube))
     assert not report.passed and not np.isfinite(report.max_residual)
     # The witness lies in the row (k, l) that holds the bad constant.
     assert report.witness[2:] == (1, 2)

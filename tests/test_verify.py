@@ -69,9 +69,9 @@ def test_verify_corollary_2_6_fails_without_associativity():
 
 
 def test_verify_corollary_2_6_fails_on_nan_constant(c4):
-    rows = {pair: dict(row) for pair, row in c4.tensor.rows.items()}
-    rows[(1, 1)][2] = float("nan")  # set directly, past the constructor's check
-    fake = Hypergroup(tensor=StructureTensor(c4.size, rows), involution=c4.involution)
+    cube = c4.tensor.to_float().cube.copy()
+    cube[1, 1, 2] = float("nan")  # set directly, past the constructor's check
+    fake = Hypergroup(tensor=StructureTensor(cube), involution=c4.involution)
     report = verify_corollary_2_6(fake, 2)
     assert not report.passed and np.isnan(report.max_residual)
     assert report.witness is not None
@@ -89,6 +89,21 @@ def test_verify_corollary_2_6_keeps_no_last_level_products():
         tracemalloc.stop()
     assert report.passed and report.checked == 25 + 625
     assert peak < 1.5 * 2**20
+
+
+def test_verify_corollary_2_6_folds_without_size_cubed_intermediates():
+    # At three letters the 625 kept products and the 15625 folds of the last
+    # level take 3.1 MB each; a (prefixes, size, size) intermediate per
+    # letter would add 2 * 625 * 25**2 * 8 bytes = 6.2 MB.
+    c48 = Hypergroup.build(wildberger_tensor(cycle_graph(48)))
+    tracemalloc.start()
+    try:
+        report = verify_corollary_2_6(c48, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed and report.checked == 25 + 625 + 15625
+    assert peak < 10 * 2**20
 
 
 def test_verify_theorem_5_1_forward(c4):
