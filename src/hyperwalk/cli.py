@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache, partial
 
 from . import formats, presets
 from .errors import HyperwalkError
@@ -126,27 +127,51 @@ def cmd_produce(args, kraus, state) -> int:
     return 0
 
 
-def cmd_verify_hb(args, kraus, tensor) -> int:
-    return _finish(args, "block-decomposition", check_hb(kraus, tensor, tol=args.tol))
+def cmd_verify(check: str, run, keywords: dict[str, str], args, **documents) -> int:
+    """A ``VERIFIERS`` command: ``run`` on the documents, in table order, and
+    on the options, passed by the keywords ``keywords`` maps them to."""
+    options = {keyword: getattr(args, dest) for keyword, dest in keywords.items()}
+    return _finish(args, check, run(*documents.values(), **options))
 
 
-def cmd_verify_t51(args, kraus, tensor) -> int:
-    report = verify_theorem_5_1(kraus, tensor, max_word_len=args.max_len,
-                                n_states=args.states, seed=args.seed, tol=args.tol)
-    return _finish(args, "walk-vs-mixture", report)
+# name -> (help, the report's check name, the library function it runs, the
+# documents it reads as in ``build_parser``'s ``add``, its options).  An option
+# is (flag, the function's keyword, default) or (flag, keyword, default,
+# choices), typed by its default and listed in --help order.
+VERIFIERS = {
+    "verify-hb": (
+        "block-decomposition identity check", "block-decomposition", check_hb,
+        {"kraus": formats.parse_kraus, "tensor": formats.parse_tensor},
+        (("--tol", "tol", 1e-8),),
+    ),
+    "verify-t51": (
+        "walk vs mixture distributions", "walk-vs-mixture", verify_theorem_5_1,
+        {"kraus": formats.parse_kraus, "tensor": formats.parse_tensor},
+        (("--max-len", "max_word_len", 4), ("--states", "n_states", 10),
+         ("--seed", "seed", 0), ("--tol", "tol", 1e-9)),
+    ),
+    "verify-t24": (
+        "path sums vs algebra folds", "paths-vs-fold", verify_theorem_2_4,
+        {"graph": formats.parse_graph},
+        (("--max-len", "max_word_len", 3), ("--mode", "mode", "exact", ("exact", "float"))),
+    ),
+    "verify-c26": (
+        "transition-matrix products vs folds", "transition-products", verify_corollary_2_6,
+        {"tensor": formats.parse_hypergroup},
+        (("--max-len", "max_word_len", 3), ("--tol", "tol", 1e-12)),
+    ),
+}
 
 
-def cmd_verify_t24(args, graph) -> int:
-    report = verify_theorem_2_4(graph, max_word_len=args.max_len, mode=args.mode)
-    return _finish(args, "paths-vs-fold", report)
-
-
-def cmd_verify_c26(args, tensor) -> int:
-    report = verify_corollary_2_6(tensor, max_word_len=args.max_len, tol=args.tol)
-    return _finish(args, "transition-products", report)
-
-
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process and shared.
+
+    Parsing leaves it unchanged and returns a fresh namespace each time;
+    help, usage and error text are formatted when printed, at the terminal
+    width and on the ``sys.stdout``/``sys.stderr`` of that moment.  Callers
+    must not add to it.
+    """
     parser = argparse.ArgumentParser(
         prog="hyperwalk",
         description=(
@@ -204,25 +229,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     add("produce", cmd_produce, "two-step constants of a walk", kraus=kraus, state=state)
 
-    p = add("verify-hb", cmd_verify_hb, "block-decomposition identity check",
-            kraus=kraus, tensor=tensor)
-    p.add_argument("--tol", type=float, default=1e-8)
-
-    p = add("verify-t51", cmd_verify_t51, "walk vs mixture distributions",
-            kraus=kraus, tensor=tensor)
-    p.add_argument("--max-len", type=int, default=4)
-    p.add_argument("--states", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=1e-9)
-
-    p = add("verify-t24", cmd_verify_t24, "path sums vs algebra folds", graph=graph)
-    p.add_argument("--max-len", type=int, default=3)
-    p.add_argument("--mode", choices=("exact", "float"), default="exact")
-
-    p = add("verify-c26", cmd_verify_c26, "transition-matrix products vs folds",
-            tensor=formats.parse_hypergroup)
-    p.add_argument("--max-len", type=int, default=3)
-    p.add_argument("--tol", type=float, default=1e-12)
+    for name, (help_text, check, run, documents, options) in VERIFIERS.items():
+        keywords: dict[str, str] = {}
+        p = add(name, partial(cmd_verify, check, run, keywords), help_text, **documents)
+        for flag, keyword, default, *choices in options:
+            keywords[keyword] = p.add_argument(
+                flag, type=type(default), default=default, choices=choices[0] if choices else None
+            ).dest
 
     return parser
 

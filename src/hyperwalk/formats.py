@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import json
 import math
-import re
 from dataclasses import asdict, is_dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -100,33 +100,58 @@ def _list(doc: dict, field: str) -> list:
     return value
 
 
-def _has_dict(node) -> bool:
-    if isinstance(node, dict):
-        return True
-    if isinstance(node, (list, tuple)):
-        return any(_has_dict(x) for x in node)
-    return False
-
-
 def _dump(doc: dict) -> str:
-    """Indented JSON with short leaf arrays kept on one line."""
-    compacted: list[str] = []
+    """Indented JSON, as ``json.dumps(doc, indent=2)`` writes it, except that
+    an array with no object below it stays on one line, as ``json.dumps``
+    writes it compactly, when that line is at most 76 characters.  Object
+    keys must be strings."""
+    return _render(doc, "\n")[0] + "\n"
 
-    def mark(node):
-        if isinstance(node, (list, tuple)):
-            if not _has_dict(node):
-                compact = json.dumps(list(node), allow_nan=False)
-                if len(compact) <= 76:
-                    compacted.append(compact)
-                    return f"\u0000{len(compacted) - 1}\u0000"
-            return [mark(x) for x in node]
-        if isinstance(node, dict):
-            return {key: mark(value) for key, value in node.items()}
-        return node
 
-    text = json.dumps(mark(doc), indent=2, allow_nan=False)
-    text = re.sub(r'"\\u0000(\d+)\\u0000"', lambda m: compacted[int(m.group(1))], text)
-    return text + "\n"
+def _render(node, newline: str) -> tuple[str, bool]:
+    """The text of ``node``, its inner lines opened by ``newline``, and
+    whether that text is the one-line form.  One traversal decides both: an
+    array is one line when every item is one line and the joined line fits."""
+    inner = newline + "  "
+    if isinstance(node, dict):
+        if not node:
+            return "{}", False
+        items = [f"{encode_basestring_ascii(key)}: {_render(value, inner)[0]}"
+                 for key, value in node.items()]
+        return "{" + inner + ("," + inner).join(items) + newline + "}", False
+    if not isinstance(node, (list, tuple)):
+        return _scalar(node), True
+    texts, flat = [], True
+    for item in node:
+        if isinstance(item, (dict, list, tuple)):
+            text, item_flat = _render(item, inner)
+            flat = flat and item_flat
+        else:
+            text = _scalar(item)
+        texts.append(text)
+    if flat:
+        line = "[" + ", ".join(texts) + "]"
+        if len(line) <= 76:
+            return line, True
+    return "[" + inner + ("," + inner).join(texts) + newline + "]", False
+
+
+def _scalar(value) -> str:
+    """A JSON scalar as ``json.dumps`` writes it; like ``json.dumps(...,
+    allow_nan=False)``, refuses a non-finite float or any other type."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float) and math.isfinite(value):
+        return float.__repr__(value)
+    return json.dumps(value, allow_nan=False)  # raises ValueError or TypeError
 
 
 # ---------------------------------------------------------------------------

@@ -142,6 +142,12 @@ class StructureTensor:
         return StructureTensor(cube, None, self.truncation_radius)
 
     @cached_property
+    def growth(self) -> int:
+        """An exact tensor's largest integer row sum: the numerators of a
+        fold of n letters sum to at most growth**(n - 1)."""
+        return int(self.cube.sum(axis=2).max(initial=0))
+
+    @cached_property
     def row_sums(self) -> np.ndarray:
         """Each row's sum as a float: an exact row summed as integers and
         rounded once, a float row summed over k in increasing order."""
@@ -259,8 +265,9 @@ def multi_constants(tensor: StructureTensor, word: Word) -> list[Number]:
     """Coefficients of the left-nested product x_{k1} o x_{k2} o ... o x_{kn}.
 
     A word of length one yields the point mass at its letter.  The word is
-    folded as a one-word ``prefix_trie`` by ``fold_levels``: an exact tensor
-    yields ``Fraction``s, a float tensor floats, and a zero coefficient 0.
+    folded one letter at a time, as ``fold_levels`` folds a level: an exact
+    tensor yields ``Fraction``s, a float tensor floats (by ``fold_step``),
+    and a zero coefficient 0.
     """
     word = list(word)
     if not word:
@@ -268,12 +275,17 @@ def multi_constants(tensor: StructureTensor, word: Word) -> list[Number]:
     for k in word:
         if not (0 <= k < tensor.size):
             raise IndexError(f"letter {k} out of range for size {tensor.size}")
-    levels = [([tuple(word[:n])], np.zeros(1, dtype=np.intp), np.array([word[n - 1]]))
-              for n in range(1, len(word) + 1)]
-    *_, (folds, scale) = fold_levels(tensor, levels)
+    fold = np.zeros(tensor.size)
+    fold[word[0]] = 1
+    for length, k in enumerate(word[1:], start=2):
+        if tensor.is_exact:
+            fold = _exact_step(tensor, fold, k, tensor.growth ** (length - 1))
+        else:
+            fold = fold_step(tensor, fold, k)
     if not tensor.is_exact:
-        return [v if v else 0 for v in folds[0].tolist()]
-    return [Fraction(int(v), scale) if v else 0 for v in folds[0].tolist()]
+        return [v if v else 0 for v in fold.tolist()]
+    scale = tensor.denominator ** (len(word) - 1)
+    return [Fraction(int(v), scale) if v else 0 for v in fold.tolist()]
 
 
 def _check_stored(tensor: StructureTensor, folds: np.ndarray, k: int) -> None:
@@ -281,9 +293,9 @@ def _check_stored(tensor: StructureTensor, folds: np.ndarray, k: int) -> None:
     if tensor.truncation_radius is None:
         return
     needed = np.asarray(folds != 0).reshape(-1, tensor.size).any(axis=0)
-    outside = np.flatnonzero(needed & ~tensor.domain[:, k])
-    if outside.size:
-        raise TruncationExceededError(int(outside[0]), k, tensor.truncation_radius)
+    outside = needed & ~tensor.domain[:, k]
+    if outside.any():
+        raise TruncationExceededError(int(np.argmax(outside)), k, tensor.truncation_radius)
 
 
 def fold_step(tensor: StructureTensor, folds: np.ndarray, k: int) -> np.ndarray:
@@ -300,6 +312,14 @@ def fold_step(tensor: StructureTensor, folds: np.ndarray, k: int) -> np.ndarray:
         np.multiply(weights, rows[j], out=term, where=(weights != 0) & (rows[j] != 0))
         nxt += term
     return nxt
+
+
+def _exact_step(tensor: StructureTensor, folds: np.ndarray, k: int, bound: int) -> np.ndarray:
+    """Exact fold numerators (the last axis of ``folds``) extended by the
+    letter k, in the tier ``exact_tier`` picks for ``bound``."""
+    folds = exact_tier(bound, folds)
+    _check_stored(tensor, folds, k)
+    return folds @ exact_tier(bound, tensor.cube[:, k])
 
 
 def prefix_trie(letters: Sequence[int], max_len: int, budget: int | None):
@@ -339,35 +359,44 @@ def exact_tier(bound: int, values: np.ndarray) -> np.ndarray:
 def fold_levels(tensor: StructureTensor, levels):
     """Folds of every word of a ``prefix_trie``, one level at a time.
 
-    A level extends the folds of its prefixes by their last letter k through
-    the rows (j, k), and yields them, a (words, size) array, with their
-    common denominator.  An exact tensor's folds are integer numerators over
-    L**(length - 1), L its denominator, formed by one product per letter; a
-    float tensor's are floats over 1, formed by ``fold_step``.  A fold that
-    needs a row outside the stored domain raises TruncationExceededError.
+    A level extends the folds of its prefixes by their last letter (see
+    ``fold_level``), and yields them, a (words, size) array, with their
+    common denominator: L**(length - 1) on an exact tensor, L its
+    denominator, and 1 on a float tensor.
     """
+    folds = None
+    for length, (_, parents, letters) in enumerate(levels, start=1):
+        folds = fold_level(tensor, folds, parents, letters, length)
+        yield folds, tensor.denominator ** (length - 1) if tensor.is_exact else 1
+
+
+def fold_level(tensor: StructureTensor, prefixes: np.ndarray | None, parents: np.ndarray,
+               letters: np.ndarray, length: int) -> np.ndarray:
+    """The folds of words of ``length`` letters: row n extends the fold
+    ``prefixes[parents[n]]`` of its prefix by the letter ``letters[n]``
+    through the rows (j, k); at length 1 it is the point mass at the letter.
+
+    An exact tensor's folds are integer numerators over L**(length - 1),
+    formed by one product per letter; a float tensor's are floats, formed by
+    ``fold_step``.  Each row depends on its own prefix alone, so a level may
+    be folded in blocks of rows.  A fold that needs a row outside the stored
+    domain raises TruncationExceededError.
+    """
+    if length == 1:
+        folds = np.zeros((len(letters), tensor.size))
+        folds[np.arange(len(letters)), letters] = 1
+        return folds
     exact = tensor.is_exact
-    # Exact folds of a length have row sums of at most growth**(length - 1).
-    growth = int(tensor.cube.sum(axis=2).max()) if exact else 0
-    for length, (words, parents, letters) in enumerate(levels, start=1):
-        if length == 1:
-            folds = np.zeros((len(words), tensor.size))
-            folds[np.arange(len(words)), letters] = 1
-            yield folds, 1
-            continue
-        bound = growth ** (length - 1)
-        folds = exact_tier(bound, folds)
-        nxt = np.zeros((len(words), tensor.size), dtype=folds.dtype)
-        for k in sorted(set(letters.tolist())):
-            chosen = letters == k
-            prefixes = folds[parents[chosen]]
-            if exact:
-                _check_stored(tensor, prefixes, k)
-                nxt[chosen] = prefixes @ exact_tier(bound, tensor.cube[:, k])
-            else:
-                nxt[chosen] = fold_step(tensor, prefixes, k)
-        folds = nxt
-        yield folds, tensor.denominator ** (length - 1) if exact else 1
+    bound = tensor.growth ** (length - 1) if exact else 0
+    prefixes = exact_tier(bound, prefixes)
+    folds = np.zeros((len(letters), tensor.size), dtype=prefixes.dtype)
+    for k in sorted(set(letters.tolist())):
+        chosen = letters == k
+        if exact:
+            folds[chosen] = _exact_step(tensor, prefixes[parents[chosen]], k, bound)
+        else:
+            folds[chosen] = fold_step(tensor, prefixes[parents[chosen]], k)
+    return folds
 
 
 @dataclass(frozen=True)

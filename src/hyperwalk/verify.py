@@ -29,6 +29,7 @@ from .hypergroups import (
     StructureTensor,
     derive_involution,
     exact_tier,
+    fold_level,
     fold_levels,
     prefix_trie,
     quotients,
@@ -180,6 +181,10 @@ def _theorem_2_4_residuals(table: SphereTable, tensor: StructureTensor, max_word
     return words, np.concatenate(residuals)
 
 
+# Words of the last trie level that verify_corollary_2_6 folds at a time.
+_FOLD_BLOCK = 1024
+
+
 def verify_corollary_2_6(
     hypergroup: Hypergroup, max_word_len: int, tol: float = 1e-12
 ) -> Report:
@@ -188,27 +193,33 @@ def verify_corollary_2_6(
     For every word (t1, ..., tn): P_{t1} P_{t2} ... P_{tn} must equal
     sum_m q[t1,...,tn; m] P_m, and the base row of the product must equal
     the fold vector itself.  Each word extends the product and the fold of
-    its prefix in the trie, still formed left to right (``fold_levels`` over
-    the float view).  Only the products of the words shorter than
-    ``max_word_len`` are kept, one length at a time.
+    its prefix in the trie, still formed left to right (``fold_level`` over
+    the float view).  Only the products and folds of the words shorter than
+    ``max_word_len`` are kept, one length at a time; the last length is
+    folded one block of words at a time.
     """
     if max_word_len < 1:
         raise ValueError("max_word_len must be at least 1")
     tensor = hypergroup.tensor
     mats = transition_family(tensor).matrices
-    levels = list(prefix_trie(range(tensor.size), max_word_len, None))
-    words, residuals, products = [], [], []
-    for (level, parents, letters), (folds, _) in zip(levels, fold_levels(tensor.to_float(), levels)):
-        keep = len(level[0]) < max_word_len
+    floats = tensor.to_float()
+    words, residuals, products, folds = [], [], [], None
+    trie = prefix_trie(range(tensor.size), max_word_len, None)
+    for length, (level, parents, letters) in enumerate(trie, start=1):
+        keep = length < max_word_len
+        block = len(level) if keep else _FOLD_BLOCK
         kept = []
-        for word, p, k, coeffs in zip(level, parents.tolist(), letters.tolist(), folds):
-            product = mats[k] if len(word) == 1 else products[p] @ mats[k]
-            expected = sum(c * mats[m] for m, c in enumerate(coeffs))
-            residuals.append(np.maximum(np.abs(product - expected).max(),
-                                        np.abs(product[0, :] - coeffs).max()))
-            if keep:
-                kept.append(product)
-        products = kept
+        for start in range(0, len(level), block):
+            part = slice(start, start + block)
+            level_folds = fold_level(floats, folds, parents[part], letters[part], length)
+            for p, k, coeffs in zip(parents[part].tolist(), letters[part].tolist(), level_folds):
+                product = mats[k] if length == 1 else products[p] @ mats[k]
+                expected = sum(c * mats[m] for m, c in enumerate(coeffs))
+                residuals.append(np.maximum(np.abs(product - expected).max(),
+                                            np.abs(product[0, :] - coeffs).max()))
+                if keep:
+                    kept.append(product)
+        products, folds = kept, level_folds
         words += level
     return scan_report("transition-products", np.array(residuals, dtype=float),
                        lambda n: (words[n],), tol)

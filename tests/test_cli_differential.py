@@ -4,7 +4,8 @@ Every argv of the corpus runs through both ``main`` functions, each in its
 own copy of the same input directory, and the two runs must agree exactly:
 exit code, stdout, stderr and every file left in the directory.  Both run in
 this process on the same library build, so the comparison holds on any
-numpy or BLAS build.  Inputs whose behaviour the library changed on purpose
+numpy or BLAS build.  The seed builds its parser on every call; ``main``
+shares one parser across every call in the process.  Inputs whose behaviour the library changed on purpose
 (refused radii, NaN constants, out-of-range sites, empty verifications) are
 tested on their own in ``test_formats_cli.py``.
 """
@@ -18,7 +19,7 @@ import shutil
 
 import pytest
 
-from hyperwalk.cli import main
+from hyperwalk.cli import build_parser, main
 from reference.cli_seed import GEN_NAMES, main as seed_main
 
 # Non-default gen options for the fixtures that take any.
@@ -207,3 +208,40 @@ def test_cli_matches_seed(argv, inputs, tmp_path, monkeypatch):
         monkeypatch.chdir(workdir)
         results.append(_run(entry, list(argv), workdir))
     assert results[1] == results[0]
+
+
+def test_parser_is_built_once_per_process():
+    assert build_parser() is build_parser()
+
+
+# (COLUMNS, argv): an argparse error, one help text at two terminal widths,
+# a passing and a failing verification, and a walk.
+SEQUENCE = [
+    ("80", ["walk", "--kraus", _doc("ex44")]),
+    ("40", ["verify-t51", "--help"]),
+    ("200", ["verify-t51", "--help"]),
+    ("80", ["verify-hb", "--kraus", _doc("ex56"), "--tensor", _doc("lo2"), "--json"]),
+    ("80", ["verify-hb", "--kraus", _doc("ex44"), "--tensor", _doc("pert")]),
+    ("80", ["walk", "--kraus", _doc("ex44"), "--state", _doc("ex44s"), "--word", "1,1"]),
+]
+
+
+def test_repeated_calls_share_the_parser_and_match_the_seed(inputs, tmp_path, monkeypatch):
+    """The sequence twice through ``main`` in this process, and once through
+    the seed: every call is formatted at its own width and on its own
+    streams, and nothing carries over from one call to the next."""
+    passes = []
+    for n, entry in enumerate((main, main, seed_main)):
+        workdir = tmp_path / str(n)
+        shutil.copytree(inputs, workdir)
+        monkeypatch.chdir(workdir)
+        results = []
+        for columns, argv in SEQUENCE:
+            monkeypatch.setenv("COLUMNS", columns)
+            results.append(_run(entry, list(argv), workdir))
+        passes.append(results)
+    first, second, seed = passes
+    assert [code for code, *_ in first] == [2, 0, 0, 0, 1, 0]
+    assert first[1][1] != first[2][1]  # the help text follows COLUMNS
+    assert second == first
+    assert first == seed

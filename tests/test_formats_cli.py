@@ -20,6 +20,18 @@ def test_graph_roundtrip():
     assert sorted(back.edges()) == sorted(graph.edges())
 
 
+def test_graph_labels_holding_nul_roundtrip():
+    # A label in an array too long for one line is written as it is, never
+    # taken for a marker of another array.
+    labels = ["\x000\x00"] + [f"v{i}" for i in range(1, 30)]
+    doc = {"kind": "graph", "version": "1", "vertices": labels,
+           "edges": [[labels[i], labels[i + 1]] for i in range(29)], "base": labels[0]}
+    graph = formats.parse_graph(json.dumps(doc))
+    text = formats.serialize_graph(graph)
+    assert formats.parse_graph(text).labels == graph.labels
+    assert formats.serialize_graph(formats.parse_graph(text)) == text
+
+
 def test_graph_parse_errors():
     with pytest.raises(FormatError, match="line 1"):
         formats.parse_graph("{not json")

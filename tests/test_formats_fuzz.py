@@ -1,4 +1,5 @@
-"""Property tests: malformed documents never escape as a traceback.
+"""Property tests: malformed documents never escape as a traceback, and
+every document is written as the frozen writer in ``tests/reference`` wrote it.
 
 Each case is a valid document edited at one to three random places (a value
 replaced by random JSON, or a field or list item dropped), or random text.
@@ -12,7 +13,9 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -28,6 +31,10 @@ from hyperwalk import (
     presets,
 )
 from hyperwalk.cli import main
+from hyperwalk.graphs import build_spheres, check_condition_s, check_distance_regular
+from hyperwalk.hypergroups import validate_hypergroup
+from hyperwalk.verify import verify_corollary_2_6
+from reference.formats_dump import _dump as reference_dump
 
 
 def _document(name: str, *options) -> dict:
@@ -167,3 +174,64 @@ def test_bad_matrix_cells_are_refused(kind, fixtures, capsys):
         _check(kind, text, fixtures, capsys)
 
     run()
+
+
+# ---------------------------------------------------------------------------
+# The document writer against the frozen one.
+
+
+def _writer_cases():
+    """Every ``gen`` fixture at its default options and at larger ones, and
+    report documents of each payload shape the command line writes."""
+    objects = []
+    for options in ({}, {"n": 9, "d": 4, "radius": 6, "h_dim": 2, "d_size": 3, "site": 1}):
+        defaults = {"n": 4, "d": 3, "radius": 3, "generators": 2, "x": 0.5,
+                    "h_dim": 1, "d_size": 2, "site": 0, **options}
+        for build, names in presets.FIXTURES.values():
+            objects.append(formats.serialize(build(*(defaults[o] for o in names))))
+    c4h, zl = presets.c4_hypergroup(), presets.zlattice_hypergroup(6)
+    table = build_spheres(presets.c4_graph())
+    validation = validate_hypergroup(zl.tensor, zl.involution)
+    reports = [
+        ("transition-products", verify_corollary_2_6(c4h, 2)),
+        ("graph-symmetry", {"condition_s": check_condition_s(table),
+                            "distance_regular": check_distance_regular(table),
+                            "index_set": list(table.index_set), "passed": True}),
+        ("hypergroup-axioms", {"passed": validation.passed, "checks": list(validation.checks),
+                               "involution": list(zl.involution)}),
+        ("walk", {"word": [1, 1], "distribution": np.array([0.25, 0.5, 0.25])}),
+        ("demo", {"matrix": np.eye(3) / 3, "values": [math.nan, -math.inf, 1e-300]}),
+    ]
+    return objects, reports
+
+
+def test_documents_match_the_frozen_writer(monkeypatch):
+    objects, reports = _writer_cases()
+    written = [*objects, *(formats.report_document(*r) for r in reports)]
+    monkeypatch.setattr(formats, "_dump", reference_dump)
+    assert written == [*objects, *(formats.report_document(*r) for r in reports)]
+
+
+TEXT = st.text(st.characters(exclude_characters="\x00"), max_size=12)
+WRITABLE = st.recursive(
+    st.none() | st.booleans() | st.integers() | TEXT
+    | st.floats(allow_nan=False, allow_infinity=False),
+    lambda inner: (st.lists(inner, max_size=14) | st.tuples(inner, inner)
+                   | st.dictionaries(TEXT, inner, max_size=4)),
+    max_leaves=60,
+)
+
+
+@given(st.dictionaries(TEXT, WRITABLE, max_size=5))
+def test_writer_matches_the_frozen_writer(doc):
+    # The frozen writer marks one-line arrays with NUL-delimited strings, so
+    # strings holding NUL are left out.
+    assert formats._dump(doc) == reference_dump(doc)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("repeat", [1, 40])  # a one-line array, and a long one
+def test_writer_refuses_non_finite_floats(value, repeat):
+    for writer in (formats._dump, reference_dump):
+        with pytest.raises(ValueError):
+            writer({"values": [[value] * repeat]})

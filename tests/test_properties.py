@@ -3,9 +3,12 @@ algebra folds, and scalar walk compositions, and structural properties must
 hold on every generated fixture."""
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from hyperwalk import (
     Hypergroup,
@@ -30,8 +33,10 @@ from hyperwalk import (
     walk_distribution,
     wildberger_tensor,
 )
-from hyperwalk import presets
+from hyperwalk import HyperwalkError, presets
+from hyperwalk.hypergroups import fold_levels, structure_tensor
 from hyperwalk.verify import random_block_state, spanning_states, verify_theorem_5_1
+from reference import tensor_loops as ref
 
 CONDITION_S_GRAPHS = [
     cycle_graph(4),
@@ -189,6 +194,64 @@ def test_multi_constants_stay_probabilities():
             vec = multi_constants(h.tensor, word)
             assert sum(vec) == 1
             assert all(q >= 0 for q in vec)
+
+
+def _entries(tensor):
+    return [(i, j, k, v) for (i, j), row in tensor.rows.items() for k, v in row.items()]
+
+
+NAMED_TENSORS = [(t.size, _entries(t), t.truncation_radius) for t in (
+    presets.c4_hypergroup().tensor, presets.s3_class_hypergroup().tensor,
+    presets.zlattice_hypergroup(6).tensor, wildberger_tensor(hypercube_graph(3)),
+    presets.perturbed_c4_tensor())]
+
+
+@st.composite
+def _random_tensors(draw):
+    """The size, entries and truncation radius of a random exact tensor.
+    Row totals up to 200 make the common denominator large enough that long
+    folds leave float64 for Python ints, and often the cube leaves int64."""
+    size = draw(st.integers(1, 4))
+    radius = draw(st.none() | st.integers(0, 2 * size - 2))
+    entries = []
+    for i, j in itertools.product(range(size), repeat=2):
+        if radius is None or i + j <= radius:
+            weights = draw(st.lists(st.integers(0, 50), min_size=size, max_size=size)
+                           .filter(any))
+            entries += [(i, j, k, Fraction(w, sum(weights))) for k, w in enumerate(weights) if w]
+    return size, entries, radius
+
+
+def _folded(fold, tensor, word):
+    try:
+        return fold(tensor, word)
+    except HyperwalkError as exc:
+        return type(exc), str(exc)
+
+
+def _one_word_trie_fold(tensor, word):
+    """The fold of ``word`` that ``fold_levels`` forms on its one-word trie."""
+    levels = [([tuple(word[:n])], np.zeros(1, dtype=np.intp), np.array([word[n - 1]]))
+              for n in range(1, len(word) + 1)]
+    *_, (folds, scale) = fold_levels(tensor, levels)
+    if not tensor.is_exact:
+        return [v if v else 0 for v in folds[0].tolist()]
+    return [Fraction(int(v), scale) if v else 0 for v in folds[0].tolist()]
+
+
+@given(st.data())
+def test_multi_constants_match_fold_levels(data):
+    size, entries, radius = data.draw(_random_tensors() | st.sampled_from(NAMED_TENSORS))
+    new, old = (build(size, entries, truncation_radius=radius)
+                for build in (structure_tensor, ref.structure_tensor))
+    if data.draw(st.booleans()):
+        new, old = new.to_float(), old.to_float()
+    word = data.draw(st.lists(st.integers(0, size - 1), min_size=1, max_size=5))
+    # The same Fractions, bit-identical floats, the same zeros and refusals;
+    # the frozen per-entry loop shares no code with either fold.
+    folded = repr(_folded(multi_constants, new, word))
+    assert folded == repr(_folded(_one_word_trie_fold, new, word))
+    assert folded == repr(_folded(ref.multi_constants, old, word))
 
 
 def test_zwindow_family_produces_lattice_constants(zlattice8):
