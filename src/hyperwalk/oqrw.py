@@ -84,6 +84,14 @@ class KrausFamily(_PositionArray):
     array: np.ndarray
     truncation_radius: int | None = None
 
+    def __post_init__(self):
+        # The cached Gram blocks and superoperators must never go stale: keep
+        # a read-only copy of an array the caller could still write to.
+        if self.array.flags.writeable or self.array.base is not None:
+            array = self.array.copy()
+            array.setflags(write=False)
+            object.__setattr__(self, "array", array)
+
     def block(self, i: int, j: int, k: int) -> np.ndarray:
         return self.array[i, j, k]
 
@@ -95,11 +103,33 @@ class KrausFamily(_PositionArray):
 
     @cached_property
     def _gram(self) -> np.ndarray:
-        """B[i,j;k]^* B[i,j;k] at [i, j, k]: the blocks of Phi_k^*(E_i).
+        """B[i,j;k]^* B[i,j;k] at [k, i, j]: Phi_k^*(E_i) at position j, with
+        E_i the identity block at position i.
         Blocks too large to square give inf or NaN here, which every check
         reports as its worst residual, so numpy's warnings are not raised."""
+        blocks = self.array.transpose(2, 0, 1, 3, 4)
+        gram = np.empty(blocks.shape, dtype=complex)  # C order, unlike blocks
         with np.errstate(over="ignore", invalid="ignore"):
-            return self.array.conj().swapaxes(-1, -2) @ self.array
+            return np.matmul(blocks.conj().swapaxes(-1, -2), blocks, out=gram)
+
+    @cached_property
+    def _transfers(self) -> list[np.ndarray | None]:
+        return [None] * self.d_size
+
+    def _transfer(self, k: int) -> np.ndarray:
+        """Superoperator T_k of the distance-k map on states flattened to
+        d h^2, built on first use and kept: h^2 times the array's memory for
+        all d letters.  One letter at a time, so no build holds the whole
+        stack's temporaries.  Non-finite entries as in ``_gram``."""
+        transfer = self._transfers[k]
+        if transfer is None:
+            b = self.array[:, :, k]
+            n = self.d_size * self.h_dim**2
+            with np.errstate(over="ignore", invalid="ignore"):
+                transfer = np.einsum("ijab,ijce->iacjbe", b, b.conj()).reshape(n, n)
+            transfer.setflags(write=False)
+            self._transfers[k] = transfer
+        return transfer
 
 
 def kraus_family(
@@ -126,8 +156,8 @@ def kraus_family(
 
 def validate_kraus(family: KrausFamily, tol: float = EPS_KRAUS) -> Report:
     """Check sum_i B[i,j;k]^* B[i,j;k] = 1 for every (j, k), in max norm."""
-    sums = family._gram.sum(axis=0)
-    residuals = np.abs(sums - np.eye(family.h_dim)).max(axis=(-2, -1))  # [j, k]
+    sums = family._gram.sum(axis=1)
+    residuals = np.abs(sums - np.eye(family.h_dim)).max(axis=(-2, -1)).T  # [j, k]
     return scan_report("completeness", residuals.ravel(), lambda n: divmod(n, family.d_size), tol)
 
 
@@ -143,14 +173,43 @@ class BlockState(_PositionArray):
         return tuple(self.array)
 
 
+# Entries of the states checked at a time: a walk level can hold many
+# states, and a check forms a few temporaries the size of what it checks.
+_CHECK_ENTRIES = 2**12
+
+
 def _check_states(stack: np.ndarray) -> None:
     """Raise ValueError for the first invalid state (in C order) of a
     (..., d, h, h) stack, naming its first bad block, else its trace."""
     flat = stack.reshape((-1,) + stack.shape[-3:])
-    adjoint = flat.conj().swapaxes(-1, -2)
+    chunk = max(1, _CHECK_ENTRIES // flat[0].size) if len(flat) else 1
+    for start in range(0, len(flat), chunk):
+        _check_flat_states(flat[start:start + chunk])
+
+
+def _check_flat_states(flat: np.ndarray) -> None:
+    """``_check_states`` on an (S, d, h, h) stack.
+
+    A block's least eigenvalue is taken with ``eigvalsh`` only where the
+    Gershgorin bound (per row, the diagonal entry less the other entries'
+    moduli) cannot certify it as nonnegative.  Blocks are certified only at
+    a bound >= 0: a certified block has a nonnegative diagonal, so in a
+    state that passes its entries are at most the total trace 1, and the
+    round-off in its bound is far below EPS_PSD."""
     finite = np.isfinite(flat).all(axis=(-2, -1))
-    hermitian = np.abs(flat - adjoint).max(axis=(-2, -1)) <= EPS_PSD
-    eigmin = np.linalg.eigvalsh((flat + adjoint) / 2)[..., 0]
+    # Non-finite blocks are refused by name below, not by these sums.
+    with np.errstate(invalid="ignore"):
+        adjoint = flat.conj().swapaxes(-1, -2)
+        hermitian = np.abs(flat - adjoint).max(axis=(-2, -1)) <= EPS_PSD
+        symmetric = (flat + adjoint) / 2
+        # Twice the real diagonal entry less the row's moduli is >= 0
+        # exactly where the diagonal entry covers the other moduli.
+        rows = 2 * np.diagonal(symmetric, axis1=-2, axis2=-1).real - np.abs(symmetric).sum(axis=-1)
+    # eigvalsh can fail to converge on a non-finite block, so it never sees one.
+    uncertain = finite & ~(rows.min(axis=-1) >= 0)
+    eigmin = np.zeros(finite.shape)
+    if uncertain.any():
+        eigmin[uncertain] = np.linalg.eigvalsh(symmetric[uncertain])[..., 0]
     bad = ~finite | ~hermitian | (eigmin < -EPS_PSD)
     total = np.trace(flat, axis1=-2, axis2=-1).real.sum(axis=-1)
     failing = bad.any(axis=-1) | ~(np.abs(total - 1.0) <= EPS_PROB)
@@ -207,17 +266,10 @@ def state_from_density(rho: np.ndarray, h_dim: int, d_size: int) -> BlockState:
     return block_state(rho.reshape(d_size, h_dim, d_size, h_dim)[diagonal, :, diagonal])
 
 
-def _transfer(family: KrausFamily, k: int) -> np.ndarray:
-    """Superoperator T_k of the distance-k map on states flattened to d h^2."""
-    b = family.array[:, :, k]
-    n = family.d_size * family.h_dim**2
-    return np.einsum("ijab,ijce->iacjbe", b, b.conj()).reshape(n, n)
-
-
 def _apply(family: KrausFamily, k: int, stack: np.ndarray) -> np.ndarray:
     """The distance-k map on a (..., d, h, h) stack of states, unvalidated."""
     vectors = stack.reshape(-1, family.d_size * family.h_dim**2)
-    return (vectors @ _transfer(family, k).T).reshape(stack.shape)
+    return (vectors @ family._transfer(k).T).reshape(stack.shape)
 
 
 def _traces(stack: np.ndarray) -> np.ndarray:
@@ -227,8 +279,7 @@ def _traces(stack: np.ndarray) -> np.ndarray:
 def one_step_distributions(family: KrausFamily, stack: np.ndarray) -> np.ndarray:
     """Mass at i after the m-map, at [..., m, i], for a (..., d, h, h) stack:
     sum_j tr(B[i,j;m]^* B[i,j;m] rho_j), read off the Gram blocks."""
-    out = np.tensordot(stack, family._gram, axes=([-3, -2, -1], [1, 4, 3]))
-    return out.real.swapaxes(-1, -2)
+    return np.tensordot(stack, family._gram, axes=([-3, -2, -1], [2, 4, 3])).real
 
 
 def _checked_walk(family: KrausFamily, state: BlockState, word: Word = ()) -> tuple[int, ...]:
@@ -321,27 +372,41 @@ def realize(
     if h_dim <= 0:
         raise ValueError("h_dim must be positive")
     d = tensor.size
+    if d <= 0:
+        raise ValueError("d_size and h_dim must be positive")
     eye = np.eye(h_dim, dtype=complex)
-
-    def isometry(i: int, j: int, k: int) -> np.ndarray:
-        u = isometries(i, j, k) if callable(isometries) else (isometries or {}).get((i, j, k))
-        if u is None:
-            return eye
-        u = _as_block(u, h_dim)
-        if np.abs(u.conj().T @ u - eye).max() > EPS_KRAUS:
-            raise ValueError(f"supplied matrix for {(i, j, k)} is not an isometry")
-        return u
-
-    floats = tensor.to_float().cube
-    blocks = {(i, j, k): np.sqrt(floats[k, j, i]) * isometry(i, j, k)
-              for k, j, i in zip(*(axis.tolist() for axis in np.nonzero(tensor.cube)))}
+    # One block per nonzero constant, in (k, j, i) order: a callable is
+    # called once per block in that order, and refusals name the first block.
+    k, j, i = np.nonzero(tensor.cube)
+    units = np.broadcast_to(eye, (k.size, h_dim, h_dim))
+    if isometries:
+        keys = list(zip(i.tolist(), j.tolist(), k.tolist()))
+        supplied = []
+        try:
+            for key in keys:
+                u = isometries(*key) if callable(isometries) else isometries.get(key)
+                supplied.append(eye if u is None else _as_block(u, h_dim))
+        finally:
+            # A non-isometry is refused before any error of a later block.
+            units = np.array(supplied).reshape(-1, h_dim, h_dim)
+            residuals = np.abs(units.conj().swapaxes(-1, -2) @ units - eye).max(axis=(-2, -1))
+            failing = residuals > EPS_KRAUS  # a NaN is refused below, as non-finite
+            if failing.any():
+                raise ValueError(
+                    f"supplied matrix for {keys[int(np.argmax(failing))]} is not an isometry")
+    truncation_radius = check_radius(tensor.truncation_radius, "truncation radius")
+    array = np.zeros((d, d, d, h_dim, h_dim), dtype=complex)
+    array[i, j, k] = np.sqrt(tensor.to_float().cube[k, j, i])[:, None, None] * units
     # Arbitrary completion outside the certified rows.
-    blocks.update({(abs(j - k), j, k): eye
-                   for k, j in zip(*(axis.tolist() for axis in np.nonzero(~tensor.domain)))})
-    if rho0 is None:
-        rho0 = eye / h_dim
-    family = kraus_family(d, h_dim, blocks, truncation_radius=tensor.truncation_radius)
-    return family, point_state(rho0, 0, d)
+    k, j = np.nonzero(~tensor.domain)
+    array[np.abs(j - k), j, k] = eye
+    bad = ~np.isfinite(array).all(axis=(-2, -1)).T  # [k, j, i]
+    if bad.any():
+        k, j, i = np.unravel_index(int(np.argmax(bad)), bad.shape)
+        raise ValueError(f"block {(int(i), int(j), int(k))} has non-finite entries")
+    array.setflags(write=False)
+    family = KrausFamily(array=array, truncation_radius=truncation_radius)
+    return family, point_state(eye / h_dim if rho0 is None else rho0, 0, d)
 
 
 def common_radius(family: KrausFamily, tensor: StructureTensor) -> int | None:
@@ -371,20 +436,23 @@ def check_hb(
     d, h = family.d_size, family.h_dim
     radius = common_radius(family, tensor)
     # heisenberg[(k, i), (m, b, c)] = (B[i,m;k]^* B[i,m;k])_bc = Phi_k^*(E_i)_m
-    heisenberg = family._gram.transpose(2, 0, 1, 3, 4).reshape(d * d, d * h * h)
+    heisenberg = family._gram.reshape(d * d, d * h * h)
     q = tensor.to_float().cube  # Q[k, l, m]; rows outside a truncation are zero
     k_plus_j = np.add.outer(np.arange(d), np.arange(d))
     # Per l, the first worst residual in (k, i, j) order: ((k, l), value, witness).
     candidates = []
     checked = 0
     for l in range(d):
-        within = k_plus_j + l <= (np.inf if radius is None else radius)  # [k, j]
-        if not within.any():
+        # Only k, j < top can have k + j + l within the radius.
+        top = d if radius is None else min(d, radius - l + 1)
+        if top <= 0:
             continue
+        within = k_plus_j[:top, :top] + l <= (np.inf if radius is None else radius)
         with np.errstate(over="ignore", invalid="ignore"):  # see KrausFamily._gram
-            lhs = heisenberg @ _transfer(family, l).conj()
-            lhs -= (q[:, l, :] @ heisenberg.reshape(d, -1)).reshape(d * d, -1)
-        residuals = np.abs(lhs).reshape(d, d, d, h * h).max(axis=-1)  # [k, i, j]
+            lhs = heisenberg[:top * d] @ family._transfer(l)[:, :top * h * h].conj()
+            lhs = lhs.reshape(top, d, top, h * h)
+            lhs -= (q[:top, l, :] @ heisenberg.reshape(d, -1)).reshape(top, d, d, -1)[:, :, :top]
+        residuals = np.abs(lhs).max(axis=-1)  # [k, i, j]
         mask = np.broadcast_to(within[:, None, :], residuals.shape)
         ks, is_, js = np.nonzero(mask)
         worst, n = worst_residual(residuals[mask])
@@ -444,7 +512,7 @@ def check_linear_independence(
     for j0 in range(d):
         column = family.array[:, j0]  # [i, k]
         off_diagonal = np.abs(column[~diagonal]).max(initial=0.0)
-        grams = family._gram[:, j0][diagonal]
+        grams = family._gram[:, :, j0][diagonal]
         if off_diagonal <= EPS_KRAUS and np.abs(grams - np.eye(h)).max() <= EPS_KRAUS:
             return IndependenceVerdict(kind="condition2", j0=j0)
 

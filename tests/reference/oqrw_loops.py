@@ -6,7 +6,11 @@ that the dense superoperator code in ``hyperwalk.oqrw`` and
 differential tests.  Only the glue differs: the thread fan-out is a plain
 sequential map, ``from_family``/``from_state`` convert the library's
 dense objects into the sparse ones used here, and ``VerificationReport`` is
-a local copy of the report class the library has since replaced.  Do not
+a local copy of the report class the library has since replaced.
+
+``check_states`` and ``realize_array`` at the end are frozen copies of
+later library code, the eigvalsh-only state check and the per-block
+``realize``, kept as the oracles of their batched replacements.  Do not
 optimise this file.
 """
 
@@ -489,3 +493,57 @@ def verify_theorem_5_1(
         note="decomposition fails but no distribution witness found",
     )
 
+
+
+def check_states(stack: np.ndarray) -> None:
+    """Raise ValueError for the first invalid state (in C order) of a
+    (..., d, h, h) stack, naming its first bad block, else its trace."""
+    flat = stack.reshape((-1,) + stack.shape[-3:])
+    adjoint = flat.conj().swapaxes(-1, -2)
+    finite = np.isfinite(flat).all(axis=(-2, -1))
+    hermitian = np.abs(flat - adjoint).max(axis=(-2, -1)) <= EPS_PSD
+    eigmin = np.linalg.eigvalsh((flat + adjoint) / 2)[..., 0]
+    bad = ~finite | ~hermitian | (eigmin < -EPS_PSD)
+    total = np.trace(flat, axis1=-2, axis2=-1).real.sum(axis=-1)
+    failing = bad.any(axis=-1) | ~(np.abs(total - 1.0) <= EPS_PROB)
+    if not failing.any():
+        return
+    n = int(np.argmax(failing))
+    if not bad[n].any():
+        raise ValueError(f"total trace is {float(total[n])}, not 1")
+    idx = int(np.argmax(bad[n]))
+    if not finite[n, idx]:
+        raise ValueError(f"block {idx} has non-finite entries")
+    if not hermitian[n, idx]:
+        raise ValueError(f"block {idx} is not Hermitian")
+    raise ValueError(f"block {idx} has negative eigenvalue {float(eigmin[n, idx])}")
+
+
+def realize_array(tensor: StructureTensor, h_dim: int = 1, isometries=None) -> np.ndarray:
+    """The dense (d, d, d, h, h) block array that the per-block ``realize``
+    builds, with its refusals: one isometry check per block in (k, j, i)
+    order, then the constructor's checks in the same order."""
+    d = tensor.size
+    eye = np.eye(h_dim, dtype=complex)
+
+    def isometry(i: int, j: int, k: int) -> np.ndarray:
+        u = isometries(i, j, k) if callable(isometries) else (isometries or {}).get((i, j, k))
+        if u is None:
+            return eye
+        u = _as_block(u, h_dim)
+        if np.abs(u.conj().T @ u - eye).max() > EPS_KRAUS:
+            raise ValueError(f"supplied matrix for {(i, j, k)} is not an isometry")
+        return u
+
+    floats = tensor.to_float().cube
+    blocks = {(i, j, k): np.sqrt(floats[k, j, i]) * isometry(i, j, k)
+              for k, j, i in zip(*(axis.tolist() for axis in np.nonzero(tensor.cube)))}
+    blocks.update({(abs(j - k), j, k): eye
+                   for k, j in zip(*(axis.tolist() for axis in np.nonzero(~tensor.domain)))})
+    array = np.zeros((d, d, d, h_dim, h_dim), dtype=complex)
+    for (i, j, k), matrix in blocks.items():
+        arr = _as_block(matrix, h_dim)
+        if not np.isfinite(arr).all():
+            raise ValueError(f"block {(i, j, k)} has non-finite entries")
+        array[i, j, k] = arr
+    return array

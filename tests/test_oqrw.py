@@ -61,6 +61,32 @@ def test_non_finite_blocks_never_pass():
     assert hb.witness is not None
 
 
+def test_family_keeps_its_own_copy_of_a_writable_array(c4):
+    rng = np.random.default_rng(3)
+    fam, state = realize(c4, h_dim=2, isometries=lambda *_: random_unitary(2, rng))
+    # Arrays from realize and kraus_family are read-only and kept as they are.
+    assert KrausFamily(array=fam.array).array is fam.array
+    array = fam.array.copy()
+    family = KrausFamily(array=array)
+    first = validate_kraus(family)
+    array[2, 1, 1] *= 3
+    fresh = KrausFamily(array=fam.array)
+    assert str(validate_kraus(family)) == str(validate_kraus(fresh)) == str(first)
+    assert str(check_hb(family, c4.tensor)) == str(check_hb(fresh, c4.tensor))
+    assert np.array_equal(walk_distribution(family, (1, 2), state),
+                          walk_distribution(fresh, (1, 2), state))
+
+
+def test_non_finite_states_are_named_as_such():
+    rng = np.random.default_rng(4)
+    for h_dim in (1, 2, 3):
+        for value in (np.nan, np.inf):
+            blocks = random_block_state(h_dim, 3, rng).array.copy()
+            blocks[1, 0, 0] = value
+            with pytest.raises(ValueError, match="^block 1 has non-finite entries$"):
+                block_state(blocks)
+
+
 def test_check_hb_fails_on_non_finite_constant(c4):
     fam, _ = realize(c4, h_dim=2)
     cube = c4.tensor.to_float().cube.copy()

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 import hyperwalk as hw
-from hyperwalk import presets
+from hyperwalk import oqrw, presets
 from reference import oqrw_loops as ref
 
 TOL = 1e-12
@@ -236,3 +236,187 @@ def test_block_state_errors_match_loops(blocks):
         ref.block_state(blocks)
     with pytest.raises(ValueError, match=f"^{old.value}$".replace("(", r"\(").replace(")", r"\)")):
         hw.block_state(blocks)
+
+
+def _retagged(family, radius):
+    return hw.KrausFamily(array=family.array, truncation_radius=radius)
+
+
+@functools.lru_cache(maxsize=None)
+def _hb_window_cases():
+    zl = presets.zlattice_hypergroup(6).tensor  # d = 7, radius 6
+    zl_family, _, _ = _realized(zl, 2, seed=4)
+    cut = zl.cube.copy()
+    cut[np.add.outer(np.arange(7), np.arange(7)) > 4] = 0
+    zl4 = hw.StructureTensor(cut, zl.denominator, 4)
+    c4 = presets.c4_hypergroup().tensor  # d = 3, untruncated
+    c4_family, _, _ = _realized(c4, 2, seed=5)
+    return {
+        # common_radius takes the smaller radius, on either side.
+        "tensor radius below family's": (zl_family, zl4),
+        "family radius below tensor's": (_retagged(zl_family, 3), zl),
+        "radius 0": (_retagged(zl_family, 0), zl),
+        "radius d - 1": (_retagged(c4_family, 2), c4),
+        "radius d": (_retagged(c4_family, 3), c4),
+        "radius past d": (_retagged(c4_family, 7), c4),
+        # Rows past the lattice's radius are zero in an untruncated tensor.
+        "radius past d, failing": (_retagged(zl_family, 9),
+                                   hw.StructureTensor(zl.cube, zl.denominator)),
+    }
+
+
+@pytest.mark.parametrize("name", _hb_window_cases())
+def test_check_hb_window_matches_loops(name):
+    family, tensor = _hb_window_cases()[name]
+    old_family = ref.from_family(family)
+    new, old = hw.check_hb(family, tensor), ref.check_hb(old_family, tensor)
+    assert_same_check(new, old, "worst_tuple", hb_residual(old_family, tensor))
+    assert (new.checked, new.skipped) == (old.checked, old.skipped)
+
+
+def _recording(h_dim, seed, calls):
+    rng = np.random.default_rng(seed)
+
+    def isometry(i, j, k):
+        calls.append((i, j, k))
+        return hw.random_unitary(h_dim, rng)
+    return isometry
+
+
+REALIZED = {
+    **HYPERGROUPS,
+    **{f"z-lattice({r})": functools.partial(lambda r: presets.zlattice_hypergroup(r).tensor, r)
+       for r in (6, 9)},
+}
+
+
+@pytest.mark.parametrize("name", REALIZED)
+@pytest.mark.parametrize("h_dim", [1, 2, 3])
+def test_realize_matches_per_block_loop(name, h_dim):
+    tensor = REALIZED[name]()
+    new_calls, old_calls = [], []
+    family, state = hw.realize(tensor, h_dim, isometries=_recording(h_dim, 11, new_calls))
+    old = ref.realize_array(tensor, h_dim, isometries=_recording(h_dim, 11, old_calls))
+    assert new_calls == old_calls
+    assert family.array.dtype == old.dtype and np.array_equal(family.array, old)
+    assert family.truncation_radius == tensor.truncation_radius
+    assert np.array_equal(hw.realize(tensor, h_dim)[0].array, ref.realize_array(tensor, h_dim))
+    assert np.array_equal(state.array, hw.maximally_mixed_state(h_dim, tensor.size).array)
+
+
+def _refusal(fn):
+    with pytest.raises(ValueError) as raised:
+        fn()
+    return str(raised.value)
+
+
+def test_realize_refusals_match_per_block_loop():
+    tensor = presets.zlattice_hypergroup(4).tensor
+    keys = [(i, j, k) for k, j, i in zip(*np.nonzero(tensor.cube))]
+    rng = np.random.default_rng(2)
+    good = {key: hw.random_unitary(2, rng) for key in keys}
+    skewed = np.diag([1.0, 0.5]).astype(complex)
+    cases = {
+        "non-isometry": {**good, keys[5]: skewed, keys[9]: skewed},
+        "wrong shape": {**good, keys[3]: np.eye(3)},
+        # The earlier non-isometry is refused before the later wrong shape,
+        # and the other way round.
+        "non-isometry, then wrong shape": {**good, keys[4]: skewed, keys[7]: np.eye(3)},
+        "wrong shape, then non-isometry": {**good, keys[4]: np.eye(3), keys[7]: skewed},
+        "non-finite": {**good, keys[6]: np.full((2, 2), np.nan)},
+    }
+    for name, isometries in cases.items():
+        old = _refusal(lambda: ref.realize_array(tensor, 2, isometries))
+        assert _refusal(lambda: hw.realize(tensor, 2, isometries)) == old, name
+        # The same blocks through a callable name the same first block.
+        assert _refusal(lambda: hw.realize(tensor, 2, lambda *key: isometries[key])) == old, name
+
+
+def _states(h_dim, d_size, n_states, seed):
+    rng = np.random.default_rng(seed)
+    return np.array([hw.random_block_state(h_dim, d_size, rng).array for _ in range(n_states)])
+
+
+def _rotated(eigenvalues, seed):
+    """A Hermitian block with the given spectrum in a seeded eigenbasis."""
+    u = hw.random_unitary(len(eigenvalues), np.random.default_rng(seed))
+    return (u * np.asarray(eigenvalues, dtype=float)) @ u.conj().T
+
+
+@functools.lru_cache(maxsize=None)
+def _state_stacks():
+    """Named (S, d, h, h) stacks, each holding valid and invalid states."""
+    eps = ref.EPS_PSD
+    out = {}
+    for h in (1, 2, 3):
+        d = 4
+        valid = _states(h, d, 5, seed=h)
+        out[f"h{h} random"] = valid
+        # Zero blocks and images of rank-1 projectors.
+        v = np.arange(1, h + 1) + 1j * np.arange(h)
+        projector = np.outer(v, v.conj()) / np.vdot(v, v).real
+        sparse = np.zeros((3, d, h, h), dtype=complex)
+        sparse[0, 1] = projector
+        sparse[1, 2] = projector / 2
+        b = np.random.default_rng(h).standard_normal((h, h)) + 1j
+        image = b @ projector @ b.conj().T
+        sparse[1, 3] = image / (2 * np.trace(image).real)
+        sparse[2, 0] = np.eye(h) / h
+        out[f"h{h} zero blocks and projectors"] = sparse
+        for scale in (1 - 1e-3, 1 + 1e-3):
+            for rotated in (False, True):
+                spectrum = [-eps * scale] + [1.0 / (d * h)] * (h - 1)
+                block = _rotated(spectrum, seed=7) if rotated else np.diag(spectrum)
+                stack = valid.copy()
+                stack[2, 1] = block
+                rest = np.trace(stack[2, [0, 2, 3]], axis1=-2, axis2=-1).real.sum()
+                stack[2, [0, 2, 3]] *= (1 - np.trace(block).real) / rest
+                out[f"h{h} eigenvalue {scale} rotated={rotated}"] = stack
+        if h > 1:
+            stack = valid.copy()
+            stack[3, 2, 0, 1] += 2 * eps
+            out[f"h{h} not Hermitian"] = stack
+        for value in (np.nan, np.inf):
+            stack = valid.copy()
+            stack[1, 3, 0, 0] = value
+            out[f"h{h} {value}"] = stack
+        for offset in (2, 0.5, -2):
+            stack = valid.copy()
+            stack[4] *= 1 + offset * ref.EPS_PROB
+            out[f"h{h} trace off by {offset} EPS_PROB"] = stack
+        # A bad trace in an early state comes before a bad block in a later one.
+        stack = valid.copy()
+        stack[1] *= 1 + 2 * ref.EPS_PROB
+        stack[3, 0] = -stack[3, 0]
+        out[f"h{h} trace before block"] = stack
+    # Enough states that the check runs in several chunks.
+    many = _states(3, 13, 300, seed=9)
+    many[250, 7] = np.diag([-1e-9, 0.0, 0.0])
+    many[250] /= np.trace(many[250], axis1=-2, axis2=-1).real.sum()
+    out["many states, late failure"] = many
+    out["many states"] = many[:250]
+    return out
+
+
+@pytest.mark.parametrize("name", _state_stacks())
+def test_state_checks_match_eigvalsh_oracle(name):
+    stack = _state_stacks()[name]
+    assert _verdict(oqrw._check_states, stack) == _verdict(ref.check_states, stack)
+    # Every state of the stack on its own, too.
+    for state in stack:
+        assert _verdict(oqrw._check_states, state) == _verdict(ref.check_states, state)
+
+
+def _verdict(check, stack):
+    """None for a pass, else the refusal's message.  The oracle's eigvalsh
+    can fail to converge on a NaN block before the block is named, where
+    the library names it as non-finite."""
+    try:
+        check(stack)
+    except np.linalg.LinAlgError:
+        flat = stack.reshape((-1,) + stack.shape[-3:])
+        failing = ~np.isfinite(flat).all(axis=(-2, -1))
+        return f"block {int(np.argmax(failing[failing.any(axis=-1)][0]))} has non-finite entries"
+    except ValueError as exc:
+        return str(exc)
+    return None
