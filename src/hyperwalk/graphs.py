@@ -11,7 +11,9 @@ graph (a truncated tensor).
 
 from __future__ import annotations
 
+import itertools
 import math
+import numbers
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
@@ -68,25 +70,34 @@ def pointed_graph(
     base: int,
     window_radius: int | None = None,
 ) -> PointedGraph:
-    """Build and check a pointed graph from vertex labels and index edges."""
+    """Build and check a pointed graph from vertex labels and index edges.
+
+    The base and the edge endpoints must be integer indices (numpy integers
+    are stored as ``int``); a bool or a non-integral index is refused.
+    """
     labels = tuple(str(l) for l in labels)
     n = len(labels)
     if n == 0:
         raise ValueError("graph has no vertices")
     if len(set(labels)) != n:
         raise ValueError("vertex labels are not unique")
+    base = _vertex_index(base, "base index")
     if not (0 <= base < n):
         raise ValueError(f"base index {base} out of range")
     window_radius = check_radius(window_radius, "window radius")
     adj: list[set[int]] = [set() for _ in range(n)]
     for u, v in edges:
+        if type(u) is not int or type(v) is not int:  # plain ints skip the calls
+            name = f"edge ({u!r}, {v!r}) endpoint"
+            u, v = _vertex_index(u, name), _vertex_index(v, name)
         if not (0 <= u < n and 0 <= v < n):
             raise ValueError(f"edge ({u}, {v}) out of range")
         if u == v:
             raise ValueError(f"loop at vertex {labels[u]!r}")
-        if v in adj[u]:
+        row = adj[u]
+        if v in row:
             raise ValueError(f"duplicate edge ({labels[u]!r}, {labels[v]!r})")
-        adj[u].add(v)
+        row.add(v)
         adj[v].add(u)
     seen = {base}
     queue = deque([base])
@@ -105,6 +116,15 @@ def pointed_graph(
         base=base,
         window_radius=window_radius,
     )
+
+
+def _vertex_index(value, name: str) -> int:
+    """A vertex index as an ``int``: a bool or a non-integral value is refused."""
+    if type(value) is int:
+        return value
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} {value!r} is not an integer")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -172,38 +192,80 @@ class SphereTable:
             raise BoundaryContactError(self.graph.labels[v], radius, window)
 
 
+def _neighbour_array(graph: PointedGraph) -> np.ndarray:
+    """The neighbour lists as one (n, max degree) index array, at least one
+    column wide; a row shorter than that is padded with its own vertex."""
+    n = graph.n_vertices
+    degrees = list(map(len, graph.neighbors))
+    width = max(max(degrees), 1)
+    flat = np.fromiter(itertools.chain.from_iterable(graph.neighbors), dtype=np.intp,
+                       count=sum(degrees))
+    if min(degrees) == width:
+        return flat.reshape(n, width)
+    nbrs = np.repeat(np.arange(n), width).reshape(n, width)
+    nbrs[np.arange(width) < np.array(degrees)[:, None]] = flat
+    return nbrs
+
+
+# Set bits per byte value: numpy 1.24 has no bitwise_count.
+_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
+
+
 def build_spheres(graph: PointedGraph) -> SphereTable:
     """Distances from every vertex at once, one BFS level at a time; the
-    index set is the set of base distances."""
+    index set is the set of base distances.
+
+    The search runs on bitsets packed along the source axis: row v of the
+    frontier holds one bit per source s, set when d(s, v) is the current
+    level, in 64-bit words.  Distances are symmetric, so the next level of
+    row v is the OR of its neighbours' frontier rows, less the sources that
+    already reached v: one gather of n/8-byte rows per neighbour column,
+    O(n² · max degree / 64) word operations per level.  The same levels
+    give the sphere sizes (their popcounts) and the binary digits of the
+    distances, packed like the frontier until the end, where they become
+    one n×n array of 8- or 16-bit sort keys; ``dist`` (n×n int64) is cast
+    from the keys once ``order`` is built, so it never coexists with the
+    int64 ``argsort`` result.
+    """
     n = graph.n_vertices
-    # Neighbour lists padded with n, a column that is never on a frontier.
-    nbrs = np.full((n, max(map(len, graph.neighbors), default=0)), n, dtype=np.intp)
-    for v, row in enumerate(graph.neighbors):
-        nbrs[v, : len(row)] = row
-    dist = np.full((n, n), -1, dtype=int)
-    np.fill_diagonal(dist, 0)
-    frontier = np.zeros((n, n + 1), dtype=bool)  # [source, vertex]
-    frontier[:, :n] = dist == 0
+    # A row's own frontier bits are never unseen, so padding a neighbour
+    # list with its own vertex adds nothing to the next level.
+    nbrs = _neighbour_array(graph)
+    words = (n + 63) // 64
+    # One bit per source, in np.packbits order; the padding bits past n
+    # are never unseen, so they never enter a frontier.
+    frontier = np.packbits(np.eye(n, 64 * words, dtype=bool), axis=1)
+    unseen = np.packbits(np.arange(64 * words) < n) ^ frontier
+    frontier, unseen = frontier.view(np.uint64), unseen.view(np.uint64)
+    sizes = [np.ones(n, dtype=np.intp)]
+    planes: list[np.ndarray] = []  # bit b of d(v, s)
     level = 0
-    while True:
-        reached = np.zeros((n, n), dtype=bool)
-        for column in nbrs.T:
-            reached |= frontier[:, column]
-        reached &= dist < 0
+    while unseen.any():
+        reached = frontier[nbrs[:, 0]]
+        for column in nbrs.T[1:]:
+            reached |= frontier[column]
+        reached &= unseen
         if not reached.any():
-            break
+            raise DisconnectedGraphError("distance matrix has unreachable pairs")
         level += 1
-        dist[reached] = level
-        frontier[:, :n] = reached
-    if (dist < 0).any():
-        raise DisconnectedGraphError("distance matrix has unreachable pairs")
+        unseen ^= reached
+        frontier = reached
+        if level.bit_length() > len(planes):
+            planes.append(np.zeros((n, words), dtype=np.uint64))
+        for b, plane in enumerate(planes):
+            if level >> b & 1:
+                plane |= reached
+        sizes.append(_POPCOUNT[reached.view(np.uint8)].sum(axis=1, dtype=np.intp))
     width = level + 1
-    sizes = np.bincount((np.arange(n)[:, None] * width + dist).ravel(), minlength=n * width)
     starts = np.zeros((n, width + 1), dtype=np.intp)
-    np.cumsum(sizes.reshape(n, width), axis=1, out=starts[:, 1:])
+    np.cumsum(np.array(sizes).T, axis=1, out=starts[:, 1:])
     # Keys of 8 or 16 bits take numpy's radix sort.
-    keys = dist.astype(np.min_scalar_type(level))
+    keys = np.zeros((n, n), dtype=np.min_scalar_type(level))
+    for b, plane in enumerate(planes):
+        bits = np.unpackbits(plane.view(np.uint8), axis=1, count=n)
+        keys |= bits.astype(keys.dtype, copy=False) << b
     order = np.argsort(keys, axis=1, kind="stable").astype(np.int32)
+    dist = keys.astype(int)
     index_set = tuple(np.unique(dist[graph.base]).tolist())
     for array in (dist, order, starts):
         array.setflags(write=False)
@@ -325,13 +387,49 @@ def _condition_s(table: SphereTable) -> Report:
 def check_distance_regular(graph_or_table) -> Report:
     """Whether |S_i(u) & S_j(v)| depends only on (i, j, d(u, v)).
 
-    The scan visits the pairs (u, v) in order and every (i, j) at each pair;
-    a class (i, j, d) expects the count of the first pair at distance d.  It
-    stops at the first count that differs from its class's; the residual is
-    their difference.  The counts of one row u come from one integer
-    histogram of (d(u, w), d(v, w)) over all v and w.
+    A connected graph has this property exactly when it is regular and, for
+    every pair (u, v) at distance i, the numbers c_i and a_i of neighbours
+    of v at distances i - 1 and i from u depend only on i: its intersection
+    array (Brouwer, Cohen and Neumaier, *Distance-Regular Graphs*, 1989,
+    §4.1).  That certificate is tested first, in O(n² · degree); when it
+    holds, every class (i, j, d) of the scan below is even and the report
+    is the scan's passing one.
+
+    Otherwise the scan runs: it visits the pairs (u, v) in order and every
+    (i, j) at each pair; a class (i, j, d) expects the count of the first
+    pair at distance d.  It stops at the first count that differs from its
+    class's; the residual is their difference.  The counts of one row u
+    come from one integer histogram of (d(u, w), d(v, w)) over all v and w.
     """
     table = _as_table(graph_or_table)
+    if _intersection_array_holds(table):
+        return Report("distance-regular", True, 0.0, None, 0.0, (table.starts.shape[1] - 1) ** 3)
+    return _distance_regular_scan(table)
+
+
+def _intersection_array_holds(table: SphereTable) -> bool:
+    """Whether the graph is regular and c_i, a_i depend only on i."""
+    graph = table.graph
+    if len(set(map(len, graph.neighbors))) != 1:
+        return False
+    width = table.starts.shape[1] - 1
+    dist = table.dist.astype(np.min_scalar_type(width))
+    nbrs = _neighbour_array(graph)
+    # behind[v, u] and level[v, u] count the neighbours w of v with
+    # d(u, w) < d(u, v) and d(u, w) = d(u, v); row gathers, by symmetry.
+    behind = np.zeros(dist.shape, dtype=np.min_scalar_type(nbrs.shape[1]))
+    level = np.zeros_like(behind)
+    for column in nbrs.T:
+        near = dist[column]
+        behind += near < dist
+        level += near == dist
+    # The first pair (v, u) at each distance, in row-major order.
+    first_v = np.argmax(table.sphere_sizes > 0, axis=0)
+    first_u = table.order[first_v, table.starts[first_v, np.arange(width)]]
+    return all(np.array_equal(counts, counts[first_v, first_u][dist]) for counts in (behind, level))
+
+
+def _distance_regular_scan(table: SphereTable) -> Report:
     labels = table.graph.labels
     dist = table.dist
     n, width = dist.shape[0], table.starts.shape[1] - 1

@@ -52,7 +52,7 @@ from hyperwalk import (
     wildberger_tensor,
 )
 from hyperwalk import hypergroups
-from hyperwalk.graphs import path_sum_levels
+from hyperwalk.graphs import _intersection_array_holds, path_sum_levels
 from hyperwalk.hypergroups import exact_tier, fold_levels, prefix_trie
 from hyperwalk.verify import _theorem_2_4_residuals
 from reference import graph_loops as ref
@@ -175,7 +175,9 @@ def _assert_same_graph_layer(graph):
         assert table.base_sphere(r) == old_table.base_sphere(r)
 
     assert check_condition_s(table) == ref.check_condition_s(old_table)
-    assert check_distance_regular(table) == ref.check_distance_regular(old_table)
+    report = check_distance_regular(table)
+    assert report == ref.check_distance_regular(old_table)
+    assert _intersection_array_holds(table) is report.passed
     tensor = _result(wildberger_tensor, table)
     assert _rows(tensor) == _rows(_result(ref.wildberger_tensor, old_table))
     if isinstance(tensor, tuple):
@@ -193,6 +195,79 @@ def test_graph_layer_matches_loops(graph):
 @pytest.mark.parametrize("seed", range(400))
 def test_random_graph_layer_matches_loops(seed):
     _assert_same_graph_layer(random_graph(seed))
+
+
+def _index_graph(n, edges, base=0):
+    return pointed_graph([str(v) for v in range(n)], sorted({tuple(sorted(e)) for e in edges}), base)
+
+
+def _cayley_z4_squared(steps):
+    """Cayley graph of Z4 x Z4 with the connection set of ``steps`` and their negatives."""
+    return _index_graph(16, [(4 * a + b, 4 * ((a + x) % 4) + (b + y) % 4)
+                             for a in range(4) for b in range(4) for x, y in steps])
+
+
+def _generalized_petersen(n, k):
+    """GP(n, k): an outer n-cycle, inner vertices joined k apart, and spokes."""
+    edges = [(v, (v + 1) % n) for v in range(n)]
+    edges += [(n + v, n + (v + k) % n) for v in range(n)]
+    edges += [(v, n + v) for v in range(n)]
+    return _index_graph(2 * n, edges)
+
+
+CERTIFICATE_GRAPHS = {
+    # Same intersection array {6, 3; 1, 2}; only the rook's graph is
+    # distance-transitive.
+    "shrikhande": (_cayley_z4_squared([(1, 0), (0, 1), (1, 1)]), True),
+    "rook-4x4": (_index_graph(16, [(4 * a + b, 4 * c + d)
+                                   for a, b, c, d in itertools.product(range(4), repeat=4)
+                                   if (a == c) != (b == d)]), True),
+    "petersen": (_generalized_petersen(5, 2), True),
+    # Vertex-transitive, not distance-regular.
+    "moebius-kantor": (_generalized_petersen(8, 3), False),
+    "prism-c5xk2": (_generalized_petersen(5, 1), False),
+    "k1": (pointed_graph(["0"], [], 0), True),
+    "k2": (complete_graph(2), True),
+}
+
+
+@pytest.mark.parametrize("name", CERTIFICATE_GRAPHS)
+def test_intersection_array_certificate_matches_scan(name):
+    graph, regular = CERTIFICATE_GRAPHS[name]
+    table = build_spheres(graph)
+    report = check_distance_regular(table)
+    assert report == ref.check_distance_regular(ref.build_spheres(graph))
+    assert report.passed is regular
+    assert _intersection_array_holds(table) is regular
+
+
+def _bfs_graph(n, seed):
+    """A connected graph on n vertices: a random tree plus a few chords."""
+    rng = random.Random(seed)
+    edges = {tuple(sorted((v, rng.randrange(v)))) for v in range(1, n)}
+    edges |= {tuple(sorted(rng.sample(range(n), 2))) for _ in range(n // 4)}
+    return pointed_graph([f"v{v}" for v in range(n)], sorted(edges), rng.randrange(n))
+
+
+# Vertex counts around the byte and 64-bit word boundaries of the packed
+# rows; P300 has a diameter past 255, so its sort keys take 16 bits.
+BFS_GRAPHS = ([_bfs_graph(n, seed) for n in (1, 7, 8, 9, 63, 64, 65) for seed in (0, 1)]
+              + [path_graph(n) for n in (7, 8, 9, 63, 64, 65, 300)]
+              + [free_ball_graph(2, 5)])
+
+
+@pytest.mark.parametrize("graph", BFS_GRAPHS, ids=lambda g: f"n{g.n_vertices}-base{g.base}")
+def test_packed_bfs_matches_loop_bfs(graph):
+    table, old_table = build_spheres(graph), ref.build_spheres(graph)
+    assert table.dist.dtype == old_table.dist.dtype
+    assert np.array_equal(table.dist, old_table.dist)
+    assert table.index_set == old_table.index_set
+    sizes = [[len(sphere) for sphere in spheres] for spheres in old_table.spheres]
+    starts = np.zeros_like(table.starts)
+    np.cumsum(sizes, axis=1, out=starts[:, 1:])
+    assert np.array_equal(table.starts, starts)
+    assert [[table.sphere(v, r) for r in range(starts.shape[1] - 1)]
+            for v in range(graph.n_vertices)] == [list(s) for s in old_table.spheres]
 
 
 def test_random_graphs_cover_refusals_and_failures():

@@ -7,6 +7,7 @@ from hyperwalk import (
     BoundaryContactError,
     DisconnectedGraphError,
     EmptySphereError,
+    PointedGraph,
     TruncationExceededError,
     build_spheres,
     check_condition_s,
@@ -37,6 +38,37 @@ def test_pointed_graph_invariants():
         pointed_graph(["a", "b", "c", "d"], [(0, 1), (2, 3)], 0)
     with pytest.raises(ValueError, match="unique"):
         pointed_graph(["a", "a"], [(0, 1)], 0)
+
+
+@pytest.mark.parametrize("base, edge", [
+    (True, (0, 1)),            # as an index, True would select the whole dist matrix
+    (np.True_, (0, 1)),
+    (1.0, (0, 1)),
+    (0, (0, 1.0)),
+    (0, (True, 1)),
+    (0, (np.True_, 1)),
+    (0, (np.float64(0), 1)),
+])
+def test_pointed_graph_refuses_non_integer_indices(base, edge):
+    with pytest.raises(ValueError, match="is not an integer"):
+        pointed_graph(["a", "b", "c", "d"], [edge, (1, 2), (2, 3)], base)
+
+
+def test_pointed_graph_stores_numpy_indices_as_int():
+    graph = pointed_graph(["a", "b", "c", "d"], [(np.int64(0), np.int32(1)), (1, 2), (2, 3)],
+                          np.int64(1))
+    assert type(graph.base) is int
+    assert all(type(v) is int for row in graph.neighbors for v in row)
+    assert graph == pointed_graph(["a", "b", "c", "d"], [(0, 1), (1, 2), (2, 3)], 1)
+    assert build_spheres(graph).index_set == (0, 1, 2)
+
+
+@pytest.mark.parametrize("neighbors", [((), ()), ((1,), (0,), ())])
+def test_build_spheres_refuses_disconnected_graph(neighbors):
+    # pointed_graph refuses these; a hand-built PointedGraph reaches the BFS.
+    graph = PointedGraph(tuple(map(str, range(len(neighbors)))), neighbors, 0)
+    with pytest.raises(DisconnectedGraphError, match="unreachable pairs"):
+        build_spheres(graph)
 
 
 def test_build_spheres_c4():
