@@ -137,7 +137,8 @@ def cmd_verify(check: str, run, keywords: dict[str, str], args, **documents) -> 
 # name -> (help, the report's check name, the library function it runs, the
 # documents it reads as in ``build_parser``'s ``add``, its options).  An option
 # is (flag, the function's keyword, default) or (flag, keyword, default,
-# choices), typed by its default and listed in --help order.
+# further ``add_argument`` keywords), typed by its default and listed in --help
+# order.
 VERIFIERS = {
     "verify-hb": (
         "block-decomposition identity check", "block-decomposition", check_hb,
@@ -147,13 +148,15 @@ VERIFIERS = {
     "verify-t51": (
         "walk vs mixture distributions", "walk-vs-mixture", verify_theorem_5_1,
         {"kraus": formats.parse_kraus, "tensor": formats.parse_tensor},
-        (("--max-len", "max_word_len", 4), ("--states", "n_states", 10),
-         ("--seed", "seed", 0), ("--tol", "tol", 1e-9)),
+        (("--max-len", "max_word_len", 4),
+         ("--states", "n_states", 10, {"help": "ignored: every state is covered"}),
+         ("--seed", "seed", 0, {"help": "ignored: nothing is sampled"}), ("--tol", "tol", 1e-9)),
     ),
     "verify-t24": (
         "path sums vs algebra folds", "paths-vs-fold", verify_theorem_2_4,
         {"graph": formats.parse_graph},
-        (("--max-len", "max_word_len", 3), ("--mode", "mode", "exact", ("exact", "float"))),
+        (("--max-len", "max_word_len", 3),
+         ("--mode", "mode", "exact", {"choices": ("exact", "float")})),
     ),
     "verify-c26": (
         "transition-matrix products vs folds", "transition-products", verify_corollary_2_6,
@@ -232,9 +235,9 @@ def build_parser() -> argparse.ArgumentParser:
     for name, (help_text, check, run, documents, options) in VERIFIERS.items():
         keywords: dict[str, str] = {}
         p = add(name, partial(cmd_verify, check, run, keywords), help_text, **documents)
-        for flag, keyword, default, *choices in options:
+        for flag, keyword, default, *extra in options:
             keywords[keyword] = p.add_argument(
-                flag, type=type(default), default=default, choices=choices[0] if choices else None
+                flag, type=type(default), default=default, **(extra[0] if extra else {})
             ).dest
 
     return parser

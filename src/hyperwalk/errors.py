@@ -10,13 +10,14 @@ class TruncationExceededError(HyperwalkError):
 
     Tensors over a truncated half-line index set only define the rows (i, j)
     with i + j <= radius; anything else is refused instead of being guessed.
+    A walk names its start position and letter sum as the pair.
     """
 
-    def __init__(self, i: int, j: int, radius: int):
+    def __init__(self, i: int, j: int, radius: int, message: str | None = None):
         self.pair = (i, j)
         self.radius = radius
         super().__init__(
-            f"constants for ({i}, {j}) lie outside the truncation radius {radius}"
+            message or f"constants for ({i}, {j}) lie outside the truncation radius {radius}"
         )
 
 

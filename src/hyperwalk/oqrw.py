@@ -33,14 +33,17 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
+from .errors import TruncationExceededError
 from .hypergroups import (
     EPS_PROB,
     StructureTensor,
     Word,
     check_radius,
     check_rows,
+    fold_level,
     multi_constants,
     prefix_trie,
+    quotients,
 )
 from .report import Report, scan_report, worst_residual
 
@@ -282,14 +285,29 @@ def one_step_distributions(family: KrausFamily, stack: np.ndarray) -> np.ndarray
     return np.tensordot(stack, family._gram, axes=([-3, -2, -1], [2, 4, 3])).real
 
 
-def _checked_walk(family: KrausFamily, state: BlockState, word: Word = ()) -> tuple[int, ...]:
-    """Check a walk's inputs once at entry; returns the word as a tuple."""
+def _checked_walk(family: KrausFamily, state: BlockState, word: Word = (),
+                  radius: int | None = None) -> tuple[int, ...]:
+    """Check a walk's inputs once at entry; returns the word as a tuple.
+
+    With a truncation ``radius``, a walk is certified only from the
+    positions j with j + sum(word) within it: TruncationExceededError names
+    the first position of the state's support past that, and the letter sum.
+    """
     if state.d_size != family.d_size or state.h_dim != family.h_dim:
         raise ValueError("state and family dimensions disagree")
     for k in word:
         if not (0 <= k < family.d_size):
             raise ValueError(f"letter {k} out of range for size {family.d_size}")
-    return tuple(word)
+    word = tuple(word)
+    if radius is not None:
+        support = np.flatnonzero(state.array.any(axis=(-2, -1)))
+        past = support[support + sum(word) > radius]
+        if past.size:
+            j, total = int(past[0]), sum(word)
+            raise TruncationExceededError(j, total, radius, (
+                f"a walk of letter sum {total} from position {j} leaves the truncation "
+                f"radius {radius}"))
+    return word
 
 
 def step(family: KrausFamily, k: int, state: BlockState) -> BlockState:
@@ -325,8 +343,11 @@ def walk_levels(family: KrausFamily, states: np.ndarray, max_len: int, budget: i
 
 
 def walk_distribution(family: KrausFamily, word: Word, state0: BlockState) -> np.ndarray:
-    """Distribution after applying the maps of ``word`` in order to ``state0``."""
-    word = _checked_walk(family, state0, word)
+    """Distribution after applying the maps of ``word`` in order to ``state0``.
+
+    On a truncated family the state's support must stay within the radius
+    less the word's letter sum (see ``_checked_walk``)."""
+    word = _checked_walk(family, state0, word, family.truncation_radius)
     stack = state0.array
     for k in word:
         stack = _apply(family, k, stack)
@@ -415,6 +436,157 @@ def common_radius(family: KrausFamily, tensor: StructureTensor) -> int | None:
     return min(radii) if radii else None
 
 
+def heisenberg_slabs(family: KrausFamily, tensor: StructureTensor, radius: int | None,
+                     all_starts: bool = False):
+    """The walk-minus-mixture observables of the two-letter words, one first
+    letter at a time.
+
+    With E_i the identity block at position i, the word (l, k), which
+    applies the l-map first, moves mass tr(Phi_l^*(Phi_k^*(E_i)) rho) to
+    position i, and its mixture, through the fold Q[k, l] of the reversed
+    word, moves tr(sum_m Q[k,l,m] Phi_m^*(E_i) rho).  Per l, yields l and
+    the difference D[k, i, j] of the two observables at position j as a
+    (top, d, cols, h*h) array, for the letters k < top = radius - l + 1 (all
+    d when ``radius`` is None) and the starts j < top, or every start with
+    ``all_starts``.  The stack of all Phi_k^*(E_i) is the Gram array; each
+    l is one matrix product of it with the cached superoperator of Phi_l^*,
+    so memory stays O(d^3 h^2 + d^2 h^4).  Non-finite entries as in
+    ``KrausFamily._gram``.
+    """
+    if family.d_size != tensor.size:
+        raise ValueError(f"size mismatch: family {family.d_size}, tensor {tensor.size}")
+    d, h = family.d_size, family.h_dim
+    # heisenberg[(k, i), (m, b, c)] = (B[i,m;k]^* B[i,m;k])_bc = Phi_k^*(E_i)_m
+    heisenberg = family._gram.reshape(d * d, d * h * h)
+    q = tensor.to_float().cube  # Q[k, l, m]; rows outside a truncation are zero
+    for l in range(d):
+        top = d if radius is None else min(d, radius - l + 1)
+        if top <= 0:
+            return
+        cols = d if all_starts else top
+        with np.errstate(over="ignore", invalid="ignore"):
+            slab = heisenberg[:top * d] @ family._transfer(l)[:, :cols * h * h].conj()
+            slab = slab.reshape(top, d, cols, h * h)
+            slab -= (q[:top, l, :] @ heisenberg.reshape(d, -1)).reshape(top, d, d, -1)[:, :, :cols]
+        yield l, slab
+
+
+def slab_window(slab: np.ndarray, l: int, radius: int | None) -> np.ndarray:
+    """The [k, i, j] mask of the blocks of a ``heisenberg_slabs`` slab whose
+    word (l, k) and start j stay within ``radius``: k + l + j <= radius."""
+    top, d, cols = slab.shape[:3]
+    within = np.add.outer(np.arange(top), np.arange(cols)) + l <= (np.inf if radius is None else radius)
+    return np.broadcast_to(within[:, None, :], (top, d, cols))
+
+
+# Entries of the observables a longer-word level forms at a time.
+_LEVEL_ENTRIES = 2**18
+
+
+def _reach(family: KrausFamily) -> np.ndarray:
+    """``reach[c, k]``: Phi_k^* reads the starts j < c from the positions
+    m < reach[c, k] alone, those with a block B[m, j; k] (NaN counts)."""
+    d = family.d_size
+    nonzero = family.array.any(axis=(-2, -1))  # [m, j, k]
+    last = np.where(nonzero.any(axis=0), d - 1 - np.argmax(nonzero[::-1], axis=0), -1)
+    return np.vstack([np.zeros((1, d), dtype=int), np.maximum.accumulate(last, axis=0) + 1])
+
+
+def _kept_starts(reach: np.ndarray, max_len: int) -> np.ndarray:
+    """``kept[r, b]``: the starts j < kept[r, b] that Phi_u^*(E_i) must keep
+    for a reversed word u with b left of its letter-sum budget, when up to r
+    more letters may extend it: its own window j <= b, and every position
+    that a longer word's kept starts are read from.  A budget of d - 1 or
+    more keeps every start."""
+    d = reach.shape[1]
+    kept = np.empty((max_len, d), dtype=int)
+    kept[0] = np.arange(1, d + 1)
+    for r in range(1, max_len):
+        kept[r] = kept[0]
+        for b in range(d):
+            for k in range(b + 1):
+                kept[r, b] = max(kept[r, b], reach[kept[r - 1, b - k], k])
+    return kept
+
+
+def heisenberg_levels(family: KrausFamily, tensor: StructureTensor, max_len: int,
+                      radius: int | None):
+    """The walk-minus-mixture observables of the words of 3 to ``max_len``
+    letters with letter sum within ``radius``, in pieces (the two-letter
+    words are ``heisenberg_slabs``).
+
+    The word w = (k1, ..., kn), k1 applied first, moves mass tr(X rho) to
+    position i with X = Phi_{k1}^*(...Phi_{kn}^*(E_i)), and its mixture moves
+    tr(M rho) with M = sum_m q_m Phi_m^*(E_i), q the fold of the reversed
+    word u = (kn, ..., k1).  The levels walk the prefix trie of u: extending
+    u by a letter k applies Phi_k^* last, one product with the adjoint of
+    T_k, and ``fold_level`` folds the same trie.  One level is kept, grouped
+    by the budget its words have left, at the starts ``_kept_starts`` names;
+    the last level is formed and folded one block of words at a time.
+
+    Yields (length, the level's reversed words, the piece's rows in them,
+    D = X - M as an (n, d, win, h, h) array at the starts j < win within the
+    budget, all d when ``radius`` is None); the rows of a piece have one
+    letter sum.
+    """
+    if max_len < 3:
+        return
+    d, h = family.d_size, family.h_dim
+    hh = h * h
+    gram = family._gram.reshape(d, d, d * hh)  # [m, i, (j, b, c)]
+    reach = _reach(family)
+    kept = _kept_starts(reach, max_len)
+
+    def starts(budget, r):
+        return d if budget is None else int(kept[r, min(budget, d - 1)])
+
+    level, folds = {}, None  # budget left -> [(rows, Phi_u^*(E_i) as [u, i, (j, b, c)])]
+    trie = prefix_trie(range(d), max_len, radius)
+    for length, (words, parents, letters) in enumerate(trie, start=1):
+        last = length == max_len
+        if not last:
+            folds = fold_level(tensor, folds, parents, letters, length)
+        if length == 1:
+            for k in range(len(words)):
+                budget = None if radius is None else radius - k
+                level.setdefault(budget, []).append(
+                    (np.array([k]), gram[k:k + 1, :, :starts(budget, max_len - 1) * hh]))
+            continue
+        firsts = np.searchsorted(parents, np.arange(parents[-1] + 1))
+        scale = tensor.denominator ** (length - 1) if tensor.is_exact else None
+        nxt: dict = {}
+        while level:
+            budget, pieces = level.popitem()
+            rows = np.concatenate([r for r, _ in pieces])
+            stack = np.concatenate([x for _, x in pieces])
+            del pieces
+            for k in range(d if budget is None else min(d, budget + 1)):
+                child = None if budget is None else budget - k
+                cols = starts(child, max_len - length)
+                feed = d if budget is None else int(reach[cols, k])
+                win = d if child is None else min(d, child + 1)
+                adjoint = family._transfer(k)[:feed * hh, :cols * hh].conj()
+                mixed = gram[:, :, :win * hh].reshape(d, -1) if length >= 3 else None
+                block = max(1, _LEVEL_ENTRIES // (d * max(feed, cols, 1) * hh))
+                for start in range(0, len(rows), block):
+                    part = slice(start, start + block)
+                    children = firsts[rows[part]] + k
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        x = stack[part, :, :feed * hh].reshape(-1, feed * hh) @ adjoint
+                        x = x.reshape(-1, d, cols * hh)
+                    if length >= 3:
+                        q = (fold_level(tensor, folds, parents[children], letters[children],
+                                        length) if last else folds[children])
+                        if scale is not None:
+                            q = quotients(q, scale)
+                        with np.errstate(over="ignore", invalid="ignore"):
+                            diff = x[:, :, :win * hh] - (q @ mixed).reshape(-1, d, win * hh)
+                        yield length, words, children, diff.reshape(-1, d, win, h, h)
+                    if not last:
+                        nxt.setdefault(child, []).append((children, x))
+        level = nxt
+
+
 def check_hb(
     family: KrausFamily, tensor: StructureTensor, tol: float = EPS_HB
 ) -> Report:
@@ -426,34 +598,18 @@ def check_hb(
     for all i, j, k, l.  On truncated inputs, tuples needing rows beyond the
     radius (j + k + l past it) are skipped and counted.
 
-    In the Heisenberg picture, with E_i the identity block at position i,
-    this reads Phi_l^*(Phi_k^*(E_i)) == sum_m Q[k,l,m] Phi_m^*(E_i).  Each l
-    is one matrix product of the (d^2, d h^2) stack of all Phi_k^*(E_i) with
-    the superoperator of Phi_l^*, so memory stays O(d^3 h^2 + d^2 h^4).
+    In the Heisenberg picture this reads Phi_l^*(Phi_k^*(E_i)) == sum_m
+    Q[k,l,m] Phi_m^*(E_i): the residual of a tuple is the largest entry of
+    the block D[k, i, j] of ``heisenberg_slabs``.
     """
-    if family.d_size != tensor.size:
-        raise ValueError(f"size mismatch: family {family.d_size}, tensor {tensor.size}")
-    d, h = family.d_size, family.h_dim
+    d = family.d_size
     radius = common_radius(family, tensor)
-    # heisenberg[(k, i), (m, b, c)] = (B[i,m;k]^* B[i,m;k])_bc = Phi_k^*(E_i)_m
-    heisenberg = family._gram.reshape(d * d, d * h * h)
-    q = tensor.to_float().cube  # Q[k, l, m]; rows outside a truncation are zero
-    k_plus_j = np.add.outer(np.arange(d), np.arange(d))
     # Per l, the first worst residual in (k, i, j) order: ((k, l), value, witness).
     candidates = []
     checked = 0
-    for l in range(d):
-        # Only k, j < top can have k + j + l within the radius.
-        top = d if radius is None else min(d, radius - l + 1)
-        if top <= 0:
-            continue
-        within = k_plus_j[:top, :top] + l <= (np.inf if radius is None else radius)
-        with np.errstate(over="ignore", invalid="ignore"):  # see KrausFamily._gram
-            lhs = heisenberg[:top * d] @ family._transfer(l)[:, :top * h * h].conj()
-            lhs = lhs.reshape(top, d, top, h * h)
-            lhs -= (q[:top, l, :] @ heisenberg.reshape(d, -1)).reshape(top, d, d, -1)[:, :, :top]
-        residuals = np.abs(lhs).max(axis=-1)  # [k, i, j]
-        mask = np.broadcast_to(within[:, None, :], residuals.shape)
+    for l, slab in heisenberg_slabs(family, tensor, radius):
+        mask = slab_window(slab, l, radius)
+        residuals = np.abs(slab).max(axis=-1)  # [k, i, j]
         ks, is_, js = np.nonzero(mask)
         worst, n = worst_residual(residuals[mask])
         k, i, j = int(ks[n]), int(is_[n]), int(js[n])
@@ -475,9 +631,11 @@ def mixture_distribution(
     """Distribution of the Q-mixture sum_m Q[kn,...,k1; m] M_m(state0).
 
     The fold runs over the reversed word, matching the order in which the
-    walk applies its maps.
+    walk applies its maps.  On truncated inputs the state's support must stay
+    within their common radius less the word's letter sum (see
+    ``_checked_walk``).
     """
-    word = _checked_walk(family, state0, word)
+    word = _checked_walk(family, state0, word, common_radius(family, tensor))
     coeffs = np.array(multi_constants(tensor, word[::-1]), dtype=float)
     return coeffs @ one_step_distributions(family, state0.array)
 

@@ -32,24 +32,24 @@ from .hypergroups import (
     fold_level,
     fold_levels,
     prefix_trie,
-    quotients,
     tensor_difference,
     validate_hypergroup,
 )
 from .oqrw import (
+    EPS_HB,
     BlockState,
     KrausFamily,
     block_state,
-    check_hb,
     common_radius,
+    heisenberg_levels,
+    heisenberg_slabs,
     kraus_family,
-    one_step_distributions,
     produced_tensor,
     realize,
     validate_kraus,
-    walk_levels,
+    slab_window,
 )
-from .report import Report, scan_report
+from .report import Report, scan_report, worst_residual
 
 
 def _rng(seed) -> np.random.Generator:
@@ -234,71 +234,145 @@ def verify_theorem_5_1(
     tol: float = 1e-9,
     min_gap: float = 1e-8,
 ) -> Report:
-    """Walk distributions versus Q-mixture distributions.
+    """Walk distributions versus Q-mixture distributions, for every state.
 
-    If the block-decomposition identity holds, every walk distribution (all
-    words up to ``max_word_len``, ``n_states`` seeded random states) must
-    equal the mixture through the reversed-word fold, within ``tol``.  If the
-    identity fails, the scan instead looks for the guaranteed witness: a
-    basis state (position m, spanning density) and a length-2 word whose two
-    distributions differ by at least ``min_gap``.  The reported witness is
-    the first worst case, ordered by word length, word, then state.
+    After the word w = (k1, ..., kn), k1 applied first, a walk and its
+    mixture through the reversed-word fold put mass tr(X rho) and tr(M rho)
+    at position i (see ``heisenberg_levels``).  They agree for every state
+    started at position j exactly when the block D_{w,i,j} of D = X - M
+    vanishes, and the largest |walk - mixture| at i over the states at j is
+    the spectral norm of D_{w,i,j} (of its Hermitian part: masses are real).
+
+    The branch follows the block-decomposition identity, decided by the rule
+    of ``check_hb`` on the two-letter blocks.  If it holds, every word of up
+    to ``max_word_len`` letters and every (i, j) with j + sum(w) within the
+    common radius is checked (the other starts are skipped and counted):
+    the residual is the largest block norm, within ``tol``, an exact worst
+    case over all states rather than a sample, and the witness (word, i, j)
+    its first case by word length, word, i, j.  If the identity fails, the
+    scan instead looks for the guaranteed witness: a basis state (position
+    m, spanning density) and a two-letter word whose distributions differ by
+    at least ``min_gap``, the first by (m, density), then word.
+
+    ``n_states`` (at least 1) and ``seed`` are accepted for compatibility
+    and no longer affect the result.
     """
     if max_word_len < 1 or n_states < 1:
         raise ValueError("max_word_len and n_states must be at least 1")
-    hb = check_hb(family, tensor)
     d, h = family.d_size, family.h_dim
+    radius = common_radius(family, tensor)
+    cases = [0, 0]  # (word, i, j) checked and skipped
 
-    if hb.passed:
-        rng = _rng(seed)
-        states = np.array(
-            [random_block_state(h, d, rng).array for _ in range(n_states)]
-        ).reshape(n_states, d, h, h)
-        budget = common_radius(family, tensor)
-        words, gaps = _walk_gaps(family, tensor, states, max_word_len, budget)
-        return scan_report(
-            "walk-vs-mixture", gaps, lambda n: (words[n // n_states], n % n_states), tol,
-            checked=gaps.size, note="decomposition holds; walk == mixture",
-        )
+    def count(sums):
+        """Count the cases of words with these letter sums."""
+        windows = np.full(len(sums), d) if radius is None else np.minimum(d, radius - sums + 1)
+        cases[0] += d * int(windows.sum())
+        cases[1] += d * (d * len(sums) - int(windows.sum()))
 
-    # Identity fails: hunt for the distribution mismatch it guarantees.
+    # The one-letter blocks are Phi_k^*(E_i) less itself, zero: only counted.
+    count(np.arange(d if radius is None else min(d, radius + 1)))
+    # (order key, the first worst block norm of a piece, its witness)
+    candidates, bound = [], 0.0
+    for l, slab in heisenberg_slabs(family, tensor, radius):
+        mask = slab_window(slab, l, radius)
+        entries = np.abs(slab).max(axis=-1)  # [k, i, j]
+        if not worst_residual(entries[mask])[0] <= EPS_HB:
+            return _converse_witness(family, tensor, min_gap)
+        if max_word_len >= 2:
+            count(np.arange(slab.shape[0]) + l)
+            worst, index, bound = _first_worst(slab, mask & (entries != 0), h, bound)
+            if index is not None:
+                k, i, j = index
+                candidates.append(((2, l, k, i, j), worst, ((l, k), i, j)))
+
+    level = None
+    for length, words, rows, blocks in heisenberg_levels(family, tensor, max_word_len, radius):
+        if words is not level:
+            level = words
+            rank = np.empty(len(words), dtype=np.intp)  # the words' order in the walk's order
+            rank[np.lexsort(np.array(words).T)] = np.arange(len(words))
+        count(np.full(len(rows), sum(words[rows[0]])))
+        order = np.argsort(rank[rows])
+        blocks = blocks[order]
+        worst, index, bound = _first_worst(blocks, blocks.any(axis=(-2, -1)), h, bound)
+        if index is not None:
+            row, i, j = index
+            word = int(rows[order[row]])
+            candidates.append(((length, int(rank[word]), i, j), worst, (words[word][::-1], i, j)))
+
+    candidates.sort(key=lambda candidate: candidate[0])
+    return scan_report(
+        "walk-vs-mixture", [value for _, value, _ in candidates], lambda n: candidates[n][2],
+        tol, checked=cases[0], skipped=cases[1], note="decomposition holds; walk == mixture",
+    )
+
+
+def _first_worst(blocks: np.ndarray, nonzero: np.ndarray, h: int, bound: float):
+    """The largest ``_block_norms`` norm of the h x h blocks that ``nonzero``
+    selects from ``blocks`` (a zero block's norm is zero), the index of its
+    first block (None for no block), and the raised bound."""
+    norms, bound = _block_norms(blocks[nonzero].reshape(-1, h, h), bound)
+    worst, n = worst_residual(norms)
+    if n is None:
+        return worst, None, bound
+    return worst, tuple(int(x[n]) for x in np.nonzero(nonzero)), bound
+
+
+def _block_norms(blocks: np.ndarray, bound: float) -> tuple[np.ndarray, float]:
+    """Spectral norms of the Hermitian parts of an (n, h, h) stack of blocks
+    where they can reach ``bound``, the largest norm known to be reached.
+
+    A Hermitian block's norm is at least its largest entry and at most its
+    largest absolute row sum (Gershgorin), so ``eigvalsh`` runs only on the
+    blocks whose row sums reach the bound, raised first to the largest
+    entry of this stack.  The others come back as 0: they lie below the
+    largest norm.  A non-finite block comes back as NaN or inf.  Returns the
+    norms and the raised bound.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        hermitian = (blocks + blocks.conj().swapaxes(-1, -2)) / 2
+        magnitudes = np.abs(hermitian)
+    lower = magnitudes.max(axis=(-2, -1))  # NaN or inf exactly where not finite
+    upper = magnitudes.sum(axis=-1).max(axis=-1)
+    finite = np.isfinite(lower)
+    bound = max(bound, float(lower[finite].max(initial=0.0)))
+    exact = finite & (upper >= bound) & (upper > 0)
+    norms = np.where(finite, 0.0, lower)
+    if exact.any():
+        eigenvalues = np.linalg.eigvalsh(hermitian[exact])
+        norms[exact] = np.maximum(-eigenvalues[:, 0], eigenvalues[:, -1])
+    return norms, bound
+
+
+def _converse_witness(family: KrausFamily, tensor: StructureTensor, min_gap: float) -> Report:
+    """The first start E_m (x) sigma_s, sigma_s of ``spanning_states``, and
+    two-letter word w with letter sum within the tensor's radius whose walk
+    and mixture differ by at least ``min_gap``: max_i |tr(D_{w,i,m} sigma_s)|,
+    in (m, s) order, then word order."""
+    d, h = family.d_size, family.h_dim
     spanning = spanning_states(h)
-    starts = np.zeros((d, len(spanning), d, h, h), dtype=complex)
-    starts[np.arange(d), :, np.arange(d)] = [rho for _, rho in spanning]
-    starts = starts.reshape(-1, d, h, h)  # positions outer, spanning states inner
-    words, gaps = _walk_gaps(family, tensor, starts, 2, tensor.truncation_radius)
-    pairs = [n for n, word in enumerate(words) if len(word) == 2]
-    gaps = gaps[pairs].T  # [start, word]
-    hits = np.flatnonzero(gaps >= min_gap)
+    # tr(D sigma) is the flat D times the flat transpose of sigma.
+    densities = np.array([rho.T.reshape(-1) for _, rho in spanning]).T
+    words, gaps = [], []
+    for l, slab in heisenberg_slabs(family, tensor, tensor.truncation_radius, all_starts=True):
+        top = slab.shape[0]
+        with np.errstate(invalid="ignore"):
+            traces = (slab.reshape(-1, h * h) @ densities).real.reshape(top, d, d, -1)
+        gaps.append(np.abs(traces).max(axis=1))  # [k, m, s]
+        words += [(l, k) for k in range(top)]
+    gaps = np.concatenate(gaps).transpose(1, 2, 0)  # [m, s, word]
+    hits = np.flatnonzero(gaps >= min_gap)  # a NaN gap is no witness
     if hits.size:
-        start, w = divmod(int(hits[0]), len(pairs))
-        m, s = divmod(start, len(spanning))
+        m, s, w = np.unravel_index(int(hits[0]), gaps.shape)
         return Report(
-            "walk-vs-mixture", True, float(gaps[start, w]),
-            (m, spanning[s][0], words[pairs[w]]), min_gap, int(hits[0]) + 1,
+            "walk-vs-mixture", True, float(gaps[m, s, w]),
+            (int(m), spanning[s][0], words[w]), min_gap, int(hits[0]) + 1,
             note="decomposition fails; converse witness found",
         )
     return Report(
         "walk-vs-mixture", False, 0.0, None, min_gap, gaps.size,
         note="decomposition fails but no distribution witness found",
     )
-
-
-def _walk_gaps(family, tensor, starts, max_len, budget):
-    """max |walk - mixture| for every word of up to ``max_len`` letters (sum
-    within ``budget``) from each start: the words and a (words, starts) array."""
-    one_step = one_step_distributions(family, starts)
-    words, gaps = [], [np.empty((0, len(starts)))]
-    folds = fold_levels(tensor, prefix_trie(range(tensor.size), max_len, budget))
-    for (level, walked), (fold, scale) in zip(walk_levels(family, starts, max_len, budget), folds):
-        # The mixture folds the reversed word, which the level holds too:
-        # reversing keeps the letter sum.
-        at = {word: n for n, word in enumerate(level)}
-        fold = quotients(fold, scale) if tensor.is_exact else fold
-        mixed = fold[[at[word[::-1]] for word in level]] @ one_step
-        gaps.append(np.abs(walked - mixed.swapaxes(0, 1)).max(axis=-1))
-        words += level
-    return words, np.concatenate(gaps)
 
 
 def verify_roundtrip(

@@ -7,7 +7,9 @@ this process on the same library build, so the comparison holds on any
 numpy or BLAS build.  The seed builds its parser on every call; ``main``
 shares one parser across every call in the process.  Inputs whose behaviour the library changed on purpose
 (refused radii, NaN constants, out-of-range sites, empty verifications) are
-tested on their own in ``test_formats_cli.py``.
+tested on their own in ``test_formats_cli.py``; the cases whose output the
+command line changed on purpose are listed in ``CHANGED`` by id and their
+new output is pinned there.
 """
 
 from __future__ import annotations
@@ -170,6 +172,75 @@ def _corpus():
 CORPUS = _corpus()
 
 
+# The cases whose output changed on purpose, pinned.  ``verify-t51 --help``
+# says that --states and --seed are ignored: Theorem 5.1 is checked for every
+# state, so nothing is sampled.  Its text at each terminal width (COLUMNS):
+T51_HELP = {
+    80: """\
+usage: hyperwalk verify-t51 [-h] [--json] [--out OUT] --kraus KRAUS --tensor
+                            TENSOR [--max-len MAX_LEN] [--states STATES]
+                            [--seed SEED] [--tol TOL]
+
+options:
+  -h, --help         show this help message and exit
+  --json             machine-readable output
+  --out OUT          write the primary output document to this file
+  --kraus KRAUS
+  --tensor TENSOR
+  --max-len MAX_LEN
+  --states STATES    ignored: every state is covered
+  --seed SEED        ignored: nothing is sampled
+  --tol TOL
+""",
+    40: """\
+usage: hyperwalk verify-t51 [-h]
+                            [--json]
+                            [--out OUT]
+                            --kraus
+                            KRAUS
+                            --tensor
+                            TENSOR
+                            [--max-len MAX_LEN]
+                            [--states STATES]
+                            [--seed SEED]
+                            [--tol TOL]
+
+options:
+  -h, --help      show this help
+                  message and exit
+  --json          machine-readable
+                  output
+  --out OUT       write the primary
+                  output document to
+                  this file
+  --kraus KRAUS
+  --tensor TENSOR
+  --max-len MAX_LEN
+  --states STATES
+                  ignored: every state
+                  is covered
+  --seed SEED     ignored: nothing is
+                  sampled
+  --tol TOL
+""",
+    200: """\
+usage: hyperwalk verify-t51 [-h] [--json] [--out OUT] --kraus KRAUS --tensor TENSOR [--max-len MAX_LEN] [--states STATES] [--seed SEED] [--tol TOL]
+
+options:
+  -h, --help         show this help message and exit
+  --json             machine-readable output
+  --out OUT          write the primary output document to this file
+  --kraus KRAUS
+  --tensor TENSOR
+  --max-len MAX_LEN
+  --states STATES    ignored: every state is covered
+  --seed SEED        ignored: nothing is sampled
+  --tol TOL
+""",
+}
+CHANGED = {"verify-t51 --help": T51_HELP}
+
+
 def _run(entry, argv, workdir):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -199,15 +270,29 @@ def test_corpus_covers_every_subcommand():
     assert len(commands) == 12  # the 11 subcommands and one unknown name
 
 
-@pytest.mark.parametrize("argv", CORPUS, ids=lambda argv: " ".join(argv) or "<none>")
+def _case_id(argv):
+    return " ".join(argv) or "<none>"
+
+
+@pytest.mark.parametrize("argv", CORPUS, ids=_case_id)
 def test_cli_matches_seed(argv, inputs, tmp_path, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
     results = []
     for side, entry in (("seed", seed_main), ("new", main)):
         workdir = tmp_path / side
         shutil.copytree(inputs, workdir)
         monkeypatch.chdir(workdir)
         results.append(_run(entry, list(argv), workdir))
-    assert results[1] == results[0]
+    if _case_id(argv) in CHANGED:
+        code, out, *rest = results[1]
+        assert (code, out, *rest) == (results[0][0], CHANGED[_case_id(argv)][80], *results[0][2:])
+        assert out != results[0][1]
+    else:
+        assert results[1] == results[0]
+
+
+def test_changed_cases_are_in_the_corpus():
+    assert set(CHANGED) <= {_case_id(argv) for argv in CORPUS}
 
 
 def test_parser_is_built_once_per_process():
@@ -244,4 +329,8 @@ def test_repeated_calls_share_the_parser_and_match_the_seed(inputs, tmp_path, mo
     assert [code for code, *_ in first] == [2, 0, 0, 0, 1, 0]
     assert first[1][1] != first[2][1]  # the help text follows COLUMNS
     assert second == first
-    assert first == seed
+    for n, ((columns, argv), new, old) in enumerate(zip(SEQUENCE, first, seed)):
+        if _case_id(argv) in CHANGED:
+            assert new[1] == CHANGED[_case_id(argv)][int(columns)]
+            new, old = new[:1] + new[2:], old[:1] + old[2:]
+        assert new == old, n

@@ -219,6 +219,24 @@ def test_cli_produce_and_verify(tmp_path, capsys):
     assert abs(float(produced.entry(1, 0, 0)) - 0.5) < 1e-12
 
 
+def test_cli_theorem_5_1_on_a_truncated_family(tmp_path, capsys):
+    # Example 4.5 against the z-lattice constants of the same radius holds
+    # for every state within the window; walks past it are refused.
+    kraus, tensor = tmp_path / "ex45.json", tmp_path / "zl4.json"
+    assert run_cli("gen", "ex45", "--radius", "4", "--out", str(kraus)) == 0
+    assert run_cli("gen", "z-lattice", "--radius", "4", "--out", str(tensor)) == 0
+    assert run_cli("verify-t51", "--kraus", str(kraus), "--tensor", str(tensor)) == 0
+    assert "walk-vs-mixture: pass" in capsys.readouterr().out
+    for site, word, code in ((0, "2,2", 0), (1, "2,1", 0), (1, "2,2", 2)):
+        state = tmp_path / f"site{site}.json"
+        assert run_cli("gen", "mixed-state", "--d-size", "5", "--site", str(site),
+                       "--out", str(state)) == 0
+        assert run_cli("walk", "--kraus", str(kraus), "--state", str(state),
+                       "--word", word) == code
+    err = capsys.readouterr().err
+    assert err == "error: a walk of letter sum 4 from position 1 leaves the truncation radius 4\n"
+
+
 def test_cli_realize_roundtrip(tmp_path):
     tensor_file = tmp_path / "z3.json"
     kraus_file = tmp_path / "z3.kraus.json"

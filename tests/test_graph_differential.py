@@ -51,7 +51,7 @@ from hyperwalk import (
     verify_theorem_2_4,
     wildberger_tensor,
 )
-from hyperwalk import hypergroups
+from hyperwalk import graphs, hypergroups
 from hyperwalk.graphs import _intersection_array_holds, path_sum_levels
 from hyperwalk.hypergroups import exact_tier, fold_levels, prefix_trie
 from hyperwalk.verify import _theorem_2_4_residuals
@@ -268,6 +268,28 @@ def test_packed_bfs_matches_loop_bfs(graph):
     assert np.array_equal(table.starts, starts)
     assert [[table.sphere(v, r) for r in range(starts.shape[1] - 1)]
             for v in range(graph.n_vertices)] == [list(s) for s in old_table.spheres]
+
+
+def _base_counts_loop(table):
+    """``base_counts`` as one bincount per vertex."""
+    n, width = table.starts.shape[0], table.starts.shape[1] - 1
+    size = len(table.index_set)
+    base_dist = table.dist[table.graph.base]
+    return np.array([np.bincount(table.dist[v] * size + base_dist, minlength=width * size)
+                     .reshape(width, size) for v in range(n)], dtype=np.intp)
+
+
+@pytest.mark.parametrize("block", (None, 1, 50))
+@pytest.mark.parametrize("graph", [hypercube_graph(7), free_ball_graph(2, 5),
+                                   line_window_graph(30), path_graph(8)],
+                         ids=("Q7", "free-ball(2,5)", "z-window(30)", "path(8)"))
+def test_base_counts_match_per_vertex_loop(graph, block, monkeypatch):
+    if block is not None:  # blocks of one row, and of rows that do not divide n
+        monkeypatch.setattr(graphs, "_COUNT_BLOCK", block * max(graph.n_vertices, 64))
+    counts = build_spheres(graph).base_counts
+    expected = _base_counts_loop(build_spheres(graph))
+    assert counts.dtype == expected.dtype and counts.shape == expected.shape
+    assert np.array_equal(counts, expected)
 
 
 def test_random_graphs_cover_refusals_and_failures():

@@ -6,6 +6,7 @@ import pytest
 from hyperwalk import (
     KrausFamily,
     StructureTensor,
+    TruncationExceededError,
     block_state,
     check_hb,
     check_linear_independence,
@@ -256,6 +257,36 @@ def test_realize_truncated_lattice(zlattice8):
     probs = walk_distribution(fam, word, state)
     fold = multi_constants(zlattice8.tensor, tuple(reversed(word)))
     assert np.abs(probs - np.array([float(q) for q in fold])).max() < 1e-12
+
+
+def test_truncated_walks_refuse_starts_past_the_window(zlattice8):
+    fam, state = realize(zlattice8, h_dim=2)
+    tensor = zlattice8.tensor
+    # Walks as perfbench's quantum-realize workload runs them: from the
+    # realized start at position 0, with letter sums within the radius.
+    for word in ((8,), (3, 5), (2, 2, 4), (0, 8, 0), (1, 1, 1, 1)):
+        walk_distribution(fam, word, state)
+        mixture_distribution(fam, tensor, word, state)
+    rho = np.eye(2) / 2
+    for site, word in ((3, (2, 3)), (8, (0,)), (1, (7,))):  # j + sum(word) == 8
+        walk_distribution(fam, word, point_state(rho, site, 9))
+        mixture_distribution(fam, tensor, word, point_state(rho, site, 9))
+    spread = block_state([np.eye(2) / 6 if j in (0, 2, 5) else np.zeros((2, 2))
+                          for j in range(9)])
+    for fn in (walk_distribution, lambda f, w, s: mixture_distribution(f, tensor, w, s)):
+        with pytest.raises(TruncationExceededError) as refusal:
+            fn(fam, (2, 2), spread)  # position 5 + 4 > 8
+        assert refusal.value.pair == (5, 4) and refusal.value.radius == 8
+        fn(fam, (1, 2), spread)  # 5 + 3 == 8
+    # The mixture is certified only within the smaller of the two radii.
+    narrow = KrausFamily(array=fam.array, truncation_radius=6)
+    with pytest.raises(TruncationExceededError):
+        mixture_distribution(narrow, tensor, (1, 1), spread)
+    with pytest.raises(TruncationExceededError):
+        walk_distribution(narrow, (1, 1), spread)
+    # Untruncated families walk from any state.
+    c4_family, _ = realize(presets.c4_hypergroup(), h_dim=2)
+    walk_distribution(c4_family, (2, 2, 2), point_state(rho, 2, 3))
 
 
 def test_check_hb_pass_cases(c4, s3_classes):

@@ -10,7 +10,11 @@ A failing check can tie too, when symmetry makes several cases equally bad
 (the two positions of a d = 2 family, or words that differ by the
 distance-0 map); round-off then decides which one the loops report, so a
 different witness passes only if the loop formula puts it within 1e-12 of
-the maximum.
+the maximum.  Theorem 5.1's passing branch is the exception: the library
+reports the exact worst case over every state, which bounds the loops'
+sampled states from above, and on truncated inputs it is checked against a
+test-side loop over the point starts instead, since the loops' sampled
+states leave the certified window.
 """
 
 import functools
@@ -33,6 +37,15 @@ def _isometries(h_dim, seed):
 def _realized(tensor, h_dim, seed=0):
     family, state = hw.realize(tensor, h_dim=h_dim, isometries=_isometries(h_dim, seed))
     return family, tensor, state
+
+
+def _retagged(family, radius):
+    return hw.KrausFamily(array=family.array, truncation_radius=radius)
+
+
+def _with_radius(realized, radius):
+    family, tensor, state = realized
+    return _retagged(family, radius), tensor, state
 
 
 def _random(d, h):
@@ -79,6 +92,14 @@ CASES = {
             lambda r, h: _realized(presets.zlattice_hypergroup(r).tensor, h, seed=r), r, h)
         for r in (6, 10)
         for h in (1, 3)
+    },
+    # Group and class families tagged with a radius below their size: a
+    # jump can land past the window, so the longer words of Theorem 5.1
+    # read positions outside it.
+    **{
+        f"{name} h2 radius {r}": functools.partial(
+            lambda make, r: _with_radius(_realized(make(), 2), r), HYPERGROUPS[name], r)
+        for name, r in (("z3", 1), ("s3-classes", 1), ("c4", 1), ("s3", 3))
     },
     # Seeded random dense families with their own produced constants.
     **{
@@ -147,20 +168,6 @@ def hb_residual(old_family, tensor):
     return residual
 
 
-def walk_residual(old_family, tensor, n_states, seed):
-    """|walk - mixture| in the loop code for one (word, state index) case."""
-    rng = ref._rng(seed)
-    states = [ref.random_block_state(old_family.h_dim, old_family.d_size, rng)
-              for _ in range(n_states)]
-
-    def residual(witness):
-        word, idx = witness
-        walked = ref.walk_distribution(old_family, word, states[idx])
-        mixed = ref.mixture_distribution(old_family, tensor, word, states[idx])
-        return float(np.abs(walked - mixed).max())
-    return residual
-
-
 @pytest.mark.parametrize("name", CASES)
 def test_validate_kraus_matches_loops(name):
     family, _, _, old_family, _ = case(name)
@@ -205,19 +212,81 @@ def test_check_hb_matches_loops(name):
     assert (new.checked, new.skipped) == (old.checked, old.skipped)
 
 
-@pytest.mark.parametrize("name", CASES)
+TRUNCATED = [name for name in CASES if budget(*case(name)[:2]) is not None]
+
+
+@pytest.mark.parametrize("name", [name for name in CASES if name not in TRUNCATED])
 def test_theorem_5_1_matches_loops(name):
     family, tensor, _, old_family, _ = case(name)
     kwargs = dict(max_word_len=3, n_states=3, seed=7)
     new = hw.verify_theorem_5_1(family, tensor, **kwargs)
     old = ref.verify_theorem_5_1(old_family, tensor, **kwargs)
+    assert (new.passed, new.note) == (old.passed, old.note)
+    # The branch is check_hb's verdict, taken from the same two-letter blocks.
+    assert ("holds" in new.note) == hw.check_hb(family, tensor).passed
     if "converse" in old.note:
         # The converse witness is the first gap found, pass or fail.
-        assert new.witness == old.worst_case
-    residual = walk_residual(old_family, tensor, kwargs["n_states"], kwargs["seed"])
-    assert_same_check(new, old, "worst_case", residual)
-    assert new.checked == old.checked_cases
-    assert new.note == old.note
+        assert (new.witness, new.checked) == (old.worst_case, old.checked_cases)
+        assert abs(new.max_residual - old.max_residual) <= TOL
+    else:
+        # The exact worst case over all states bounds the sampled one.
+        assert new.max_residual >= old.max_residual - TOL
+        assert new.max_residual <= TOL
+
+
+def point_start_gaps(family, tensor, max_len, radius):
+    """The largest |walk - mixture| over every budgeted word and every point
+    start E_j (x) sigma, sigma of ``spanning_states``, with j + sum(word)
+    within ``radius``, walked depth first through the words by the blocks;
+    and the number of (word, j) cases and of words."""
+    d, h = family.d_size, family.h_dim
+    spanning = [rho for _, rho in hw.spanning_states(h)]
+    starts = np.zeros((d, len(spanning), d, h, h), dtype=complex)
+    for j in range(d):
+        starts[j, :, j] = spanning
+
+    def step(k, stack):  # rho'_i = sum_j B[i,j;k] rho_j B[i,j;k]^*, over the nonzero blocks
+        out = np.zeros_like(stack)
+        for (i, j, letter), b in family.blocks.items():
+            if letter == k:
+                out[..., i, :, :] += b @ stack[..., j, :, :] @ b.conj().T
+        return out
+
+    def masses(stack):
+        return np.trace(stack, axis1=-2, axis2=-1).real  # [j, s, i]
+
+    one_step = np.array([masses(step(m, starts)) for m in range(d)])
+    tally = {"worst": 0.0, "cases": 0, "words": 0}
+
+    def visit(word, stack):
+        window = np.arange(d) + sum(word) <= radius
+        fold = np.array([float(c) for c in hw.multi_constants(tensor, word[::-1])])
+        gaps = np.abs(masses(stack) - np.tensordot(fold, one_step, axes=1)).max(axis=-1)
+        tally["worst"] = max(tally["worst"], float(gaps[window].max()))
+        tally["cases"] += int(window.sum())
+        tally["words"] += 1
+        if len(word) < max_len:
+            for k in range(min(d, radius - sum(word) + 1)):
+                visit(word + (k,), step(k, stack))
+
+    for k in range(min(d, radius + 1)):
+        visit((k,), step(k, starts))
+    return tally["worst"], tally["cases"], tally["words"]
+
+
+@pytest.mark.parametrize("max_len", (2, 3, 4))
+@pytest.mark.parametrize("name", TRUNCATED)
+def test_theorem_5_1_truncated_matches_point_starts(name, max_len):
+    family, tensor, _, _, _ = case(name)
+    d = family.d_size
+    report = hw.verify_theorem_5_1(family, tensor, max_word_len=max_len)
+    worst, cases, words = point_start_gaps(family, tensor, max_len, budget(family, tensor))
+    assert hw.check_hb(family, tensor).passed
+    assert report.passed and report.note == "decomposition holds; walk == mixture"
+    assert worst <= TOL and report.max_residual <= TOL
+    assert report.max_residual >= worst - TOL
+    # One case per (word, i, j); the starts past the window are skipped.
+    assert (report.checked, report.skipped) == (d * cases, d * (d * words - cases))
 
 
 @pytest.mark.parametrize(
@@ -238,10 +307,6 @@ def test_block_state_errors_match_loops(blocks):
         hw.block_state(blocks)
 
 
-def _retagged(family, radius):
-    return hw.KrausFamily(array=family.array, truncation_radius=radius)
-
-
 @functools.lru_cache(maxsize=None)
 def _hb_window_cases():
     zl = presets.zlattice_hypergroup(6).tensor  # d = 7, radius 6
@@ -249,6 +314,8 @@ def _hb_window_cases():
     cut = zl.cube.copy()
     cut[np.add.outer(np.arange(7), np.arange(7)) > 4] = 0
     zl4 = hw.StructureTensor(cut, zl.denominator, 4)
+    cut[1, 2] = cut[1, 2, [1, 0, 2, 3, 4, 5, 6]]  # x_1 x_2 lands on 0 or 3, not 1 or 3
+    zl4_moved = hw.StructureTensor(cut, zl.denominator, 4)
     c4 = presets.c4_hypergroup().tensor  # d = 3, untruncated
     c4_family, _, _ = _realized(c4, 2, seed=5)
     return {
@@ -262,6 +329,8 @@ def _hb_window_cases():
         # Rows past the lattice's radius are zero in an untruncated tensor.
         "radius past d, failing": (_retagged(zl_family, 9),
                                    hw.StructureTensor(zl.cube, zl.denominator)),
+        "tensor radius below family's, failing": (zl_family, zl4_moved),
+        "family radius below tensor's, failing": (_retagged(zl_family, 3), zl4_moved),
     }
 
 
@@ -272,6 +341,20 @@ def test_check_hb_window_matches_loops(name):
     new, old = hw.check_hb(family, tensor), ref.check_hb(old_family, tensor)
     assert_same_check(new, old, "worst_tuple", hb_residual(old_family, tensor))
     assert (new.checked, new.skipped) == (old.checked, old.skipped)
+
+
+@pytest.mark.parametrize("name", _hb_window_cases())
+def test_theorem_5_1_window_matches_loops(name):
+    family, tensor = _hb_window_cases()[name]
+    new = hw.verify_theorem_5_1(family, tensor, max_word_len=3)
+    old = ref.verify_theorem_5_1(ref.from_family(family), tensor, max_word_len=3)
+    assert new.note == old.note
+    if "converse" in old.note:
+        # Over the tensor's radius and every start, as the loops walk it.
+        assert (new.witness, new.checked) == (old.worst_case, old.checked_cases)
+        assert abs(new.max_residual - old.max_residual) <= TOL
+    else:
+        assert new.passed and new.max_residual <= TOL
 
 
 def _recording(h_dim, seed, calls):

@@ -6,6 +6,7 @@ import pytest
 from hyperwalk import (
     ConditionSViolatedError,
     Hypergroup,
+    KrausFamily,
     StructureTensor,
     check_hb,
     complete_graph,
@@ -17,7 +18,7 @@ from hyperwalk import (
     validate_kraus,
     wildberger_tensor,
 )
-from hyperwalk import presets
+from hyperwalk import presets, verify
 from hyperwalk.verify import (
     random_block_state,
     random_isometries,
@@ -137,6 +138,78 @@ def test_verify_theorem_5_1_converse_witness(c4):
     assert report.max_residual >= 1e-4
     m, label, word = report.witness
     assert len(word) == 2
+
+
+def test_verify_theorem_5_1_ignores_states_and_seed(c4):
+    # Every state is covered, so the sampling arguments change nothing.
+    fam, _ = realize(c4, h_dim=2, isometries=random_isometries(c4.tensor, 2, 3))
+    reports = {verify_theorem_5_1(fam, c4.tensor, max_word_len=3, n_states=n, seed=seed)
+               for n, seed in ((1, 0), (10, 0), (4, 99))}
+    assert len(reports) == 1
+    report = reports.pop()
+    assert report.passed and report.max_residual < 1e-12
+    # One case per (word, i, j): 3 + 9 + 27 words, 3 x 3 positions.
+    assert (report.checked, report.skipped) == (39 * 9, 0)
+
+
+def test_verify_theorem_5_1_reports_non_finite_blocks_as_failures(c4):
+    fam, _ = realize(c4, h_dim=2)
+    array = fam.array.copy()
+    array[1, 2, 1, 0, 0] = np.nan
+    report = verify_theorem_5_1(KrausFamily(array=array), c4.tensor, max_word_len=2)
+    assert not report.passed
+    # Blocks whose products overflow only past two letters: the identity
+    # holds for a single letter x with Q = x^2 (x^4 == x^2 x^2), and the
+    # three-letter block is inf - inf.
+    x = 1e60
+    family = KrausFamily(array=np.full((1, 1, 1, 1, 1), x, dtype=complex))
+    tensor = StructureTensor(np.full((1, 1, 1), x * x), None, None)
+    assert check_hb(family, tensor).passed
+    assert verify_theorem_5_1(family, tensor, max_word_len=2).passed
+    report = verify_theorem_5_1(family, tensor, max_word_len=3)
+    assert not report.passed and np.isnan(report.max_residual)
+    assert report.witness == ((0, 0, 0), 0, 0)
+
+
+def test_block_norms_match_the_spectral_norm():
+    rng = np.random.default_rng(5)
+    for h in (1, 2, 3):
+        for scale in (1.0, 1e-14):
+            blocks = scale * (rng.standard_normal((40, h, h)) + 1j * rng.standard_normal((40, h, h)))
+            blocks[5] = 0
+            hermitian = (blocks + blocks.conj().swapaxes(-1, -2)) / 2
+            exact = np.linalg.norm(hermitian, ord=2, axis=(-2, -1))
+            norms, bound = verify._block_norms(blocks, 0.0)
+            # Every norm returned is exact; the others are below the largest.
+            computed = norms > 0
+            assert np.allclose(norms[computed], exact[computed], rtol=1e-12, atol=0)
+            assert (exact[~computed] < norms.max()).all()
+            assert np.isclose(norms.max(), exact.max(), rtol=1e-12, atol=0)
+            assert bound <= norms.max()
+            # A bound carried in from earlier blocks screens more out.
+            norms, _ = verify._block_norms(blocks, 2 * exact.max())
+            assert (norms == 0).all()
+    nan = np.zeros((3, 2, 2), dtype=complex)
+    nan[1, 0, 1] = np.nan
+    nan[2, 1, 1] = np.inf
+    norms, bound = verify._block_norms(nan, 0.0)
+    assert norms[0] == 0 and np.isnan(norms[1]) and norms[2] == np.inf and bound == 0
+
+
+def test_verify_theorem_5_1_over_every_state_on_a_large_lattice():
+    # The exact worst case keeps one trie level of observables, and only at
+    # the starts that the window's words can still read.
+    tensor = presets.zlattice_hypergroup(16).tensor
+    family, _ = realize(tensor, h_dim=3, isometries=random_isometries(tensor, 3, 0))
+    tracemalloc.start()
+    try:
+        report = verify_theorem_5_1(family, tensor, max_word_len=4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed and report.max_residual < 1e-12, report
+    assert report.skipped > 0
+    assert peak < 48 * 2**20
 
 
 def test_verify_roundtrip_fixtures(z3, s3_classes):
