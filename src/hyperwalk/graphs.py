@@ -38,7 +38,7 @@ from .hypergroups import (
 )
 from .report import Report
 
-# Keys, and counts, that ``SphereTable.base_counts`` bins at a time: 512 KB
+# Keys, and counts, that ``_row_counts`` bins at a time: 512 KB
 # of int64 stays in cache, where larger blocks measured slower.
 _COUNT_BLOCK = 2**16
 
@@ -135,21 +135,21 @@ def _vertex_index(value, name: str) -> int:
 class SphereTable:
     """All-pairs distances and the spheres S_r(v) of a pointed graph.
 
-    ``order[v]`` lists the vertices by distance from v, ties in index order,
-    and S_r(v) is ``order[v, starts[v, r]:starts[v, r + 1]]`` for r up to the
-    diameter.
+    ``dist`` is in the narrowest unsigned dtype that holds the diameter, so
+    arithmetic on it widens first.  S_r(v) is ``np.flatnonzero(dist[v] ==
+    r)``, of size ``starts[v, r + 1] - starts[v, r]``; ``base_order`` lists
+    the vertices by base distance, ties in index order, so S_r(base) is
+    also ``base_order[starts[base, r]:starts[base, r + 1]]``.
     """
 
     graph: PointedGraph
-    dist: np.ndarray
+    dist: np.ndarray  # (n, n) uint8 or uint16
     index_set: tuple[int, ...]
-    order: np.ndarray  # (n, n) int32
     starts: np.ndarray  # (n, diameter + 2)
+    base_order: np.ndarray  # (n,) int32
 
     def sphere(self, v: int, n: int) -> tuple[int, ...]:
-        if n < 0 or n >= self.starts.shape[1] - 1:
-            return ()
-        return tuple(self.order[v, self.starts[v, n]:self.starts[v, n + 1]].tolist())
+        return tuple(np.flatnonzero(self.dist[v] == n).tolist())
 
     def sphere_size(self, v: int, n: int) -> int:
         if n < 0 or n >= self.starts.shape[1] - 1:
@@ -166,20 +166,12 @@ class SphereTable:
 
     @cached_property
     def base_counts(self) -> np.ndarray:
-        """``base_counts[v, r, k] = |S_r(v) & S_k(base)|`` for r up to the
-        diameter and k in the index set."""
-        n, width = self.starts.shape[0], self.starts.shape[1] - 1
-        size = len(self.index_set)
-        cell = width * size
-        base_dist = self.dist[self.graph.base]
-        counts = np.empty((n, width, size), dtype=np.intp)
-        # One bincount per block of rows, each row's keys offset by its cell.
-        rows = max(1, _COUNT_BLOCK // max(n, cell))
-        for lo in range(0, n, rows):
-            block = self.dist[lo:lo + rows] * size + base_dist
-            block += np.arange(len(block))[:, None] * cell
-            counts[lo:lo + rows] = np.bincount(
-                block.ravel(), minlength=len(block) * cell).reshape(-1, width, size)
+        """``base_counts[v, r, k] = |S_r(v) & S_k(base)|`` for r and k in the
+        index set, in the narrowest unsigned dtype that holds n."""
+        n, size, width = self.graph.n_vertices, len(self.index_set), self.starts.shape[1] - 1
+        # Keys r * size + d(base, w): the first size**2 have r in the index set.
+        counts = _row_counts(self.dist, size, self.dist[self.graph.base], width * size,
+                             size * size, np.min_scalar_type(n)).reshape(n, size, size)
         counts.setflags(write=False)
         return counts
 
@@ -195,9 +187,7 @@ class SphereTable:
 
     def _window_check(self, v: int, radius: int) -> None:
         window = self.graph.window_radius
-        if window is None:
-            return
-        if self.dist[self.graph.base, v] + radius > window:
+        if window is not None and int(self.dist[self.graph.base, v]) + radius > window:
             raise BoundaryContactError(self.graph.labels[v], radius, window)
 
 
@@ -216,8 +206,21 @@ def _neighbour_array(graph: PointedGraph) -> np.ndarray:
     return nbrs
 
 
-# Set bits per byte value: numpy 1.24 has no bitwise_count.
-_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
+def _row_counts(dist: np.ndarray, scale: int, shift, cell: int, keep: int, dtype) -> np.ndarray:
+    """``counts[v, c]`` for c < ``keep``: how many w have the key ``dist[v, w]
+    * scale + shift[w] == c``, formed in ``np.intp`` and below ``cell``.  One
+    bincount per block of rows, each row's keys offset by its cell."""
+    n = len(dist)
+    counts = np.empty((n, keep), dtype=dtype)
+    rows = max(1, _COUNT_BLOCK // max(n, cell))
+    shift = shift + np.arange(min(rows, n))[:, None] * cell
+    for lo in range(0, n, rows):
+        keys = dist[lo:lo + rows].astype(np.intp)
+        keys *= scale
+        keys += shift[:len(keys)]
+        counts[lo:lo + rows] = np.bincount(
+            keys.ravel(), minlength=len(keys) * cell).reshape(-1, cell)[:, :keep]
+    return counts
 
 
 def build_spheres(graph: PointedGraph) -> SphereTable:
@@ -229,12 +232,10 @@ def build_spheres(graph: PointedGraph) -> SphereTable:
     level, in 64-bit words.  Distances are symmetric, so the next level of
     row v is the OR of its neighbours' frontier rows, less the sources that
     already reached v: one gather of n/8-byte rows per neighbour column,
-    O(n² · max degree / 64) word operations per level.  The same levels
-    give the sphere sizes (their popcounts) and the binary digits of the
-    distances, packed like the frontier until the end, where they become
-    one n×n array of 8- or 16-bit sort keys; ``dist`` (n×n int64) is cast
-    from the keys once ``order`` is built, so it never coexists with the
-    int64 ``argsort`` result.
+    O(n² · max degree / 64) word operations per level.  The levels set the
+    binary digits of the distances, packed like the frontier until the end,
+    where they become ``dist``: one n×n array of 8- or 16-bit keys.  The
+    sphere sizes are counted from the keys, one bincount per block of rows.
     """
     n = graph.n_vertices
     # A row's own frontier bits are never unseen, so padding a neighbour
@@ -246,7 +247,6 @@ def build_spheres(graph: PointedGraph) -> SphereTable:
     frontier = np.packbits(np.eye(n, 64 * words, dtype=bool), axis=1)
     unseen = np.packbits(np.arange(64 * words) < n) ^ frontier
     frontier, unseen = frontier.view(np.uint64), unseen.view(np.uint64)
-    sizes = [np.ones(n, dtype=np.intp)]
     planes: list[np.ndarray] = []  # bit b of d(v, s)
     level = 0
     while unseen.any():
@@ -264,21 +264,20 @@ def build_spheres(graph: PointedGraph) -> SphereTable:
         for b, plane in enumerate(planes):
             if level >> b & 1:
                 plane |= reached
-        sizes.append(_POPCOUNT[reached.view(np.uint8)].sum(axis=1, dtype=np.intp))
-    width = level + 1
-    starts = np.zeros((n, width + 1), dtype=np.intp)
-    np.cumsum(np.array(sizes).T, axis=1, out=starts[:, 1:])
-    # Keys of 8 or 16 bits take numpy's radix sort.
-    keys = np.zeros((n, n), dtype=np.min_scalar_type(level))
+    dist = np.zeros((n, n), dtype=np.min_scalar_type(level))
     for b, plane in enumerate(planes):
         bits = np.unpackbits(plane.view(np.uint8), axis=1, count=n)
-        keys |= bits.astype(keys.dtype, copy=False) << b
-    order = np.argsort(keys, axis=1, kind="stable").astype(np.int32)
-    dist = keys.astype(int)
-    index_set = tuple(np.unique(dist[graph.base]).tolist())
-    for array in (dist, order, starts):
+        dist |= bits.astype(dist.dtype, copy=False) << b
+    width = level + 1
+    starts = np.zeros((n, width + 1), dtype=np.intp)
+    np.cumsum(_row_counts(dist, 1, 0, width, width, np.intp), axis=1, out=starts[:, 1:])
+    base_row = dist[graph.base]
+    index_set = tuple(np.flatnonzero(np.bincount(base_row)).tolist())
+    base_order = np.argsort(base_row, kind="stable").astype(np.int32)
+    for array in (dist, starts, base_order):
         array.setflags(write=False)
-    return SphereTable(graph=graph, dist=dist, index_set=index_set, order=order, starts=starts)
+    return SphereTable(graph=graph, dist=dist, index_set=index_set, starts=starts,
+                       base_order=base_order)
 
 
 def _as_table(graph_or_table) -> SphereTable:
@@ -308,7 +307,7 @@ def _sphere_count_tensor(table: SphereTable) -> StructureTensor:
     if index_set != tuple(range(size)):
         raise ValueError(f"index set {index_set} is not contiguous")
     window = graph.window_radius
-    base_row, starts = table.order[graph.base], table.starts[graph.base]
+    base_row, starts = table.base_order, table.starts[graph.base]
     cuts = starts[:size]
     base_sizes = np.diff(starts[:size + 1])
     # The landing sphere sizes |S_j(v)| of the vertices v of each S_i(base),
@@ -332,7 +331,7 @@ def _sphere_count_tensor(table: SphereTable) -> StructureTensor:
     dtype = np.int64 if denominator < 2**63 else object
     weights = np.zeros(sizes.shape, dtype=dtype)
     weights[inside] = landing // sizes[inside].astype(dtype)
-    counts = table.base_counts[base_row, :size].astype(dtype) * weights[:, :, None]
+    counts = table.base_counts[base_row] * weights[:, :, None]
     scale = denominator // (landing * base_sizes.astype(dtype))
     cube = np.add.reduceat(counts, cuts) * scale[:, None, None]
     return exact_tensor(cube, denominator, window)
@@ -369,7 +368,7 @@ def _condition_s(table: SphereTable) -> Report:
     sizes = table.sphere_sizes[:, :size]
     inside = np.ones(sizes.shape, dtype=bool)
     if window is not None:
-        inside = table.dist[base][:, None] + radii <= window
+        inside = table.dist[base, :, None].astype(np.intp) + radii <= window
     highest = np.where(inside, sizes, -1).max(axis=0)
     spread = highest > np.where(inside, sizes, sizes.max()).min(axis=0)
     if spread.any():
@@ -378,7 +377,7 @@ def _condition_s(table: SphereTable) -> Report:
         return uneven(("sphere-size", i), members, sizes[members, i], i + 1)
 
     # counts[v, i, j] over the base spheres S_k(base), one reduction per k.
-    counts = table.base_counts[table.order[base], :size]
+    counts = table.base_counts[table.base_order]
     cuts = table.starts[base, :size]
     spread = np.maximum.reduceat(counts, cuts) > np.minimum.reduceat(counts, cuts)  # [k, i, j]
     spread = spread.transpose(1, 2, 0)
@@ -387,7 +386,7 @@ def _condition_s(table: SphereTable) -> Report:
     if spread.any():
         n = int(np.argmax(spread))
         i, j, k = (int(x) for x in np.unravel_index(n, spread.shape))
-        members = table.order[base, cuts[k]:table.starts[base, k + 1]]
+        members = table.base_order[cuts[k]:table.starts[base, k + 1]]
         return uneven(("intersection", i, j, k), members, table.base_counts[members, i, j],
                       size + n + 1)
     return Report("condition-S", True, 0.0, None, 0.0, size + size**3)
@@ -422,7 +421,7 @@ def _intersection_array_holds(table: SphereTable) -> bool:
     if len(set(map(len, graph.neighbors))) != 1:
         return False
     width = table.starts.shape[1] - 1
-    dist = table.dist.astype(np.min_scalar_type(width))
+    dist = table.dist
     nbrs = _neighbour_array(graph)
     # behind[v, u] and level[v, u] count the neighbours w of v with
     # d(u, w) < d(u, v) and d(u, w) = d(u, v); row gathers, by symmetry.
@@ -434,7 +433,7 @@ def _intersection_array_holds(table: SphereTable) -> bool:
         level += near == dist
     # The first pair (v, u) at each distance, in row-major order.
     first_v = np.argmax(table.sphere_sizes > 0, axis=0)
-    first_u = table.order[first_v, table.starts[first_v, np.arange(width)]]
+    first_u = np.argmax(dist[first_v] == np.arange(width, dtype=dist.dtype)[:, None], axis=1)
     return all(np.array_equal(counts, counts[first_v, first_u][dist]) for counts in (behind, level))
 
 
@@ -447,7 +446,7 @@ def _distance_regular_scan(table: SphereTable) -> Report:
     expected = np.zeros((width, width * width), dtype=np.intp)  # [d, (i, j)]
     offsets = np.arange(n)[:, None] * width * width
     for u in range(n):
-        keys = dist[u] * width + dist + offsets  # [v, w] -> bin (v, i, j)
+        keys = dist[u].astype(np.intp) * width + dist + offsets  # [v, w] -> bin (v, i, j)
         counts = np.bincount(keys.ravel(), minlength=n * width * width).reshape(n, -1)
         opened = first_u == u
         expected[opened] = counts[first_v[opened]]
@@ -486,19 +485,14 @@ def path_sum_distribution(graph_or_table, word: Word) -> list[Number]:
 
     # Integer masses over one common denominator, scaled per letter by the
     # lcm of the sphere sizes, so the sum needs no Fraction arithmetic.
-    # Spheres are read as slices of a flat view of ``order``: no copies.
-    n, width = table.starts.shape
-    order = memoryview(table.order.reshape(-1))
-    starts = memoryview(table.starts.reshape(-1))
     mass, denominator = {graph.base: 1}, 1
     for k in word:
         spheres = {}
         for v in mass:
             table._window_check(v, k)
-            lo, hi = starts[v * width + k], starts[v * width + k + 1]
-            if lo == hi:
+            spheres[v] = np.flatnonzero(table.dist[v] == k).tolist()
+            if not spheres[v]:
                 raise EmptySphereError(graph.labels[v], k)
-            spheres[v] = order[v * n + lo:v * n + hi]
         scale = math.lcm(*map(len, spheres.values()))
         spread: dict[int, int] = {}
         for v, weight in mass.items():
@@ -506,7 +500,7 @@ def path_sum_distribution(graph_or_table, word: Word) -> list[Number]:
             for w in spheres[v]:
                 spread[w] = spread.get(w, 0) + share
         mass, denominator = spread, denominator * scale
-    base_dist = table.dist[graph.base]
+    base_dist = table.dist[graph.base].tolist()
     totals = [0] * len(table.index_set)
     for v, weight in mass.items():
         totals[base_dist[v]] += weight
@@ -546,7 +540,7 @@ def path_sum_levels(table: SphereTable, levels):
         children = [denominators[p] * spheres[k] for p, k in zip(parents.tolist(), letters.tolist())]
         bound = max(children)
         mass = exact_tier(bound, mass)
-        counts = exact_tier(bound, table.base_counts[:, :size])
+        counts = exact_tier(bound, table.base_counts)
         totals = exact_tier(bound, np.zeros((len(words), size)))
         last = depth == len(levels) - 1
         nxt = None if last else exact_tier(bound, np.zeros((len(words), n)))

@@ -470,20 +470,24 @@ def validate_hypergroup(
     scale = tensor.denominator
     cube = floats if scale is None else exact_tier(int(tensor.cube.max())**2 * size, tensor.cube)
     skipped, per_i = int(skip.sum()), []
-    for i in range(size):
-        lhs = (cube[i] @ cube.reshape(size, -1)).reshape(-1)  # [j, k, l]
-        rhs = (cube.reshape(-1, size) @ cube[i]).reshape(-1)
-        keep = ~np.repeat(skip[i].reshape(-1), size)
+    # Per i, only the box j < jmax, k < kmax around the kept (j, k) is
+    # contracted, in the cube's scan order (none kept: the cube, all skipped).
+    jmaxs = size - np.argmax(~skip.all(axis=2)[:, ::-1], axis=1)
+    kmaxs = size - np.argmax(~skip.all(axis=1)[:, ::-1], axis=1)
+    for i, jmax, kmax in zip(range(size), jmaxs.tolist(), kmaxs.tolist()):
+        lhs = (cube[i, :jmax] @ cube[:, :kmax].reshape(size, -1)).reshape(-1)  # [j, k, l]
+        rhs = (cube[:jmax, :kmax].reshape(-1, size) @ cube[i]).reshape(-1)
+        keep = ~np.repeat(skip[i, :jmax, :kmax].reshape(-1), size)
         if scale is None:
             gaps = np.where(keep, np.abs(lhs - rhs), 0.0)
         else:
             # Both sides are exact sums over scale**2: only where they differ
             # is a residual converted, each side correctly rounded to float.
-            gaps = np.zeros(size**3)
+            gaps = np.zeros(len(lhs))
             for n in np.flatnonzero((lhs != rhs) & keep):
                 gaps[n] = abs(int(lhs[n]) / scale**2 - int(rhs[n]) / scale**2)
         worst, n = worst_residual(gaps)
-        per_i.append((worst, (i, n // size**2, n // size % size, n % size)))
+        per_i.append((worst, (i, n // (kmax * size), n // size % kmax, n % size)))
     associativity = scan_report(
         "associativity", [w for w, _ in per_i], lambda i: per_i[i][1],
         EPS_ASSOC, checked=size**3 - skipped, skipped=skipped,

@@ -365,13 +365,13 @@ def _sphere_count_tensor(table: SphereTable) -> StructureTensor:
     if index_set != tuple(range(size)):
         raise ValueError(f"index set {index_set} is not contiguous")
     window = graph.window_radius
-    base_row, starts = table.order[graph.base], table.starts[graph.base]
+    base_row, starts = table.base_order, table.starts[graph.base]
     cuts = starts[:size]
     # Per base sphere S_i(base): the least and largest |S_j(v)| over its
     # vertices v, and the summed counts |S_j(v) & S_k(base)|.
     sizes = table.sphere_sizes[base_row, :size]
     low, high = np.minimum.reduceat(sizes, cuts), np.maximum.reduceat(sizes, cuts)
-    sums = np.add.reduceat(table.base_counts[base_row, :size], cuts)  # [i, j, k]
+    sums = np.add.reduceat(table.base_counts[base_row], cuts)  # [i, j, k]
     allowed = np.ones((size, size), dtype=bool)
     if window is not None:
         allowed = np.add.outer(np.arange(size), np.arange(size)) <= window

@@ -174,6 +174,22 @@ def test_cli_check_graph(tmp_path, capsys):
     assert run_cli("check-graph", "--graph", str(p3_file)) == 1
 
 
+def test_cli_check_graph_scans_a_long_path(tmp_path, capsys):
+    # path(256) is not regular, so the distance-regularity scan runs, on
+    # uint8 distances and 256 × 256 (i, j) bins per pair.
+    graph_file = tmp_path / "p256.json"
+    assert run_cli("gen", "path", "--n", "256", "--out", str(graph_file)) == 0
+    capsys.readouterr()
+    assert run_cli("check-graph", "--graph", str(graph_file)) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1:] == [
+        "condition-S: FAIL  max residual 1.000e+00 (tol 0.0e+00), 2 checked, "
+        "witness ('sphere-size', 1, '0', '1')",
+        "distance-regular: FAIL  max residual 1.000e+00 (tol 0.0e+00), 16777216 checked, "
+        "witness (1, 2, 1, ('0', '1'), ('1', '0'))",
+    ]
+
+
 def test_cli_validate(tmp_path):
     tensor_file = tmp_path / "h.json"
     assert run_cli("gen", "s3-classes", "--out", str(tensor_file)) == 0

@@ -162,10 +162,16 @@ def _assert_same_float_associativity(tensor):
         assert at == pytest.approx(old.max_residual, abs=1e-13)
 
 
+def _assert_same_distances(table, old_table):
+    """Equal distances, held as the narrowest unsigned keys of the diameter."""
+    assert table.dist.dtype == np.min_scalar_type(old_table.dist.max())
+    assert np.array_equal(table.dist, old_table.dist)
+    assert not table.dist.flags.writeable
+
+
 def _assert_same_graph_layer(graph):
     table, old_table = build_spheres(graph), ref.build_spheres(graph)
-    assert table.dist.dtype == old_table.dist.dtype
-    assert np.array_equal(table.dist, old_table.dist)
+    _assert_same_distances(table, old_table)
     assert table.index_set == old_table.index_set
     for v in range(graph.n_vertices):
         for r in range(-1, int(table.dist.max()) + 3):
@@ -259,8 +265,7 @@ BFS_GRAPHS = ([_bfs_graph(n, seed) for n in (1, 7, 8, 9, 63, 64, 65) for seed in
 @pytest.mark.parametrize("graph", BFS_GRAPHS, ids=lambda g: f"n{g.n_vertices}-base{g.base}")
 def test_packed_bfs_matches_loop_bfs(graph):
     table, old_table = build_spheres(graph), ref.build_spheres(graph)
-    assert table.dist.dtype == old_table.dist.dtype
-    assert np.array_equal(table.dist, old_table.dist)
+    _assert_same_distances(table, old_table)
     assert table.index_set == old_table.index_set
     sizes = [[len(sphere) for sphere in spheres] for spheres in old_table.spheres]
     starts = np.zeros_like(table.starts)
@@ -271,18 +276,25 @@ def test_packed_bfs_matches_loop_bfs(graph):
 
 
 def _base_counts_loop(table):
-    """``base_counts`` as one bincount per vertex."""
+    """``base_counts`` as one bincount per vertex, on widened keys."""
     n, width = table.starts.shape[0], table.starts.shape[1] - 1
     size = len(table.index_set)
-    base_dist = table.dist[table.graph.base]
-    return np.array([np.bincount(table.dist[v] * size + base_dist, minlength=width * size)
-                     .reshape(width, size) for v in range(n)], dtype=np.intp)
+    base_dist = table.dist[table.graph.base].astype(np.intp)
+    counts = np.empty((n, size, size), dtype=np.min_scalar_type(n))
+    for v in range(n):
+        keys = table.dist[v].astype(np.intp) * size + base_dist
+        counts[v] = np.bincount(keys, minlength=width * size).reshape(width, size)[:size]
+    return counts
 
 
+# path(256) has uint8 keys and an index set of 256 radii, P300 uint16 keys
+# and 300 × 300 cells: unwidened keys wrap on both.
 @pytest.mark.parametrize("block", (None, 1, 50))
 @pytest.mark.parametrize("graph", [hypercube_graph(7), free_ball_graph(2, 5),
-                                   line_window_graph(30), path_graph(8)],
-                         ids=("Q7", "free-ball(2,5)", "z-window(30)", "path(8)"))
+                                   line_window_graph(30), path_graph(8), path_graph(256),
+                                   path_graph(300)],
+                         ids=("Q7", "free-ball(2,5)", "z-window(30)", "path(8)", "path(256)",
+                              "path(300)"))
 def test_base_counts_match_per_vertex_loop(graph, block, monkeypatch):
     if block is not None:  # blocks of one row, and of rows that do not divide n
         monkeypatch.setattr(graphs, "_COUNT_BLOCK", block * max(graph.n_vertices, 64))
@@ -362,6 +374,35 @@ def test_truncated_skip_count_matches_loop():
     new = validate_hypergroup(tensor, range(tensor.size)).check("associativity")
     assert new == ref_assoc.associativity(tensor)
     assert new.skipped == 24335
+
+
+def _moved_mass(tensor, pairs):
+    """``tensor`` with a third of the first entry of each row in ``pairs``
+    moved to the next index: still stochastic, no longer associative."""
+    rows = {pair: dict(row) for pair, row in tensor.rows.items()}
+    for pair in pairs:
+        row = rows[pair]
+        k, nxt = min(row), (min(row) + 1) % tensor.size
+        moved = row[k] / 3
+        row[k] -= moved
+        row[nxt] = row.get(nxt, 0) + moved
+    entries = [(i, j, k, q) for (i, j), row in rows.items() for k, q in row.items()]
+    return structure_tensor(tensor.size, entries, tensor.truncation_radius)
+
+
+# Per i, associativity contracts only the box of (j, k) that some kept
+# triple needs; a failing row puts the witness inside a box narrower than
+# the cube.
+@pytest.mark.parametrize("pairs", [(), ((3, 5),), ((1, 1), (20, 9))], ids=("exact", "one", "two"))
+@pytest.mark.parametrize("tensor", [presets.zlattice_hypergroup(32).tensor,
+                                    wildberger_tensor(line_window_graph(30))],
+                         ids=("zlattice(32)", "z-window(30)"))
+def test_truncated_associativity_matches_loop(tensor, pairs):
+    tensor = _moved_mass(tensor, pairs)
+    new = validate_hypergroup(tensor, range(tensor.size)).check("associativity")
+    assert new == ref_assoc.associativity(tensor)
+    assert new.passed == (not pairs)
+    _assert_same_float_associativity(tensor)
 
 
 def _report(fn, graph, max_len, mode):

@@ -215,6 +215,17 @@ def test_path_sum_guards():
     assert sum(path_sum_distribution(window, (2, 1))) == 1
 
 
+def test_window_check_widens_narrow_distances():
+    # path(256) has uint8 distances, where 200 + 100 wraps to 44, inside
+    # a window of 200.
+    graph = pointed_graph([str(v) for v in range(256)], [(v, v + 1) for v in range(255)], 0,
+                          window_radius=200)
+    table = build_spheres(graph)
+    assert table.dist.dtype == np.uint8
+    with pytest.raises(BoundaryContactError, match="radius 100 around '200' exceeds"):
+        path_sum_distribution(table, (200, 100))
+
+
 def test_path_sum_refusal_names_first_carrier():
     # Both carriers of the last letter refuse; the first one reached is named.
     with pytest.raises(EmptySphereError, match="around vertex '1' is empty"):
