@@ -10,9 +10,13 @@ A family is stored as one dense (d, d, d, h, h) complex array holding
 B[i,j;k] at [i, j, k] (d^3 h^2 numbers; absent blocks are zero), a state as
 one (d, h, h) stack of its diagonal blocks.  On states flattened to length
 d h^2 the distance-k map is T_k[(i,a,c), (j,b,e)] = B_ab conj(B_ce) with
-B = B[i,j;k], so stepping one state or a whole stack is one matrix product;
-the Heisenberg picture Phi_k^*(X)_j = sum_i B[i,j;k]^* X_i B[i,j;k] is its
-adjoint, and ``check_hb`` runs there as d matrix products (GEMMs).
+B = B[i,j;k], so stepping one state or a whole stack is one matrix product.
+A family holds all d maps as one (d, d h^2, d h^2) stack, so a level of
+walks over several letters is one batched matrix product.  The Heisenberg
+picture Phi_k^*(X)_j = sum_i B[i,j;k]^* X_i B[i,j;k] is the adjoint, and
+``check_hb`` runs there as one matrix product (GEMM) per first letter,
+batched over chunks of consecutive letters of up to ``_SLAB_ENTRIES``
+entries, with one reduction per chunk.
 
 Word-order convention, fixed globally because it is easy to get backwards:
 
@@ -78,6 +82,9 @@ class KrausFamily(_PositionArray):
     """Kraus blocks as one dense array: ``array[i, j, k]`` is B[i,j;k].
 
     The array has shape (d, d, d, h, h); an absent block is the zero matrix.
+    The Gram blocks (``_gram``) and the superoperators of all d letters, one
+    read-only (d, d h^2, d h^2) stack (``_stack``), are built on first use
+    and kept, so every walk and check on one family shares them.
     ``truncation_radius`` tags families realized from a truncated tensor:
     blocks in rows (k, j) with k + j beyond the radius are an arbitrary
     completion (kept only so each map stays trace preserving) and nothing
@@ -116,23 +123,26 @@ class KrausFamily(_PositionArray):
             return np.matmul(blocks.conj().swapaxes(-1, -2), blocks, out=gram)
 
     @cached_property
-    def _transfers(self) -> list[np.ndarray | None]:
-        return [None] * self.d_size
+    def _stack(self) -> np.ndarray:
+        """The superoperators of every letter as one read-only (d, n, n)
+        array, n = d h^2, with T_k at [k] (see the module docstring): h^2
+        times the array's memory.  Built on first use by one elementwise
+        product into the array itself, so the build holds no temporary of
+        the stack's size, and kept.  Non-finite entries as in ``_gram``."""
+        d, h = self.d_size, self.h_dim
+        blocks = self.array.transpose(2, 0, 1, 3, 4)  # [k, i, j]
+        stack = np.empty((d, d, h, h, d, h, h), dtype=complex)
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.einsum("kijab,kijce->kiacjbe", blocks, blocks.conj(), out=stack)
+        stack = stack.reshape(d, d * h * h, d * h * h)
+        stack.setflags(write=False)
+        return stack
 
     def _transfer(self, k: int) -> np.ndarray:
         """Superoperator T_k of the distance-k map on states flattened to
-        d h^2, built on first use and kept: h^2 times the array's memory for
-        all d letters.  One letter at a time, so no build holds the whole
-        stack's temporaries.  Non-finite entries as in ``_gram``."""
-        transfer = self._transfers[k]
-        if transfer is None:
-            b = self.array[:, :, k]
-            n = self.d_size * self.h_dim**2
-            with np.errstate(over="ignore", invalid="ignore"):
-                transfer = np.einsum("ijab,ijce->iacjbe", b, b.conj()).reshape(n, n)
-            transfer.setflags(write=False)
-            self._transfers[k] = transfer
-        return transfer
+        d h^2: the read-only view ``_stack[k]``, so the first call builds
+        every letter."""
+        return self._stack[k]
 
 
 def kraus_family(
@@ -328,17 +338,28 @@ def walk_levels(family: KrausFamily, states: np.ndarray, max_len: int, budget: i
     ``budget`` if given, from an (S, d, h, h) stack of states.
 
     Goes down the prefix trie one length at a time, applying each prefix
-    once.  Yields per length the words in lexicographic order and their
-    distributions as a (words, S, d) array.
+    once: a level is one batched product of its parents' states with the
+    superoperators of the letters it uses, whose kept (parent, letter)
+    pairs are then gathered.  Yields per length the words in lexicographic
+    order and their distributions as a (words, S, d) array.
     """
+    n = family.d_size * family.h_dim**2
     stack = states[None]
     for words, parents, letters in prefix_trie(range(family.d_size), max_len, budget):
-        nxt = np.empty((len(words),) + states.shape, dtype=complex)
-        for k in sorted(set(letters.tolist())):
-            chosen = letters == k
-            nxt[chosen] = _apply(family, k, stack[parents[chosen]])
-        _check_states(nxt)
-        stack = nxt
+        # Every parent under every letter the level uses (letters 0 to top - 1),
+        # one product per letter; then the (letter, parent) pairs the trie kept.
+        top = int(letters.max()) + 1
+        rows = stack.reshape(-1, n)
+        products = np.matmul(rows, family._stack[:top].swapaxes(-1, -2))
+        products = products.reshape((top, -1) + states.shape)
+        if len(rows) > 1 and len(states) == 1:
+            # A letter that one parent alone takes is a vector-matrix product
+            # when applied on its own, which BLAS rounds unlike a row of a
+            # matrix product: form those the same way, for the same bits.
+            for w in np.flatnonzero(np.bincount(letters)[letters] == 1).tolist():
+                products[letters[w], parents[w]] = _apply(family, letters[w], stack[parents[w]])
+        stack = products[letters, parents]
+        _check_states(stack)
         yield words, _traces(stack)
 
 
@@ -436,47 +457,66 @@ def common_radius(family: KrausFamily, tensor: StructureTensor) -> int | None:
     return min(radii) if radii else None
 
 
+# Entries of the walk-minus-mixture blocks a chunk of ``heisenberg_slabs``
+# holds (at least one letter's): the products and reductions run per chunk.
+_SLAB_ENTRIES = 2**14
+
+
 def heisenberg_slabs(family: KrausFamily, tensor: StructureTensor, radius: int | None,
                      all_starts: bool = False):
-    """The walk-minus-mixture observables of the two-letter words, one first
-    letter at a time.
+    """The walk-minus-mixture observables of the two-letter words, a chunk of
+    first letters at a time.
 
     With E_i the identity block at position i, the word (l, k), which
     applies the l-map first, moves mass tr(Phi_l^*(Phi_k^*(E_i)) rho) to
     position i, and its mixture, through the fold Q[k, l] of the reversed
-    word, moves tr(sum_m Q[k,l,m] Phi_m^*(E_i) rho).  Per l, yields l and
-    the difference D[k, i, j] of the two observables at position j as a
-    (top, d, cols, h*h) array, for the letters k < top = radius - l + 1 (all
-    d when ``radius`` is None) and the starts j < top, or every start with
-    ``all_starts``.  The stack of all Phi_k^*(E_i) is the Gram array; each
-    l is one matrix product of it with the cached superoperator of Phi_l^*,
-    so memory stays O(d^3 h^2 + d^2 h^4).  Non-finite entries as in
-    ``KrausFamily._gram``.
+    word, moves tr(sum_m Q[k,l,m] Phi_m^*(E_i) rho).
+
+    Yields chunks (l0, D) of consecutive first letters l = l0, ..., l0 + L
+    - 1 within ``radius``, D[l - l0, k, i, j] the difference of the two
+    observables at position j, as an (L, top, d, cols, h*h) array: the
+    letters k < top = radius - l0 + 1 (all d when ``radius`` is None) and
+    the starts j < top, or every start with ``all_starts``.  The chunk's
+    first letter sets top and cols; ``slab_window`` masks the blocks that
+    leave the window for the later letters.  A chunk holds at most
+    ``_SLAB_ENTRIES`` entries, or one letter.  The stack of all
+    Phi_k^*(E_i) is the Gram array, and a chunk is one batched product of
+    it with the superoperators of its letters, one matrix product per
+    letter, so memory stays O(d^3 h^2 + d^2 h^4) plus the chunk.
+    Non-finite entries as in ``KrausFamily._gram``.
     """
     if family.d_size != tensor.size:
         raise ValueError(f"size mismatch: family {family.d_size}, tensor {tensor.size}")
-    d, h = family.d_size, family.h_dim
+    d, hh = family.d_size, family.h_dim**2
     # heisenberg[(k, i), (m, b, c)] = (B[i,m;k]^* B[i,m;k])_bc = Phi_k^*(E_i)_m
-    heisenberg = family._gram.reshape(d * d, d * h * h)
+    heisenberg = family._gram.reshape(d * d, d * hh)
+    by_position = family._gram.reshape(d, d, d * hh).swapaxes(0, 1)  # [i, m, (j, b, c)]
     q = tensor.to_float().cube  # Q[k, l, m]; rows outside a truncation are zero
-    for l in range(d):
-        top = d if radius is None else min(d, radius - l + 1)
-        if top <= 0:
-            return
+    letters = d if radius is None else min(d, radius + 1)
+    l0 = 0
+    while l0 < letters:
+        top = d if radius is None else min(d, radius - l0 + 1)
         cols = d if all_starts else top
+        stop = min(letters, l0 + max(1, _SLAB_ENTRIES // (top * d * cols * hh)))
         with np.errstate(over="ignore", invalid="ignore"):
-            slab = heisenberg[:top * d] @ family._transfer(l)[:, :cols * h * h].conj()
-            slab = slab.reshape(top, d, cols, h * h)
-            slab -= (q[:top, l, :] @ heisenberg.reshape(d, -1)).reshape(top, d, d, -1)[:, :, :cols]
-        yield l, slab
+            slab = np.matmul(heisenberg[:top * d], family._stack[l0:stop, :, :cols * hh].conj())
+            slab = slab.reshape(stop - l0, top, d, cols, hh)
+            # The mixture as [i, (l, k), (j, b, c)], one product per position i.
+            slab -= np.matmul(q[:top, l0:stop].swapaxes(0, 1).reshape(-1, d),
+                              by_position[:, :, :cols * hh]
+                              ).reshape(d, stop - l0, top, cols, hh).transpose(1, 2, 0, 3, 4)
+        yield l0, slab
+        l0 = stop
 
 
-def slab_window(slab: np.ndarray, l: int, radius: int | None) -> np.ndarray:
-    """The [k, i, j] mask of the blocks of a ``heisenberg_slabs`` slab whose
-    word (l, k) and start j stay within ``radius``: k + l + j <= radius."""
-    top, d, cols = slab.shape[:3]
-    within = np.add.outer(np.arange(top), np.arange(cols)) + l <= (np.inf if radius is None else radius)
-    return np.broadcast_to(within[:, None, :], (top, d, cols))
+def slab_window(slab: np.ndarray, l0: int, radius: int | None) -> np.ndarray:
+    """The [l - l0, k, i, j] mask of the blocks of a ``heisenberg_slabs``
+    chunk whose word (l, k) and start j stay within ``radius``:
+    k + l + j <= radius."""
+    letters, top, d, cols = slab.shape[:4]
+    sums = np.add.outer(np.add.outer(np.arange(letters), np.arange(top)), np.arange(cols)) + l0
+    within = sums <= (np.inf if radius is None else radius)
+    return np.broadcast_to(within[:, :, None, :], (letters, top, d, cols))
 
 
 # Entries of the observables a longer-word level forms at a time.
@@ -600,21 +640,20 @@ def check_hb(
 
     In the Heisenberg picture this reads Phi_l^*(Phi_k^*(E_i)) == sum_m
     Q[k,l,m] Phi_m^*(E_i): the residual of a tuple is the largest entry of
-    the block D[k, i, j] of ``heisenberg_slabs``.
+    its block of a ``heisenberg_slabs`` chunk, one reduction per chunk.
     """
     d = family.d_size
     radius = common_radius(family, tensor)
-    # Per l, the first worst residual in (k, i, j) order: ((k, l), value, witness).
+    # Per chunk, the first worst residual in (k, l, i, j) order: ((k, l), value, witness).
     candidates = []
     checked = 0
-    for l, slab in heisenberg_slabs(family, tensor, radius):
-        mask = slab_window(slab, l, radius)
-        residuals = np.abs(slab).max(axis=-1)  # [k, i, j]
-        ks, is_, js = np.nonzero(mask)
-        worst, n = worst_residual(residuals[mask])
-        k, i, j = int(ks[n]), int(is_[n]), int(js[n])
-        candidates.append(((k, l), worst, (i, j, k, l)))
-        checked += ks.size
+    for l0, slab in heisenberg_slabs(family, tensor, radius):
+        mask = slab_window(slab, l0, radius)
+        residuals = np.where(mask, np.abs(slab).max(axis=-1), -1.0).swapaxes(0, 1)  # [k, l, i, j]
+        worst, n = worst_residual(residuals)
+        k, l, i, j = (int(x) for x in np.unravel_index(n, residuals.shape))
+        candidates.append(((k, l0 + l), worst, (i, j, k, l0 + l)))
+        checked += int(np.count_nonzero(mask))
     candidates.sort()  # into (k, l, i, j) order; each (k, l) occurs once
     return scan_report(
         "block-decomposition", [value for _, value, _ in candidates],

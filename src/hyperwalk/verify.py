@@ -273,17 +273,23 @@ def verify_theorem_5_1(
     count(np.arange(d if radius is None else min(d, radius + 1)))
     # (order key, the first worst block norm of a piece, its witness)
     candidates, bound = [], 0.0
-    for l, slab in heisenberg_slabs(family, tensor, radius):
-        mask = slab_window(slab, l, radius)
-        entries = np.abs(slab).max(axis=-1)  # [k, i, j]
-        if not worst_residual(entries[mask])[0] <= EPS_HB:
-            return _converse_witness(family, tensor, min_gap)
+    chunks = heisenberg_slabs(family, tensor, radius)
+    for l0, slab in chunks:
+        mask = slab_window(slab, l0, radius)
+        entries = np.abs(slab).max(axis=-1)  # [l, k, i, j]
+        if not worst_residual(np.where(mask, entries, -1.0))[0] <= EPS_HB:
+            # Untruncated, the first chunk holds every start: the converse
+            # scan goes on from it rather than forming it again.
+            first = radius is None and l0 == 0
+            return _converse_witness(family, tensor, min_gap,
+                                     itertools.chain([(l0, slab)], chunks) if first else None)
         if max_word_len >= 2:
-            count(np.arange(slab.shape[0]) + l)
+            sums = np.add.outer(np.arange(l0, l0 + len(slab)), np.arange(slab.shape[1]))
+            count(sums.ravel() if radius is None else sums[sums <= radius])
             worst, index, bound = _first_worst(slab, mask & (entries != 0), h, bound)
             if index is not None:
-                k, i, j = index
-                candidates.append(((2, l, k, i, j), worst, ((l, k), i, j)))
+                l, k, i, j = index
+                candidates.append(((2, l0 + l, k, i, j), worst, ((l0 + l, k), i, j)))
 
     level = None
     for length, words, rows, blocks in heisenberg_levels(family, tensor, max_word_len, radius):
@@ -310,12 +316,14 @@ def verify_theorem_5_1(
 def _first_worst(blocks: np.ndarray, nonzero: np.ndarray, h: int, bound: float):
     """The largest ``_block_norms`` norm of the h x h blocks that ``nonzero``
     selects from ``blocks`` (a zero block's norm is zero), the index of its
-    first block (None for no block), and the raised bound."""
-    norms, bound = _block_norms(blocks[nonzero].reshape(-1, h, h), bound)
+    first block in C order (None for no block), and the raised bound."""
+    selected = blocks[nonzero].reshape(-1, h, h)
+    if not len(selected):
+        return -1.0, None, bound
+    norms = np.full(nonzero.shape, -1.0)  # -1 at the blocks not selected
+    norms[nonzero], bound = _block_norms(selected, bound)
     worst, n = worst_residual(norms)
-    if n is None:
-        return worst, None, bound
-    return worst, tuple(int(x[n]) for x in np.nonzero(nonzero)), bound
+    return worst, tuple(int(x) for x in np.unravel_index(n, norms.shape)), bound
 
 
 def _block_norms(blocks: np.ndarray, bound: float) -> tuple[np.ndarray, float]:
@@ -344,22 +352,30 @@ def _block_norms(blocks: np.ndarray, bound: float) -> tuple[np.ndarray, float]:
     return norms, bound
 
 
-def _converse_witness(family: KrausFamily, tensor: StructureTensor, min_gap: float) -> Report:
+def _converse_witness(family: KrausFamily, tensor: StructureTensor, min_gap: float,
+                      chunks=None) -> Report:
     """The first start E_m (x) sigma_s, sigma_s of ``spanning_states``, and
     two-letter word w with letter sum within the tensor's radius whose walk
     and mixture differ by at least ``min_gap``: max_i |tr(D_{w,i,m} sigma_s)|,
-    in (m, s) order, then word order."""
+    in (m, s) order, then word order.  ``chunks`` are the tensor's
+    all-starts ``heisenberg_slabs``, if already begun."""
     d, h = family.d_size, family.h_dim
+    radius = tensor.truncation_radius
     spanning = spanning_states(h)
     # tr(D sigma) is the flat D times the flat transpose of sigma.
     densities = np.array([rho.T.reshape(-1) for _, rho in spanning]).T
+    if chunks is None:
+        chunks = heisenberg_slabs(family, tensor, radius, all_starts=True)
     words, gaps = [], []
-    for l, slab in heisenberg_slabs(family, tensor, tensor.truncation_radius, all_starts=True):
-        top = slab.shape[0]
+    for l0, slab in chunks:
+        letters, top = slab.shape[:2]
         with np.errstate(invalid="ignore"):
-            traces = (slab.reshape(-1, h * h) @ densities).real.reshape(top, d, d, -1)
-        gaps.append(np.abs(traces).max(axis=1))  # [k, m, s]
-        words += [(l, k) for k in range(top)]
+            traces = (slab.reshape(-1, h * h) @ densities).real.reshape(letters, top, d, d, -1)
+        kept = [(l, k) for l in range(l0, l0 + letters) for k in range(top)
+                if radius is None or l + k <= radius]
+        ls, ks = np.array(kept).T
+        gaps.append(np.abs(traces[ls - l0, ks]).max(axis=1))  # [word, m, s]
+        words += kept
     gaps = np.concatenate(gaps).transpose(1, 2, 0)  # [m, s, word]
     hits = np.flatnonzero(gaps >= min_gap)  # a NaN gap is no witness
     if hits.size:

@@ -12,6 +12,9 @@
 - ``_sphere_count_tensor`` (one ``Fraction`` entry per constant) and
   ``produced_tensor`` (one float entry per constant), built through the
   frozen ``structure_tensor``.
+- ``walk_levels``, the per-letter trie walk that ``produced_tensor`` reads,
+  frozen from the library before its levels became one batched product:
+  each letter's superoperator is built on its own, as the library then did.
 """
 
 from __future__ import annotations
@@ -42,8 +45,9 @@ from hyperwalk.hypergroups import (
     check_radius,
     exact_tier,
     identity_permutation,
+    prefix_trie,
 )
-from hyperwalk.oqrw import _checked_walk, walk_levels
+from hyperwalk.oqrw import _check_states, _checked_walk
 from hyperwalk.report import Report, scan_report, worst_case, worst_residual
 
 
@@ -399,6 +403,38 @@ def _sphere_count_tensor(table: SphereTable) -> StructureTensor:
         denominator = scale * base_sizes[i]
         entries += [(i, j, k, Fraction(x, denominator)) for k, x in enumerate(numerators) if x]
     return structure_tensor(size, entries, truncation_radius=window)
+
+
+def _transfer(family: KrausFamily, k: int) -> np.ndarray:
+    """Superoperator T_k of the distance-k map on states flattened to d h^2."""
+    b = family.array[:, :, k]
+    n = family.d_size * family.h_dim**2
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.einsum("ijab,ijce->iacjbe", b, b.conj()).reshape(n, n)
+
+
+def walk_levels(family: KrausFamily, states: np.ndarray, max_len: int, budget: int | None):
+    """Walk every word of up to ``max_len`` letters, with letter sum within
+    ``budget`` if given, from an (S, d, h, h) stack of states.
+
+    Goes down the prefix trie one length at a time, applying each prefix
+    once.  Yields per length the words in lexicographic order and their
+    distributions as a (words, S, d) array.
+    """
+    n = family.d_size * family.h_dim**2
+    transfers = {}
+    stack = states[None]
+    for words, parents, letters in prefix_trie(range(family.d_size), max_len, budget):
+        nxt = np.empty((len(words),) + states.shape, dtype=complex)
+        for k in sorted(set(letters.tolist())):
+            if k not in transfers:
+                transfers[k] = _transfer(family, k)
+            chosen = letters == k
+            vectors = stack[parents[chosen]].reshape(-1, n)
+            nxt[chosen] = (vectors @ transfers[k].T).reshape(nxt[chosen].shape)
+        _check_states(nxt)
+        stack = nxt
+        yield words, np.trace(stack, axis1=-2, axis2=-1).real
 
 
 def produced_tensor(family: KrausFamily, state0: BlockState) -> StructureTensor:

@@ -23,8 +23,9 @@ import numpy as np
 import pytest
 
 import hyperwalk as hw
-from hyperwalk import oqrw, presets
+from hyperwalk import oqrw, presets, verify
 from reference import oqrw_loops as ref
+from reference import tensor_loops
 
 TOL = 1e-12
 
@@ -204,23 +205,85 @@ def test_produced_tensor_matches_loops(name):
     assert np.nanmax(np.abs(dense_rows(new) - dense_rows(old))) <= TOL
 
 
+def walked_levels(walk, family, states, cap):
+    """The levels ``walk`` yields, and the refusal that ends it, if any."""
+    levels = []
+    try:
+        for words, distributions in walk(family, states, 3, cap):
+            levels.append((words, distributions))
+    except ValueError as exc:
+        return levels, str(exc)
+    return levels, None
+
+
+def invalid_stacks(h, d):
+    """Stacks of two states whose second state is valid, or has a negative
+    block, a non-finite entry or total trace 1.1."""
+    valid = _states(h, d, 2, seed=6)
+    negative = valid.copy()
+    negative[1, 0] = -np.eye(h) / (2 * h)
+    negative[1, 1:] *= 1.5 / np.trace(valid[1, 1:], axis1=-2, axis2=-1).real.sum()
+    not_finite = valid.copy()
+    not_finite[1, d - 1, 0, 0] = np.nan
+    return {"valid": valid, "negative": negative, "non-finite": not_finite,
+            "trace": valid * np.array([1.0, 1.1])[:, None, None, None]}
+
+
 @pytest.mark.parametrize("name", CASES)
-def test_check_hb_matches_loops(name):
+def test_walk_levels_matches_frozen_loop(name):
+    """One batched product per level walks as the per-letter loop did."""
+    family, _, state, _, _ = case(name)
+    d, h = family.d_size, family.h_dim
+    stacks = {"start": state.array[None], **invalid_stacks(h, d)}
+    for cap in (None, d // 2):
+        for label, states in stacks.items():
+            new, refusal = walked_levels(oqrw.walk_levels, family, states, cap)
+            old, old_refusal = walked_levels(tensor_loops.walk_levels, family, states, cap)
+            assert refusal == old_refusal, (label, cap)
+            # A dense map can take the negative block to a valid state.
+            if label != "negative":
+                assert (refusal is None) == (label in ("start", "valid")), (label, cap)
+            assert [words for words, _ in new] == [words for words, _ in old]
+            for (_, a), (_, b) in zip(new, old):
+                assert a.shape == b.shape and np.abs(a - b).max() <= 1e-15
+
+
+@functools.lru_cache(maxsize=None)
+def loop_check_hb(name):
+    _, tensor, _, old_family, _ = case(name)
+    return ref.check_hb(old_family, tensor)
+
+
+def assert_check_hb_matches_loops(name):
     family, tensor, _, old_family, _ = case(name)
-    new, old = hw.check_hb(family, tensor), ref.check_hb(old_family, tensor)
+    new, old = hw.check_hb(family, tensor), loop_check_hb(name)
     assert_same_check(new, old, "worst_tuple", hb_residual(old_family, tensor))
     assert (new.checked, new.skipped) == (old.checked, old.skipped)
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_check_hb_matches_loops(name):
+    assert_check_hb_matches_loops(name)
 
 
 TRUNCATED = [name for name in CASES if budget(*case(name)[:2]) is not None]
 
 
-@pytest.mark.parametrize("name", [name for name in CASES if name not in TRUNCATED])
-def test_theorem_5_1_matches_loops(name):
-    family, tensor, _, old_family, _ = case(name)
-    kwargs = dict(max_word_len=3, n_states=3, seed=7)
-    new = hw.verify_theorem_5_1(family, tensor, **kwargs)
-    old = ref.verify_theorem_5_1(old_family, tensor, **kwargs)
+@functools.lru_cache(maxsize=None)
+def loop_theorem_5_1(name, max_len):
+    _, tensor, _, old_family, _ = case(name)
+    return ref.verify_theorem_5_1(old_family, tensor, max_word_len=max_len, n_states=3, seed=7)
+
+
+def assert_theorem_5_1_matches_loops(name, max_len):
+    """Theorem 5.1 against the loops, or on truncated inputs against the
+    point starts (see the module docstring)."""
+    if name in TRUNCATED:
+        assert_theorem_5_1_matches_point_starts(name, max_len)
+        return
+    family, tensor, _, _, _ = case(name)
+    new = hw.verify_theorem_5_1(family, tensor, max_word_len=max_len, n_states=3, seed=7)
+    old = loop_theorem_5_1(name, max_len)
     assert (new.passed, new.note) == (old.passed, old.note)
     # The branch is check_hb's verdict, taken from the same two-letter blocks.
     assert ("holds" in new.note) == hw.check_hb(family, tensor).passed
@@ -232,6 +295,11 @@ def test_theorem_5_1_matches_loops(name):
         # The exact worst case over all states bounds the sampled one.
         assert new.max_residual >= old.max_residual - TOL
         assert new.max_residual <= TOL
+
+
+@pytest.mark.parametrize("name", [name for name in CASES if name not in TRUNCATED])
+def test_theorem_5_1_matches_loops(name):
+    assert_theorem_5_1_matches_loops(name, 3)
 
 
 def point_start_gaps(family, tensor, max_len, radius):
@@ -274,19 +342,99 @@ def point_start_gaps(family, tensor, max_len, radius):
     return tally["worst"], tally["cases"], tally["words"]
 
 
-@pytest.mark.parametrize("max_len", (2, 3, 4))
-@pytest.mark.parametrize("name", TRUNCATED)
-def test_theorem_5_1_truncated_matches_point_starts(name, max_len):
+@functools.lru_cache(maxsize=None)
+def loop_point_starts(name, max_len):
+    family, tensor, _, _, _ = case(name)
+    return point_start_gaps(family, tensor, max_len, budget(family, tensor))
+
+
+def assert_theorem_5_1_matches_point_starts(name, max_len):
     family, tensor, _, _, _ = case(name)
     d = family.d_size
     report = hw.verify_theorem_5_1(family, tensor, max_word_len=max_len)
-    worst, cases, words = point_start_gaps(family, tensor, max_len, budget(family, tensor))
+    worst, cases, words = loop_point_starts(name, max_len)
     assert hw.check_hb(family, tensor).passed
     assert report.passed and report.note == "decomposition holds; walk == mixture"
     assert worst <= TOL and report.max_residual <= TOL
     assert report.max_residual >= worst - TOL
     # One case per (word, i, j); the starts past the window are skipped.
     assert (report.checked, report.skipped) == (d * cases, d * (d * words - cases))
+
+
+@pytest.mark.parametrize("max_len", (2, 3, 4))
+@pytest.mark.parametrize("name", TRUNCATED)
+def test_theorem_5_1_truncated_matches_point_starts(name, max_len):
+    assert_theorem_5_1_matches_point_starts(name, max_len)
+
+
+# Slab entry budgets that give each first letter of heisenberg_slabs a chunk
+# of its own, and all of them one chunk.
+SLAB_BUDGETS = {"one letter per chunk": 1, "one chunk": 2**62}
+
+
+def chunked_reports(family, tensor):
+    """check_hb, Theorem 5.1 at two and three letters and the converse scan,
+    each as a tuple that compares the residual bit for bit."""
+    reports = [
+        hw.check_hb(family, tensor),
+        hw.verify_theorem_5_1(family, tensor, max_word_len=2),
+        hw.verify_theorem_5_1(family, tensor, max_word_len=3),
+        verify._converse_witness(family, tensor, 1e-8),
+    ]
+    # Plain ints, as a JSON document or a trace of the counts needs them.
+    assert all(type(r.checked) is int and type(r.skipped) is int for r in reports)
+    return [(r.passed, repr(r.max_residual), r.witness, r.checked, r.skipped, r.note)
+            for r in reports]
+
+
+@pytest.mark.parametrize("slab_budget", SLAB_BUDGETS)
+@pytest.mark.parametrize("name", CASES)
+def test_slab_chunks_give_the_same_reports(name, slab_budget, monkeypatch):
+    family, tensor, _, _, _ = case(name)
+    expected = chunked_reports(family, tensor)
+    monkeypatch.setattr(oqrw, "_SLAB_ENTRIES", SLAB_BUDGETS[slab_budget])
+    assert chunked_reports(family, tensor) == expected
+    assert_check_hb_matches_loops(name)
+    for max_len in (2, 3):
+        assert_theorem_5_1_matches_loops(name, max_len)
+
+
+@functools.lru_cache(maxsize=None)
+def _non_finite_cases():
+    """d = 6, h = 2 inputs whose slabs hold NaN: a block of letter 3 of a
+    dense family, and constants of the rows (1, 3) and (2, 1) of a group's
+    tensor, which come first in (k, l) and in (l, k) order."""
+    family, tensor, _, _, _ = case("random d6 h2")
+    array = family.array.copy()
+    array[1, 2, 3] = np.nan  # B[1,2;3]
+    group, group_tensor, _, _, _ = case("s3 h2")
+    cube = group_tensor.to_float().cube.copy()
+    cube[1, 3, 0] = cube[2, 1, 0] = np.nan  # Q[1,3,0] and Q[2,1,0]
+    return {
+        "NaN block in letter 3": (hw.KrausFamily(array=array), tensor),
+        "NaN constants in rows (1, 3) and (2, 1)": (group, hw.StructureTensor(cube)),
+    }
+
+
+@pytest.mark.parametrize("name", _non_finite_cases())
+def test_first_non_finite_witness_is_the_per_letter_one(name, monkeypatch):
+    family, tensor = _non_finite_cases()[name]
+    d = family.d_size
+    # Letter 3 is inside a chunk of five letters and inside the one chunk.
+    budgets = {"default": oqrw._SLAB_ENTRIES, "five letters per chunk": 5 * d**3 * 4,
+               **SLAB_BUDGETS}
+    reports = {}
+    for slab_budget, entries in budgets.items():
+        monkeypatch.setattr(oqrw, "_SLAB_ENTRIES", entries)
+        reports[slab_budget] = chunked_reports(family, tensor)
+    assert all(r == reports["one letter per chunk"] for r in reports.values())
+    report = hw.check_hb(family, tensor)
+    assert not report.passed and np.isnan(report.max_residual)
+    # The loop formula's first non-finite tuple in (k, l, i, j) order.
+    residual = hb_residual(ref.from_family(family), tensor)
+    first = next((i, j, k, l) for k, l, i, j in np.ndindex((d,) * 4)
+                 if not np.isfinite(residual((i, j, k, l))))
+    assert report.witness == first
 
 
 @pytest.mark.parametrize(
