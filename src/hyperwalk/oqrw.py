@@ -38,6 +38,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .errors import TruncationExceededError
+from .graphs import _vertex_index
 from .hypergroups import (
     EPS_PROB,
     StructureTensor,
@@ -193,22 +194,52 @@ _CHECK_ENTRIES = 2**12
 
 def _check_states(stack: np.ndarray) -> None:
     """Raise ValueError for the first invalid state (in C order) of a
-    (..., d, h, h) stack, naming its first bad block, else its trace."""
+    (..., d, h, h) stack, naming its first bad block, else its trace.
+
+    The stack is checked ``_CHECK_ENTRIES`` entries at a time, each chunk
+    first by ``_certified`` in a few passes over the whole chunk, and block
+    by block only when that cannot pass it."""
     flat = stack.reshape((-1,) + stack.shape[-3:])
     chunk = max(1, _CHECK_ENTRIES // flat[0].size) if len(flat) else 1
     for start in range(0, len(flat), chunk):
         _check_flat_states(flat[start:start + chunk])
 
 
+def _certified(flat: np.ndarray) -> bool:
+    """Whether every state of an (S, d, h, h) stack passes, from the
+    quantities the scan of ``_check_flat_states`` computes, reduced over the
+    whole stack: the largest Hermitian gap (NaN or inf anywhere makes it
+    NaN or inf, so finiteness needs no pass of its own), the total traces,
+    the Gershgorin row bounds, and ``eigvalsh`` on the blocks those bounds
+    leave uncertain.  True only where the scan would pass."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        adjoint = flat.conj().swapaxes(-1, -2)
+        if not np.abs(flat - adjoint).max() <= EPS_PSD:
+            return False
+        total = np.trace(flat, axis1=-2, axis2=-1).real.sum(axis=-1)
+        if not np.abs(total - 1.0).max() <= EPS_PROB:
+            return False
+        symmetric = (flat + adjoint) / 2
+        rows = 2 * np.diagonal(symmetric, axis1=-2, axis2=-1).real - np.abs(symmetric).sum(axis=-1)
+    if rows.min() >= 0:
+        return True
+    uncertain = ~(rows.min(axis=-1) >= 0)
+    return np.linalg.eigvalsh(symmetric[uncertain])[..., 0].min() >= -EPS_PSD
+
+
 def _check_flat_states(flat: np.ndarray) -> None:
     """``_check_states`` on an (S, d, h, h) stack.
 
-    A block's least eigenvalue is taken with ``eigvalsh`` only where the
+    A stack that ``_certified`` passes is done; otherwise the scan below
+    finds the first failing state and words its refusal, per block.  A
+    block's least eigenvalue is taken with ``eigvalsh`` only where the
     Gershgorin bound (per row, the diagonal entry less the other entries'
     moduli) cannot certify it as nonnegative.  Blocks are certified only at
     a bound >= 0: a certified block has a nonnegative diagonal, so in a
     state that passes its entries are at most the total trace 1, and the
     round-off in its bound is far below EPS_PSD."""
+    if _certified(flat):
+        return
     finite = np.isfinite(flat).all(axis=(-2, -1))
     # Non-finite blocks are refused by name below, not by these sums.
     with np.errstate(invalid="ignore"):
@@ -254,6 +285,7 @@ def block_state(blocks: Sequence[np.ndarray], validate: bool = True) -> BlockSta
 
 def point_state(rho0: np.ndarray, site: int, d_size: int) -> BlockState:
     """State rho0 concentrated at one position."""
+    site = _vertex_index(site, "site")
     if not 0 <= site < d_size:
         raise ValueError(f"site {site} out of range for d_size {d_size}")
     rho0 = np.asarray(rho0, dtype=complex)
@@ -297,7 +329,8 @@ def one_step_distributions(family: KrausFamily, stack: np.ndarray) -> np.ndarray
 
 def _checked_walk(family: KrausFamily, state: BlockState, word: Word = (),
                   radius: int | None = None) -> tuple[int, ...]:
-    """Check a walk's inputs once at entry; returns the word as a tuple.
+    """Check a walk's inputs once at entry; returns the word as a tuple of
+    ints.  A bool or non-integral letter is refused, as in ``graphs``.
 
     With a truncation ``radius``, a walk is certified only from the
     positions j with j + sum(word) within it: TruncationExceededError names
@@ -305,10 +338,10 @@ def _checked_walk(family: KrausFamily, state: BlockState, word: Word = (),
     """
     if state.d_size != family.d_size or state.h_dim != family.h_dim:
         raise ValueError("state and family dimensions disagree")
+    word = tuple(_vertex_index(k, "letter") for k in word)
     for k in word:
         if not (0 <= k < family.d_size):
             raise ValueError(f"letter {k} out of range for size {family.d_size}")
-    word = tuple(word)
     if radius is not None:
         support = np.flatnonzero(state.array.any(axis=(-2, -1)))
         past = support[support + sum(word) > radius]
@@ -323,6 +356,7 @@ def _checked_walk(family: KrausFamily, state: BlockState, word: Word = (),
 def step(family: KrausFamily, k: int, state: BlockState) -> BlockState:
     """One application of the distance-k map: rho'_i = sum_j B rho_j B^*."""
     _checked_walk(family, state)
+    k = _vertex_index(k, "distance")
     if not (0 <= k < family.d_size):
         raise IndexError(f"distance {k} out of range")
     return block_state(_apply(family, k, state.array))
@@ -366,13 +400,29 @@ def walk_levels(family: KrausFamily, states: np.ndarray, max_len: int, budget: i
 def walk_distribution(family: KrausFamily, word: Word, state0: BlockState) -> np.ndarray:
     """Distribution after applying the maps of ``word`` in order to ``state0``.
 
+    The state after each letter is held, up to ``_CHECK_ENTRIES`` entries
+    of states at a time, and each batch of held states is certified at once
+    (``_certified``), so memory stays the same whatever the word's length.
+    A batch's letters run with numpy's overflow and invalid warnings off.  A
+    batch that is not certified runs again, checking the state after every
+    letter, so a walk refuses its first invalid state with the message and
+    the warnings of a walk checked letter by letter.
+
     On a truncated family the state's support must stay within the radius
     less the word's letter sum (see ``_checked_walk``)."""
     word = _checked_walk(family, state0, word, family.truncation_radius)
     stack = state0.array
-    for k in word:
-        stack = _apply(family, k, stack)
-        _check_states(stack)
+    batch = max(1, _CHECK_ENTRIES // stack.size)
+    held = np.empty((min(batch, len(word)),) + stack.shape, dtype=complex)
+    for start in range(0, len(word), batch):
+        letters, before = word[start:start + batch], stack
+        with np.errstate(over="ignore", invalid="ignore"):
+            for n, k in enumerate(letters):
+                held[n] = stack = _apply(family, k, stack)
+        if not _certified(held[:len(letters)]):
+            for k in letters:
+                before = _apply(family, k, before)
+                _check_states(before)
     return _traces(stack)
 
 

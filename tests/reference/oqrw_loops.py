@@ -8,10 +8,11 @@ sequential map, ``from_family``/``from_state`` convert the library's
 dense objects into the sparse ones used here, and ``VerificationReport`` is
 a local copy of the report class the library has since replaced.
 
-``check_states`` and ``realize_array`` at the end are frozen copies of
-later library code, the eigvalsh-only state check and the per-block
-``realize``, kept as the oracles of their batched replacements.  Do not
-optimise this file.
+``check_states``, ``realize_array`` and ``walk_per_letter`` at the end
+are frozen copies of later library code, the eigvalsh-only state check, the
+per-block ``realize`` and the dense walk that checks the state after every
+letter, kept as the oracles of their batched replacements.  Do not optimise
+this file.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from hyperwalk.hypergroups import (
     multi_constants,
     structure_tensor,
 )
+from hyperwalk.oqrw import _apply, _check_states, _checked_walk, _traces
 from hyperwalk.verify import spanning_states
 
 EPS_KRAUS = 1e-8
@@ -547,3 +549,15 @@ def realize_array(tensor: StructureTensor, h_dim: int = 1, isometries=None) -> n
             raise ValueError(f"block {(i, j, k)} has non-finite entries")
         array[i, j, k] = arr
     return array
+
+
+def walk_per_letter(family, word: Word, state0) -> np.ndarray:
+    """The library's ``walk_distribution`` on its dense objects as it ran
+    before its states were checked in batches: the library's state check
+    after every letter, under the caller's numpy error state."""
+    word = _checked_walk(family, state0, word, family.truncation_radius)
+    stack = state0.array
+    for k in word:
+        stack = _apply(family, k, stack)
+        _check_states(stack)
+    return _traces(stack)

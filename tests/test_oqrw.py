@@ -1,8 +1,11 @@
 import itertools
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import hyperwalk as hw
 from hyperwalk import (
     KrausFamily,
     StructureTensor,
@@ -26,6 +29,7 @@ from hyperwalk import (
 )
 from hyperwalk import presets
 from hyperwalk.verify import random_block_state, random_unitary
+from reference import oqrw_loops as ref
 
 
 def delta_family(d_size, h_dim=1):
@@ -103,6 +107,54 @@ def test_walks_reject_out_of_range_letters(c4):
     for fn in (walk_distribution, lambda f, w, s: mixture_distribution(f, c4.tensor, w, s)):
         with pytest.raises(ValueError, match="letter 5 out of range"):
             fn(fam, (1, 5), state)
+
+
+@pytest.mark.parametrize("letter", [True, False, 1.0, np.float64(1), np.bool_(True), "1"])
+def test_walks_refuse_bool_and_non_integral_letters(letter):
+    tensor = presets.zlattice_hypergroup(6).tensor
+    fam, state = realize(tensor, h_dim=1)
+    message = "^" + re.escape(f"letter {letter!r} is not an integer") + "$"
+    for fn in (walk_distribution, lambda f, w, s: mixture_distribution(f, tensor, w, s)):
+        for word in ((letter, 1), (1, letter)):
+            with pytest.raises(ValueError, match=message):
+                fn(fam, word, state)
+    with pytest.raises(ValueError, match="is not an integer$"):
+        step(fam, letter, state)
+    with pytest.raises(ValueError, match="is not an integer$"):
+        point_state(np.eye(1), letter, 3)
+
+
+def test_numpy_integer_letters_and_sites_walk_as_ints(c4):
+    fam, state = realize(c4, h_dim=2)
+    word = (np.int64(1), np.int32(2), np.uint8(1))
+    plain = tuple(int(k) for k in word)
+    assert np.array_equal(walk_distribution(fam, word, state), walk_distribution(fam, plain, state))
+    assert np.array_equal(mixture_distribution(fam, c4.tensor, word, state),
+                          mixture_distribution(fam, c4.tensor, plain, state))
+    assert np.array_equal(step(fam, np.int64(2), state).array, step(fam, 2, state).array)
+    assert np.array_equal(point_state(np.eye(2) / 2, np.int64(1), 3).array,
+                          point_state(np.eye(2) / 2, 1, 3).array)
+
+
+def test_long_walk_holds_a_bounded_batch_of_states():
+    """A walk holds at most ``_CHECK_ENTRIES`` entries of states at a time:
+    5,000 letters on d = 9, h = 3 stay far below the 6.5 MB that holding
+    every letter's state would take, and give the bits of the walk checked
+    letter by letter."""
+    fam = hw.random_kraus_family(9, 3, seed=5)
+    state = hw.maximally_mixed_state(3, 9)
+    word = tuple(np.random.default_rng(5).integers(0, 9, 5000).tolist())
+    walk_distribution(fam, word[:2], state)  # builds the family's superoperators
+    tracemalloc.start()
+    try:
+        probs = walk_distribution(fam, word, state)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    all_letters = len(word) * state.array.nbytes
+    assert all_letters > 6e6
+    assert peak < all_letters / 10
+    assert np.array_equal(probs, ref.walk_per_letter(fam, word, state))
 
 
 def test_validate_kraus_pass_and_fail():

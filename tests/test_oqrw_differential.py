@@ -18,9 +18,12 @@ states leave the certified window.
 """
 
 import functools
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import hyperwalk as hw
 from hyperwalk import oqrw, presets, verify
@@ -651,3 +654,128 @@ def _verdict(check, stack):
     except ValueError as exc:
         return str(exc)
     return None
+
+
+def _ulps(x, n):
+    """x moved n ulps (toward +inf for n > 0)."""
+    for _ in range(abs(n)):
+        x = np.nextafter(x, np.inf if n > 0 else -np.inf)
+    return x
+
+
+@st.composite
+def _edge_stacks(draw):
+    """An (S, d, h, h) stack of valid states with one entry pushed to an
+    edge of a check: a least eigenvalue at -EPS_PSD, a Hermitian gap at
+    EPS_PSD or a total trace at 1 +- EPS_PROB, each give or take a few ulps,
+    or a NaN, +-inf or imaginary inf on a diagonal."""
+    h = draw(st.sampled_from((1, 2, 3)))
+    d, n_states = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    seed = draw(st.integers(0, 2**16))
+    stack = _states(h, d, n_states, seed)
+    s, j, a = draw(st.integers(0, n_states - 1)), draw(st.integers(0, d - 1)), draw(st.integers(0, h - 1))
+    ulps = draw(st.integers(-4, 4))
+    edge = draw(st.sampled_from(("eigenvalue", "hermitian", "trace", "non-finite")))
+    if edge == "eigenvalue":
+        least = _ulps(-ref.EPS_PSD, ulps)
+        # The block's trace is 1/d, or -EPS_PSD when h = 1.
+        spectrum = [least] + [(1 / d - least) / max(h - 1, 1)] * (h - 1)
+        stack[s, j] = _rotated(spectrum, seed) if draw(st.booleans()) else np.diag(spectrum)
+        if d > 1:
+            rest = [m for m in range(d) if m != j]
+            total = np.trace(stack[s, rest], axis1=-2, axis2=-1).real.sum()
+            stack[s, rest] *= (1 - np.trace(stack[s, j]).real) / total
+    elif edge == "hermitian":
+        # On a diagonal block, whose Hermitian gap is then exactly ``gap``.
+        gap = _ulps(ref.EPS_PSD, ulps)
+        block = np.diag(np.diagonal(stack[s, j]).real).astype(complex)
+        if h > 1:
+            block[a, (a + 1) % h] = gap * draw(st.sampled_from((1, -1, 1j, -1j)))
+        else:  # on a 1x1 block, X - X^* is 2i Im X
+            block[0, 0] += 1j * gap / 2
+        stack[s, j] = block
+    elif edge == "trace":
+        stack[s] *= _ulps(1 + draw(st.sampled_from((1, -1))) * ref.EPS_PROB, ulps)
+    else:
+        stack[s, j, a, a] = draw(st.sampled_from((np.nan, np.inf, -np.inf, complex(0, np.inf))))
+    return stack
+
+
+@given(_edge_stacks())
+def test_certified_state_checks_match_eigvalsh_oracle(stack):
+    """On stacks pushed to the edges of every check, ``_check_states`` (the
+    certificate, then the scan where it cannot pass) refuses exactly as the
+    frozen eigvalsh-only check does, and the certificate passes a stack
+    only where that check passes it."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        expected = _verdict(ref.check_states, stack)
+        singles = [_verdict(ref.check_states, state) for state in stack]
+    assert _verdict(oqrw._check_states, stack) == expected
+    assert [_verdict(oqrw._check_states, state) for state in stack] == singles
+    if oqrw._certified(stack):
+        assert expected is None
+
+
+def _refusing_walks():
+    """Walks (family, state, word) whose state first goes bad at letter 1,
+    2 or 3, or a few letters into the second batch of held states, with
+    more letters after it."""
+    family, state = hw.realize(presets.c4_hypergroup(), h_dim=3, isometries=_isometries(3, 8))
+    v = np.array([1.0, 2.0, 2.0j]) / 3
+    pure = hw.point_state(np.outer(v, v.conj()), 0, 3)
+    eye = np.eye(3)
+    # Per position, rho -> (2/3) tr(rho) 1 - rho: it keeps the trace, but is
+    # not completely positive, and sends a pure block to eigenvalue -1/3.
+    flip = (2 / 3) * np.einsum("ac,be->acbe", eye, eye) - np.einsum("ab,ce->acbe", eye, eye)
+    negative = family._stack.copy()
+    negative[1] = np.kron(np.eye(3), flip.reshape(9, 9)) @ negative[1]
+    bad = {
+        "NaN block": (_with_blocks(family, 1, lambda b: b * np.nan), state),
+        "overflowing block": (_with_blocks(family, 1, lambda b: b * 1e200), state),
+        "trace not kept": (_with_blocks(family, 1, lambda b: b * 1.1), state),
+        "trace growing to overflow": (_with_blocks(family, 1, lambda b: b * 1e3), state),
+        "negative output": (_with_stack(family, negative), pure),
+    }
+    batch = oqrw._CHECK_ENTRIES // state.array.size
+    out = []
+    for name, (fam, start) in bad.items():
+        for n in (1, 2, 3, batch + 3):
+            # Distance 0 keeps a point state a point state; letter 1 goes bad.
+            word = (0,) * (n - 1) + (1,) + (0, 1) * (200 if "overflow" in name else 2)
+            out.append(pytest.param(fam, start, word, id=f"{name} at letter {n}"))
+    return out
+
+
+def _with_blocks(family, k, edit):
+    array = family.array.copy()
+    array[:, :, k] = edit(array[:, :, k])
+    return hw.KrausFamily(array=array)
+
+
+def _with_stack(family, stack):
+    """A copy of ``family`` walking by the superoperators ``stack``: the
+    stack is a cached property of the frozen family, seeded here."""
+    family = hw.KrausFamily(array=family.array)
+    family.__dict__["_stack"] = stack
+    return family
+
+
+def _outcome(walk):
+    """The walk's distribution, or its refusal's type and message, with
+    every numpy warning raised as an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return walk().tolist()
+        except (ValueError, RuntimeWarning) as exc:
+            return type(exc).__name__, str(exc)
+
+
+@pytest.mark.parametrize("family, state, word", _refusing_walks())
+def test_refused_walks_match_the_per_letter_loop(family, state, word):
+    """A walk that goes bad refuses its first bad state with the refusal
+    and the warnings of the walk checked after every letter, and no
+    warning from the letters after it."""
+    expected = _outcome(lambda: ref.walk_per_letter(family, word, state))
+    assert isinstance(expected, tuple)
+    assert _outcome(lambda: hw.walk_distribution(family, word, state)) == expected
