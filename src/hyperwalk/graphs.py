@@ -35,11 +35,13 @@ from .hypergroups import (
     check_radius,
     exact_tensor,
     exact_tier,
+    letter_blocks,
 )
 from .report import Report
 
-# Keys, and counts, that ``_row_counts`` bins at a time: 512 KB
-# of int64 stays in cache, where larger blocks measured slower.
+# Keys, and counts, that ``_row_counts`` bins at a time, and pairs that
+# ``_intersection_array_holds`` counts at a time: 512 KB of int64 stays in
+# cache, where larger blocks measured slower.
 _COUNT_BLOCK = 2**16
 
 
@@ -123,7 +125,8 @@ def pointed_graph(
 
 
 def _vertex_index(value, name: str) -> int:
-    """A vertex index as an ``int``: a bool or a non-integral value is refused."""
+    """An index or a count as an ``int``: a bool or a non-integral value is
+    refused."""
     if type(value) is int:
         return value
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
@@ -420,21 +423,30 @@ def _intersection_array_holds(table: SphereTable) -> bool:
     graph = table.graph
     if len(set(map(len, graph.neighbors))) != 1:
         return False
-    width = table.starts.shape[1] - 1
+    n, width = graph.n_vertices, table.starts.shape[1] - 1
     dist = table.dist
     nbrs = _neighbour_array(graph)
-    # behind[v, u] and level[v, u] count the neighbours w of v with
-    # d(u, w) < d(u, v) and d(u, w) = d(u, v); row gathers, by symmetry.
-    behind = np.zeros(dist.shape, dtype=np.min_scalar_type(nbrs.shape[1]))
-    level = np.zeros_like(behind)
-    for column in nbrs.T:
-        near = dist[column]
-        behind += near < dist
-        level += near == dist
-    # The first pair (v, u) at each distance, in row-major order.
+    # c_i and a_i at the first pair (v, u) at each distance i, in row-major
+    # order: the neighbours w of v with d(u, w) < i and d(u, w) = i.
+    radii = np.arange(width, dtype=dist.dtype)
     first_v = np.argmax(table.sphere_sizes > 0, axis=0)
-    first_u = np.argmax(dist[first_v] == np.arange(width, dtype=dist.dtype)[:, None], axis=1)
-    return all(np.array_equal(counts, counts[first_v, first_u][dist]) for counts in (behind, level))
+    first_u = np.argmax(dist[first_v] == radii[:, None], axis=1)
+    near = dist[nbrs[first_v], first_u[:, None]]  # [i, neighbour]
+    c, a = (near < radii[:, None]).sum(axis=1), (near == radii[:, None]).sum(axis=1)
+    # The same counts for every pair, one block of rows v at a time: row
+    # gathers d(w, u) = d(u, w) of each neighbour column w, by symmetry.
+    rows = max(1, _COUNT_BLOCK // n)
+    for lo in range(0, n, rows):
+        block = dist[lo:lo + rows]
+        behind = np.zeros(block.shape, dtype=np.min_scalar_type(nbrs.shape[1]))
+        level = np.zeros_like(behind)
+        for column in nbrs[lo:lo + rows].T:
+            near = dist[column]
+            behind += near < block
+            level += near == block
+        if not (np.array_equal(behind, c[block]) and np.array_equal(level, a[block])):
+            return False
+    return True
 
 
 def _distance_regular_scan(table: SphereTable) -> Report:
@@ -520,42 +532,49 @@ def path_sum_levels(table: SphereTable, levels):
     letter k multiplies every denominator by |S_k(base)|.
 
     Holds the integer vertex masses of every prefix in a level and extends
-    them per letter k by one product with the distance-k indicator of the
-    prefixes' support.  The distributions need only the counts
-    |S_k(v) & S_r(base)|, and the last level only those.  Yields per level
-    the numerators of the distributions, a (words, size) array, and their
-    denominators, a list.  The masses of a word sum to its denominator, so
-    the sums run in float64 while every denominator is below 2**53, and in
-    Python ints above.  Like the single-word sum, this never reads
-    structure constants.
+    them a block of letters at a time (``letter_blocks``), by one product of
+    the masses of the block's prefixes, over their support, with the
+    distance-k indicators of the support for the block's letters k; the
+    distributions then sum the masses by base distance.  The last level
+    needs only the distributions: its product is with the counts
+    |S_k(v) & S_r(base)| instead.  Yields per level the numerators of the
+    distributions, a (words, size) array, and their denominators, a list.
+    The masses of a word sum to its denominator, so the sums run in float64
+    while every denominator is below 2**53, and in Python ints above.  Like
+    the single-word sum, this never reads structure constants.
     """
     graph = table.graph
     n, size = graph.n_vertices, len(table.index_set)
-    spheres = table.sphere_sizes[graph.base, :size].tolist()
+    spheres = table.sphere_sizes[graph.base, :size]
+    by_distance = table.dist[graph.base][:, None] == np.arange(size)  # [w, r]
     levels = list(levels)
     mass = np.zeros((1, n))
     mass[0, graph.base] = 1
-    denominators = [1]
+    denominators = np.ones(1, dtype=np.int64)
     for depth, (words, parents, letters) in enumerate(levels):
-        children = [denominators[p] * spheres[k] for p, k in zip(parents.tolist(), letters.tolist())]
-        bound = max(children)
+        if int(denominators.max()) * int(spheres.max()) >= 2**63:
+            denominators = denominators.astype(object)
+        children = denominators[parents] * spheres[letters]
+        bound = int(children.max())
         mass = exact_tier(bound, mass)
-        counts = exact_tier(bound, table.base_counts)
-        totals = exact_tier(bound, np.zeros((len(words), size)))
         last = depth == len(levels) - 1
-        nxt = None if last else exact_tier(bound, np.zeros((len(words), n)))
-        for k in sorted(set(letters.tolist())):
-            chosen = letters == k
-            prefixes = mass[parents[chosen]]
+        width = size if last else n
+        out = np.empty((len(words), width), dtype=mass.dtype)
+        support = np.count_nonzero(mass.any(axis=0))
+        for ks, rows, chosen, at in letter_blocks(parents, letters, max(len(mass), support) * width):
+            prefixes = mass[rows]
             on = np.flatnonzero(prefixes.any(axis=0))
-            prefixes = prefixes[:, on]
-            # Counted by base distance, |S_k(v) & S_r(base)|, and spread
-            # through the distance-k indicator of the support.
-            totals[chosen] = prefixes @ counts[on, k]
-            if not last:
-                nxt[chosen] = prefixes @ exact_tier(bound, table.dist[on] == k)
-        yield totals, children
-        mass, denominators = nxt, children
+            if last:
+                block = table.base_counts[np.ix_(on, ks)]  # [v, k, r]
+            else:
+                block = table.dist[on, None, :] == ks.astype(table.dist.dtype)[:, None]  # [v, k, w]
+            block = exact_tier(bound, block).reshape(len(on), -1)
+            out[chosen] = (prefixes[:, on] @ block).reshape(-1, width)[at]
+        if last:
+            yield out, children.tolist()
+        else:
+            yield out @ exact_tier(bound, by_distance), children.tolist()
+        mass, denominators = out, children
 
 
 @dataclass(frozen=True)

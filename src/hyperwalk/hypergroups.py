@@ -288,14 +288,19 @@ def multi_constants(tensor: StructureTensor, word: Word) -> list[Number]:
     return [Fraction(int(v), scale) if v else 0 for v in fold.tolist()]
 
 
-def _check_stored(tensor: StructureTensor, folds: np.ndarray, k: int) -> None:
-    """Every row (j, k) that a weight of ``folds`` needs must be stored."""
+def _check_stored(tensor: StructureTensor, folds: np.ndarray, letters) -> None:
+    """Every row (j, k) that a weight of ``folds`` needs must be stored: each
+    fold (the last axis) is extended by a letter k, ``letters`` holding one
+    per fold or one for all.  Raises for the smallest such k, then j."""
     if tensor.truncation_radius is None:
         return
-    needed = np.asarray(folds != 0).reshape(-1, tensor.size).any(axis=0)
-    outside = needed & ~tensor.domain[:, k]
+    folds = np.asarray(folds).reshape(-1, tensor.size)
+    outside = (folds != 0) & ~tensor.domain.T[letters]  # [fold, j]
     if outside.any():
-        raise TruncationExceededError(int(np.argmax(outside)), k, tensor.truncation_radius)
+        letters = np.broadcast_to(letters, len(folds))
+        k = int(letters[outside.any(axis=1)].min())
+        j = int(np.argmax(outside[letters == k].any(axis=0)))
+        raise TruncationExceededError(j, k, tensor.truncation_radius)
 
 
 def fold_step(tensor: StructureTensor, folds: np.ndarray, k: int) -> np.ndarray:
@@ -330,20 +335,56 @@ def prefix_trie(letters: Sequence[int], max_len: int, budget: int | None):
     the index of its prefix in the previous level and its last letter, as
     two integer arrays.  Stops at the first length with no words.
     """
-    letters = sorted(letters)
+    letters = np.array(sorted(letters), dtype=np.intp)
     words: list[tuple[int, ...]] = [()]
+    sums = np.zeros(1, dtype=np.intp)  # each word's letter sum
     for _ in range(max_len):
-        children = [
-            (p, k)
-            for p, word in enumerate(words)
-            for k in letters
-            if budget is None or sum(word) + k <= budget
-        ]
-        if not children:
+        within = sums[:, None] + letters <= (np.inf if budget is None else budget)
+        parents, columns = np.nonzero(within)
+        if not len(parents):
             return
-        words = [words[p] + (k,) for p, k in children]
-        parents, last = np.array(children, dtype=np.intp).T
+        last = letters[columns]
+        words = [words[p] + (k,) for p, k in zip(parents.tolist(), last.tolist())]
+        sums = sums[parents] + last
         yield words, parents, last
+
+
+# Entries that a block of ``letter_blocks`` may hold per operand and per
+# product (512 KB in float64): a level of a large trie is extended a
+# block of letters at a time, a small one in one block.
+_BLOCK_ENTRIES = 2**16
+
+
+def letter_blocks(parents: np.ndarray, letters: np.ndarray, per_letter: int):
+    """The words of a trie level in blocks of consecutive letters that they
+    use, at most ``_BLOCK_ENTRIES // per_letter`` letters a block (at least
+    one), ``per_letter`` being the entries a letter adds to an operand or a
+    product.
+
+    Yields per block (ks, rows, words, at): its letters in increasing
+    order, the parents with a child in it (increasing), the index of the
+    words whose letter is in it (a slice when that is every word), and per
+    such word the index ``r * len(ks) + c`` of its parent ``rows[r]`` and
+    its letter ``ks[c]``.  A product of the rows' prefixes with every letter
+    of the block, as (len(rows) * len(ks), ...), is the words' extensions
+    when indexed by ``at``.
+    """
+    if not len(letters):
+        return
+    used = np.flatnonzero(np.bincount(letters))
+    step = max(1, _BLOCK_ENTRIES // max(per_letter, 1))
+    width = int(parents.max()) + 1
+    for lo in range(0, len(used), step):
+        ks = used[lo:lo + step]
+        if len(ks) == len(used):
+            words = slice(None)
+        else:
+            words = np.flatnonzero((letters >= ks[0]) & (letters <= ks[-1]))
+        mine = parents[words]
+        taken = np.zeros(width, dtype=bool)
+        taken[mine] = True
+        rows = np.flatnonzero(taken)
+        yield ks, rows, words, np.searchsorted(rows, mine) * len(ks) + np.searchsorted(ks, letters[words])
 
 
 def exact_tier(bound: int, values: np.ndarray) -> np.ndarray:
@@ -377,25 +418,32 @@ def fold_level(tensor: StructureTensor, prefixes: np.ndarray | None, parents: np
     through the rows (j, k); at length 1 it is the point mass at the letter.
 
     An exact tensor's folds are integer numerators over L**(length - 1),
-    formed by one product per letter; a float tensor's are floats, formed by
-    ``fold_step``.  Each row depends on its own prefix alone, so a level may
-    be folded in blocks of rows.  A fold that needs a row outside the stored
-    domain raises TruncationExceededError.
+    formed by one product per block of letters (``letter_blocks``) of
+    their prefixes with the rows (j, k) of the block; a float tensor's are
+    floats, formed per letter by ``fold_step``.  Each row depends on its
+    own prefix alone, so a level may be folded in blocks of rows.  A fold
+    that needs a row outside the stored domain raises
+    TruncationExceededError, for its smallest letter k, then j.
     """
+    size = tensor.size
     if length == 1:
-        folds = np.zeros((len(letters), tensor.size))
+        folds = np.zeros((len(letters), size))
         folds[np.arange(len(letters)), letters] = 1
         return folds
-    exact = tensor.is_exact
-    bound = tensor.growth ** (length - 1) if exact else 0
-    prefixes = exact_tier(bound, prefixes)
-    folds = np.zeros((len(letters), tensor.size), dtype=prefixes.dtype)
-    for k in sorted(set(letters.tolist())):
-        chosen = letters == k
-        if exact:
-            folds[chosen] = _exact_step(tensor, prefixes[parents[chosen]], k, bound)
-        else:
+    if not tensor.is_exact:
+        folds = np.zeros((len(letters), size))
+        for k in sorted(set(letters.tolist())):
+            chosen = letters == k
             folds[chosen] = fold_step(tensor, prefixes[parents[chosen]], k)
+        return folds
+    bound = tensor.growth ** (length - 1)
+    prefixes = exact_tier(bound, prefixes)
+    folds = np.empty((len(letters), size), dtype=prefixes.dtype)
+    for ks, rows, words, at in letter_blocks(parents, letters, max(len(prefixes), size) * size):
+        chosen = prefixes[rows]
+        _check_stored(tensor, chosen[at // len(ks)], ks[at % len(ks)])
+        block = exact_tier(bound, tensor.cube[:, ks]).reshape(size, -1)  # [j, (k, m)]
+        folds[words] = (chosen @ block).reshape(-1, size)[at]
     return folds
 
 

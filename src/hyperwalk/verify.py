@@ -17,6 +17,7 @@ from .errors import ConditionSViolatedError
 from .graphs import (
     PointedGraph,
     SphereTable,
+    _vertex_index,
     build_spheres,
     check_condition_s,
     path_sum_levels,
@@ -134,10 +135,12 @@ def verify_theorem_2_4(
     must coincide with the fold of the sphere-count constants: identically
     in exact mode, within 1e-12 in float mode.  Both sides walk the prefix
     trie of the words one length at a time (``path_sum_levels`` and
-    ``fold_levels``, in float mode over the float view).
+    ``fold_levels``, in float mode over the float view).  A bool or
+    non-integral ``max_word_len`` is refused.
     """
     if mode not in ("exact", "float"):
         raise ValueError("mode must be 'exact' or 'float'")
+    max_word_len = _vertex_index(max_word_len, "max_word_len")
     if max_word_len < 1:
         raise ValueError("max_word_len must be at least 1")
     table = graph if isinstance(graph, SphereTable) else build_spheres(graph)
@@ -196,8 +199,10 @@ def verify_corollary_2_6(
     its prefix in the trie, still formed left to right (``fold_level`` over
     the float view).  Only the products and folds of the words shorter than
     ``max_word_len`` are kept, one length at a time; the last length is
-    folded one block of words at a time.
+    folded one block of words at a time.  A bool or non-integral
+    ``max_word_len`` is refused.
     """
+    max_word_len = _vertex_index(max_word_len, "max_word_len")
     if max_word_len < 1:
         raise ValueError("max_word_len must be at least 1")
     tensor = hypergroup.tensor
@@ -255,8 +260,11 @@ def verify_theorem_5_1(
     at least ``min_gap``, the first by (m, density), then word.
 
     ``n_states`` (at least 1) and ``seed`` are accepted for compatibility
-    and no longer affect the result.
+    and no longer affect the result.  A bool or non-integral
+    ``max_word_len`` or ``n_states`` is refused.
     """
+    max_word_len = _vertex_index(max_word_len, "max_word_len")
+    n_states = _vertex_index(n_states, "n_states")
     if max_word_len < 1 or n_states < 1:
         raise ValueError("max_word_len and n_states must be at least 1")
     d, h = family.d_size, family.h_dim

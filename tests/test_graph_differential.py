@@ -232,6 +232,11 @@ CERTIFICATE_GRAPHS = {
     # Vertex-transitive, not distance-regular.
     "moebius-kantor": (_generalized_petersen(8, 3), False),
     "prism-c5xk2": (_generalized_petersen(5, 1), False),
+    # 4-regular, not distance-regular: K3,4 plus a matching on its four
+    # side.  Rows 0-2 meet the intersection array of their first pairs;
+    # rows 3-6 do not.
+    "k34-plus-matching": (_index_graph(7, [(a, b) for a in range(3) for b in range(3, 7)]
+                                       + [(3, 5), (4, 6)]), False),
     "k1": (pointed_graph(["0"], [], 0), True),
     "k2": (complete_graph(2), True),
 }
@@ -245,6 +250,20 @@ def test_intersection_array_certificate_matches_scan(name):
     assert report == ref.check_distance_regular(ref.build_spheres(graph))
     assert report.passed is regular
     assert _intersection_array_holds(table) is regular
+
+
+@pytest.mark.parametrize("rows", (1, 3))
+def test_intersection_array_certificate_in_blocks_of_rows(rows, monkeypatch):
+    # One row, or three (which divide few of the vertex counts), a block:
+    # the decision is the frozen scan's on the whole corpus.  On
+    # k34-plus-matching the first failing row is in the second block.
+    corpus = SHAPES + [graph for graph, _ in CERTIFICATE_GRAPHS.values()]
+    corpus += [random_graph(seed) for seed in range(400)]
+    tables = [build_spheres(graph) for graph in corpus]
+    for graph, table in zip(corpus, tables):
+        monkeypatch.setattr(graphs, "_COUNT_BLOCK", rows * graph.n_vertices)
+        expected = ref.check_distance_regular(ref.build_spheres(graph)).passed
+        assert _intersection_array_holds(table) is expected
 
 
 def _bfs_graph(n, seed):

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -291,3 +292,28 @@ def test_empty_scans_are_refused(c4):
     for kwargs in ({"max_word_len": 0}, {"n_states": 0}):
         with pytest.raises(ValueError, match="must be at least 1"):
             verify_theorem_5_1(family, c4.tensor, **kwargs)
+
+
+@pytest.mark.parametrize("value", [True, False, 2.0, 2.5, "2", None])
+def test_non_integral_lengths_are_refused(c4, value):
+    # True would check one letter, 2.0 fail deep in the word enumeration.
+    family, _ = realize(c4)
+    calls = [
+        (lambda: verify_theorem_2_4(cycle_graph(4), value), "max_word_len"),
+        (lambda: verify_theorem_2_4(cycle_graph(4), value, "float"), "max_word_len"),
+        (lambda: verify_corollary_2_6(c4, value), "max_word_len"),
+        (lambda: verify_theorem_5_1(family, c4.tensor, max_word_len=value), "max_word_len"),
+        (lambda: verify_theorem_5_1(family, c4.tensor, n_states=value), "n_states"),
+    ]
+    for call, name in calls:
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{name} {value!r}')} is not an integer$"):
+            call()
+
+
+def test_numpy_integer_lengths_are_accepted(c4):
+    family, _ = realize(c4)
+    for length in (np.int64(2), np.uint8(2), np.intp(2)):
+        assert verify_theorem_2_4(cycle_graph(4), length) == verify_theorem_2_4(cycle_graph(4), 2)
+        assert verify_corollary_2_6(c4, length) == verify_corollary_2_6(c4, 2)
+        assert (verify_theorem_5_1(family, c4.tensor, max_word_len=length, n_states=length)
+                == verify_theorem_5_1(family, c4.tensor, max_word_len=2))
