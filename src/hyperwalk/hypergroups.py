@@ -331,21 +331,19 @@ def prefix_trie(letters: Sequence[int], max_len: int, budget: int | None):
     """The words of up to ``max_len`` letters, with letter sum within
     ``budget`` if given, one length at a time.
 
-    Yields per length the words in lexicographic order, and for each word
-    the index of its prefix in the previous level and its last letter, as
-    two integer arrays.  Stops at the first length with no words.
+    Yields per length the words in lexicographic order as the rows of an
+    integer array, the index of each word's prefix in the previous level
+    and its last letter.  Stops at the first length with no words.
     """
     letters = np.array(sorted(letters), dtype=np.intp)
-    words: list[tuple[int, ...]] = [()]
-    sums = np.zeros(1, dtype=np.intp)  # each word's letter sum
+    words = np.zeros((1, 0), dtype=np.intp)
     for _ in range(max_len):
-        within = sums[:, None] + letters <= (np.inf if budget is None else budget)
+        within = words.sum(axis=1)[:, None] + letters <= (np.inf if budget is None else budget)
         parents, columns = np.nonzero(within)
         if not len(parents):
             return
         last = letters[columns]
-        words = [words[p] + (k,) for p, k in zip(parents.tolist(), last.tolist())]
-        sums = sums[parents] + last
+        words = np.column_stack([words[parents], last])
         yield words, parents, last
 
 

@@ -11,12 +11,13 @@ B[i,j;k] at [i, j, k] (d^3 h^2 numbers; absent blocks are zero), a state as
 one (d, h, h) stack of its diagonal blocks.  On states flattened to length
 d h^2 the distance-k map is T_k[(i,a,c), (j,b,e)] = B_ab conj(B_ce) with
 B = B[i,j;k], so stepping one state or a whole stack is one matrix product.
-A family holds all d maps as one (d, d h^2, d h^2) stack, so a level of
-walks over several letters is one batched matrix product.  The Heisenberg
-picture Phi_k^*(X)_j = sum_i B[i,j;k]^* X_i B[i,j;k] is the adjoint, and
-``check_hb`` runs there as one matrix product (GEMM) per first letter,
-batched over chunks of consecutive letters of up to ``_SLAB_ENTRIES``
-entries, with one reduction per chunk.
+A family holds all d maps as one (d, d h^2, d h^2) stack that steps states
+(``_apply``); its Gram blocks give the masses one map moves from a stack of
+states (``one_step_distributions``), read by the produced constants and the
+mixtures.  The Heisenberg picture Phi_k^*(X)_j = sum_i B[i,j;k]^* X_i
+B[i,j;k] is the adjoint, and the checks run there: ``check_hb`` as one GEMM
+per first letter, batched over chunks of consecutive letters of up to
+``_SLAB_ENTRIES`` entries, with one reduction per chunk.
 
 Word-order convention, fixed globally because it is easy to get backwards:
 
@@ -127,9 +128,11 @@ class KrausFamily(_PositionArray):
     def _stack(self) -> np.ndarray:
         """The superoperators of every letter as one read-only (d, n, n)
         array, n = d h^2, with T_k at [k] (see the module docstring): h^2
-        times the array's memory.  Built on first use by one elementwise
-        product into the array itself, so the build holds no temporary of
-        the stack's size, and kept.  Non-finite entries as in ``_gram``."""
+        times the array's memory; states and one-letter states step by it,
+        the Heisenberg slabs and levels read its adjoints.  Built on first
+        use by one elementwise product into the array itself, so the build
+        holds no temporary of the stack's size.  Non-finite entries as in
+        ``_gram``."""
         d, h = self.d_size, self.h_dim
         blocks = self.array.transpose(2, 0, 1, 3, 4)  # [k, i, j]
         stack = np.empty((d, d, h, h, d, h, h), dtype=complex)
@@ -138,12 +141,6 @@ class KrausFamily(_PositionArray):
         stack = stack.reshape(d, d * h * h, d * h * h)
         stack.setflags(write=False)
         return stack
-
-    def _transfer(self, k: int) -> np.ndarray:
-        """Superoperator T_k of the distance-k map on states flattened to
-        d h^2: the read-only view ``_stack[k]``, so the first call builds
-        every letter."""
-        return self._stack[k]
 
 
 def kraus_family(
@@ -314,17 +311,16 @@ def state_from_density(rho: np.ndarray, h_dim: int, d_size: int) -> BlockState:
 def _apply(family: KrausFamily, k: int, stack: np.ndarray) -> np.ndarray:
     """The distance-k map on a (..., d, h, h) stack of states, unvalidated."""
     vectors = stack.reshape(-1, family.d_size * family.h_dim**2)
-    return (vectors @ family._transfer(k).T).reshape(stack.shape)
-
-
-def _traces(stack: np.ndarray) -> np.ndarray:
-    return np.trace(stack, axis1=-2, axis2=-1).real
+    return (vectors @ family._stack[k].T).reshape(stack.shape)
 
 
 def one_step_distributions(family: KrausFamily, stack: np.ndarray) -> np.ndarray:
-    """Mass at i after the m-map, at [..., m, i], for a (..., d, h, h) stack:
-    sum_j tr(B[i,j;m]^* B[i,j;m] rho_j), read off the Gram blocks."""
-    return np.tensordot(stack, family._gram, axes=([-3, -2, -1], [2, 4, 3])).real
+    """Mass at i after the m-map, at [..., m, i], for a (..., d, h, h) stack
+    of Hermitian blocks: sum_j tr(B[i,j;m]^* B[i,j;m] rho_j) = sum_j,b,c
+    G_bc conj(rho_j)_bc, one product with a view of the Gram array."""
+    d, flat = family.d_size, stack.reshape(stack.shape[:-3] + (-1,))
+    masses = flat.conj() @ family._gram.reshape(d * d, -1).T
+    return masses.real.reshape(stack.shape[:-3] + (d, d))
 
 
 def _checked_walk(family: KrausFamily, state: BlockState, word: Word = (),
@@ -364,37 +360,7 @@ def step(family: KrausFamily, k: int, state: BlockState) -> BlockState:
 
 def distribution(state: BlockState) -> np.ndarray:
     """Measured position distribution: the block traces."""
-    return _traces(state.array)
-
-
-def walk_levels(family: KrausFamily, states: np.ndarray, max_len: int, budget: int | None):
-    """Walk every word of up to ``max_len`` letters, with letter sum within
-    ``budget`` if given, from an (S, d, h, h) stack of states.
-
-    Goes down the prefix trie one length at a time, applying each prefix
-    once: a level is one batched product of its parents' states with the
-    superoperators of the letters it uses, whose kept (parent, letter)
-    pairs are then gathered.  Yields per length the words in lexicographic
-    order and their distributions as a (words, S, d) array.
-    """
-    n = family.d_size * family.h_dim**2
-    stack = states[None]
-    for words, parents, letters in prefix_trie(range(family.d_size), max_len, budget):
-        # Every parent under every letter the level uses (letters 0 to top - 1),
-        # one product per letter; then the (letter, parent) pairs the trie kept.
-        top = int(letters.max()) + 1
-        rows = stack.reshape(-1, n)
-        products = np.matmul(rows, family._stack[:top].swapaxes(-1, -2))
-        products = products.reshape((top, -1) + states.shape)
-        if len(rows) > 1 and len(states) == 1:
-            # A letter that one parent alone takes is a vector-matrix product
-            # when applied on its own, which BLAS rounds unlike a row of a
-            # matrix product: form those the same way, for the same bits.
-            for w in np.flatnonzero(np.bincount(letters)[letters] == 1).tolist():
-                products[letters[w], parents[w]] = _apply(family, letters[w], stack[parents[w]])
-        stack = products[letters, parents]
-        _check_states(stack)
-        yield words, _traces(stack)
+    return np.trace(state.array, axis1=-2, axis2=-1).real
 
 
 def walk_distribution(family: KrausFamily, word: Word, state0: BlockState) -> np.ndarray:
@@ -423,24 +389,33 @@ def walk_distribution(family: KrausFamily, word: Word, state0: BlockState) -> np
             for k in letters:
                 before = _apply(family, k, before)
                 _check_states(before)
-    return _traces(stack)
+    return np.trace(stack, axis1=-2, axis2=-1).real
 
 
 def produced_tensor(family: KrausFamily, state0: BlockState) -> StructureTensor:
     """Structure constants read off the two-step walk distributions.
 
     Entry Q[k, l, m] is the mass at position m after applying the l-map and
-    then the k-map to the initial state.  On a truncated family only the
-    certified rows (k + l within the radius) are produced.
+    then the k-map to the initial state, ``one_step_distributions`` of the
+    checked states Phi_l(rho0).  A truncated family produces the rows with
+    k + l within its radius, from a start certified for the largest such sum.
     """
-    _checked_walk(family, state0)
-    radius = family.truncation_radius
-    *_, (words, probs) = walk_levels(family, state0.array[None], 2, radius)
+    d, radius = family.d_size, family.truncation_radius
+    longest = 2 * (d - 1) if radius is None else min(radius, 2 * (d - 1))
+    _checked_walk(family, state0, (min(longest, d - 1), max(0, longest - d + 1)), radius)
+    letters = d if radius is None else min(d, radius + 1)
+    rho = state0.array
+    firsts = (family._stack[:letters] @ rho.ravel()).reshape((letters,) + rho.shape)
+    _check_states(firsts)
+    masses = one_step_distributions(family, firsts)  # [l, k, m]
+    if radius is not None:
+        masses[np.add.outer(np.arange(letters), np.arange(d)) > radius] = 0.0
+    if not np.isfinite(masses).all():
+        l, k, m = np.argwhere(~np.isfinite(masses))[0].tolist()
+        raise ValueError(f"mass at {m} after the word ({l}, {k}) is not finite")
     # Word (l, k) applies the l-map first: its distribution is the row Q[k, l].
-    # The walk refuses any state that is not finite, so every mass is finite.
-    l, k = np.array(words).T
-    cube = np.zeros((family.d_size,) * 3)
-    cube[k, l] = np.where(probs[:, 0] > 1e-14, probs[:, 0], 0.0)
+    cube = np.zeros((d,) * 3)
+    cube[:, :letters] = np.where(masses > 1e-14, masses, 0.0).swapaxes(0, 1)
     cube.setflags(write=False)
     return check_rows(StructureTensor(cube, None, radius))
 
@@ -655,7 +630,7 @@ def heisenberg_levels(family: KrausFamily, tensor: StructureTensor, max_len: int
                 cols = starts(child, max_len - length)
                 feed = d if budget is None else int(reach[cols, k])
                 win = d if child is None else min(d, child + 1)
-                adjoint = family._transfer(k)[:feed * hh, :cols * hh].conj()
+                adjoint = family._stack[k, :feed * hh, :cols * hh].conj()
                 mixed = gram[:, :, :win * hh].reshape(d, -1) if length >= 3 else None
                 block = max(1, _LEVEL_ENTRIES // (d * max(feed, cols, 1) * hh))
                 for start in range(0, len(rows), block):

@@ -149,15 +149,24 @@ def verify_theorem_2_4(
         raise ConditionSViolatedError(str(condition))
     words, residuals = _theorem_2_4_residuals(table, wildberger_tensor(table), max_word_len, mode)
     tolerance = 0.0 if mode == "exact" else 1e-12
-    return scan_report("paths-vs-fold", residuals, lambda n: (words[n],), tolerance, note=mode)
+    return scan_report("paths-vs-fold", residuals, lambda n: (_word_at(words, n),), tolerance,
+                       note=mode)
+
+
+def _word_at(levels: list[np.ndarray], n: int) -> tuple[int, ...]:
+    """The n-th word of the ``prefix_trie`` levels ``levels``, in order."""
+    for words in levels:
+        if n < len(words):
+            return tuple(words[n].tolist())
+        n -= len(words)
 
 
 def _theorem_2_4_residuals(table: SphereTable, tensor: StructureTensor, max_word_len: int,
-                           mode: str) -> tuple[list[tuple[int, ...]], np.ndarray]:
-    """Every budgeted word and its largest |path sum - fold| over the
-    distances: in exact mode, the exact difference rounded once (0.0 where
-    the two agree), and in float mode the difference of the two rounded
-    sides.  The table must satisfy condition (S)."""
+                           mode: str) -> tuple[list[np.ndarray], np.ndarray]:
+    """The words of every budgeted level and each word's largest |path sum
+    - fold| over the distances: in exact mode, the exact difference rounded
+    once (0.0 where the two agree), and in float mode the difference of the
+    two rounded sides.  The table must satisfy condition (S)."""
     levels = list(prefix_trie(table.index_set, max_word_len, table.graph.window_radius))
     exact = mode == "exact"
     words, residuals = [], []
@@ -165,7 +174,7 @@ def _theorem_2_4_residuals(table: SphereTable, tensor: StructureTensor, max_word
         levels, path_sum_levels(table, levels),
         fold_levels(tensor if exact else tensor.to_float(), levels),
     ):
-        words += level
+        words.append(level)
         if not exact:
             dens = np.array(denominators, dtype=numerators.dtype)[:, None]
             paths = (numerators / dens).astype(float)
@@ -225,9 +234,9 @@ def verify_corollary_2_6(
                 if keep:
                     kept.append(product)
         products, folds = kept, level_folds
-        words += level
+        words.append(level)
     return scan_report("transition-products", np.array(residuals, dtype=float),
-                       lambda n: (words[n],), tol)
+                       lambda n: (_word_at(words, n),), tol)
 
 
 def verify_theorem_5_1(
@@ -303,16 +312,16 @@ def verify_theorem_5_1(
     for length, words, rows, blocks in heisenberg_levels(family, tensor, max_word_len, radius):
         if words is not level:
             level = words
-            rank = np.empty(len(words), dtype=np.intp)  # the words' order in the walk's order
-            rank[np.lexsort(np.array(words).T)] = np.arange(len(words))
-        count(np.full(len(rows), sum(words[rows[0]])))
+            rank = np.lexsort(words.T).argsort()  # the words' order in the walk's order
+        count(np.full(len(rows), int(words[rows[0]].sum())))
         order = np.argsort(rank[rows])
         blocks = blocks[order]
         worst, index, bound = _first_worst(blocks, blocks.any(axis=(-2, -1)), h, bound)
         if index is not None:
             row, i, j = index
             word = int(rows[order[row]])
-            candidates.append(((length, int(rank[word]), i, j), worst, (words[word][::-1], i, j)))
+            candidates.append(((length, int(rank[word]), i, j), worst,
+                               (tuple(words[word, ::-1].tolist()), i, j)))
 
     candidates.sort(key=lambda candidate: candidate[0])
     return scan_report(

@@ -32,7 +32,7 @@ from hyperwalk.hypergroups import (
     multi_constants,
     structure_tensor,
 )
-from hyperwalk.oqrw import _apply, _check_states, _checked_walk, _traces
+from hyperwalk.oqrw import _apply, _check_states, _checked_walk
 from hyperwalk.verify import spanning_states
 
 EPS_KRAUS = 1e-8
@@ -560,4 +560,4 @@ def walk_per_letter(family, word: Word, state0) -> np.ndarray:
     for k in word:
         stack = _apply(family, k, stack)
         _check_states(stack)
-    return _traces(stack)
+    return np.trace(stack, axis1=-2, axis2=-1).real

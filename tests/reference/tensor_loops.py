@@ -14,7 +14,8 @@
   frozen ``structure_tensor``.
 - ``walk_levels``, the per-letter trie walk that ``produced_tensor`` reads,
   frozen from the library before its levels became one batched product:
-  each letter's superoperator is built on its own, as the library then did.
+  each letter's superoperator is built on its own, as the library then did,
+  over the frozen word tuples of ``level_loops.prefix_trie``.
 """
 
 from __future__ import annotations
@@ -45,10 +46,10 @@ from hyperwalk.hypergroups import (
     check_radius,
     exact_tier,
     identity_permutation,
-    prefix_trie,
 )
 from hyperwalk.oqrw import _check_states, _checked_walk
 from hyperwalk.report import Report, scan_report, worst_case, worst_residual
+from reference.level_loops import prefix_trie
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from hyperwalk import FormatError, realize, tensor_difference
-from hyperwalk import formats, presets
+from hyperwalk import cli, formats, presets
 from hyperwalk.cli import main
 
 
@@ -251,6 +251,39 @@ def test_cli_theorem_5_1_on_a_truncated_family(tmp_path, capsys):
                        "--word", word) == code
     err = capsys.readouterr().err
     assert err == "error: a walk of letter sum 4 from position 1 leaves the truncation radius 4\n"
+
+
+def test_cli_produce_refuses_a_start_past_the_window(tmp_path, capsys):
+    # Every produced row of z-lattice(6) reads a walk of up to 6 letters,
+    # so from site 2 produce is refused as walk --word 3,3 is.
+    tensor, kraus, state = (tmp_path / name for name in ("zl6.json", "k.json", "s.json"))
+    assert run_cli("gen", "z-lattice", "--radius", "6", "--out", str(tensor)) == 0
+    assert run_cli("realize", "--tensor", str(tensor), "--h-dim", "3", "--random-isometries",
+                   "--out-kraus", str(kraus), "--out-state", str(tmp_path / "s0.json")) == 0
+    assert run_cli("gen", "mixed-state", "--h-dim", "3", "--d-size", "7", "--site", "2",
+                   "--out", str(state)) == 0
+    capsys.readouterr()
+    assert run_cli("produce", "--kraus", str(kraus), "--state", str(state)) == 2
+    assert run_cli("walk", "--kraus", str(kraus), "--state", str(state), "--word", "3,3") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == 2 * "error: a walk of letter sum 6 from position 2 leaves the " \
+        "truncation radius 6\n"
+
+
+@pytest.mark.parametrize("message", ["Unable to allocate 3.83 GiB for an array", ""])
+def test_cli_out_of_memory_is_one_line(tmp_path, capsys, monkeypatch, message):
+    graph = tmp_path / "q3.json"
+    assert run_cli("gen", "q3", "--out", str(graph)) == 0
+
+    def exhausted(table):
+        raise MemoryError(message)
+    monkeypatch.setattr(cli, "check_distance_regular", exhausted)
+    capsys.readouterr()
+    assert run_cli("check-graph", "--graph", str(graph)) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: check-graph: out of memory ({message or 'no details'})\n"
+    assert captured.out == "" and "Traceback" not in captured.err
 
 
 def test_cli_realize_roundtrip(tmp_path):

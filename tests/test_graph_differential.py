@@ -458,7 +458,7 @@ def _assert_residuals_match(table, tensor, max_len):
     out = {}
     for mode, fold_tensor in (("exact", tensor), ("float", tensor.to_float())):
         level_words, residuals = _theorem_2_4_residuals(table, tensor, max_len, mode)
-        assert level_words == words
+        assert [tuple(w) for level in level_words for w in level.tolist()] == words
         expected = [ref.residual(p, multi_constants(fold_tensor, w), mode)
                     for p, w in zip(paths, words)]
         assert residuals.tolist() == expected
@@ -479,7 +479,8 @@ def _assert_level_walks_match(table, levels, tensor):
     single-word sum and fold."""
     walks = zip(levels, path_sum_levels(table, levels), fold_levels(tensor, levels), strict=True)
     for (words, _, _), (numerators, denominators), (folds, scale) in walks:
-        for word, row, den, fold in zip(words, numerators.tolist(), denominators, folds.tolist()):
+        for word, row, den, fold in zip(words.tolist(), numerators.tolist(), denominators,
+                                        folds.tolist()):
             assert [Fraction(int(x), den) for x in row] == path_sum_distribution(table, word)
             assert [Fraction(int(x), scale) for x in fold] == multi_constants(tensor, word)
 

@@ -2,7 +2,8 @@
 trie level a block of letters at a time, against the frozen per-letter walks
 in ``tests/reference/level_loops.py``.
 
-- ``prefix_trie``: the same words, parents and letters, budgeted or not.
+- ``prefix_trie``: the same words (one row of a (words, length) array
+  each), parents and letters, budgeted or not.
 - ``path_sum_levels`` and ``fold_levels`` on exact tensors: bit-identical
   numerators, denominators and folds (dtypes included) on every
   condition-(S) graph of the graph corpus, on windowed graphs (z-window,
@@ -71,8 +72,11 @@ def assert_same_trie(letters, max_len, budget):
     new = list(prefix_trie(letters, max_len, budget))
     old = list(ref.prefix_trie(letters, max_len, budget))
     assert len(new) == len(old)
-    for (words, parents, last), (old_words, old_parents, old_last) in zip(new, old):
-        assert words == old_words
+    for length, ((words, parents, last), (old_words, old_parents, old_last)) in enumerate(
+            zip(new, old), start=1):
+        # One row of letters per word, as intp, without a tuple per word.
+        assert words.dtype == np.intp and words.shape == (len(old_words), length)
+        assert [tuple(w) for w in words.tolist()] == old_words
         assert_same_array(parents, old_parents)
         assert_same_array(last, old_last)
     return new

@@ -341,6 +341,27 @@ def test_truncated_walks_refuse_starts_past_the_window(zlattice8):
     walk_distribution(c4_family, (2, 2, 2), point_state(rho, 2, 3))
 
 
+def test_produced_tensor_refuses_starts_past_the_window():
+    # A produced row reads a walk of up to min(radius, 2 (d - 1)) letters,
+    # and is refused where that walk is: on z-lattice(4), every start off 0.
+    fam, state = realize(presets.zlattice_hypergroup(4), h_dim=1)
+    produced_tensor(fam, state)
+    with pytest.raises(TruncationExceededError) as refusal:
+        produced_tensor(fam, point_state(np.eye(1), 2, 5))
+    assert refusal.value.pair == (2, 4) and refusal.value.radius == 4
+    assert str(refusal.value) == \
+        "a walk of letter sum 4 from position 2 leaves the truncation radius 4"
+    with pytest.raises(TruncationExceededError, match=f"^{re.escape(str(refusal.value))}$"):
+        walk_distribution(fam, (2, 2), point_state(np.eye(1), 2, 5))
+    # A radius past 2 (d - 1) = 4 certifies the starts up to radius - 4.
+    c4_family, _ = realize(presets.c4_hypergroup(), h_dim=1)
+    wide = KrausFamily(array=c4_family.array, truncation_radius=5)
+    assert produced_tensor(wide, point_state(np.eye(1), 1, 3)).truncation_radius == 5
+    with pytest.raises(TruncationExceededError) as refusal:
+        produced_tensor(wide, point_state(np.eye(1), 2, 3))
+    assert refusal.value.pair == (2, 4) and refusal.value.radius == 5
+
+
 def test_check_hb_pass_cases(c4, s3_classes):
     assert check_hb(presets.left_zero_family(), presets.lo2_tensor()).max_residual < 1e-12
     for h in (c4, s3_classes):

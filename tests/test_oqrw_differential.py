@@ -204,19 +204,9 @@ def test_produced_tensor_matches_loops(name):
     new = hw.produced_tensor(family, state)
     old = ref.produced_tensor(old_family, old_state)
     assert new.truncation_radius == old.truncation_radius
+    assert not new.cube[~new.domain].any()  # rows past the radius are zero
     assert sorted(new.defined_pairs()) == sorted(old.defined_pairs())
     assert np.nanmax(np.abs(dense_rows(new) - dense_rows(old))) <= TOL
-
-
-def walked_levels(walk, family, states, cap):
-    """The levels ``walk`` yields, and the refusal that ends it, if any."""
-    levels = []
-    try:
-        for words, distributions in walk(family, states, 3, cap):
-            levels.append((words, distributions))
-    except ValueError as exc:
-        return levels, str(exc)
-    return levels, None
 
 
 def invalid_stacks(h, d):
@@ -232,23 +222,66 @@ def invalid_stacks(h, d):
             "trace": valid * np.array([1.0, 1.1])[:, None, None, None]}
 
 
+def produced_refusal(produce, family, state):
+    """The type and message of ``produce``'s refusal, or None."""
+    try:
+        produce(family, state)
+    except (ValueError, hw.HyperwalkError) as exc:
+        return type(exc).__name__, str(exc)
+    return None
+
+
 @pytest.mark.parametrize("name", CASES)
-def test_walk_levels_matches_frozen_loop(name):
-    """One batched product per level walks as the per-letter loop did."""
+def test_produced_tensor_refusals_match_frozen_loop(name):
+    """Starts that are valid, negative, non-finite or of trace 1.1 are
+    refused, or not, as the frozen two-step walk refuses them: by the check
+    of the one-letter states.  The family is untruncated here, so that
+    every start is certified (truncated starts are tested on their own)."""
     family, _, state, _, _ = case(name)
+    family = _retagged(family, None)
     d, h = family.d_size, family.h_dim
-    stacks = {"start": state.array[None], **invalid_stacks(h, d)}
-    for cap in (None, d // 2):
-        for label, states in stacks.items():
-            new, refusal = walked_levels(oqrw.walk_levels, family, states, cap)
-            old, old_refusal = walked_levels(tensor_loops.walk_levels, family, states, cap)
-            assert refusal == old_refusal, (label, cap)
-            # A dense map can take the negative block to a valid state.
-            if label != "negative":
-                assert (refusal is None) == (label in ("start", "valid")), (label, cap)
-            assert [words for words, _ in new] == [words for words, _ in old]
-            for (_, a), (_, b) in zip(new, old):
-                assert a.shape == b.shape and np.abs(a - b).max() <= 1e-15
+    starts = {"start": state.array, **{label: stack[1]
+                                       for label, stack in invalid_stacks(h, d).items()}}
+    for label, array in starts.items():
+        start = hw.block_state(array, validate=False)
+        refusal = produced_refusal(hw.produced_tensor, family, start)
+        assert refusal == produced_refusal(tensor_loops.produced_tensor, family, start), label
+        # A dense map can take the negative block to a valid state.
+        if label != "negative":
+            assert (refusal is None) == (label in ("start", "valid")), label
+
+
+def test_incomplete_family_is_refused_by_its_rows():
+    """A family that keeps the trace of the start's column but not of the
+    others: every one-letter state passes, and the first two-letter walk
+    whose trace is off, (1, 0), is refused as the row (0, 1) it produces.
+    The frozen walk refused the same walk's state by its trace."""
+    family, _, state, _, _ = case("c4 h2")
+    array = family.array.copy()
+    array[:, 1:] *= 1.1  # B[i, j; k] for j > 0
+    incomplete = hw.KrausFamily(array=array)
+    assert not hw.validate_kraus(incomplete).passed
+    with pytest.raises(ValueError, match=r"^row \(0, 1\) sums to 1\.21\d*, not 1$"):
+        hw.produced_tensor(incomplete, state)
+    with pytest.raises(ValueError, match=r"^total trace is 1\.21\d*, not 1$"):
+        tensor_loops.produced_tensor(incomplete, state)
+
+
+def test_non_finite_mass_is_refused():
+    """Blocks of letter 1 scaled so that their superoperator is finite but
+    their Gram blocks overflow: the one-letter states pass, and the first
+    mass through letter 1, at 1 after the word (0, 1), is refused.  The
+    frozen walk refused the first two-letter state whose trace overflowed."""
+    family, _, state, _, _ = case("c4 h2")
+    array = family.array.copy()
+    array[:, 1:, 1] *= np.sqrt(1.2e308) / np.abs(array[:, 1:, 1]).max()
+    big = hw.KrausFamily(array=array)
+    assert np.isfinite(big._stack).all() and not np.isfinite(big._gram).all()
+    with np.errstate(all="ignore"):
+        assert produced_refusal(hw.produced_tensor, big, state) == (
+            "ValueError", "mass at 1 after the word (0, 1) is not finite")
+        assert produced_refusal(tensor_loops.produced_tensor, big, state) == (
+            "ValueError", "total trace is inf, not 1")
 
 
 @functools.lru_cache(maxsize=None)
