@@ -40,7 +40,7 @@ from .hypergroups import (
 from .report import Report
 
 # Keys, and counts, that ``_row_counts`` bins at a time, and pairs that
-# ``_intersection_array_holds`` counts at a time: 512 KB of int64 stays in
+# ``check_distance_regular`` counts at a time: 512 KB of int64 stays in
 # cache, where larger blocks measured slower.
 _COUNT_BLOCK = 2**16
 
@@ -399,35 +399,36 @@ def check_distance_regular(graph_or_table) -> Report:
     """Whether |S_i(u) & S_j(v)| depends only on (i, j, d(u, v)).
 
     A connected graph has this property exactly when it is regular and, for
-    every pair (u, v) at distance i, the numbers c_i and a_i of neighbours
+    every pair (v, u) at distance i, the numbers c_i and a_i of neighbours
     of v at distances i - 1 and i from u depend only on i: its intersection
     array (Brouwer, Cohen and Neumaier, *Distance-Regular Graphs*, 1989,
-    §4.1).  That certificate is tested first, in O(n² · degree); when it
-    holds, every class (i, j, d) of the scan below is even and the report
-    is the scan's passing one.
+    §4.1).  That certificate is the whole test, in O(n² · degree) time.
 
-    Otherwise the scan runs: it visits the pairs (u, v) in order and every
-    (i, j) at each pair; a class (i, j, d) expects the count of the first
-    pair at distance d.  It stops at the first count that differs from its
-    class's; the residual is their difference.  The counts of one row u
-    come from one integer histogram of (d(u, w), d(v, w)) over all v and w.
+    The degrees come first: the first v whose degree differs from vertex
+    0's fails with the witness ("degree", 0, (0, 0), (v, v)), the degree
+    difference as residual and v + 1 vertices checked.  Then c_i and a_i
+    are read at the first pair at each distance i, in row-major order, and
+    every pair (v, u) is checked against them in that order, c_i before
+    a_i; the first miss fails with the witness ("c" or "a", i, first pair,
+    (v, u)), the count difference as residual and v·n + u + 1 pairs
+    checked.  Vertices are given by label.  A passing report counts the
+    (diameter + 1)³ classes (i, j, d) that the property makes even.
     """
     table = _as_table(graph_or_table)
-    if _intersection_array_holds(table):
-        return Report("distance-regular", True, 0.0, None, 0.0, (table.starts.shape[1] - 1) ** 3)
-    return _distance_regular_scan(table)
+    graph, dist = table.graph, table.dist
+    labels, n, width = graph.labels, graph.n_vertices, table.starts.shape[1] - 1
 
+    def fail(kind, i, first, pair, residual, checked):
+        witness = (kind, i, tuple(labels[x] for x in first), tuple(labels[x] for x in pair))
+        return Report("distance-regular", False, float(residual), witness, 0.0, checked)
 
-def _intersection_array_holds(table: SphereTable) -> bool:
-    """Whether the graph is regular and c_i, a_i depend only on i."""
-    graph = table.graph
-    if len(set(map(len, graph.neighbors))) != 1:
-        return False
-    n, width = graph.n_vertices, table.starts.shape[1] - 1
-    dist = table.dist
+    degree = len(graph.neighbors[0])
+    for v, row in enumerate(graph.neighbors):
+        if len(row) != degree:
+            return fail("degree", 0, (0, 0), (v, v), abs(len(row) - degree), v + 1)
     nbrs = _neighbour_array(graph)
-    # c_i and a_i at the first pair (v, u) at each distance i, in row-major
-    # order: the neighbours w of v with d(u, w) < i and d(u, w) = i.
+    # c_i and a_i at the first pair (v, u) at each distance i: the
+    # neighbours w of v with d(u, w) < i and d(u, w) = i.
     radii = np.arange(width, dtype=dist.dtype)
     first_v = np.argmax(table.sphere_sizes > 0, axis=0)
     first_u = np.argmax(dist[first_v] == radii[:, None], axis=1)
@@ -444,34 +445,14 @@ def _intersection_array_holds(table: SphereTable) -> bool:
             near = dist[column]
             behind += near < block
             level += near == block
-        if not (np.array_equal(behind, c[block]) and np.array_equal(level, a[block])):
-            return False
-    return True
-
-
-def _distance_regular_scan(table: SphereTable) -> Report:
-    labels = table.graph.labels
-    dist = table.dist
-    n, width = dist.shape[0], table.starts.shape[1] - 1
-    firsts = np.unique(dist, return_index=True)[1]  # first pair at each distance
-    first_u, first_v = np.divmod(firsts, n)
-    expected = np.zeros((width, width * width), dtype=np.intp)  # [d, (i, j)]
-    offsets = np.arange(n)[:, None] * width * width
-    for u in range(n):
-        keys = dist[u].astype(np.intp) * width + dist + offsets  # [v, w] -> bin (v, i, j)
-        counts = np.bincount(keys.ravel(), minlength=n * width * width).reshape(n, -1)
-        opened = first_u == u
-        expected[opened] = counts[first_v[opened]]
-        mismatch = counts != expected[dist[u]]
-        if mismatch.any():
-            v, ij = divmod(int(np.argmax(mismatch)), width * width)
-            i, j = divmod(ij, width)
-            d = int(dist[u, v])
-            a, b = int(first_u[d]), int(first_v[d])
-            witness = (i, j, d, (labels[a], labels[b]), (labels[u], labels[v]))
-            residual = float(abs(int(counts[v, ij]) - int(expected[d, ij])))
-            checked = width * width * int((firsts < u * n + v).sum())
-            return Report("distance-regular", False, residual, witness, 0.0, checked)
+        c_miss = behind != c[block]
+        miss = c_miss | (level != a[block])
+        if miss.any():
+            r, u = divmod(int(np.argmax(miss)), n)
+            i = int(block[r, u])
+            kind, count, expected = ("c", behind, c) if c_miss[r, u] else ("a", level, a)
+            return fail(kind, i, (first_v[i], first_u[i]), (lo + r, u),
+                        abs(int(count[r, u]) - int(expected[i])), (lo + r) * n + u + 1)
     return Report("distance-regular", True, 0.0, None, 0.0, width**3)
 
 

@@ -175,8 +175,8 @@ def test_cli_check_graph(tmp_path, capsys):
 
 
 def test_cli_check_graph_scans_a_long_path(tmp_path, capsys):
-    # path(256) is not regular, so the distance-regularity scan runs, on
-    # uint8 distances and 256 × 256 (i, j) bins per pair.
+    # path(256) has uint8 distances and 256 radii; it is not regular, so
+    # distance regularity fails at the degree of its second vertex.
     graph_file = tmp_path / "p256.json"
     assert run_cli("gen", "path", "--n", "256", "--out", str(graph_file)) == 0
     capsys.readouterr()
@@ -185,8 +185,8 @@ def test_cli_check_graph_scans_a_long_path(tmp_path, capsys):
     assert lines[1:] == [
         "condition-S: FAIL  max residual 1.000e+00 (tol 0.0e+00), 2 checked, "
         "witness ('sphere-size', 1, '0', '1')",
-        "distance-regular: FAIL  max residual 1.000e+00 (tol 0.0e+00), 16777216 checked, "
-        "witness (1, 2, 1, ('0', '1'), ('1', '0'))",
+        "distance-regular: FAIL  max residual 1.000e+00 (tol 0.0e+00), 2 checked, "
+        "witness ('degree', 0, ('0', '0'), ('1', '1'))",
     ]
 
 

@@ -10,7 +10,12 @@ against the frozen loops in ``tests/reference/``.
   graphs (2 to 14 vertices, random base, windowed or not) must give equal
   spheres and distances, equal reports, equal tensor rows, or the same
   refusal with the same message.  Exact tensors must give bit-identical
-  associativity reports; their float copies agree within round-off.
+  associativity reports; their float copies agree within round-off.  The
+  frozen scan decides distance regularity; a failing report is the first
+  violation of a plain loop over the intersection-array counts.
+- Wildberger constants of distance-regular graphs (hypercubes to Q10,
+  Petersen, Shrikhande, the 4x4 rook's graph, K5, H(3,4), J(8,3)) must equal
+  the closed form from their intersection arrays, as exact ``Fraction``s.
 - Theorem 2.4: the level walk must give the frozen word loop's report, or
   its refusal with the same message, in exact and float mode, on the same
   graphs and on complete graphs whose sums cross 2**53.  The path and fold
@@ -52,8 +57,9 @@ from hyperwalk import (
     wildberger_tensor,
 )
 from hyperwalk import graphs, hypergroups
-from hyperwalk.graphs import _intersection_array_holds, path_sum_levels
+from hyperwalk.graphs import path_sum_levels
 from hyperwalk.hypergroups import exact_tier, fold_levels, prefix_trie
+from hyperwalk.report import Report
 from hyperwalk.verify import _theorem_2_4_residuals
 from reference import graph_loops as ref
 from reference import hypergroup_loops as ref_assoc
@@ -169,6 +175,45 @@ def _assert_same_distances(table, old_table):
     assert not table.dist.flags.writeable
 
 
+def _first_violation_loop(graph):
+    """The failing ``check_distance_regular`` report, as loops over the
+    frozen BFS distances, or None when the graph is distance-regular: the
+    first vertex whose degree differs from vertex 0's, else the first pair
+    (v, u), row by row, whose count c (neighbours of v at distance i - 1
+    from u) or then a (at distance i) differs from the first pair's at
+    their distance i."""
+    labels, nbrs, n = graph.labels, graph.neighbors, graph.n_vertices
+    for v in range(n):
+        if len(nbrs[v]) != len(nbrs[0]):
+            witness = ("degree", 0, (labels[0], labels[0]), (labels[v], labels[v]))
+            return Report("distance-regular", False, float(abs(len(nbrs[v]) - len(nbrs[0]))),
+                          witness, 0.0, v + 1)
+    dist = ref.build_spheres(graph).dist.tolist()
+    firsts = {}
+    for v, u in itertools.product(range(n), repeat=2):
+        i = dist[v][u]
+        counts = {"c": sum(dist[u][w] == i - 1 for w in nbrs[v]),
+                  "a": sum(dist[u][w] == i for w in nbrs[v])}
+        (a, b), expected = firsts.setdefault(i, ((v, u), counts))
+        for kind in ("c", "a"):
+            if counts[kind] != expected[kind]:
+                witness = (kind, i, (labels[a], labels[b]), (labels[v], labels[u]))
+                return Report("distance-regular", False,
+                              float(abs(counts[kind] - expected[kind])), witness, 0.0,
+                              v * n + u + 1)
+    return None
+
+
+def _assert_same_distance_regularity(graph, table):
+    """The frozen scan's decision, and its report when it passes; the loop's
+    first violation when it fails."""
+    report = check_distance_regular(table)
+    old = ref.check_distance_regular(ref.build_spheres(graph))
+    assert report.passed is old.passed
+    assert report == (old if old.passed else _first_violation_loop(graph))
+    return report
+
+
 def _assert_same_graph_layer(graph):
     table, old_table = build_spheres(graph), ref.build_spheres(graph)
     _assert_same_distances(table, old_table)
@@ -181,9 +226,7 @@ def _assert_same_graph_layer(graph):
         assert table.base_sphere(r) == old_table.base_sphere(r)
 
     assert check_condition_s(table) == ref.check_condition_s(old_table)
-    report = check_distance_regular(table)
-    assert report == ref.check_distance_regular(old_table)
-    assert _intersection_array_holds(table) is report.passed
+    _assert_same_distance_regularity(graph, table)
     tensor = _result(wildberger_tensor, table)
     assert _rows(tensor) == _rows(_result(ref.wildberger_tensor, old_table))
     if isinstance(tensor, tuple):
@@ -245,25 +288,89 @@ CERTIFICATE_GRAPHS = {
 @pytest.mark.parametrize("name", CERTIFICATE_GRAPHS)
 def test_intersection_array_certificate_matches_scan(name):
     graph, regular = CERTIFICATE_GRAPHS[name]
-    table = build_spheres(graph)
-    report = check_distance_regular(table)
-    assert report == ref.check_distance_regular(ref.build_spheres(graph))
-    assert report.passed is regular
-    assert _intersection_array_holds(table) is regular
+    assert _assert_same_distance_regularity(graph, build_spheres(graph)).passed is regular
+
+
+def _intersection_array_constants(b, c):
+    """The constants Q[i,j,k] = p^i_jk / k_j of a distance-regular graph
+    with intersection array {b_0, ..., b_{D-1}; c_1, ..., c_D}, from its
+    intersection matrices: L_1 is tridiagonal in (c_h, a_h, b_h), and
+    L_1 L_j = b_{j-1} L_{j-1} + a_j L_j + c_{j+1} L_{j+1} gives the rest,
+    with (L_j)[i, k] = p^i_jk and k_j = (L_j)[0, j]."""
+    size = len(b) + 1
+    b, c = list(b) + [0], [0] + list(c)
+    a = [b[0] - b[h] - c[h] for h in range(size)]
+
+    def product(x, y):
+        return [[sum(x[i][m] * y[m][k] for m in range(size)) for k in range(size)]
+                for i in range(size)]
+
+    one = [[0] * size for _ in range(size)]
+    for h in range(size):
+        one[h][h] = a[h]
+        if h:
+            one[h][h - 1] = c[h]
+        if h + 1 < size:
+            one[h][h + 1] = b[h]
+    levels = [[[int(i == k) for k in range(size)] for i in range(size)], one]
+    for j in range(1, size - 1):
+        step = product(one, levels[j])
+        levels.append([[Fraction(step[i][k] - b[j - 1] * levels[j - 1][i][k]
+                                 - a[j] * levels[j][i][k], c[j + 1]) for k in range(size)]
+                       for i in range(size)])
+    return {(i, j): {k: Fraction(levels[j][i][k], levels[j][0][j])
+                     for k in range(size) if levels[j][i][k]}
+            for i in range(size) for j in range(size)}
+
+
+def _hamming_graph(d, q):
+    words = list(itertools.product(range(q), repeat=d))
+    return _index_graph(len(words), [(x, y) for x, y in itertools.combinations(range(len(words)), 2)
+                                     if sum(s != t for s, t in zip(words[x], words[y])) == 1])
+
+
+def _johnson_graph(n, k):
+    sets = [set(s) for s in itertools.combinations(range(n), k)]
+    return _index_graph(len(sets), [(x, y) for x, y in itertools.combinations(range(len(sets)), 2)
+                                    if len(sets[x] & sets[y]) == k - 1])
+
+
+# Graphs with a known intersection array {b_0, ..., b_{D-1}; c_1, ..., c_D}.
+INTERSECTION_ARRAYS = {
+    **{f"Q{d}": (lambda d=d: hypercube_graph(d), range(d, 0, -1), range(1, d + 1))
+       for d in range(3, 11)},
+    "petersen": (lambda: CERTIFICATE_GRAPHS["petersen"][0], (3, 2), (1, 1)),
+    "shrikhande": (lambda: CERTIFICATE_GRAPHS["shrikhande"][0], (6, 3), (1, 2)),
+    "rook-4x4": (lambda: CERTIFICATE_GRAPHS["rook-4x4"][0], (6, 3), (1, 2)),
+    "K5": (lambda: complete_graph(5), (4,), (1,)),
+    "H(3,4)": (lambda: _hamming_graph(3, 4), (9, 6, 3), (1, 2, 3)),
+    "J(8,3)": (lambda: _johnson_graph(8, 3), (15, 8, 3), (1, 4, 9)),
+}
+
+
+@pytest.mark.parametrize("name", INTERSECTION_ARRAYS)
+def test_wildberger_tensor_matches_intersection_array(name):
+    build, b, c = INTERSECTION_ARRAYS[name]
+    graph = build()
+    tensor = wildberger_tensor(graph)
+    assert tensor.is_exact
+    rows = {pair: dict(row) for pair, row in tensor.rows.items()}
+    assert rows == _intersection_array_constants(b, c)
+    assert all(type(q) is Fraction for row in rows.values() for q in row.values())
+    assert check_distance_regular(graph).passed
 
 
 @pytest.mark.parametrize("rows", (1, 3))
 def test_intersection_array_certificate_in_blocks_of_rows(rows, monkeypatch):
     # One row, or three (which divide few of the vertex counts), a block:
-    # the decision is the frozen scan's on the whole corpus.  On
+    # the report is the frozen scan's or the loop's on the whole corpus.  On
     # k34-plus-matching the first failing row is in the second block.
     corpus = SHAPES + [graph for graph, _ in CERTIFICATE_GRAPHS.values()]
     corpus += [random_graph(seed) for seed in range(400)]
     tables = [build_spheres(graph) for graph in corpus]
     for graph, table in zip(corpus, tables):
         monkeypatch.setattr(graphs, "_COUNT_BLOCK", rows * graph.n_vertices)
-        expected = ref.check_distance_regular(ref.build_spheres(graph)).passed
-        assert _intersection_array_holds(table) is expected
+        _assert_same_distance_regularity(graph, table)
 
 
 def _bfs_graph(n, seed):
@@ -336,13 +443,17 @@ def test_random_graphs_cover_refusals_and_failures():
             if condition.witness[0] == "intersection":
                 i, _, k = condition.witness[1:4]
                 outcomes.add(("window edge", window is not None and i + k == window))
-        outcomes.add(("distance-regular", check_distance_regular(table).passed))
+        regular = check_distance_regular(table)
+        outcomes.add(("distance-regular", regular.passed))
+        if not regular.passed:
+            outcomes.add(("irregular", regular.witness[0]))
         tensor = _result(wildberger_tensor, table)
         outcomes.add(("tensor", tensor[0].__name__ if isinstance(tensor, tuple) else "ok"))
         outcomes.add(("windowed", window is not None))
     for check in ("condition-S", "distance-regular", "windowed", "window edge"):
         assert {(check, True), (check, False)} <= outcomes
     assert {("uneven", "sphere-size"), ("uneven", "intersection")} <= outcomes
+    assert {("irregular", "degree"), ("irregular", "c"), ("irregular", "a")} <= outcomes
     assert {("tensor", "ok"), ("tensor", "EmptySphereError")} <= outcomes
 
 
