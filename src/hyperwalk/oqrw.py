@@ -8,12 +8,17 @@ completeness condition sum_i B[i,j;k]^* B[i,j;k] = 1 for every (j, k).
 
 A family is stored as one dense (d, d, d, h, h) complex array holding
 B[i,j;k] at [i, j, k] (d^3 h^2 numbers; absent blocks are zero), a state as
-one (d, h, h) stack of its diagonal blocks.  On states flattened to length
-d h^2 the distance-k map is T_k[(i,a,c), (j,b,e)] = B_ab conj(B_ce) with
-B = B[i,j;k], so stepping one state or a whole stack is one matrix product.
-A family holds all d maps as one (d, d h^2, d h^2) stack that steps states
-(``_apply``); its Gram blocks give the masses one map moves from a stack of
-states (``one_step_distributions``), read by the produced constants and the
+one (d, h, h) stack of its diagonal blocks.  The maps keep blocks
+Hermitian, and everything computed from them is Hermitian too (states,
+Gram blocks B^* B, walk-minus-mixture observables), so the maps run on real
+coordinates in one orthonormal basis of the h x h Hermitian matrices
+(``hermitian_coordinates``), where tr(X Y) is a dot product.  On states
+flattened to length d h^2 the distance-k map is a real matrix T_k, whose
+(i, j) block is B (x) conj(B), B = B[i,j;k], in that basis, and its
+adjoint Phi_k^* is the transpose.  A family holds all d maps as one real
+(d, d h^2, d h^2) stack that steps states (``_apply``); its Gram blocks, in
+coordinates, give the masses one map moves from a stack of states
+(``one_step_distributions``), read by the produced constants and the
 mixtures.  The Heisenberg picture Phi_k^*(X)_j = sum_i B[i,j;k]^* X_i
 B[i,j;k] is the adjoint, and the checks run there: ``check_hb`` as one GEMM
 per first letter, batched over chunks of consecutive letters of up to
@@ -33,7 +38,7 @@ Word-order convention, fixed globally because it is easy to get backwards:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -60,6 +65,81 @@ EPS_HB = 1e-8
 EPS_PSD = 1e-10
 
 
+_ROOT_HALF = np.sqrt(0.5)
+
+
+@lru_cache(maxsize=None)
+def _basis(h: int) -> tuple[np.ndarray, ...]:
+    """The basis of ``hermitian_coordinates``: the basis matrix of the
+    coordinate q = (a, b), C order, has the weight w[q] at the entry
+    (a, b) and its conjugate at (b, a), two halves on the diagonal, so it
+    is E_aa, and for a < b (E_ab + E_ba)/sqrt(2) at (a, b) and
+    i (E_ab - E_ba)/sqrt(2) at (b, a).  Returns a, b and w per q, and the
+    real (2 h^2, h^2) matrix whose column q holds the real and imaginary
+    part of each entry of that basis matrix, on two rows per entry."""
+    a, b = np.divmod(np.arange(h * h), h)
+    q = np.arange(h * h)
+    weights = np.where(a == b, 0.5, np.where(a < b, _ROOT_HALF, -1j * _ROOT_HALF))
+    basis = np.zeros((h * h, 2, h * h))
+    basis[q, 0, q], basis[q, 1, q] = weights.real, weights.imag
+    basis[b * h + a, 0, q] += weights.real
+    basis[b * h + a, 1, q] -= weights.imag
+    basis = basis.reshape(2 * h * h, h * h)
+    for array in (a, b, weights, basis):
+        array.setflags(write=False)
+    return a, b, weights, basis
+
+
+def hermitian_coordinates(blocks) -> np.ndarray:
+    """The real coordinates of the Hermitian parts (X + X^*)/2 of a (..., h,
+    h) stack of blocks, in one fixed orthonormal basis, as a (..., h, h)
+    float array: X_aa at [a, a], and for a < b sqrt(2) Re X_ab at [a, b]
+    and sqrt(2) Im X_ab at [b, a].  So tr(X Y) is the dot product of the
+    coordinates.  One product with the basis, which scales each part by
+    1/sqrt(2) before adding it.  A non-finite entry makes its block's
+    coordinates non-finite, with no numpy warning."""
+    x = np.ascontiguousarray(blocks, dtype=complex)
+    h = x.shape[-1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (x.view(float).reshape(-1, 2 * h * h) @ _basis(h)[3]).reshape(x.shape)
+
+
+def hermitian_blocks(coords: np.ndarray) -> np.ndarray:
+    """The complex Hermitian blocks of a (..., h, h) stack of coordinates,
+    the inverse of ``hermitian_coordinates``, with no numpy warning."""
+    h = coords.shape[-1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        parts = coords.reshape(-1, h * h) @ _basis(h)[3].T
+    return parts.view(complex).reshape(coords.shape)
+
+
+def entry_moduli(coords: np.ndarray) -> np.ndarray:
+    """The entry moduli |X_ab| = sqrt((c_ab^2 + c_ba^2) / 2) of the blocks
+    with these (..., h, h) coordinates; past about 1e154, inf."""
+    scaled = coords * _ROOT_HALF
+    with np.errstate(over="ignore", invalid="ignore"):
+        squares = scaled * scaled
+        return np.sqrt(squares + squares.swapaxes(-1, -2))
+
+
+def _largest_moduli(coords: np.ndarray) -> np.ndarray:
+    """``entry_moduli`` reduced over each block, from the squares of the
+    flat pairs (a, b), (b, a), a <= b, as a reduction over two small
+    trailing axes is slow; at h = 1, |c| itself, as gathering from a
+    one-wide axis is slower still."""
+    h = coords.shape[-1]
+    if h == 1:
+        return np.abs(coords[..., 0, 0])
+    a, b = _pairs(h)
+    scaled = coords.reshape(coords.shape[:-2] + (h * h,)) * _ROOT_HALF
+    with np.errstate(over="ignore", invalid="ignore"):
+        squares = scaled * scaled
+        return np.sqrt((squares[..., a * h + b] + squares[..., b * h + a]).max(axis=-1))
+
+
+_pairs = lru_cache(maxsize=None)(np.triu_indices)
+
+
 def _as_block(matrix, h_dim: int) -> np.ndarray:
     arr = np.asarray(matrix, dtype=complex)
     if arr.shape != (h_dim, h_dim):
@@ -69,6 +149,14 @@ def _as_block(matrix, h_dim: int) -> np.ndarray:
 
 class _PositionArray:
     """Shape of an array whose first axis is the position and last the h axis."""
+
+    def __post_init__(self):
+        # What is cached from the array must never go stale: keep a
+        # read-only copy of an array the caller could still write to.
+        if self.array.flags.writeable or self.array.base is not None:
+            array = self.array.copy()
+            array.setflags(write=False)
+            object.__setattr__(self, "array", array)
 
     @property
     def d_size(self) -> int:
@@ -85,8 +173,10 @@ class KrausFamily(_PositionArray):
 
     The array has shape (d, d, d, h, h); an absent block is the zero matrix.
     The Gram blocks (``_gram``) and the superoperators of all d letters, one
-    read-only (d, d h^2, d h^2) stack (``_stack``), are built on first use
-    and kept, so every walk and check on one family shares them.
+    read-only real (d, d h^2, d h^2) stack (``_stack``), both in the real
+    coordinates of ``hermitian_coordinates``, are built on first use from
+    the nonzero blocks and kept, so every walk and check on one family
+    shares them.
     ``truncation_radius`` tags families realized from a truncated tensor:
     blocks in rows (k, j) with k + j beyond the radius are an arbitrary
     completion (kept only so each map stays trace preserving) and nothing
@@ -95,14 +185,6 @@ class KrausFamily(_PositionArray):
 
     array: np.ndarray
     truncation_radius: int | None = None
-
-    def __post_init__(self):
-        # The cached Gram blocks and superoperators must never go stale: keep
-        # a read-only copy of an array the caller could still write to.
-        if self.array.flags.writeable or self.array.base is not None:
-            array = self.array.copy()
-            array.setflags(write=False)
-            object.__setattr__(self, "array", array)
 
     def block(self, i: int, j: int, k: int) -> np.ndarray:
         return self.array[i, j, k]
@@ -114,33 +196,67 @@ class KrausFamily(_PositionArray):
         return {tuple(idx): self.array[tuple(idx)] for idx in nonzero}
 
     @cached_property
+    def _nonzero(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The indices k, i, j of the nonzero blocks (NaN counts) and the
+        (n, h, h) blocks themselves."""
+        i, j, k = np.nonzero(self.array.any(axis=(-2, -1)))
+        return k, i, j, self.array[i, j, k]
+
+    @cached_property
     def _gram(self) -> np.ndarray:
-        """B[i,j;k]^* B[i,j;k] at [k, i, j]: Phi_k^*(E_i) at position j, with
-        E_i the identity block at position i.
+        """The coordinates of B[i,j;k]^* B[i,j;k] at [k, i, j], a real (d,
+        d, d, h, h) array: Phi_k^*(E_i) at position j, with E_i the identity
+        block at position i.  Built on first use from the nonzero blocks.
         Blocks too large to square give inf or NaN here, which every check
         reports as its worst residual, so numpy's warnings are not raised."""
-        blocks = self.array.transpose(2, 0, 1, 3, 4)
-        gram = np.empty(blocks.shape, dtype=complex)  # C order, unlike blocks
+        d, h = self.d_size, self.h_dim
+        k, i, j, blocks = self._nonzero
+        gram = np.zeros((d, d, d, h, h))
         with np.errstate(over="ignore", invalid="ignore"):
-            return np.matmul(blocks.conj().swapaxes(-1, -2), blocks, out=gram)
+            products = np.einsum("nxa,nxc->nac", blocks.conj(), blocks)
+        gram[k, i, j] = hermitian_coordinates(products)
+        gram.setflags(write=False)
+        return gram
 
     @cached_property
     def _stack(self) -> np.ndarray:
-        """The superoperators of every letter as one read-only (d, n, n)
-        array, n = d h^2, with T_k at [k] (see the module docstring): h^2
-        times the array's memory; states and one-letter states step by it,
-        the Heisenberg slabs and levels read its adjoints.  Built on first
-        use by one elementwise product into the array itself, so the build
-        holds no temporary of the stack's size.  Non-finite entries as in
-        ``_gram``."""
+        """The superoperators of every letter as one read-only real (d, n,
+        n) array, n = d h^2, with T_k at [k] (see the module docstring):
+        h^2 / 2 times the memory of the array.  States step by it, the
+        Heisenberg slabs and levels by its transposes.
+
+        Column q of the block (i, j) of T_k holds the coordinates of
+        B E_q B^*, B = B[i,j;k] and E_q the basis matrix of q (``_basis``).
+        With w its weight at (a, b) and b_a the column a of B, that is
+        Y + Y^* for Y = w b_a b_b^*: twice the coordinates of the Hermitian
+        part of Y, one product of all the Y with the basis.  Both w and the
+        basis scale each term by 1/sqrt(2) or less before it is added, so
+        no entry overflows where B (x) conj(B) does not, bar the doubling
+        of a sum that does not fit.  Built on first use
+        from the nonzero blocks only, ``_BUILD_ENTRIES`` entries of Y at a
+        time, so the build holds no complex temporary of the stack's size.
+        Non-finite entries as in ``_gram``."""
         d, h = self.d_size, self.h_dim
-        blocks = self.array.transpose(2, 0, 1, 3, 4)  # [k, i, j]
-        stack = np.empty((d, d, h, h, d, h, h), dtype=complex)
-        with np.errstate(over="ignore", invalid="ignore"):
-            np.einsum("kijab,kijce->kiacjbe", blocks, blocks.conj(), out=stack)
-        stack = stack.reshape(d, d * h * h, d * h * h)
+        hh = h * h
+        k, i, j, blocks = self._nonzero
+        a, b, weights, basis = _basis(h)
+        stack = np.zeros((d, d, hh, d, hh))
+        step = max(1, _BUILD_ENTRIES // (hh * hh))
+        for start in range(0, len(k), step):
+            part = slice(start, start + step)
+            columns = blocks[part].swapaxes(1, 2)  # [n, c, x]: B[x, c]
+            with np.errstate(over="ignore", invalid="ignore"):
+                left = weights[:, None] * columns[:, a]  # [n, q, x]
+                y = left[..., None] * columns[:, b, None].conj()  # [n, q, x, y]
+                t_blocks = 2 * (y.view(float).reshape(-1, 2 * hh) @ basis).reshape(-1, hh, hh)
+            stack[k[part], i[part], :, j[part]] = t_blocks.transpose(0, 2, 1)
+        stack = stack.reshape(d, d * hh, d * hh)
         stack.setflags(write=False)
         return stack
+
+
+# Entries that building ``KrausFamily._stack`` forms at a time.
+_BUILD_ENTRIES = 2**16
 
 
 def kraus_family(
@@ -167,8 +283,8 @@ def kraus_family(
 
 def validate_kraus(family: KrausFamily, tol: float = EPS_KRAUS) -> Report:
     """Check sum_i B[i,j;k]^* B[i,j;k] = 1 for every (j, k), in max norm."""
-    sums = family._gram.sum(axis=1)
-    residuals = np.abs(sums - np.eye(family.h_dim)).max(axis=(-2, -1)).T  # [j, k]
+    sums = family._gram.sum(axis=1)  # the identity's coordinates are the identity
+    residuals = _largest_moduli(sums - np.eye(family.h_dim)).T  # [j, k]
     return scan_report("completeness", residuals.ravel(), lambda n: divmod(n, family.d_size), tol)
 
 
@@ -182,6 +298,23 @@ class BlockState(_PositionArray):
     @property
     def blocks(self) -> tuple[np.ndarray, ...]:
         return tuple(self.array)
+
+    @cached_property
+    def _coordinates(self) -> np.ndarray:
+        """The coordinates of the blocks (``hermitian_coordinates``), which
+        every walk from this state steps.  A state whose Hermitian gap max
+        |X - X^*| is not within EPS_PSD, and whose coordinates (of its
+        Hermitian part) are finite, is refused as ``_check_states`` refuses
+        it: a walk never projects its start onto its Hermitian part.
+        Non-finite coordinates pass on to the walk, whose state checks
+        refuse them."""
+        with np.errstate(invalid="ignore"):
+            gap = np.abs(self.array - self.array.conj().swapaxes(-1, -2)).max()
+        coords = hermitian_coordinates(self.array)
+        if not gap <= EPS_PSD and np.isfinite(coords).all():
+            _check_states(self.array)
+        coords.setflags(write=False)
+        return coords
 
 
 # Entries of the states checked at a time: a walk level can hold many
@@ -309,18 +442,19 @@ def state_from_density(rho: np.ndarray, h_dim: int, d_size: int) -> BlockState:
 
 
 def _apply(family: KrausFamily, k: int, stack: np.ndarray) -> np.ndarray:
-    """The distance-k map on a (..., d, h, h) stack of states, unvalidated."""
+    """The distance-k map on a (..., d, h, h) stack of state coordinates,
+    unvalidated."""
     vectors = stack.reshape(-1, family.d_size * family.h_dim**2)
     return (vectors @ family._stack[k].T).reshape(stack.shape)
 
 
 def one_step_distributions(family: KrausFamily, stack: np.ndarray) -> np.ndarray:
     """Mass at i after the m-map, at [..., m, i], for a (..., d, h, h) stack
-    of Hermitian blocks: sum_j tr(B[i,j;m]^* B[i,j;m] rho_j) = sum_j,b,c
-    G_bc conj(rho_j)_bc, one product with a view of the Gram array."""
+    of state coordinates: sum_j tr(B[i,j;m]^* B[i,j;m] rho_j), the dot
+    products of the coordinates, one product with a view of the Gram array."""
     d, flat = family.d_size, stack.reshape(stack.shape[:-3] + (-1,))
-    masses = flat.conj() @ family._gram.reshape(d * d, -1).T
-    return masses.real.reshape(stack.shape[:-3] + (d, d))
+    masses = flat @ family._gram.reshape(d * d, -1).T
+    return masses.reshape(stack.shape[:-3] + (d, d))
 
 
 def _checked_walk(family: KrausFamily, state: BlockState, word: Word = (),
@@ -355,7 +489,7 @@ def step(family: KrausFamily, k: int, state: BlockState) -> BlockState:
     k = _vertex_index(k, "distance")
     if not (0 <= k < family.d_size):
         raise IndexError(f"distance {k} out of range")
-    return block_state(_apply(family, k, state.array))
+    return block_state(hermitian_blocks(_apply(family, k, state._coordinates)))
 
 
 def distribution(state: BlockState) -> np.ndarray:
@@ -372,24 +506,26 @@ def walk_distribution(family: KrausFamily, word: Word, state0: BlockState) -> np
     A batch's letters run with numpy's overflow and invalid warnings off.  A
     batch that is not certified runs again, checking the state after every
     letter, so a walk refuses its first invalid state with the message and
-    the warnings of a walk checked letter by letter.
+    the warnings of a walk checked letter by letter.  The walk steps state
+    coordinates (``BlockState._coordinates``); the checks read them as
+    complex blocks, converted one batch at a time.
 
     On a truncated family the state's support must stay within the radius
     less the word's letter sum (see ``_checked_walk``)."""
     word = _checked_walk(family, state0, word, family.truncation_radius)
-    stack = state0.array
+    stack = state0._coordinates
     batch = max(1, _CHECK_ENTRIES // stack.size)
-    held = np.empty((min(batch, len(word)),) + stack.shape, dtype=complex)
+    held = np.empty((min(batch, len(word)),) + stack.shape)
     for start in range(0, len(word), batch):
         letters, before = word[start:start + batch], stack
         with np.errstate(over="ignore", invalid="ignore"):
             for n, k in enumerate(letters):
                 held[n] = stack = _apply(family, k, stack)
-        if not _certified(held[:len(letters)]):
+        if not _certified(hermitian_blocks(held[:len(letters)])):
             for k in letters:
                 before = _apply(family, k, before)
-                _check_states(before)
-    return np.trace(stack, axis1=-2, axis2=-1).real
+                _check_states(hermitian_blocks(before))
+    return np.trace(stack, axis1=-2, axis2=-1)
 
 
 def produced_tensor(family: KrausFamily, state0: BlockState) -> StructureTensor:
@@ -399,20 +535,29 @@ def produced_tensor(family: KrausFamily, state0: BlockState) -> StructureTensor:
     then the k-map to the initial state, ``one_step_distributions`` of the
     checked states Phi_l(rho0).  A truncated family produces the rows with
     k + l within its radius, from a start certified for the largest such sum.
+    A mass that is not finite is taken again over the positions its state
+    occupies, so that an overflowing Gram block at an empty position does
+    not count (0 * inf); one still not finite is refused.
     """
     d, radius = family.d_size, family.truncation_radius
     longest = 2 * (d - 1) if radius is None else min(radius, 2 * (d - 1))
     _checked_walk(family, state0, (min(longest, d - 1), max(0, longest - d + 1)), radius)
     letters = d if radius is None else min(d, radius + 1)
-    rho = state0.array
+    rho = state0._coordinates
     firsts = (family._stack[:letters] @ rho.ravel()).reshape((letters,) + rho.shape)
-    _check_states(firsts)
+    _check_states(hermitian_blocks(firsts))
     masses = one_step_distributions(family, firsts)  # [l, k, m]
     if radius is not None:
         masses[np.add.outer(np.arange(letters), np.arange(d)) > radius] = 0.0
-    if not np.isfinite(masses).all():
-        l, k, m = np.argwhere(~np.isfinite(masses))[0].tolist()
-        raise ValueError(f"mass at {m} after the word ({l}, {k}) is not finite")
+    bad = ~np.isfinite(masses)
+    if bad.any():
+        for l in np.flatnonzero(bad.any(axis=(1, 2))).tolist():
+            occupied = firsts[l].any(axis=(-2, -1))
+            gram = family._gram[:, :, occupied].reshape(d * d, -1)
+            masses[l][bad[l]] = (gram @ firsts[l, occupied].ravel()).reshape(d, d)[bad[l]]
+        if not np.isfinite(masses).all():
+            l, k, m = np.argwhere(~np.isfinite(masses))[0].tolist()
+            raise ValueError(f"mass at {m} after the word ({l}, {k}) is not finite")
     # Word (l, k) applies the l-map first: its distribution is the row Q[k, l].
     cube = np.zeros((d,) * 3)
     cube[:, :letters] = np.where(masses > 1e-14, masses, 0.0).swapaxes(0, 1)
@@ -499,7 +644,8 @@ def heisenberg_slabs(family: KrausFamily, tensor: StructureTensor, radius: int |
 
     Yields chunks (l0, D) of consecutive first letters l = l0, ..., l0 + L
     - 1 within ``radius``, D[l - l0, k, i, j] the difference of the two
-    observables at position j, as an (L, top, d, cols, h*h) array: the
+    observables at position j, as an (L, top, d, cols, h, h) array of
+    coordinates (``hermitian_coordinates``): the
     letters k < top = radius - l0 + 1 (all d when ``radius`` is None) and
     the starts j < top, or every start with ``all_starts``.  The chunk's
     first letter sets top and cols; ``slab_window`` masks the blocks that
@@ -507,13 +653,15 @@ def heisenberg_slabs(family: KrausFamily, tensor: StructureTensor, radius: int |
     ``_SLAB_ENTRIES`` entries, or one letter.  The stack of all
     Phi_k^*(E_i) is the Gram array, and a chunk is one batched product of
     it with the superoperators of its letters, one matrix product per
-    letter, so memory stays O(d^3 h^2 + d^2 h^4) plus the chunk.
-    Non-finite entries as in ``KrausFamily._gram``.
+    letter, so memory stays O(d^3 h^2 + d^2 h^4) plus the chunk.  In
+    coordinates Phi_l^* is the transpose of T_l, so a row of coordinates
+    times ``_stack[l]``.  Non-finite entries as in ``KrausFamily._gram``.
     """
     if family.d_size != tensor.size:
         raise ValueError(f"size mismatch: family {family.d_size}, tensor {tensor.size}")
-    d, hh = family.d_size, family.h_dim**2
-    # heisenberg[(k, i), (m, b, c)] = (B[i,m;k]^* B[i,m;k])_bc = Phi_k^*(E_i)_m
+    d, h = family.d_size, family.h_dim
+    hh = h * h
+    # heisenberg[(k, i), (m, b, c)]: the coordinates of B[i,m;k]^* B[i,m;k] = Phi_k^*(E_i)_m
     heisenberg = family._gram.reshape(d * d, d * hh)
     by_position = family._gram.reshape(d, d, d * hh).swapaxes(0, 1)  # [i, m, (j, b, c)]
     q = tensor.to_float().cube  # Q[k, l, m]; rows outside a truncation are zero
@@ -524,13 +672,13 @@ def heisenberg_slabs(family: KrausFamily, tensor: StructureTensor, radius: int |
         cols = d if all_starts else top
         stop = min(letters, l0 + max(1, _SLAB_ENTRIES // (top * d * cols * hh)))
         with np.errstate(over="ignore", invalid="ignore"):
-            slab = np.matmul(heisenberg[:top * d], family._stack[l0:stop, :, :cols * hh].conj())
+            slab = np.matmul(heisenberg[:top * d], family._stack[l0:stop, :, :cols * hh])
             slab = slab.reshape(stop - l0, top, d, cols, hh)
             # The mixture as [i, (l, k), (j, b, c)], one product per position i.
             slab -= np.matmul(q[:top, l0:stop].swapaxes(0, 1).reshape(-1, d),
                               by_position[:, :, :cols * hh]
                               ).reshape(d, stop - l0, top, cols, hh).transpose(1, 2, 0, 3, 4)
-        yield l0, slab
+        yield l0, slab.reshape(stop - l0, top, d, cols, h, h)
         l0 = stop
 
 
@@ -584,15 +732,16 @@ def heisenberg_levels(family: KrausFamily, tensor: StructureTensor, max_len: int
     position i with X = Phi_{k1}^*(...Phi_{kn}^*(E_i)), and its mixture moves
     tr(M rho) with M = sum_m q_m Phi_m^*(E_i), q the fold of the reversed
     word u = (kn, ..., k1).  The levels walk the prefix trie of u: extending
-    u by a letter k applies Phi_k^* last, one product with the adjoint of
-    T_k, and ``fold_level`` folds the same trie.  One level is kept, grouped
-    by the budget its words have left, at the starts ``_kept_starts`` names;
-    the last level is formed and folded one block of words at a time.
+    u by a letter k applies Phi_k^* last, one product with T_k (its
+    transpose in coordinates), and ``fold_level`` folds the same trie.  One
+    level is kept, grouped by the budget its words have left, at the starts
+    ``_kept_starts`` names; the last level is formed and folded one block of
+    words at a time.
 
     Yields (length, the level's reversed words, the piece's rows in them,
-    D = X - M as an (n, d, win, h, h) array at the starts j < win within the
-    budget, all d when ``radius`` is None); the rows of a piece have one
-    letter sum.
+    D = X - M as an (n, d, win, h, h) array of coordinates at the starts
+    j < win within the budget, all d when ``radius`` is None); the rows of a
+    piece have one letter sum.
     """
     if max_len < 3:
         return
@@ -630,14 +779,14 @@ def heisenberg_levels(family: KrausFamily, tensor: StructureTensor, max_len: int
                 cols = starts(child, max_len - length)
                 feed = d if budget is None else int(reach[cols, k])
                 win = d if child is None else min(d, child + 1)
-                adjoint = family._stack[k, :feed * hh, :cols * hh].conj()
+                transfer = family._stack[k, :feed * hh, :cols * hh]
                 mixed = gram[:, :, :win * hh].reshape(d, -1) if length >= 3 else None
                 block = max(1, _LEVEL_ENTRIES // (d * max(feed, cols, 1) * hh))
                 for start in range(0, len(rows), block):
                     part = slice(start, start + block)
                     children = firsts[rows[part]] + k
                     with np.errstate(over="ignore", invalid="ignore"):
-                        x = stack[part, :, :feed * hh].reshape(-1, feed * hh) @ adjoint
+                        x = stack[part, :, :feed * hh].reshape(-1, feed * hh) @ transfer
                         x = x.reshape(-1, d, cols * hh)
                     if length >= 3:
                         q = (fold_level(tensor, folds, parents[children], letters[children],
@@ -664,8 +813,9 @@ def check_hb(
     radius (j + k + l past it) are skipped and counted.
 
     In the Heisenberg picture this reads Phi_l^*(Phi_k^*(E_i)) == sum_m
-    Q[k,l,m] Phi_m^*(E_i): the residual of a tuple is the largest entry of
-    its block of a ``heisenberg_slabs`` chunk, one reduction per chunk.
+    Q[k,l,m] Phi_m^*(E_i): the residual of a tuple is the largest entry
+    modulus of its block of a ``heisenberg_slabs`` chunk, read off the
+    coordinates (``entry_moduli``), one reduction per chunk.
     """
     d = family.d_size
     radius = common_radius(family, tensor)
@@ -674,7 +824,7 @@ def check_hb(
     checked = 0
     for l0, slab in heisenberg_slabs(family, tensor, radius):
         mask = slab_window(slab, l0, radius)
-        residuals = np.where(mask, np.abs(slab).max(axis=-1), -1.0).swapaxes(0, 1)  # [k, l, i, j]
+        residuals = np.where(mask, _largest_moduli(slab), -1.0).swapaxes(0, 1)  # [k, l, i, j]
         worst, n = worst_residual(residuals)
         k, l, i, j = (int(x) for x in np.unravel_index(n, residuals.shape))
         candidates.append(((k, l0 + l), worst, (i, j, k, l0 + l)))
@@ -701,7 +851,7 @@ def mixture_distribution(
     """
     word = _checked_walk(family, state0, word, common_radius(family, tensor))
     coeffs = np.array(multi_constants(tensor, word[::-1]), dtype=float)
-    return coeffs @ one_step_distributions(family, state0.array)
+    return coeffs @ one_step_distributions(family, state0._coordinates)
 
 
 @dataclass(frozen=True)
@@ -735,7 +885,7 @@ def check_linear_independence(
         column = family.array[:, j0]  # [i, k]
         off_diagonal = np.abs(column[~diagonal]).max(initial=0.0)
         grams = family._gram[:, :, j0][diagonal]
-        if off_diagonal <= EPS_KRAUS and np.abs(grams - np.eye(h)).max() <= EPS_KRAUS:
+        if off_diagonal <= EPS_KRAUS and _largest_moduli(grams - np.eye(h)).max() <= EPS_KRAUS:
             return IndependenceVerdict(kind="condition2", j0=j0)
 
     if d <= h:

@@ -40,10 +40,14 @@ from .oqrw import (
     EPS_HB,
     BlockState,
     KrausFamily,
+    _largest_moduli,
     block_state,
     common_radius,
+    entry_moduli,
     heisenberg_levels,
     heisenberg_slabs,
+    hermitian_blocks,
+    hermitian_coordinates,
     kraus_family,
     produced_tensor,
     realize,
@@ -293,7 +297,7 @@ def verify_theorem_5_1(
     chunks = heisenberg_slabs(family, tensor, radius)
     for l0, slab in chunks:
         mask = slab_window(slab, l0, radius)
-        entries = np.abs(slab).max(axis=-1)  # [l, k, i, j]
+        entries = _largest_moduli(slab)  # [l, k, i, j]
         if not worst_residual(np.where(mask, entries, -1.0))[0] <= EPS_HB:
             # Untruncated, the first chunk holds every start: the converse
             # scan goes on from it rather than forming it again.
@@ -331,9 +335,10 @@ def verify_theorem_5_1(
 
 
 def _first_worst(blocks: np.ndarray, nonzero: np.ndarray, h: int, bound: float):
-    """The largest ``_block_norms`` norm of the h x h blocks that ``nonzero``
-    selects from ``blocks`` (a zero block's norm is zero), the index of its
-    first block in C order (None for no block), and the raised bound."""
+    """The largest ``_block_norms`` norm of the h x h coordinate blocks that
+    ``nonzero`` selects from ``blocks`` (a zero block's norm is zero), the
+    index of its first block in C order (None for no block), and the raised
+    bound."""
     selected = blocks[nonzero].reshape(-1, h, h)
     if not len(selected):
         return -1.0, None, bound
@@ -344,19 +349,20 @@ def _first_worst(blocks: np.ndarray, nonzero: np.ndarray, h: int, bound: float):
 
 
 def _block_norms(blocks: np.ndarray, bound: float) -> tuple[np.ndarray, float]:
-    """Spectral norms of the Hermitian parts of an (n, h, h) stack of blocks
-    where they can reach ``bound``, the largest norm known to be reached.
+    """Spectral norms of the Hermitian blocks with an (n, h, h) stack of
+    coordinates (``hermitian_coordinates``) where they can reach ``bound``,
+    the largest norm known to be reached.
 
     A Hermitian block's norm is at least its largest entry and at most its
-    largest absolute row sum (Gershgorin), so ``eigvalsh`` runs only on the
-    blocks whose row sums reach the bound, raised first to the largest
-    entry of this stack.  The others come back as 0: they lie below the
-    largest norm.  A non-finite block comes back as NaN or inf.  Returns the
-    norms and the raised bound.
+    largest absolute row sum (Gershgorin), both read off the entry moduli
+    of the coordinates, so ``eigvalsh`` runs only on the blocks whose row
+    sums reach the bound, raised first to the largest entry of this stack,
+    rebuilt as complex blocks.  The others come back as 0: they lie below
+    the largest norm.  A non-finite block comes back as NaN or inf.
+    Returns the norms and the raised bound.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        hermitian = (blocks + blocks.conj().swapaxes(-1, -2)) / 2
-        magnitudes = np.abs(hermitian)
+        magnitudes = entry_moduli(blocks)
     lower = magnitudes.max(axis=(-2, -1))  # NaN or inf exactly where not finite
     upper = magnitudes.sum(axis=-1).max(axis=-1)
     finite = np.isfinite(lower)
@@ -364,7 +370,7 @@ def _block_norms(blocks: np.ndarray, bound: float) -> tuple[np.ndarray, float]:
     exact = finite & (upper >= bound) & (upper > 0)
     norms = np.where(finite, 0.0, lower)
     if exact.any():
-        eigenvalues = np.linalg.eigvalsh(hermitian[exact])
+        eigenvalues = np.linalg.eigvalsh(hermitian_blocks(blocks[exact]))
         norms[exact] = np.maximum(-eigenvalues[:, 0], eigenvalues[:, -1])
     return norms, bound
 
@@ -379,15 +385,15 @@ def _converse_witness(family: KrausFamily, tensor: StructureTensor, min_gap: flo
     d, h = family.d_size, family.h_dim
     radius = tensor.truncation_radius
     spanning = spanning_states(h)
-    # tr(D sigma) is the flat D times the flat transpose of sigma.
-    densities = np.array([rho.T.reshape(-1) for _, rho in spanning]).T
+    # tr(D sigma) is the dot product of the coordinates of D and sigma.
+    densities = hermitian_coordinates([rho for _, rho in spanning]).reshape(len(spanning), -1).T
     if chunks is None:
         chunks = heisenberg_slabs(family, tensor, radius, all_starts=True)
     words, gaps = [], []
     for l0, slab in chunks:
         letters, top = slab.shape[:2]
         with np.errstate(invalid="ignore"):
-            traces = (slab.reshape(-1, h * h) @ densities).real.reshape(letters, top, d, d, -1)
+            traces = (slab.reshape(-1, h * h) @ densities).reshape(letters, top, d, d, -1)
         kept = [(l, k) for l in range(l0, l0 + letters) for k in range(top)
                 if radius is None or l + k <= radius]
         ls, ks = np.array(kept).T

@@ -32,7 +32,7 @@ from hyperwalk.hypergroups import (
     multi_constants,
     structure_tensor,
 )
-from hyperwalk.oqrw import _apply, _check_states, _checked_walk
+from hyperwalk.oqrw import _apply, _check_states, _checked_walk, hermitian_blocks
 from hyperwalk.verify import spanning_states
 
 EPS_KRAUS = 1e-8
@@ -554,10 +554,11 @@ def realize_array(tensor: StructureTensor, h_dim: int = 1, isometries=None) -> n
 def walk_per_letter(family, word: Word, state0) -> np.ndarray:
     """The library's ``walk_distribution`` on its dense objects as it ran
     before its states were checked in batches: the library's state check
-    after every letter, under the caller's numpy error state."""
+    after every letter (on the state's coordinates read back as complex
+    blocks), under the caller's numpy error state."""
     word = _checked_walk(family, state0, word, family.truncation_radius)
-    stack = state0.array
+    stack = state0._coordinates
     for k in word:
         stack = _apply(family, k, stack)
-        _check_states(stack)
-    return np.trace(stack, axis1=-2, axis2=-1).real
+        _check_states(hermitian_blocks(stack))
+    return np.trace(stack, axis1=-2, axis2=-1)

@@ -82,6 +82,18 @@ def test_family_keeps_its_own_copy_of_a_writable_array(c4):
                           walk_distribution(fresh, (1, 2), state))
 
 
+def test_state_keeps_its_own_copy_of_a_writable_array(c4):
+    """A state caches the coordinates its walks step, so it keeps a
+    read-only copy of an array its caller could still write to."""
+    fam, state = realize(c4, h_dim=2)
+    assert hw.BlockState(array=state.array).array is state.array
+    array = state.array.copy()
+    start = hw.BlockState(array=array)
+    first = walk_distribution(fam, (1,), start)
+    array[0] = np.eye(2)
+    assert np.array_equal(walk_distribution(fam, (1,), start), first)
+
+
 def test_non_finite_states_are_named_as_such():
     rng = np.random.default_rng(4)
     for h_dim in (1, 2, 3):
@@ -90,6 +102,41 @@ def test_non_finite_states_are_named_as_such():
             blocks[1, 0, 0] = value
             with pytest.raises(ValueError, match="^block 1 has non-finite entries$"):
                 block_state(blocks)
+
+
+def test_walks_refuse_a_start_they_would_project(c4):
+    """Walks step the real coordinates of the Hermitian part of their start.
+    A start that ``block_state`` refuses for its Hermitian gap, built
+    directly as a BlockState, is refused by every walk with that refusal,
+    never stepped as its Hermitian part; a gap within EPS_PSD walks as its
+    Hermitian part.  A NaN in the imaginary part of a diagonal entry, which
+    the Hermitian part would drop, reaches the walk and is refused."""
+    fam, state = realize(c4, h_dim=2)
+    walks = {
+        "walk": lambda s: walk_distribution(fam, (1, 2), s),
+        "empty word": lambda s: walk_distribution(fam, (), s),
+        "step": lambda s: step(fam, 1, s),
+        "mixture": lambda s: mixture_distribution(fam, c4.tensor, (1, 2), s),
+        "produce": lambda s: produced_tensor(fam, s),
+    }
+    for gap in (1e-6, 2e-10):
+        array = state.array.copy()
+        array[0, 0, 1] += gap
+        with pytest.raises(ValueError, match="^block 0 is not Hermitian$"):
+            block_state(array)
+        start = hw.BlockState(array=array)
+        for name, walk in walks.items():
+            with pytest.raises(ValueError, match="^block 0 is not Hermitian$"):
+                walk(start)
+    array = state.array.copy()
+    array[0, 0, 1] += 0.5e-10
+    hermitian = block_state((array + array.conj().swapaxes(-1, -2)) / 2)
+    assert np.allclose(walk_distribution(fam, (1, 2), hw.BlockState(array=array)),
+                       walk_distribution(fam, (1, 2), hermitian), rtol=0, atol=1e-15)
+    array = state.array.copy()
+    array[0, 1, 1] += complex(0, np.nan)
+    with pytest.raises(ValueError, match="non-finite"):
+        walk_distribution(fam, (1, 2), hw.BlockState(array=array))
 
 
 def test_check_hb_fails_on_non_finite_constant(c4):

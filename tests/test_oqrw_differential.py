@@ -1,4 +1,5 @@
-"""Differential tests: the dense superoperator code against the frozen loops.
+"""Differential tests: the dense superoperator code, in real Hermitian
+coordinates, against the frozen loops and the complex formulas.
 
 Every Kraus and hypergroup preset, seeded random dense families and realized
 truncated z-lattices run through both the library and the loop code kept in
@@ -18,6 +19,7 @@ states leave the certified window.
 """
 
 import functools
+import re
 import warnings
 
 import numpy as np
@@ -198,6 +200,93 @@ def test_step_and_walks_match_loops(name):
             assert np.abs(mixed - old_mixed).max() <= TOL
 
 
+def _hermitian(h, n, seed):
+    """n seeded random Hermitian h x h blocks, of entries of every size."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((n, h, h)) + 1j * rng.standard_normal((n, h, h))
+    scales = 10.0 ** rng.integers(-8, 9, size=(n, 1, 1))
+    return scales * (a + a.conj().swapaxes(-1, -2)) / 2
+
+
+@pytest.mark.parametrize("h", (1, 2, 3))
+def test_coordinates_and_blocks_round_trip(h):
+    """Blocks -> coordinates -> blocks gives the blocks back, coordinates
+    -> blocks -> coordinates the coordinates; dot products of coordinates
+    are traces tr(XY), and the entry moduli are |X_ab|.  A block that is
+    not Hermitian has the coordinates of its Hermitian part."""
+    # The layout: X_aa on the diagonal, sqrt(2) Re X_ab at [a, b] and
+    # sqrt(2) Im X_ab at [b, a], a < b.
+    known = np.array([[1, 2 + 3j], [2 - 3j, 4]])
+    assert np.allclose(oqrw.hermitian_coordinates(known),
+                       [[1, 2 * np.sqrt(2)], [3 * np.sqrt(2), 4]], rtol=1e-15, atol=0)
+    blocks = _hermitian(h, 200, seed=h)
+    coords = oqrw.hermitian_coordinates(blocks)
+    assert coords.shape == blocks.shape and coords.dtype == float
+    scale = np.abs(blocks).max(axis=(-2, -1))[:, None, None]
+    assert (np.abs(oqrw.hermitian_blocks(coords) - blocks) <= 1e-15 * scale).all()
+    again = oqrw.hermitian_coordinates(oqrw.hermitian_blocks(coords))
+    assert (np.abs(again - coords) <= 1e-15 * scale).all()
+    traces = np.einsum("nab,nba->n", blocks[:-1], blocks[1:]).real
+    dots = (coords[:-1] * coords[1:]).sum(axis=(-2, -1))
+    assert np.allclose(dots, traces, rtol=1e-12, atol=0)
+    moduli = oqrw.entry_moduli(coords)
+    assert (np.abs(moduli - np.abs(blocks)) <= 1e-15 * scale).all()
+    assert np.allclose(oqrw._largest_moduli(coords), moduli.max(axis=(-2, -1)), rtol=1e-15, atol=0)
+    skew = blocks + 1j * _hermitian(h, 200, seed=h + 10)  # Hermitian part: blocks
+    assert np.allclose(oqrw.hermitian_coordinates(skew), coords, rtol=0, atol=1e-14 * scale.max())
+
+
+def _superoperator(family, k):
+    """The complex superoperator of the distance-k map on states flattened
+    to d h^2, T[(i,a,c), (j,b,e)] = B_ab conj(B_ce) with B = B[i,j;k]."""
+    b = family.array[:, :, k]
+    n = family.d_size * family.h_dim**2
+    return np.einsum("ijab,ijce->iacjbe", b, b.conj()).reshape(n, n)
+
+
+STACK_CASES = ["ex44", "ex45 h3", "c4 h2", "s3 h2", "z-lattice(10) h1", "z-lattice(10) h3",
+               "random d2 h3", "random d4 h2", "random d6 h1"]
+
+
+@pytest.mark.parametrize("name", STACK_CASES)
+def test_real_stack_is_the_complex_superoperator_in_the_basis(name):
+    """Each real ``_stack[k]`` is V^* T_k V, with T_k the kron(B, conj B)
+    superoperator and V the basis of coordinates at every position; the
+    imaginary part of V^* T_k V is round-off, as the maps keep Hermitian
+    blocks Hermitian."""
+    family = case(name)[0]
+    h = family.h_dim
+    parts = oqrw._basis(h)[3].reshape(h * h, 2, h * h)  # [entry, re/im, q]
+    basis = np.kron(np.eye(family.d_size), parts[:, 0] + 1j * parts[:, 1])
+    for k in range(family.d_size):
+        expected = basis.conj().T @ _superoperator(family, k) @ basis
+        scale = max(1.0, np.abs(expected).max())
+        assert np.abs(expected.imag).max() <= 1e-14 * scale
+        assert np.abs(family._stack[k] - expected.real).max() <= 1e-14 * scale
+    assert family._stack.dtype == float and not family._stack.flags.writeable
+
+
+@pytest.mark.parametrize("name", STACK_CASES)
+def test_adjoint_is_the_transposed_stack(name):
+    """<Phi_k(X), Y> = <X, Phi_k^*(Y)> on random Hermitian stacks, with
+    Phi_k through the real stack and Phi_k^*(Y)_j = sum_i B^* Y_i B, B =
+    B[i,j;k], from the blocks: in coordinates Phi_k^* is the transposed
+    stack."""
+    family = case(name)[0]
+    d, h = family.d_size, family.h_dim
+    x, y = (_hermitian(h, d, seed=s) for s in (1, 2))
+    cx, cy = oqrw.hermitian_coordinates(x), oqrw.hermitian_coordinates(y)
+    for k in range(d):
+        b = family.array[:, :, k]  # [i, j]
+        adjoint = np.einsum("ijba,ibc,ijce->jae", b.conj(), y, b)
+        forward = oqrw._apply(family, k, cx)
+        lhs, rhs = (forward * cy).sum(), np.einsum("jab,jba->", x, adjoint).real
+        assert abs(lhs - rhs) <= 1e-12 * max(1.0, np.abs(x).max() * np.abs(adjoint).max() * d * h)
+        transposed = (family._stack[k].T @ cy.ravel()).reshape(cy.shape)
+        coords = oqrw.hermitian_coordinates(adjoint)
+        assert np.abs(transposed - coords).max() <= 1e-13 * max(1.0, np.abs(coords).max())
+
+
 @pytest.mark.parametrize("name", CASES)
 def test_produced_tensor_matches_loops(name):
     family, _, state, old_family, old_state = case(name)
@@ -220,6 +309,20 @@ def invalid_stacks(h, d):
     not_finite[1, d - 1, 0, 0] = np.nan
     return {"valid": valid, "negative": negative, "non-finite": not_finite,
             "trace": valid * np.array([1.0, 1.1])[:, None, None, None]}
+
+
+_NUMBER = re.compile(r"-?\d+(?:\.\d*)?(?:e[-+]?\d+)?")
+
+
+def assert_same_refusal(new, old, label):
+    """The same refusal type and message, but for the numbers in it, which
+    may differ by round-off (within 1e-12, relative): the library steps
+    states in real coordinates, the frozen walk in complex entries."""
+    assert (new is None) == (old is None), label
+    if new is not None:
+        assert new[0] == old[0] and _NUMBER.sub("#", new[1]) == _NUMBER.sub("#", old[1]), label
+        numbers = [np.array(_NUMBER.findall(r[1]), dtype=float) for r in (new, old)]
+        assert np.allclose(*numbers, rtol=1e-12, atol=0), label
 
 
 def produced_refusal(produce, family, state):
@@ -245,7 +348,8 @@ def test_produced_tensor_refusals_match_frozen_loop(name):
     for label, array in starts.items():
         start = hw.block_state(array, validate=False)
         refusal = produced_refusal(hw.produced_tensor, family, start)
-        assert refusal == produced_refusal(tensor_loops.produced_tensor, family, start), label
+        assert_same_refusal(refusal, produced_refusal(tensor_loops.produced_tensor, family, start),
+                            label)
         # A dense map can take the negative block to a valid state.
         if label != "negative":
             assert (refusal is None) == (label in ("start", "valid")), label
@@ -269,17 +373,20 @@ def test_incomplete_family_is_refused_by_its_rows():
 
 def test_non_finite_mass_is_refused():
     """Blocks of letter 1 scaled so that their superoperator is finite but
-    their Gram blocks overflow: the one-letter states pass, and the first
-    mass through letter 1, at 1 after the word (0, 1), is refused.  The
-    frozen walk refused the first two-letter state whose trace overflowed."""
+    one Gram block overflows, B[1,2;1]'s, at column 2: the one-letter states
+    pass, and the first walk that reaches it, (2, 1), is refused by its mass
+    at 1.  The words whose state is elsewhere are not refused through the
+    zero blocks of their state (0 * inf).  The frozen walk refused the first
+    two-letter state whose trace overflowed."""
     family, _, state, _, _ = case("c4 h2")
     array = family.array.copy()
     array[:, 1:, 1] *= np.sqrt(1.2e308) / np.abs(array[:, 1:, 1]).max()
     big = hw.KrausFamily(array=array)
-    assert np.isfinite(big._stack).all() and not np.isfinite(big._gram).all()
+    assert np.isfinite(big._stack).all()
+    assert np.argwhere(~np.isfinite(big._gram).all(axis=(-2, -1))).tolist() == [[1, 1, 2]]
     with np.errstate(all="ignore"):
         assert produced_refusal(hw.produced_tensor, big, state) == (
-            "ValueError", "mass at 1 after the word (0, 1) is not finite")
+            "ValueError", "mass at 1 after the word (2, 1) is not finite")
         assert produced_refusal(tensor_loops.produced_tensor, big, state) == (
             "ValueError", "total trace is inf, not 1")
 
@@ -756,12 +863,15 @@ def _refusing_walks():
     family, state = hw.realize(presets.c4_hypergroup(), h_dim=3, isometries=_isometries(3, 8))
     v = np.array([1.0, 2.0, 2.0j]) / 3
     pure = hw.point_state(np.outer(v, v.conj()), 0, 3)
-    eye = np.eye(3)
     # Per position, rho -> (2/3) tr(rho) 1 - rho: it keeps the trace, but is
-    # not completely positive, and sends a pure block to eigenvalue -1/3.
-    flip = (2 / 3) * np.einsum("ac,be->acbe", eye, eye) - np.einsum("ab,ce->acbe", eye, eye)
+    # not completely positive, and sends a pure block to eigenvalue -1/3.  In
+    # the real coordinates of the stack the identity block has the
+    # coordinates of the 3 x 3 identity, and tr(rho) is their dot product
+    # with the state's.
+    identity = np.eye(3).ravel()
+    flip = (2 / 3) * np.outer(identity, identity) - np.eye(9)
     negative = family._stack.copy()
-    negative[1] = np.kron(np.eye(3), flip.reshape(9, 9)) @ negative[1]
+    negative[1] = np.kron(np.eye(3), flip) @ negative[1]
     bad = {
         "NaN block": (_with_blocks(family, 1, lambda b: b * np.nan), state),
         "overflowing block": (_with_blocks(family, 1, lambda b: b * 1e200), state),
