@@ -114,30 +114,24 @@ def hermitian_blocks(coords: np.ndarray) -> np.ndarray:
 
 
 def entry_moduli(coords: np.ndarray) -> np.ndarray:
-    """The entry moduli |X_ab| = sqrt((c_ab^2 + c_ba^2) / 2) of the blocks
-    with these (..., h, h) coordinates; past about 1e154, inf."""
-    scaled = coords * _ROOT_HALF
+    """The entry moduli of the blocks with these (..., h, h) coordinates:
+    |X_aa| = |c_aa|, and |X_ab| = sqrt((c_ab^2 + c_ba^2) / 2) for a != b, by
+    ``np.hypot`` of the scaled pair, which squares nothing, so a finite
+    block has finite moduli, and the diagonal ones are exact."""
+    own, partner = _modulus_scales(coords.shape[-1])
     with np.errstate(over="ignore", invalid="ignore"):
-        squares = scaled * scaled
-        return np.sqrt(squares + squares.swapaxes(-1, -2))
+        return np.hypot(coords * own, coords.swapaxes(-1, -2) * partner)
 
 
-def _largest_moduli(coords: np.ndarray) -> np.ndarray:
-    """``entry_moduli`` reduced over each block, from the squares of the
-    flat pairs (a, b), (b, a), a <= b, as a reduction over two small
-    trailing axes is slow; at h = 1, |c| itself, as gathering from a
-    one-wide axis is slower still."""
-    h = coords.shape[-1]
-    if h == 1:
-        return np.abs(coords[..., 0, 0])
-    a, b = _pairs(h)
-    scaled = coords.reshape(coords.shape[:-2] + (h * h,)) * _ROOT_HALF
-    with np.errstate(over="ignore", invalid="ignore"):
-        squares = scaled * scaled
-        return np.sqrt((squares[..., a * h + b] + squares[..., b * h + a]).max(axis=-1))
-
-
-_pairs = lru_cache(maxsize=None)(np.triu_indices)
+@lru_cache(maxsize=None)
+def _modulus_scales(h: int) -> tuple[np.ndarray, np.ndarray]:
+    """The scales of c_ab and of c_ba in |X_ab|: 1 and 0 on the diagonal,
+    1/sqrt(2) off it."""
+    off = ~np.eye(h, dtype=bool)
+    own, partner = np.where(off, _ROOT_HALF, 1.0), np.where(off, _ROOT_HALF, 0.0)
+    own.setflags(write=False)
+    partner.setflags(write=False)
+    return own, partner
 
 
 def _as_block(matrix, h_dim: int) -> np.ndarray:
@@ -284,7 +278,7 @@ def kraus_family(
 def validate_kraus(family: KrausFamily, tol: float = EPS_KRAUS) -> Report:
     """Check sum_i B[i,j;k]^* B[i,j;k] = 1 for every (j, k), in max norm."""
     sums = family._gram.sum(axis=1)  # the identity's coordinates are the identity
-    residuals = _largest_moduli(sums - np.eye(family.h_dim)).T  # [j, k]
+    residuals = entry_moduli(sums - np.eye(family.h_dim)).max(axis=(-2, -1)).T  # [j, k]
     return scan_report("completeness", residuals.ravel(), lambda n: divmod(n, family.d_size), tol)
 
 
@@ -448,6 +442,17 @@ def _apply(family: KrausFamily, k: int, stack: np.ndarray) -> np.ndarray:
     return (vectors @ family._stack[k].T).reshape(stack.shape)
 
 
+def _complex_map(family: KrausFamily, k: int, blocks: np.ndarray) -> np.ndarray:
+    """The distance-k map on a (d, h, h) stack of complex blocks, by the
+    complex superoperator of this one letter, B (x) conj(B) at its (i, j)
+    block, B = B[i,j;k], with no numpy warning: how a refusal's numbers are
+    formed."""
+    b = family.array[:, :, k]
+    with np.errstate(over="ignore", invalid="ignore"):
+        transfer = np.einsum("ijab,ijce->iacjbe", b, b.conj()).reshape(blocks.size, -1)
+        return (transfer @ blocks.ravel()).reshape(blocks.shape)
+
+
 def one_step_distributions(family: KrausFamily, stack: np.ndarray) -> np.ndarray:
     """Mass at i after the m-map, at [..., m, i], for a (..., d, h, h) stack
     of state coordinates: sum_j tr(B[i,j;m]^* B[i,j;m] rho_j), the dot
@@ -545,7 +550,13 @@ def produced_tensor(family: KrausFamily, state0: BlockState) -> StructureTensor:
     letters = d if radius is None else min(d, radius + 1)
     rho = state0._coordinates
     firsts = (family._stack[:letters] @ rho.ravel()).reshape((letters,) + rho.shape)
-    _check_states(hermitian_blocks(firsts))
+    try:
+        _check_states(hermitian_blocks(firsts))
+    except ValueError:
+        # Word the refusal from the states as the complex maps form them
+        # from the start, not from coordinates rounded back to blocks.
+        _check_states(np.array([_complex_map(family, l, state0.array) for l in range(letters)]))
+        raise
     masses = one_step_distributions(family, firsts)  # [l, k, m]
     if radius is not None:
         masses[np.add.outer(np.arange(letters), np.arange(d)) > radius] = 0.0
@@ -824,7 +835,8 @@ def check_hb(
     checked = 0
     for l0, slab in heisenberg_slabs(family, tensor, radius):
         mask = slab_window(slab, l0, radius)
-        residuals = np.where(mask, _largest_moduli(slab), -1.0).swapaxes(0, 1)  # [k, l, i, j]
+        moduli = entry_moduli(slab).max(axis=(-2, -1))
+        residuals = np.where(mask, moduli, -1.0).swapaxes(0, 1)  # [k, l, i, j]
         worst, n = worst_residual(residuals)
         k, l, i, j = (int(x) for x in np.unravel_index(n, residuals.shape))
         candidates.append(((k, l0 + l), worst, (i, j, k, l0 + l)))
@@ -885,7 +897,7 @@ def check_linear_independence(
         column = family.array[:, j0]  # [i, k]
         off_diagonal = np.abs(column[~diagonal]).max(initial=0.0)
         grams = family._gram[:, :, j0][diagonal]
-        if off_diagonal <= EPS_KRAUS and _largest_moduli(grams - np.eye(h)).max() <= EPS_KRAUS:
+        if off_diagonal <= EPS_KRAUS and entry_moduli(grams - np.eye(h)).max() <= EPS_KRAUS:
             return IndependenceVerdict(kind="condition2", j0=j0)
 
     if d <= h:
