@@ -37,7 +37,7 @@ Word-order convention, fixed globally because it is easy to get backwards:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Callable, Mapping, Sequence
 
@@ -69,12 +69,12 @@ _ROOT_HALF = np.sqrt(0.5)
 
 
 @lru_cache(maxsize=None)
-def _basis(h: int) -> tuple[np.ndarray, ...]:
+def _basis(h: int) -> tuple[np.ndarray, np.ndarray]:
     """The basis of ``hermitian_coordinates``: the basis matrix of the
-    coordinate q = (a, b), C order, has the weight w[q] at the entry
+    coordinate q = (a, b), C order, has the weight w[a, b] at the entry
     (a, b) and its conjugate at (b, a), two halves on the diagonal, so it
     is E_aa, and for a < b (E_ab + E_ba)/sqrt(2) at (a, b) and
-    i (E_ab - E_ba)/sqrt(2) at (b, a).  Returns a, b and w per q, and the
+    i (E_ab - E_ba)/sqrt(2) at (b, a).  Returns the (h, h) weights, and the
     real (2 h^2, h^2) matrix whose column q holds the real and imaginary
     part of each entry of that basis matrix, on two rows per entry."""
     a, b = np.divmod(np.arange(h * h), h)
@@ -84,10 +84,10 @@ def _basis(h: int) -> tuple[np.ndarray, ...]:
     basis[q, 0, q], basis[q, 1, q] = weights.real, weights.imag
     basis[b * h + a, 0, q] += weights.real
     basis[b * h + a, 1, q] -= weights.imag
-    basis = basis.reshape(2 * h * h, h * h)
-    for array in (a, b, weights, basis):
-        array.setflags(write=False)
-    return a, b, weights, basis
+    weights, basis = weights.reshape(h, h), basis.reshape(2 * h * h, h * h)
+    weights.setflags(write=False)
+    basis.setflags(write=False)
+    return weights, basis
 
 
 def hermitian_coordinates(blocks) -> np.ndarray:
@@ -101,7 +101,7 @@ def hermitian_coordinates(blocks) -> np.ndarray:
     x = np.ascontiguousarray(blocks, dtype=complex)
     h = x.shape[-1]
     with np.errstate(over="ignore", invalid="ignore"):
-        return (x.view(float).reshape(-1, 2 * h * h) @ _basis(h)[3]).reshape(x.shape)
+        return (x.view(float).reshape(-1, 2 * h * h) @ _basis(h)[1]).reshape(x.shape)
 
 
 def hermitian_blocks(coords: np.ndarray) -> np.ndarray:
@@ -109,18 +109,21 @@ def hermitian_blocks(coords: np.ndarray) -> np.ndarray:
     the inverse of ``hermitian_coordinates``, with no numpy warning."""
     h = coords.shape[-1]
     with np.errstate(over="ignore", invalid="ignore"):
-        parts = coords.reshape(-1, h * h) @ _basis(h)[3].T
+        parts = coords.reshape(-1, h * h) @ _basis(h)[1].T
     return parts.view(complex).reshape(coords.shape)
 
 
 def entry_moduli(coords: np.ndarray) -> np.ndarray:
     """The entry moduli of the blocks with these (..., h, h) coordinates:
-    |X_aa| = |c_aa|, and |X_ab| = sqrt((c_ab^2 + c_ba^2) / 2) for a != b, by
-    ``np.hypot`` of the scaled pair, which squares nothing, so a finite
+    |X_aa| = |c_aa|, and |X_ab| = |c_ab + i c_ba| / sqrt(2) for a != b, the
+    moduli of complex numbers, which numpy takes without squaring: a finite
     block has finite moduli, and the diagonal ones are exact."""
     own, partner = _modulus_scales(coords.shape[-1])
-    with np.errstate(over="ignore", invalid="ignore"):
-        return np.hypot(coords * own, coords.swapaxes(-1, -2) * partner)
+    pairs = np.empty(coords.shape, dtype=complex)
+    with np.errstate(invalid="ignore"):  # inf * 0 on the diagonal: |inf + i NaN| is inf
+        np.multiply(coords, own, out=pairs.real)
+        np.multiply(coords.swapaxes(-1, -2), partner, out=pairs.imag)
+    return np.abs(pairs)
 
 
 @lru_cache(maxsize=None)
@@ -132,6 +135,14 @@ def _modulus_scales(h: int) -> tuple[np.ndarray, np.ndarray]:
     own.setflags(write=False)
     partner.setflags(write=False)
     return own, partner
+
+
+def _block_max(x: np.ndarray) -> np.ndarray:
+    """``x.max(axis=(-2, -1))`` of an (..., h, h) array, as a reduction over
+    the first axis of its (h^2, ...) transpose: numpy reduces a short last
+    axis one block at a time, 5 to 15 times slower at h = 2 and 3."""
+    flat = x.reshape(-1, x.shape[-2] * x.shape[-1])
+    return np.ascontiguousarray(flat.T).max(axis=0).reshape(x.shape[:-2])
 
 
 def _as_block(matrix, h_dim: int) -> np.ndarray:
@@ -220,30 +231,31 @@ class KrausFamily(_PositionArray):
         Heisenberg slabs and levels by its transposes.
 
         Column q of the block (i, j) of T_k holds the coordinates of
-        B E_q B^*, B = B[i,j;k] and E_q the basis matrix of q (``_basis``).
-        With w its weight at (a, b) and b_a the column a of B, that is
-        Y + Y^* for Y = w b_a b_b^*: twice the coordinates of the Hermitian
-        part of Y, one product of all the Y with the basis.  Both w and the
-        basis scale each term by 1/sqrt(2) or less before it is added, so
-        no entry overflows where B (x) conj(B) does not, bar the doubling
-        of a sum that does not fit.  Built on first use
-        from the nonzero blocks only, ``_BUILD_ENTRIES`` entries of Y at a
-        time, so the build holds no complex temporary of the stack's size.
-        Non-finite entries as in ``_gram``."""
+        B E_q B^*, B = B[i,j;k] and E_q the basis matrix of q = (a, b)
+        (``_basis``).  With w its weight at (a, b) and b_a the column a of
+        B, that is Y + Y^* for Y = w b_a b_b^*: twice the coordinates of the
+        Hermitian part of Y, one product of all the Y, one broadcast product
+        per chunk, with the basis.  Both w and the basis scale each term by
+        1/sqrt(2) or less before it is added, so no entry overflows where
+        B (x) conj(B) does not, bar the doubling of a sum that does not fit.
+        Built on first use from the nonzero blocks only, ``_BUILD_ENTRIES``
+        entries of Y at a time, so the build holds no complex temporary of
+        the stack's size.  Non-finite entries as in ``_gram``."""
         d, h = self.d_size, self.h_dim
         hh = h * h
         k, i, j, blocks = self._nonzero
-        a, b, weights, basis = _basis(h)
+        weights, basis = _basis(h)
+        weights = weights[:, :, None, None]
         stack = np.zeros((d, d, hh, d, hh))
         step = max(1, _BUILD_ENTRIES // (hh * hh))
-        for start in range(0, len(k), step):
-            part = slice(start, start + step)
-            columns = blocks[part].swapaxes(1, 2)  # [n, c, x]: B[x, c]
-            with np.errstate(over="ignore", invalid="ignore"):
-                left = weights[:, None] * columns[:, a]  # [n, q, x]
-                y = left[..., None] * columns[:, b, None].conj()  # [n, q, x, y]
-                t_blocks = 2 * (y.view(float).reshape(-1, 2 * hh) @ basis).reshape(-1, hh, hh)
-            stack[k[part], i[part], :, j[part]] = t_blocks.transpose(0, 2, 1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for start in range(0, len(k), step):
+                part = slice(start, start + step)
+                columns = blocks[part].swapaxes(1, 2)  # [n, a, x]: B[x, a]
+                y = np.multiply(columns[:, :, None, :, None] * weights,
+                                columns.conj()[:, None, :, None, :], order="C")  # [n, a, b, x, y]
+                t_blocks = (y.view(float).reshape(-1, 2 * hh) @ basis).reshape(-1, hh, hh)
+                stack[k[part], i[part], :, j[part]] = 2 * t_blocks.transpose(0, 2, 1)
         stack = stack.reshape(d, d * hh, d * hh)
         stack.setflags(write=False)
         return stack
@@ -278,7 +290,7 @@ def kraus_family(
 def validate_kraus(family: KrausFamily, tol: float = EPS_KRAUS) -> Report:
     """Check sum_i B[i,j;k]^* B[i,j;k] = 1 for every (j, k), in max norm."""
     sums = family._gram.sum(axis=1)  # the identity's coordinates are the identity
-    residuals = entry_moduli(sums - np.eye(family.h_dim)).max(axis=(-2, -1)).T  # [j, k]
+    residuals = _block_max(entry_moduli(sums - np.eye(family.h_dim))).T  # [j, k]
     return scan_report("completeness", residuals.ravel(), lambda n: divmod(n, family.d_size), tol)
 
 
@@ -288,6 +300,8 @@ class BlockState(_PositionArray):
     blocks: one PSD block per position, total trace 1."""
 
     array: np.ndarray
+    # Set by ``block_state`` once ``_check_states`` passed the array.
+    _checked: bool = field(default=False, init=False, repr=False, compare=False)
 
     @property
     def blocks(self) -> tuple[np.ndarray, ...]:
@@ -296,17 +310,18 @@ class BlockState(_PositionArray):
     @cached_property
     def _coordinates(self) -> np.ndarray:
         """The coordinates of the blocks (``hermitian_coordinates``), which
-        every walk from this state steps.  A state whose Hermitian gap max
-        |X - X^*| is not within EPS_PSD, and whose coordinates (of its
-        Hermitian part) are finite, is refused as ``_check_states`` refuses
-        it: a walk never projects its start onto its Hermitian part.
-        Non-finite coordinates pass on to the walk, whose state checks
-        refuse them."""
-        with np.errstate(invalid="ignore"):
-            gap = np.abs(self.array - self.array.conj().swapaxes(-1, -2)).max()
+        every walk from this state steps.  A state not checked by
+        ``block_state`` whose Hermitian gap max |X - X^*| is not within
+        EPS_PSD, and whose coordinates (of its Hermitian part) are finite,
+        is refused as ``_check_states`` refuses it: a walk never projects
+        its start onto its Hermitian part.  Non-finite coordinates pass on
+        to the walk, whose state checks refuse them."""
         coords = hermitian_coordinates(self.array)
-        if not gap <= EPS_PSD and np.isfinite(coords).all():
-            _check_states(self.array)
+        if not self._checked:
+            with np.errstate(invalid="ignore"):
+                gap = np.abs(self.array - self.array.conj().swapaxes(-1, -2)).max()
+            if not gap <= EPS_PSD and np.isfinite(coords).all():
+                _check_states(self.array)
         coords.setflags(write=False)
         return coords
 
@@ -404,7 +419,9 @@ def block_state(blocks: Sequence[np.ndarray], validate: bool = True) -> BlockSta
     if validate:
         _check_states(array)
     array.setflags(write=False)
-    return BlockState(array=array)
+    state = BlockState(array=array)
+    object.__setattr__(state, "_checked", validate)
+    return state
 
 
 def point_state(rho0: np.ndarray, site: int, d_size: int) -> BlockState:
@@ -835,7 +852,7 @@ def check_hb(
     checked = 0
     for l0, slab in heisenberg_slabs(family, tensor, radius):
         mask = slab_window(slab, l0, radius)
-        moduli = entry_moduli(slab).max(axis=(-2, -1))
+        moduli = _block_max(entry_moduli(slab))
         residuals = np.where(mask, moduli, -1.0).swapaxes(0, 1)  # [k, l, i, j]
         worst, n = worst_residual(residuals)
         k, l, i, j = (int(x) for x in np.unravel_index(n, residuals.shape))

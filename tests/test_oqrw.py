@@ -107,9 +107,9 @@ def test_non_finite_states_are_named_as_such():
 def test_walks_refuse_a_start_they_would_project(c4):
     """Walks step the real coordinates of the Hermitian part of their start.
     A start that ``block_state`` refuses for its Hermitian gap, built
-    directly as a BlockState, is refused by every walk with that refusal,
-    never stepped as its Hermitian part; a gap within EPS_PSD walks as its
-    Hermitian part.  A NaN in the imaginary part of a diagonal entry, which
+    directly as a BlockState or unvalidated by ``block_state``, is refused
+    by every walk with that refusal, never stepped as its Hermitian part; a
+    gap within EPS_PSD walks as its Hermitian part.  A NaN in the imaginary part of a diagonal entry, which
     the Hermitian part would drop, reaches the walk and is refused."""
     fam, state = realize(c4, h_dim=2)
     walks = {
@@ -124,10 +124,10 @@ def test_walks_refuse_a_start_they_would_project(c4):
         array[0, 0, 1] += gap
         with pytest.raises(ValueError, match="^block 0 is not Hermitian$"):
             block_state(array)
-        start = hw.BlockState(array=array)
-        for name, walk in walks.items():
-            with pytest.raises(ValueError, match="^block 0 is not Hermitian$"):
-                walk(start)
+        for start in (hw.BlockState(array=array), block_state(array, validate=False)):
+            for name, walk in walks.items():
+                with pytest.raises(ValueError, match="^block 0 is not Hermitian$"):
+                    walk(start)
     array = state.array.copy()
     array[0, 0, 1] += 0.5e-10
     hermitian = block_state((array + array.conj().swapaxes(-1, -2)) / 2)

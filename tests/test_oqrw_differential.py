@@ -288,7 +288,7 @@ def test_real_stack_is_the_complex_superoperator_in_the_basis(name, blocks_per_c
         family = hw.KrausFamily(array=family.array, truncation_radius=family.truncation_radius)
     else:
         assert len(family._nonzero[0]) <= oqrw._BUILD_ENTRIES // h**4  # one chunk
-    parts = oqrw._basis(h)[3].reshape(h * h, 2, h * h)  # [entry, re/im, q]
+    parts = oqrw._basis(h)[1].reshape(h * h, 2, h * h)  # [entry, re/im, q]
     basis = np.kron(np.eye(family.d_size), parts[:, 0] + 1j * parts[:, 1])
     for k in range(family.d_size):
         expected = basis.conj().T @ _superoperator(family, k) @ basis
