@@ -211,15 +211,18 @@ class KrausFamily(_PositionArray):
     def _gram(self) -> np.ndarray:
         """The coordinates of B[i,j;k]^* B[i,j;k] at [k, i, j], a real (d,
         d, d, h, h) array: Phi_k^*(E_i) at position j, with E_i the identity
-        block at position i.  Built on first use from the nonzero blocks.
-        Blocks too large to square give inf or NaN here, which every check
-        reports as its worst residual, so numpy's warnings are not raised."""
+        block at position i.  With w the weights of ``_basis``, the
+        coordinate (a, b) of a Hermitian G is 2 Re(w[a, b] G[b, a]): one
+        product of the transposed Gram blocks with 2 w.  Built on first use
+        from the nonzero blocks.  Blocks too large to square give inf or
+        NaN here, which every check reports as its worst residual, so
+        numpy's warnings are not raised."""
         d, h = self.d_size, self.h_dim
         k, i, j, blocks = self._nonzero
         gram = np.zeros((d, d, d, h, h))
         with np.errstate(over="ignore", invalid="ignore"):
-            products = np.einsum("nxa,nxc->nac", blocks.conj(), blocks)
-        gram[k, i, j] = hermitian_coordinates(products)
+            transposed = np.einsum("nxa,nxb->nab", blocks, blocks.conj())  # G[b, a], G = B^* B
+            gram[k, i, j] = (transposed * (2 * _basis(h)[0])).real
         gram.setflags(write=False)
         return gram
 

@@ -280,7 +280,8 @@ def test_real_stack_is_the_complex_superoperator_in_the_basis(name, blocks_per_c
     superoperator and V the basis of coordinates at every position; the
     imaginary part of V^* T_k V is round-off, as the maps keep Hermitian
     blocks Hermitian.  The build runs in one chunk of nonzero blocks, or in
-    chunks of 1 or 3 blocks, on a fresh family."""
+    chunks of 1 or 3 blocks, on a fresh family.  The Gram array holds the
+    coordinates of the blocks B^* B."""
     family = case(name)[0]
     h = family.h_dim
     if blocks_per_chunk is not None:
@@ -296,6 +297,10 @@ def test_real_stack_is_the_complex_superoperator_in_the_basis(name, blocks_per_c
         assert np.abs(expected.imag).max() <= 1e-14 * scale
         assert np.abs(family._stack[k] - expected.real).max() <= 1e-14 * scale
     assert family._stack.dtype == float and not family._stack.flags.writeable
+    # The Gram coordinates at [k, i, j] are those of B^* B, B = B[i,j;k].
+    grams = np.einsum("ijkxa,ijkxc->kijac", family.array.conj(), family.array)
+    expected = oqrw.hermitian_coordinates(grams)
+    assert np.abs(family._gram - expected).max() <= 1e-15 * max(1.0, np.abs(expected).max())
 
 
 @pytest.mark.parametrize("name", STACK_CASES)
