@@ -131,10 +131,7 @@ def _modulus_scales(h: int) -> tuple[np.ndarray, np.ndarray]:
     """The scales of c_ab and of c_ba in |X_ab|: 1 and 0 on the diagonal,
     1/sqrt(2) off it."""
     off = ~np.eye(h, dtype=bool)
-    own, partner = np.where(off, _ROOT_HALF, 1.0), np.where(off, _ROOT_HALF, 0.0)
-    own.setflags(write=False)
-    partner.setflags(write=False)
-    return own, partner
+    return np.where(off, _ROOT_HALF, 1.0), np.where(off, _ROOT_HALF, 0.0)
 
 
 def _block_max(x: np.ndarray) -> np.ndarray:
@@ -560,7 +557,9 @@ def produced_tensor(family: KrausFamily, state0: BlockState) -> StructureTensor:
     then the k-map to the initial state, ``one_step_distributions`` of the
     checked states Phi_l(rho0).  A truncated family produces the rows with
     k + l within its radius, from a start certified for the largest such sum.
-    A mass that is not finite is taken again over the positions its state
+    A refused one-letter state is refused as the complex maps form it from
+    the start (``_complex_map``), so the numbers in the refusal are those of
+    a two-step walk in complex entries.  A mass that is not finite is taken again over the positions its state
     occupies, so that an overflowing Gram block at an empty position does
     not count (0 * inf); one still not finite is refused.
     """
@@ -573,8 +572,6 @@ def produced_tensor(family: KrausFamily, state0: BlockState) -> StructureTensor:
     try:
         _check_states(hermitian_blocks(firsts))
     except ValueError:
-        # Word the refusal from the states as the complex maps form them
-        # from the start, not from coordinates rounded back to blocks.
         _check_states(np.array([_complex_map(family, l, state0.array) for l in range(letters)]))
         raise
     masses = one_step_distributions(family, firsts)  # [l, k, m]
