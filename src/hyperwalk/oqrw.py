@@ -134,12 +134,34 @@ def _modulus_scales(h: int) -> tuple[np.ndarray, np.ndarray]:
     return np.where(off, _ROOT_HALF, 1.0), np.where(off, _ROOT_HALF, 0.0)
 
 
-def _block_max(x: np.ndarray) -> np.ndarray:
-    """``x.max(axis=(-2, -1))`` of an (..., h, h) array, as a reduction over
-    the first axis of its (h^2, ...) transpose: numpy reduces a short last
-    axis one block at a time, 5 to 15 times slower at h = 2 and 3."""
-    flat = x.reshape(-1, x.shape[-2] * x.shape[-1])
-    return np.ascontiguousarray(flat.T).max(axis=0).reshape(x.shape[:-2])
+def _largest_moduli(coords: np.ndarray) -> np.ndarray:
+    """Per block, the largest of its ``entry_moduli``.  At h = 1 that is
+    |c| (reducing over a one-wide axis costs ten times as much on a large
+    slab); above, the square root of the largest (c_ab^2 + c_ba^2) / 2 over
+    the pairs a <= b (c_aa^2 on the diagonal, whose root is |c_aa|
+    exactly).  A block whose squares overflow or lose digits, its result
+    not finite, past 1e150, or below 1e-150 but not 0, is taken again from
+    its ``entry_moduli``; one whose entries are all below 1e-162, every
+    square 0, reads 0."""
+    h = coords.shape[-1]
+    if h == 1:
+        return np.abs(coords[..., 0, 0])
+    upper, lower = _pairs(h)
+    flat = coords.reshape(-1, h * h)
+    with np.errstate(over="ignore", invalid="ignore"):
+        squares = flat * flat
+        largest = np.sqrt((squares[:, upper] + squares[:, lower]).max(axis=-1) * 0.5)
+    redo = ~(largest < 1e150) | (largest < 1e-150) & (largest > 0)
+    if redo.any():
+        largest[redo] = entry_moduli(flat[redo].reshape(-1, h, h)).max(axis=(-2, -1))
+    return largest.reshape(coords.shape[:-2])
+
+
+@lru_cache(maxsize=None)
+def _pairs(h: int) -> tuple[np.ndarray, np.ndarray]:
+    """The flat indices a h + b and b h + a of the pairs a <= b."""
+    a, b = np.triu_indices(h)
+    return a * h + b, b * h + a
 
 
 def _as_block(matrix, h_dim: int) -> np.ndarray:
@@ -290,7 +312,7 @@ def kraus_family(
 def validate_kraus(family: KrausFamily, tol: float = EPS_KRAUS) -> Report:
     """Check sum_i B[i,j;k]^* B[i,j;k] = 1 for every (j, k), in max norm."""
     sums = family._gram.sum(axis=1)  # the identity's coordinates are the identity
-    residuals = _block_max(entry_moduli(sums - np.eye(family.h_dim))).T  # [j, k]
+    residuals = _largest_moduli(sums - np.eye(family.h_dim)).T  # [j, k]
     return scan_report("completeness", residuals.ravel(), lambda n: divmod(n, family.d_size), tol)
 
 
@@ -843,7 +865,7 @@ def check_hb(
     In the Heisenberg picture this reads Phi_l^*(Phi_k^*(E_i)) == sum_m
     Q[k,l,m] Phi_m^*(E_i): the residual of a tuple is the largest entry
     modulus of its block of a ``heisenberg_slabs`` chunk, read off the
-    coordinates (``entry_moduli``), one reduction per chunk.
+    coordinates (``_largest_moduli``), one reduction per chunk.
     """
     d = family.d_size
     radius = common_radius(family, tensor)
@@ -852,8 +874,7 @@ def check_hb(
     checked = 0
     for l0, slab in heisenberg_slabs(family, tensor, radius):
         mask = slab_window(slab, l0, radius)
-        moduli = _block_max(entry_moduli(slab))
-        residuals = np.where(mask, moduli, -1.0).swapaxes(0, 1)  # [k, l, i, j]
+        residuals = np.where(mask, _largest_moduli(slab), -1.0).swapaxes(0, 1)  # [k, l, i, j]
         worst, n = worst_residual(residuals)
         k, l, i, j = (int(x) for x in np.unravel_index(n, residuals.shape))
         candidates.append(((k, l0 + l), worst, (i, j, k, l0 + l)))

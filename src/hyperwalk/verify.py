@@ -40,7 +40,7 @@ from .oqrw import (
     EPS_HB,
     BlockState,
     KrausFamily,
-    _block_max,
+    _largest_moduli,
     block_state,
     common_radius,
     entry_moduli,
@@ -297,7 +297,7 @@ def verify_theorem_5_1(
     chunks = heisenberg_slabs(family, tensor, radius)
     for l0, slab in chunks:
         mask = slab_window(slab, l0, radius)
-        entries = _block_max(entry_moduli(slab))  # [l, k, i, j]
+        entries = _largest_moduli(slab)  # [l, k, i, j]
         if not worst_residual(np.where(mask, entries, -1.0))[0] <= EPS_HB:
             # Untruncated, the first chunk holds every start: the converse
             # scan goes on from it rather than forming it again.
@@ -362,7 +362,7 @@ def _block_norms(blocks: np.ndarray, bound: float) -> tuple[np.ndarray, float]:
     Returns the norms and the raised bound.
     """
     magnitudes = entry_moduli(blocks)
-    lower = _block_max(magnitudes)  # NaN or inf exactly where not finite
+    lower = magnitudes.max(axis=(-2, -1))  # NaN or inf exactly where not finite
     upper = magnitudes.sum(axis=-1).max(axis=-1)
     finite = np.isfinite(lower)
     bound = max(bound, float(lower[finite].max(initial=0.0)))

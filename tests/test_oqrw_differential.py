@@ -211,8 +211,9 @@ def _hermitian(h, n, seed):
 def test_coordinates_and_blocks_round_trip(h):
     """Blocks -> coordinates -> blocks gives the blocks back, coordinates
     -> blocks -> coordinates the coordinates; dot products of coordinates
-    are traces tr(XY), and the entry moduli are |X_ab|.  A block that is
-    not Hermitian has the coordinates of its Hermitian part."""
+    are traces tr(XY), and the entry moduli are |X_ab|, whose per-block
+    maxima ``_largest_moduli`` takes.  A block that is not Hermitian has
+    the coordinates of its Hermitian part."""
     # The layout: X_aa on the diagonal, sqrt(2) Re X_ab at [a, b] and
     # sqrt(2) Im X_ab at [b, a], a < b.
     known = np.array([[1, 2 + 3j], [2 - 3j, 4]])
@@ -230,6 +231,10 @@ def test_coordinates_and_blocks_round_trip(h):
     assert np.allclose(dots, traces, rtol=1e-12, atol=0)
     moduli = oqrw.entry_moduli(coords)
     assert (np.abs(moduli - np.abs(blocks)) <= 1e-15 * scale).all()
+    for factor in (1.0, 1e-150, 1e200):  # squares that lose digits or overflow
+        largest = oqrw._largest_moduli(factor * coords.reshape(10, 20, h, h))
+        expected = oqrw.entry_moduli(factor * coords).max(axis=(-2, -1))
+        assert np.allclose(largest.ravel(), expected, rtol=1e-15, atol=0)
     skew = blocks + 1j * _hermitian(h, 200, seed=h + 10)  # Hermitian part: blocks
     assert np.allclose(oqrw.hermitian_coordinates(skew), coords, rtol=0, atol=1e-14 * scale.max())
 
