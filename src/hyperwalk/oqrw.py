@@ -20,9 +20,9 @@ adjoint Phi_k^* is the transpose.  A family holds all d maps as one real
 coordinates, give the masses one map moves from a stack of states
 (``one_step_distributions``), read by the produced constants and the
 mixtures.  The Heisenberg picture Phi_k^*(X)_j = sum_i B[i,j;k]^* X_i
-B[i,j;k] is the adjoint, and the checks run there: ``check_hb`` as one GEMM
-per first letter, batched over chunks of consecutive letters of up to
-``_SLAB_ENTRIES`` entries, with one reduction per chunk.
+B[i,j;k] is the adjoint, and the checks run there: two-letter words as one
+GEMM per first letter in chunks of ``_SLAB_ENTRIES`` entries, reduced once per
+family and tensor to worst residuals and block norms (``_two_letter_pass``).
 
 Word-order convention, fixed globally because it is easy to get backwards:
 
@@ -37,6 +37,8 @@ Word-order convention, fixed globally because it is easy to get backwards:
 
 from __future__ import annotations
 
+import weakref
+from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Callable, Mapping, Sequence
@@ -200,7 +202,7 @@ class KrausFamily(_PositionArray):
     read-only real (d, d h^2, d h^2) stack (``_stack``), both in the real
     coordinates of ``hermitian_coordinates``, are built on first use from
     the nonzero blocks and kept, so every walk and check on one family
-    shares them.
+    shares them, and so is its ``_two_letter_pass`` against each tensor.
     ``truncation_radius`` tags families realized from a truncated tensor:
     blocks in rows (k, j) with k + j beyond the radius are an arbitrary
     completion (kept only so each map stays trace preserving) and nothing
@@ -281,6 +283,13 @@ class KrausFamily(_PositionArray):
         stack = stack.reshape(d, d * hh, d * hh)
         stack.setflags(write=False)
         return stack
+
+    @cached_property
+    def _passes(self) -> weakref.WeakKeyDictionary:  # the _two_letter_pass per live tensor
+        return weakref.WeakKeyDictionary()
+
+    def __getstate__(self):  # a weak dictionary does not pickle: a copy forms its own passes
+        return {name: value for name, value in self.__dict__.items() if name != "_passes"}
 
 
 # Entries that building ``KrausFamily._stack`` forms at a time.
@@ -481,6 +490,19 @@ def _apply(family: KrausFamily, k: int, stack: np.ndarray) -> np.ndarray:
     return (vectors @ family._stack[k].T).reshape(stack.shape)
 
 
+def _apply_reached(family: KrausFamily, k: int, coords: np.ndarray) -> np.ndarray:
+    """``_apply`` on one state's (d, h, h) coordinates.  A result that is not
+    finite is formed again, under the caller's numpy error state, from the
+    occupied positions only: a non-finite T_k block at an empty one is unread."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = _apply(family, k, coords)
+    if np.isfinite(out).all():
+        return out
+    occupied = coords.any(axis=(-2, -1))  # NaN counts
+    columns = family._stack[k].reshape(-1, family.d_size, family.h_dim**2)[:, occupied]
+    return (columns.reshape(len(columns), -1) @ coords[occupied].ravel()).reshape(coords.shape)
+
+
 def _complex_map(family: KrausFamily, k: int, blocks: np.ndarray) -> np.ndarray:
     """The distance-k map on a (d, h, h) stack of complex blocks, by the
     complex superoperator of this one letter, B (x) conj(B) at its (i, j)
@@ -533,7 +555,7 @@ def step(family: KrausFamily, k: int, state: BlockState) -> BlockState:
     k = _vertex_index(k, "distance")
     if not (0 <= k < family.d_size):
         raise IndexError(f"distance {k} out of range")
-    return block_state(hermitian_blocks(_apply(family, k, state._coordinates)))
+    return block_state(hermitian_blocks(_apply_reached(family, k, state._coordinates)))
 
 
 def distribution(state: BlockState) -> np.ndarray:
@@ -549,8 +571,8 @@ def walk_distribution(family: KrausFamily, word: Word, state0: BlockState) -> np
     (``_certified``), so memory stays the same whatever the word's length.
     A batch's letters run with numpy's overflow and invalid warnings off.  A
     batch that is not certified runs again, checking the state after every
-    letter, so a walk refuses its first invalid state with the message and
-    the warnings of a walk checked letter by letter.  The walk steps state
+    letter (``_apply_reached``), so a walk refuses the first invalid state it
+    reaches as a walk checked letter by letter does.  The walk steps state
     coordinates (``BlockState._coordinates``); the checks read them as
     complex blocks, converted one batch at a time.
 
@@ -567,8 +589,9 @@ def walk_distribution(family: KrausFamily, word: Word, state0: BlockState) -> np
                 held[n] = stack = _apply(family, k, stack)
         if not _certified(hermitian_blocks(held[:len(letters)])):
             for k in letters:
-                before = _apply(family, k, before)
+                before = _apply_reached(family, k, before)
                 _check_states(hermitian_blocks(before))
+            stack = before
     return np.trace(stack, axis1=-2, axis2=-1)
 
 
@@ -695,17 +718,16 @@ def heisenberg_slabs(family: KrausFamily, tensor: StructureTensor, radius: int |
     Yields chunks (l0, D) of consecutive first letters l = l0, ..., l0 + L
     - 1 within ``radius``, D[l - l0, k, i, j] the difference of the two
     observables at position j, as an (L, top, d, cols, h, h) array of
-    coordinates (``hermitian_coordinates``): the
-    letters k < top = radius - l0 + 1 (all d when ``radius`` is None) and
-    the starts j < top, or every start with ``all_starts``.  The chunk's
-    first letter sets top and cols; ``slab_window`` masks the blocks that
-    leave the window for the later letters.  A chunk holds at most
-    ``_SLAB_ENTRIES`` entries, or one letter.  The stack of all
-    Phi_k^*(E_i) is the Gram array, and a chunk is one batched product of
-    it with the superoperators of its letters, one matrix product per
-    letter, so memory stays O(d^3 h^2 + d^2 h^4) plus the chunk.  In
-    coordinates Phi_l^* is the transpose of T_l, so a row of coordinates
-    times ``_stack[l]``.  Non-finite entries as in ``KrausFamily._gram``.
+    coordinates (``hermitian_coordinates``): the letters k < top = radius -
+    l0 + 1 (all d when ``radius`` is None) and the starts j < top, or every
+    start with ``all_starts``; the first letter sets top and cols, so the
+    chunk holds its later letters' blocks past the radius too.  A chunk
+    holds at most ``_SLAB_ENTRIES`` entries, or one letter.  The stack of
+    all Phi_k^*(E_i) is the Gram array, and a chunk is one batched product
+    of it with the superoperators of its letters (Phi_l^* is the transpose
+    of T_l: a row of coordinates times ``_stack[l]``), so memory stays
+    O(d^3 h^2 + d^2 h^4) plus the chunk.  Non-finite entries as in
+    ``KrausFamily._gram``.
     """
     if family.d_size != tensor.size:
         raise ValueError(f"size mismatch: family {family.d_size}, tensor {tensor.size}")
@@ -730,16 +752,6 @@ def heisenberg_slabs(family: KrausFamily, tensor: StructureTensor, radius: int |
                               ).reshape(d, stop - l0, top, cols, hh).transpose(1, 2, 0, 3, 4)
         yield l0, slab.reshape(stop - l0, top, d, cols, h, h)
         l0 = stop
-
-
-def slab_window(slab: np.ndarray, l0: int, radius: int | None) -> np.ndarray:
-    """The [l - l0, k, i, j] mask of the blocks of a ``heisenberg_slabs``
-    chunk whose word (l, k) and start j stay within ``radius``:
-    k + l + j <= radius."""
-    letters, top, d, cols = slab.shape[:4]
-    sums = np.add.outer(np.add.outer(np.arange(letters), np.arange(top)), np.arange(cols)) + l0
-    within = sums <= (np.inf if radius is None else radius)
-    return np.broadcast_to(within[:, :, None, :], (letters, top, d, cols))
 
 
 # Entries of the observables a longer-word level forms at a time.
@@ -851,6 +863,85 @@ def heisenberg_levels(family: KrausFamily, tensor: StructureTensor, max_len: int
         level = nxt
 
 
+def _two_letter_pass(family: KrausFamily, tensor: StructureTensor) -> tuple:
+    """The (hb, checked, holds, words, sums, bound) ``_two_letter_chunks`` keeps."""
+    if tensor not in family._passes:
+        deque(_two_letter_chunks(family, tensor), maxlen=0)
+    return family._passes[tensor]
+
+
+def _two_letter_chunks(family: KrausFamily, tensor: StructureTensor, slabs=None):
+    """Yields the chunks (l0, D, holds) of ``slabs``, the ``heisenberg_slabs``
+    (formed if None), each reduced first, and keeps on the family when they
+    run out: ``check_hb``'s first worst residual per chunk ((k, l), value, (i,
+    j, k, l)), in (k, l) order, and checked tuples; ``holds``, every chunk so
+    far within EPS_HB (Theorem 5.1's branch); and up to the first that is not,
+    Theorem 5.1's ``_first_worst`` candidates, letter sums and bound: O(d^2)."""
+    radius = common_radius(family, tensor)
+    cap = np.inf if radius is None else radius
+    hb, words, sums, checked, holds, bound = [], [], [], 0, True, 0.0
+    for l0, slab in slabs or heisenberg_slabs(family, tensor, radius):
+        letters = np.add.outer(np.arange(l0, l0 + len(slab)), np.arange(slab.shape[1]))  # l + k
+        within = np.add.outer(letters, np.arange(slab.shape[3])) <= cap
+        mask = np.broadcast_to(within[:, :, None], slab.shape[:4])  # [l - l0, k, i, j]
+        entries = _largest_moduli(slab)
+        residuals = np.where(mask, entries, -1.0).swapaxes(0, 1)  # [k, l, i, j]
+        worst, n = worst_residual(residuals)
+        k, l, i, j = (int(x) for x in np.unravel_index(n, residuals.shape))
+        hb.append(((k, l0 + l), worst, (i, j, k, l0 + l)))
+        checked += int(np.count_nonzero(mask))
+        holds = holds and worst <= EPS_HB
+        if holds:
+            sums.append(letters[letters <= cap])
+            worst, index, bound = _first_worst(slab, mask & (entries != 0), bound)
+            if index is not None:
+                l, k, i, j = index
+                words.append(((2, l0 + l, k, i, j), worst, ((l0 + l, k), i, j)))
+        yield l0, slab, holds
+    hb.sort()  # into (k, l, i, j) order; each (k, l) occurs once
+    family._passes[tensor] = hb, checked, holds, words, sums, bound
+
+
+def _first_worst(blocks: np.ndarray, nonzero: np.ndarray, bound: float):
+    """The largest ``_block_norms`` norm of the coordinate blocks that
+    ``nonzero`` selects from ``blocks`` (a zero block's norm is zero), the
+    index of its first block in C order (None for no block), and the raised
+    bound."""
+    selected = blocks[nonzero]
+    if not len(selected):
+        return -1.0, None, bound
+    norms = np.full(nonzero.shape, -1.0)  # -1 at the blocks not selected
+    norms[nonzero], bound = _block_norms(selected, bound)
+    worst, n = worst_residual(norms)
+    return worst, tuple(int(x) for x in np.unravel_index(n, norms.shape)), bound
+
+
+def _block_norms(blocks: np.ndarray, bound: float) -> tuple[np.ndarray, float]:
+    """Spectral norms of the Hermitian blocks with an (n, h, h) stack of
+    coordinates (``hermitian_coordinates``) where they can reach ``bound``,
+    the largest norm known to be reached.
+
+    A Hermitian block's norm is at least its largest entry and at most its
+    largest absolute row sum (Gershgorin), both read off the entry moduli
+    of the coordinates, so ``eigvalsh`` runs only on the blocks whose row
+    sums reach the bound, raised first to the largest entry of this stack,
+    rebuilt as complex blocks.  The others come back as 0: they lie below
+    the largest norm.  A non-finite block comes back as NaN or inf.
+    Returns the norms and the raised bound.
+    """
+    magnitudes = entry_moduli(blocks)
+    lower = magnitudes.max(axis=(-2, -1))  # NaN or inf exactly where not finite
+    upper = magnitudes.sum(axis=-1).max(axis=-1)
+    finite = np.isfinite(lower)
+    bound = max(bound, float(lower[finite].max(initial=0.0)))
+    exact = finite & (upper >= bound) & (upper > 0)
+    norms = np.where(finite, 0.0, lower)
+    if exact.any():
+        eigenvalues = np.linalg.eigvalsh(hermitian_blocks(blocks[exact]))
+        norms[exact] = np.maximum(-eigenvalues[:, 0], eigenvalues[:, -1])
+    return norms, bound
+
+
 def check_hb(
     family: KrausFamily, tensor: StructureTensor, tol: float = EPS_HB
 ) -> Report:
@@ -864,26 +955,13 @@ def check_hb(
 
     In the Heisenberg picture this reads Phi_l^*(Phi_k^*(E_i)) == sum_m
     Q[k,l,m] Phi_m^*(E_i): the residual of a tuple is the largest entry
-    modulus of its block of a ``heisenberg_slabs`` chunk, read off the
-    coordinates (``_largest_moduli``), one reduction per chunk.
+    modulus of its block of a ``heisenberg_slabs`` chunk, each chunk's
+    worst kept by the ``_two_letter_pass`` that ``verify_theorem_5_1``
+    reads too; only ``tol`` is applied here.
     """
-    d = family.d_size
-    radius = common_radius(family, tensor)
-    # Per chunk, the first worst residual in (k, l, i, j) order: ((k, l), value, witness).
-    candidates = []
-    checked = 0
-    for l0, slab in heisenberg_slabs(family, tensor, radius):
-        mask = slab_window(slab, l0, radius)
-        residuals = np.where(mask, _largest_moduli(slab), -1.0).swapaxes(0, 1)  # [k, l, i, j]
-        worst, n = worst_residual(residuals)
-        k, l, i, j = (int(x) for x in np.unravel_index(n, residuals.shape))
-        candidates.append(((k, l0 + l), worst, (i, j, k, l0 + l)))
-        checked += int(np.count_nonzero(mask))
-    candidates.sort()  # into (k, l, i, j) order; each (k, l) occurs once
-    return scan_report(
-        "block-decomposition", [value for _, value, _ in candidates],
-        lambda n: candidates[n][2], tol, checked=checked, skipped=d**4 - checked,
-    )
+    hb, checked = _two_letter_pass(family, tensor)[:2]
+    return scan_report("block-decomposition", [value for _, value, _ in hb], lambda n: hb[n][2],
+                       tol, checked=checked, skipped=family.d_size**4 - checked)
 
 
 def mixture_distribution(

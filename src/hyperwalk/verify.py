@@ -37,24 +37,22 @@ from .hypergroups import (
     validate_hypergroup,
 )
 from .oqrw import (
-    EPS_HB,
     BlockState,
     KrausFamily,
-    _largest_moduli,
+    _first_worst,
+    _two_letter_chunks,
+    _two_letter_pass,
     block_state,
     common_radius,
-    entry_moduli,
     heisenberg_levels,
     heisenberg_slabs,
-    hermitian_blocks,
     hermitian_coordinates,
     kraus_family,
     produced_tensor,
     realize,
     validate_kraus,
-    slab_window,
 )
-from .report import Report, scan_report, worst_residual
+from .report import Report, scan_report
 
 
 def _rng(seed) -> np.random.Generator:
@@ -261,16 +259,17 @@ def verify_theorem_5_1(
     vanishes, and the largest |walk - mixture| at i over the states at j is
     the spectral norm of D_{w,i,j} (of its Hermitian part: masses are real).
 
-    The branch follows the block-decomposition identity, decided by the rule
-    of ``check_hb`` on the two-letter blocks.  If it holds, every word of up
-    to ``max_word_len`` letters and every (i, j) with j + sum(w) within the
-    common radius is checked (the other starts are skipped and counted):
-    the residual is the largest block norm, within ``tol``, an exact worst
-    case over all states rather than a sample, and the witness (word, i, j)
-    its first case by word length, word, i, j.  If the identity fails, the
-    scan instead looks for the guaranteed witness: a basis state (position
-    m, spanning density) and a two-letter word whose distributions differ by
-    at least ``min_gap``, the first by (m, density), then word.
+    The branch follows the block-decomposition identity, by ``check_hb``'s
+    rule on the two-letter blocks, read with their norms off the family's
+    ``_two_letter_pass``.  If it holds, every word of up to ``max_word_len``
+    letters and every (i, j) with j + sum(w) within the common radius is
+    checked (the other starts are skipped and counted): the residual is the
+    largest block norm, within ``tol``, an exact worst case over all states
+    rather than a sample, and the witness (word, i, j) its first case by
+    word length, word, i, j.  If the identity fails, the scan instead looks
+    for the guaranteed witness: a basis state (position m, spanning density)
+    and a two-letter word whose distributions differ by at least
+    ``min_gap``, the first by (m, density), then word.
 
     ``n_states`` (at least 1) and ``seed`` are accepted for compatibility
     and no longer affect the result.  A bool or non-integral
@@ -280,8 +279,17 @@ def verify_theorem_5_1(
     n_states = _vertex_index(n_states, "n_states")
     if max_word_len < 1 or n_states < 1:
         raise ValueError("max_word_len and n_states must be at least 1")
-    d, h = family.d_size, family.h_dim
+    d = family.d_size
     radius = common_radius(family, tensor)
+    if tensor not in family._passes:
+        slabs = heisenberg_slabs(family, tensor, radius)
+        for l0, slab, holds in _two_letter_chunks(family, tensor, slabs):
+            if not holds and radius is None and l0 == 0:  # untruncated: every start
+                return _converse_witness(family, tensor, min_gap,
+                                         itertools.chain([(l0, slab)], slabs))
+    _, _, holds, two_letter, sums, bound = _two_letter_pass(family, tensor)
+    if not holds:
+        return _converse_witness(family, tensor, min_gap)
     cases = [0, 0]  # (word, i, j) checked and skipped
 
     def count(sums):
@@ -293,24 +301,10 @@ def verify_theorem_5_1(
     # The one-letter blocks are Phi_k^*(E_i) less itself, zero: only counted.
     count(np.arange(d if radius is None else min(d, radius + 1)))
     # (order key, the first worst block norm of a piece, its witness)
-    candidates, bound = [], 0.0
-    chunks = heisenberg_slabs(family, tensor, radius)
-    for l0, slab in chunks:
-        mask = slab_window(slab, l0, radius)
-        entries = _largest_moduli(slab)  # [l, k, i, j]
-        if not worst_residual(np.where(mask, entries, -1.0))[0] <= EPS_HB:
-            # Untruncated, the first chunk holds every start: the converse
-            # scan goes on from it rather than forming it again.
-            first = radius is None and l0 == 0
-            return _converse_witness(family, tensor, min_gap,
-                                     itertools.chain([(l0, slab)], chunks) if first else None)
-        if max_word_len >= 2:
-            sums = np.add.outer(np.arange(l0, l0 + len(slab)), np.arange(slab.shape[1]))
-            count(sums.ravel() if radius is None else sums[sums <= radius])
-            worst, index, bound = _first_worst(slab, mask & (entries != 0), h, bound)
-            if index is not None:
-                l, k, i, j = index
-                candidates.append(((2, l0 + l, k, i, j), worst, ((l0 + l, k), i, j)))
+    candidates = []
+    if max_word_len >= 2:
+        count(np.concatenate(sums))
+        candidates += two_letter
 
     level = None
     for length, words, rows, blocks in heisenberg_levels(family, tensor, max_word_len, radius):
@@ -320,7 +314,7 @@ def verify_theorem_5_1(
         count(np.full(len(rows), int(words[rows[0]].sum())))
         order = np.argsort(rank[rows])
         blocks = blocks[order]
-        worst, index, bound = _first_worst(blocks, blocks.any(axis=(-2, -1)), h, bound)
+        worst, index, bound = _first_worst(blocks, blocks.any(axis=(-2, -1)), bound)
         if index is not None:
             row, i, j = index
             word = int(rows[order[row]])
@@ -332,46 +326,6 @@ def verify_theorem_5_1(
         "walk-vs-mixture", [value for _, value, _ in candidates], lambda n: candidates[n][2],
         tol, checked=cases[0], skipped=cases[1], note="decomposition holds; walk == mixture",
     )
-
-
-def _first_worst(blocks: np.ndarray, nonzero: np.ndarray, h: int, bound: float):
-    """The largest ``_block_norms`` norm of the h x h coordinate blocks that
-    ``nonzero`` selects from ``blocks`` (a zero block's norm is zero), the
-    index of its first block in C order (None for no block), and the raised
-    bound."""
-    selected = blocks[nonzero].reshape(-1, h, h)
-    if not len(selected):
-        return -1.0, None, bound
-    norms = np.full(nonzero.shape, -1.0)  # -1 at the blocks not selected
-    norms[nonzero], bound = _block_norms(selected, bound)
-    worst, n = worst_residual(norms)
-    return worst, tuple(int(x) for x in np.unravel_index(n, norms.shape)), bound
-
-
-def _block_norms(blocks: np.ndarray, bound: float) -> tuple[np.ndarray, float]:
-    """Spectral norms of the Hermitian blocks with an (n, h, h) stack of
-    coordinates (``hermitian_coordinates``) where they can reach ``bound``,
-    the largest norm known to be reached.
-
-    A Hermitian block's norm is at least its largest entry and at most its
-    largest absolute row sum (Gershgorin), both read off the entry moduli
-    of the coordinates, so ``eigvalsh`` runs only on the blocks whose row
-    sums reach the bound, raised first to the largest entry of this stack,
-    rebuilt as complex blocks.  The others come back as 0: they lie below
-    the largest norm.  A non-finite block comes back as NaN or inf.
-    Returns the norms and the raised bound.
-    """
-    magnitudes = entry_moduli(blocks)
-    lower = magnitudes.max(axis=(-2, -1))  # NaN or inf exactly where not finite
-    upper = magnitudes.sum(axis=-1).max(axis=-1)
-    finite = np.isfinite(lower)
-    bound = max(bound, float(lower[finite].max(initial=0.0)))
-    exact = finite & (upper >= bound) & (upper > 0)
-    norms = np.where(finite, 0.0, lower)
-    if exact.any():
-        eigenvalues = np.linalg.eigvalsh(hermitian_blocks(blocks[exact]))
-        norms[exact] = np.maximum(-eigenvalues[:, 0], eigenvalues[:, -1])
-    return norms, bound
 
 
 def _converse_witness(family: KrausFamily, tensor: StructureTensor, min_gap: float,
@@ -386,10 +340,8 @@ def _converse_witness(family: KrausFamily, tensor: StructureTensor, min_gap: flo
     spanning = spanning_states(h)
     # tr(D sigma) is the dot product of the coordinates of D and sigma.
     densities = hermitian_coordinates([rho for _, rho in spanning]).reshape(len(spanning), -1).T
-    if chunks is None:
-        chunks = heisenberg_slabs(family, tensor, radius, all_starts=True)
     words, gaps = [], []
-    for l0, slab in chunks:
+    for l0, slab in chunks or heisenberg_slabs(family, tensor, radius, all_starts=True):
         letters, top = slab.shape[:2]
         with np.errstate(invalid="ignore"):
             traces = (slab.reshape(-1, h * h) @ densities).reshape(letters, top, d, d, -1)

@@ -32,7 +32,7 @@ from hyperwalk.hypergroups import (
     multi_constants,
     structure_tensor,
 )
-from hyperwalk.oqrw import _apply, _check_states, _checked_walk, hermitian_blocks
+from hyperwalk.oqrw import _apply_reached, _check_states, _checked_walk, hermitian_blocks
 from hyperwalk.verify import spanning_states
 
 EPS_KRAUS = 1e-8
@@ -555,10 +555,11 @@ def walk_per_letter(family, word: Word, state0) -> np.ndarray:
     """The library's ``walk_distribution`` on its dense objects as it ran
     before its states were checked in batches: the library's state check
     after every letter (on the state's coordinates read back as complex
-    blocks), under the caller's numpy error state."""
+    blocks), under the caller's numpy error state, each letter stepped as
+    the library's own per-letter path steps it (``_apply_reached``)."""
     word = _checked_walk(family, state0, word, family.truncation_radius)
     stack = state0._coordinates
     for k in word:
-        stack = _apply(family, k, stack)
+        stack = _apply_reached(family, k, stack)
         _check_states(hermitian_blocks(stack))
     return np.trace(stack, axis1=-2, axis2=-1)

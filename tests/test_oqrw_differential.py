@@ -18,7 +18,10 @@ test-side loop over the point starts instead, since the loops' sampled
 states leave the certified window.
 """
 
+import copy
 import functools
+import gc
+import pickle
 import warnings
 
 import numpy as np
@@ -267,7 +270,7 @@ def test_moduli_of_entries_whose_squares_overflow():
     assert np.isfinite(new.max_residual) and new.max_residual > 1e199
     assert np.isclose(new.max_residual, old.max_residual, rtol=1e-12, atol=0)
     blocks = 1e200 * _hermitian(3, 50, seed=9)
-    norms, _ = verify._block_norms(oqrw.hermitian_coordinates(blocks), 0.0)
+    norms, _ = oqrw._block_norms(oqrw.hermitian_coordinates(blocks), 0.0)
     exact = np.linalg.norm(blocks / 1e200, ord=2, axis=(-2, -1)) * 1e200
     assert np.isfinite(norms).all()
     assert np.isclose(norms.max(), exact.max(), rtol=1e-12, atol=0)
@@ -424,8 +427,10 @@ def loop_check_hb(name):
     return ref.check_hb(old_family, tensor)
 
 
-def assert_check_hb_matches_loops(name):
-    family, tensor, _, old_family, _ = case(name)
+def assert_check_hb_matches_loops(name, family=None):
+    """check_hb on the case's family, or on ``family``, against the loops."""
+    default, tensor, _, old_family, _ = case(name)
+    family = default if family is None else family
     new, old = hw.check_hb(family, tensor), loop_check_hb(name)
     assert_same_check(new, old, "worst_tuple", hb_residual(old_family, tensor))
     assert (new.checked, new.skipped) == (old.checked, old.skipped)
@@ -445,13 +450,15 @@ def loop_theorem_5_1(name, max_len):
     return ref.verify_theorem_5_1(old_family, tensor, max_word_len=max_len, n_states=3, seed=7)
 
 
-def assert_theorem_5_1_matches_loops(name, max_len):
-    """Theorem 5.1 against the loops, or on truncated inputs against the
-    point starts (see the module docstring)."""
+def assert_theorem_5_1_matches_loops(name, max_len, family=None):
+    """Theorem 5.1 on the case's family, or on ``family``, against the
+    loops, or on truncated inputs against the point starts (see the module
+    docstring)."""
     if name in TRUNCATED:
-        assert_theorem_5_1_matches_point_starts(name, max_len)
+        assert_theorem_5_1_matches_point_starts(name, max_len, family)
         return
-    family, tensor, _, _, _ = case(name)
+    default, tensor, _, _, _ = case(name)
+    family = default if family is None else family
     new = hw.verify_theorem_5_1(family, tensor, max_word_len=max_len, n_states=3, seed=7)
     old = loop_theorem_5_1(name, max_len)
     assert (new.passed, new.note) == (old.passed, old.note)
@@ -518,8 +525,9 @@ def loop_point_starts(name, max_len):
     return point_start_gaps(family, tensor, max_len, budget(family, tensor))
 
 
-def assert_theorem_5_1_matches_point_starts(name, max_len):
-    family, tensor, _, _, _ = case(name)
+def assert_theorem_5_1_matches_point_starts(name, max_len, family=None):
+    default, tensor, _, _, _ = case(name)
+    family = default if family is None else family
     d = family.d_size
     report = hw.verify_theorem_5_1(family, tensor, max_word_len=max_len)
     worst, cases, words = loop_point_starts(name, max_len)
@@ -553,20 +561,50 @@ def chunked_reports(family, tensor):
     ]
     # Plain ints, as a JSON document or a trace of the counts needs them.
     assert all(type(r.checked) is int and type(r.skipped) is int for r in reports)
+    return compared(reports)
+
+
+def compared(reports):
+    """Reports as tuples that compare the residual bit for bit."""
     return [(r.passed, repr(r.max_residual), r.witness, r.checked, r.skipped, r.note)
             for r in reports]
+
+
+def fresh(family):
+    """A family equal to ``family`` with nothing cached: a check on it forms
+    its slabs anew instead of reading a kept ``_two_letter_pass``."""
+    return hw.KrausFamily(array=family.array, truncation_radius=family.truncation_radius)
+
+
+def spied_slabs(monkeypatch):
+    """Record, at every call of ``heisenberg_slabs`` from the library, the
+    slab entry budget then set and whether it was for all starts."""
+    calls = []
+    slabs = oqrw.heisenberg_slabs
+
+    def spy(family, tensor, radius, all_starts=False):
+        calls.append((oqrw._SLAB_ENTRIES, all_starts))
+        return slabs(family, tensor, radius, all_starts)
+
+    monkeypatch.setattr(oqrw, "heisenberg_slabs", spy)
+    monkeypatch.setattr(verify, "heisenberg_slabs", spy)
+    return calls
 
 
 @pytest.mark.parametrize("slab_budget", SLAB_BUDGETS)
 @pytest.mark.parametrize("name", CASES)
 def test_slab_chunks_give_the_same_reports(name, slab_budget, monkeypatch):
     family, tensor, _, _, _ = case(name)
-    expected = chunked_reports(family, tensor)
-    monkeypatch.setattr(oqrw, "_SLAB_ENTRIES", SLAB_BUDGETS[slab_budget])
+    expected = chunked_reports(fresh(family), tensor)
+    entries = SLAB_BUDGETS[slab_budget]
+    monkeypatch.setattr(oqrw, "_SLAB_ENTRIES", entries)
+    calls = spied_slabs(monkeypatch)
+    family = fresh(family)
     assert chunked_reports(family, tensor) == expected
-    assert_check_hb_matches_loops(name)
+    assert_check_hb_matches_loops(name, family)
     for max_len in (2, 3):
-        assert_theorem_5_1_matches_loops(name, max_len)
+        assert_theorem_5_1_matches_loops(name, max_len, family)
+    assert (entries, False) in calls and {budget for budget, _ in calls} == {entries}
 
 
 @functools.lru_cache(maxsize=None)
@@ -594,9 +632,12 @@ def test_first_non_finite_witness_is_the_per_letter_one(name, monkeypatch):
     budgets = {"default": oqrw._SLAB_ENTRIES, "five letters per chunk": 5 * d**3 * 4,
                **SLAB_BUDGETS}
     reports = {}
+    calls = spied_slabs(monkeypatch)
     for slab_budget, entries in budgets.items():
         monkeypatch.setattr(oqrw, "_SLAB_ENTRIES", entries)
-        reports[slab_budget] = chunked_reports(family, tensor)
+        reports[slab_budget] = chunked_reports(fresh(family), tensor)
+        assert (entries, False) in calls and {budget for budget, _ in calls} == {entries}
+        calls.clear()
     assert all(r == reports["one letter per chunk"] for r in reports.values())
     report = hw.check_hb(family, tensor)
     assert not report.passed and np.isnan(report.max_residual)
@@ -605,6 +646,96 @@ def test_first_non_finite_witness_is_the_per_letter_one(name, monkeypatch):
     first = next((i, j, k, l) for k, l, i, j in np.ndindex((d,) * 4)
                  if not np.isfinite(residual((i, j, k, l))))
     assert report.witness == first
+
+
+@pytest.mark.parametrize("name", ["z-lattice(10) h3", "s3 h2 radius 3", "c4 h2", "random d4 h2"])
+def test_one_two_letter_pass_per_family_and_tensor(name, monkeypatch):
+    """check_hb, Theorem 5.1 at two and three letters and check_hb at
+    another tolerance form the two-letter slabs once; an equal but distinct
+    tensor gets a pass of its own, which goes with the tensor.  Only the
+    converse branch (the random family) forms its all-starts slabs."""
+    family, tensor, _, _, _ = case(name)
+    family = fresh(family)
+    calls = spied_slabs(monkeypatch)
+    first = hw.check_hb(family, tensor)
+    t51 = [hw.verify_theorem_5_1(family, tensor, max_word_len=n) for n in (2, 3)]
+    loose = hw.check_hb(family, tensor, tol=1e-3)
+    assert [all_starts for _, all_starts in calls].count(False) == 1
+    assert (first.max_residual, first.witness, first.checked) == (
+        loose.max_residual, loose.witness, loose.checked)
+    assert (loose.passed, loose.tolerance) == (first.max_residual <= 1e-3, 1e-3)
+    assert all(("holds" in r.note) == first.passed for r in t51)
+    equal = hw.StructureTensor(tensor.cube, tensor.denominator, tensor.truncation_radius)
+    assert repr(hw.check_hb(family, equal)) == repr(first)
+    assert [all_starts for _, all_starts in calls].count(False) == 2
+    assert len(family._passes) == 2
+    del equal
+    gc.collect()
+    assert len(family._passes) == 1 and tensor in family._passes
+
+
+@pytest.mark.parametrize("name", ["ex44", "c4-perturbed h2", "random d6 h2"])
+def test_theorem_5_1_alone_goes_on_from_its_first_failing_chunk(name, monkeypatch):
+    """Untruncated, the first chunk holds every start: Theorem 5.1 run alone
+    on an identity that fails there continues it into the converse scan
+    instead of forming all-starts slabs, and keeps no pass, which check_hb
+    then forms on its own."""
+    family, tensor, _, _, _ = case(name)
+    expected = chunked_reports(fresh(family), tensor)
+    family = fresh(family)
+    calls = spied_slabs(monkeypatch)
+    t51 = hw.verify_theorem_5_1(family, tensor, max_word_len=2)
+    assert calls == [(oqrw._SLAB_ENTRIES, False)] and tensor not in family._passes
+    hb = hw.check_hb(family, tensor)
+    assert calls == [(oqrw._SLAB_ENTRIES, False)] * 2 and tensor in family._passes
+    assert compared([hb, t51]) == expected[:2]
+
+
+@pytest.mark.parametrize("name", ["z-lattice(10) h3", "s3 h2 radius 3", "random d4 h2"])
+def test_a_checked_family_pickles(name):
+    """The kept passes stay out of a family's pickled or copied state; the
+    copy forms its own and reads the same reports."""
+    family, tensor, _, _, _ = case(name)
+    family = fresh(family)
+
+    def checked(family):
+        return compared([hw.check_hb(family, tensor),
+                         hw.verify_theorem_5_1(family, tensor, max_word_len=3)])
+
+    before = checked(family)
+    for copied in (pickle.loads(pickle.dumps(family)), copy.deepcopy(family)):
+        assert not copied._passes and np.array_equal(copied.array, family.array)
+        assert checked(copied) == before and tensor in copied._passes
+
+
+def order_reports(family, tensor, order):
+    """check_hb and Theorem 5.1 at two and three letters, as tuples that
+    compare the residual bit for bit: on one fresh family with check_hb
+    first or last, or each on a fresh family of its own ("alone")."""
+    shared = fresh(family)
+    pick = (lambda: fresh(family)) if order == "alone" else (lambda: shared)
+
+    def t51():
+        return [hw.verify_theorem_5_1(pick(), tensor, max_word_len=n) for n in (2, 3)]
+
+    if order == "hb first":
+        hb = hw.check_hb(pick(), tensor)
+        later = t51()
+    else:
+        later = t51()
+        hb = hw.check_hb(pick(), tensor)
+    return compared([hb, *later])
+
+
+@pytest.mark.parametrize("name", [*CASES, *_non_finite_cases()])
+def test_reports_do_not_depend_on_the_order_of_the_checks(name):
+    if name in CASES:
+        family, tensor, _, _, _ = case(name)
+    else:
+        family, tensor = _non_finite_cases()[name]
+    alone = order_reports(family, tensor, "alone")
+    assert order_reports(family, tensor, "hb first") == alone
+    assert order_reports(family, tensor, "t51 first") == alone
 
 
 @pytest.mark.parametrize(
@@ -949,3 +1080,27 @@ def test_refused_walks_match_the_per_letter_loop(family, state, word):
     expected = _outcome(lambda: ref.walk_per_letter(family, word, state))
     assert isinstance(expected, tuple)
     assert _outcome(lambda: hw.walk_distribution(family, word, state)) == expected
+
+
+def test_walks_refuse_only_the_non_finite_values_they_reach():
+    """On c4 at h_dim 2 with the blocks B[., 2; 1] scaled to overflow, a
+    walk or step that never sits at position 2 before a letter 1 walks as
+    with those blocks zeroed, with no warning; one that does refuses the
+    overflow as before."""
+    family, start = hw.realize(presets.c4_hypergroup(), h_dim=2)
+    at_two = (np.arange(3) == 2)[None, :, None, None]  # the blocks B[., 2; k]
+    big = _with_blocks(family, 1, lambda b: b * np.where(at_two, 1e200, 1.0))
+    zero = _with_blocks(family, 1, lambda b: b * ~at_two)
+    assert not np.isfinite(big._stack[1]).all()
+    assert _outcome(lambda: hw.walk_distribution(big, (1,), start)) == [0.0, 1.0, 0.0]
+    for word in [(1,), (1, 1), (1, 2), (0, 1, 0, 1)]:
+        assert _outcome(lambda: hw.walk_distribution(big, word, start)) == _outcome(
+            lambda: hw.walk_distribution(zero, word, start))
+    assert _outcome(lambda: hw.distribution(hw.step(big, 1, start))) == [0.0, 1.0, 0.0]
+    for word in [(1, 1, 1), (2, 1), (0, 2, 1, 0)]:
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="^block 1 has non-finite entries$"):
+                hw.walk_distribution(big, word, start)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="^block 1 has non-finite entries$"):
+            hw.step(big, 1, hw.point_state(np.eye(2) / 2, 2, 3))

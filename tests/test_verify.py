@@ -19,7 +19,7 @@ from hyperwalk import (
     validate_kraus,
     wildberger_tensor,
 )
-from hyperwalk import presets, verify
+from hyperwalk import oqrw, presets
 from hyperwalk.oqrw import hermitian_coordinates
 from hyperwalk.verify import (
     random_block_state,
@@ -182,7 +182,7 @@ def test_block_norms_match_the_spectral_norm():
             hermitian = (blocks + blocks.conj().swapaxes(-1, -2)) / 2
             exact = np.linalg.norm(hermitian, ord=2, axis=(-2, -1))
             coords = hermitian_coordinates(blocks)
-            norms, bound = verify._block_norms(coords, 0.0)
+            norms, bound = oqrw._block_norms(coords, 0.0)
             # Every norm returned is exact; the others are below the largest.
             computed = norms > 0
             assert np.allclose(norms[computed], exact[computed], rtol=1e-12, atol=0)
@@ -190,12 +190,12 @@ def test_block_norms_match_the_spectral_norm():
             assert np.isclose(norms.max(), exact.max(), rtol=1e-12, atol=0)
             assert bound <= norms.max()
             # A bound carried in from earlier blocks screens more out.
-            norms, _ = verify._block_norms(coords, 2 * exact.max())
+            norms, _ = oqrw._block_norms(coords, 2 * exact.max())
             assert (norms == 0).all()
     nan = np.zeros((3, 2, 2))  # coordinates
     nan[1, 0, 1] = np.nan
     nan[2, 1, 1] = np.inf
-    norms, bound = verify._block_norms(nan, 0.0)
+    norms, bound = oqrw._block_norms(nan, 0.0)
     assert norms[0] == 0 and np.isnan(norms[1]) and norms[2] == np.inf and bound == 0
 
 
