@@ -247,7 +247,9 @@ def build_spheres(graph: PointedGraph) -> SphereTable:
     words = (n + 63) // 64
     # One bit per source, in np.packbits order; the padding bits past n
     # are never unseen, so they never enter a frontier.
-    frontier = np.packbits(np.eye(n, 64 * words, dtype=bool), axis=1)
+    frontier = np.zeros((n, 8 * words), dtype=np.uint8)
+    vertices = np.arange(n)
+    frontier[vertices, vertices // 8] = 0x80 >> (vertices % 8)
     unseen = np.packbits(np.arange(64 * words) < n) ^ frontier
     frontier, unseen = frontier.view(np.uint64), unseen.view(np.uint64)
     planes: list[np.ndarray] = []  # bit b of d(v, s)
@@ -379,19 +381,33 @@ def _condition_s(table: SphereTable) -> Report:
         members = np.flatnonzero(inside[:, i])
         return uneven(("sphere-size", i), members, sizes[members, i], i + 1)
 
-    # counts[v, i, j] over the base spheres S_k(base), one reduction per k.
-    counts = table.base_counts[table.base_order]
-    cuts = table.starts[base, :size]
-    spread = np.maximum.reduceat(counts, cuts) > np.minimum.reduceat(counts, cuts)  # [k, i, j]
-    spread = spread.transpose(1, 2, 0)
-    if window is not None:
-        spread &= (radii[:, None] + radii <= window)[:, None, :]
-    if spread.any():
+    # A class (i, j, k) is even when each member v of S_k(base), in base
+    # order, has the counts[v, i, j] of the member before it.  Members are
+    # compared a block at a time, over the i that the window keeps for their
+    # k (none at a sphere's first member); spread[i, j, k] is formed only
+    # once a pair differs, to name the first uneven class.
+    counts, order = table.base_counts, table.base_order
+    ks = table.dist[base, order].astype(np.intp)
+    limits = np.full(len(order), size) if window is None else window - ks
+    limits[table.starts[base, :size]] = -1
+    rows = max(1, _COUNT_BLOCK // (size * size))
+    spread = None
+    for lo in range(1, len(order), rows):
+        block = counts[order[lo - 1:lo + rows]]
+        differ = block[1:] != block[:-1]
+        differ &= (radii <= limits[lo:lo + rows, None])[:, :, None]
+        if spread is None:
+            if not differ.any():
+                continue
+            spread = np.zeros((size, size, size), dtype=bool)  # [i, j, k]
+        block_ks = ks[lo:lo + rows]
+        for k in np.unique(block_ks).tolist():
+            spread[:, :, k] |= differ[block_ks == k].any(axis=0)
+    if spread is not None:
         n = int(np.argmax(spread))
         i, j, k = (int(x) for x in np.unravel_index(n, spread.shape))
-        members = table.base_order[cuts[k]:table.starts[base, k + 1]]
-        return uneven(("intersection", i, j, k), members, table.base_counts[members, i, j],
-                      size + n + 1)
+        members = order[table.starts[base, k]:table.starts[base, k + 1]]
+        return uneven(("intersection", i, j, k), members, counts[members, i, j], size + n + 1)
     return Report("condition-S", True, 0.0, None, 0.0, size + size**3)
 
 

@@ -8,6 +8,12 @@ replaced with array code.
   ``check_condition_s``, ``check_distance_regular`` and ``wildberger_tensor``
   as Python set intersections and ``Fraction`` sums over the tuple spheres.
 
+- ``condition_s_reduceat``: the array scan of condition (S) over the
+  library's sphere table that reduced every class to its minimum and
+  maximum with ``np.minimum.reduceat`` and ``np.maximum.reduceat`` over an
+  (n, size, size) copy of the counts in base order.  The library now
+  compares each member's counts with the previous member's.
+
 - ``verify_theorem_2_4``: one ``path_sum_distribution`` and one
   ``multi_constants`` fold per word, compared as ``Fraction`` lists, over the
   words of ``itertools.product``; and ``residual``, its per-word residual.
@@ -154,6 +160,48 @@ def check_condition_s(table) -> Report:
             return Report("condition-S", False, float(abs(counts[v] - counts[v2])),
                           witness, 0.0, checked)
     return Report("condition-S", True, 0.0, None, 0.0, checked)
+
+
+def condition_s_reduceat(table: graphs.SphereTable) -> Report:
+    """Sphere-symmetry condition on a library sphere table, each class's
+    spread taken as its maximum against its minimum."""
+    graph = table.graph
+    window = graph.window_radius
+    base = graph.base
+    size = len(table.index_set)
+    radii = np.arange(size)
+
+    def uneven(name: tuple, members: np.ndarray, counts: np.ndarray, checked: int) -> Report:
+        other = int(np.argmax(counts != counts[0]))
+        witness = name + (graph.labels[members[0]], graph.labels[members[other]])
+        return Report("condition-S", False, float(abs(int(counts[0]) - int(counts[other]))),
+                      witness, 0.0, checked)
+
+    sizes = table.sphere_sizes[:, :size]
+    inside = np.ones(sizes.shape, dtype=bool)
+    if window is not None:
+        inside = table.dist[base, :, None].astype(np.intp) + radii <= window
+    highest = np.where(inside, sizes, -1).max(axis=0)
+    spread = highest > np.where(inside, sizes, sizes.max()).min(axis=0)
+    if spread.any():
+        i = int(np.argmax(spread))
+        members = np.flatnonzero(inside[:, i])
+        return uneven(("sphere-size", i), members, sizes[members, i], i + 1)
+
+    # counts[v, i, j] over the base spheres S_k(base), one reduction per k.
+    counts = table.base_counts[table.base_order]
+    cuts = table.starts[base, :size]
+    spread = np.maximum.reduceat(counts, cuts) > np.minimum.reduceat(counts, cuts)  # [k, i, j]
+    spread = spread.transpose(1, 2, 0)
+    if window is not None:
+        spread &= (radii[:, None] + radii <= window)[:, None, :]
+    if spread.any():
+        n = int(np.argmax(spread))
+        i, j, k = (int(x) for x in np.unravel_index(n, spread.shape))
+        members = table.base_order[cuts[k]:table.starts[base, k + 1]]
+        return uneven(("intersection", i, j, k), members, table.base_counts[members, i, j],
+                      size + n + 1)
+    return Report("condition-S", True, 0.0, None, 0.0, size + size**3)
 
 
 def check_distance_regular(table) -> Report:

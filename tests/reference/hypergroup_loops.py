@@ -1,4 +1,4 @@
-"""Frozen reference copies of two hypergroup-level loops, kept as oracles
+"""Frozen reference copies of hypergroup-level scans, kept as oracles
 for ``tests/test_graph_differential.py``.  Do not optimise this file.
 
 - The associativity scan of ``hyperwalk.hypergroups.validate_hypergroup``:
@@ -6,6 +6,13 @@ for ``tests/test_graph_differential.py``.  Do not optimise this file.
   sums over the sparse rows and a ``TruncationExceededError`` marking a
   skipped triple.  The library now contracts dense integer numerators per
   index.
+- ``gemm_skip`` and ``associativity_gemm``: the associativity scan of
+  ``validate_hypergroup`` that found its skipped triples with size**4 float
+  products of the support and the undefined rows, and compared each i's
+  integer sides over a flat ``np.repeat`` of the kept mask.  The library
+  now reads the skips off the largest index of each row's support.  Like
+  the replaced code, it picks the float64 tier from the largest numerator,
+  which bounds max |N| only for nonnegative numerators.
 - ``verify_corollary_2_6``: every word's transition-matrix product and fold
   formed from scratch.  The library now extends those of its prefix.
 """
@@ -18,7 +25,7 @@ import numpy as np
 
 from hyperwalk.errors import TruncationExceededError
 from hyperwalk.graphs import transition_family
-from hyperwalk.hypergroups import EPS_ASSOC, multi_constants
+from hyperwalk.hypergroups import EPS_ASSOC, exact_tier, multi_constants
 from hyperwalk.report import Report, scan_report, worst_residual
 
 
@@ -52,6 +59,45 @@ def associativity(tensor) -> Report:
                 skipped += 1
         worst, n = worst_residual(gaps)
         per_i.append((worst, (i, n // size**2, n // size % size, n % size)))
+    return scan_report(
+        "associativity", [w for w, _ in per_i], lambda i: per_i[i][1],
+        EPS_ASSOC, checked=size**3 - skipped, skipped=skipped,
+    )
+
+
+def gemm_skip(tensor) -> np.ndarray:
+    """``skip[i, j, k]``: whether the triple needs a row outside the domain."""
+    size, domain = tensor.size, tensor.domain
+    undefined = (~domain).astype(float)
+    support = (tensor.cube != 0).reshape(size * size, size).astype(float)
+    return (undefined[:, :, None] + undefined
+            + (support @ undefined).reshape(size, size, size)
+            + (undefined @ support.T).reshape(size, size, size)) > 0
+
+
+def associativity_gemm(tensor) -> Report:
+    """The associativity report over the ``gemm_skip`` mask, contracted per
+    i over the box of the kept (j, k)."""
+    size = tensor.size
+    skip = gemm_skip(tensor)
+    scale = tensor.denominator
+    floats = tensor.to_float().cube
+    cube = floats if scale is None else exact_tier(int(tensor.cube.max())**2 * size, tensor.cube)
+    skipped, per_i = int(skip.sum()), []
+    jmaxs = size - np.argmax(~skip.all(axis=2)[:, ::-1], axis=1)
+    kmaxs = size - np.argmax(~skip.all(axis=1)[:, ::-1], axis=1)
+    for i, jmax, kmax in zip(range(size), jmaxs.tolist(), kmaxs.tolist()):
+        lhs = (cube[i, :jmax] @ cube[:, :kmax].reshape(size, -1)).reshape(-1)  # [j, k, l]
+        rhs = (cube[:jmax, :kmax].reshape(-1, size) @ cube[i]).reshape(-1)
+        keep = ~np.repeat(skip[i, :jmax, :kmax].reshape(-1), size)
+        if scale is None:
+            gaps = np.where(keep, np.abs(lhs - rhs), 0.0)
+        else:
+            gaps = np.zeros(len(lhs))
+            for n in np.flatnonzero((lhs != rhs) & keep):
+                gaps[n] = abs(int(lhs[n]) / scale**2 - int(rhs[n]) / scale**2)
+        worst, n = worst_residual(gaps)
+        per_i.append((worst, (i, n // (kmax * size), n // size % kmax, n % size)))
     return scan_report(
         "associativity", [w for w, _ in per_i], lambda i: per_i[i][1],
         EPS_ASSOC, checked=size**3 - skipped, skipped=skipped,

@@ -13,6 +13,14 @@ against the frozen loops in ``tests/reference/``.
   associativity reports; their float copies agree within round-off.  The
   frozen scan decides distance regularity; a failing report is the first
   violation of a plain loop over the intersection-array counts.
+- Condition (S) and the associativity skips against the frozen array scans
+  they replaced: the reduceat scan of each class's minimum and maximum, in
+  blocks of one, of three and of the default number of members, and the
+  mask of size**4 float products of the support and the undefined rows,
+  with the report over it.  On those graphs, on windowed graphs that fail
+  by sphere size and by intersection, on every truncated tensor of the
+  corpus and on random truncated supports, the passed flag, the repr of
+  the residual, the witness, checked and skipped must be equal.
 - Wildberger constants of distance-regular graphs (hypercubes to Q10,
   Petersen, Shrikhande, the 4x4 rook's graph, K5, H(3,4), J(8,3)) must equal
   the closed form from their intersection arrays, as exact ``Fraction``s.
@@ -214,6 +222,32 @@ def _assert_same_distance_regularity(graph, table):
     return report
 
 
+def _fields(report):
+    """What the comparisons with the frozen array scans cover."""
+    return report.passed, repr(report.max_residual), report.witness, report.checked, report.skipped
+
+
+def _assert_same_condition_s(table):
+    """The scan against the frozen reduceat scan, in blocks of the default
+    size, of one member and of three members."""
+    expected = _fields(ref.condition_s_reduceat(table))
+    cells = len(table.index_set) ** 2
+    for block in (None, 1, 3):
+        with pytest.MonkeyPatch.context() as patch:
+            if block is not None:
+                patch.setattr(graphs, "_COUNT_BLOCK", block * cells)
+            assert _fields(graphs._condition_s(table)) == expected, block
+
+
+def _assert_same_skips(tensor):
+    """The skip mask against the frozen GEMM mask, and the associativity
+    report of the tensor and of its float copy against the frozen scan."""
+    assert np.array_equal(hypergroups._skipped_triples(tensor), ref_assoc.gemm_skip(tensor))
+    for t in (tensor, tensor.to_float()):
+        new = validate_hypergroup(t, range(t.size)).check("associativity")
+        assert _fields(new) == _fields(ref_assoc.associativity_gemm(t))
+
+
 def _assert_same_graph_layer(graph):
     table, old_table = build_spheres(graph), ref.build_spheres(graph)
     _assert_same_distances(table, old_table)
@@ -226,11 +260,13 @@ def _assert_same_graph_layer(graph):
         assert table.base_sphere(r) == old_table.base_sphere(r)
 
     assert check_condition_s(table) == ref.check_condition_s(old_table)
+    _assert_same_condition_s(table)
     _assert_same_distance_regularity(graph, table)
     tensor = _result(wildberger_tensor, table)
     assert _rows(tensor) == _rows(_result(ref.wildberger_tensor, old_table))
     if isinstance(tensor, tuple):
         return
+    _assert_same_skips(tensor)
     new = validate_hypergroup(tensor, range(tensor.size)).check("associativity")
     assert new == ref_assoc.associativity(tensor)
     _assert_same_float_associativity(tensor)
@@ -244,6 +280,39 @@ def test_graph_layer_matches_loops(graph):
 @pytest.mark.parametrize("seed", range(400))
 def test_random_graph_layer_matches_loops(seed):
     _assert_same_graph_layer(random_graph(seed))
+
+
+def _circulant(n, steps, window):
+    """The circulant graph on Z_n with the connection set of ``steps``,
+    based at 0 and windowed: every sphere size is even, not every count."""
+    edges = sorted({tuple(sorted((v, (v + s) % n))) for v in range(n) for s in steps})
+    return pointed_graph([str(v) for v in range(n)], edges, 0, window_radius=window)
+
+
+def _line_with_pendant(radius, at):
+    """z-window(radius) with one more vertex hung on the vertex ``at``."""
+    line = line_window_graph(radius)
+    edges = list(line.edges()) + [(line.labels.index(at), len(line.labels))]
+    return pointed_graph(list(line.labels) + ["x"], edges, line.base, window_radius=radius)
+
+
+# Windowed graphs, each with the kind of uneven class condition (S) names:
+# a pendant past the window makes uneven spheres that the scan leaves out.
+WINDOWED = [
+    (_line_with_pendant(30, "2"), "sphere-size"),
+    (_line_with_pendant(30, "30"), None),
+    (_circulant(8, (1, 4), 3), "intersection"),
+    (_circulant(200, (1, 5), 12), "intersection"),
+]
+
+
+@pytest.mark.parametrize("graph, uneven", WINDOWED,
+                         ids=("pendant-2", "pendant-30", "C8(1,4)", "C200(1,5)"))
+def test_windowed_condition_s_matches_frozen_scan(graph, uneven):
+    table = build_spheres(graph)
+    report = check_condition_s(table)
+    assert (report.witness or (None,))[0] == uneven
+    _assert_same_condition_s(table)
 
 
 def _index_graph(n, edges, base=0):
@@ -472,17 +541,32 @@ def _large_denominator_tensor(seed: int, primes):
     return structure_tensor(size, entries)
 
 
+def _negative_numerator_tensor(seed: int):
+    """A random exact size-3 tensor built directly, past the constructor's
+    checks: half of the numerators below 2**20, half above -2**40, so that
+    max |N|**2 * size passes 2**53 where the largest numerator's square
+    alone would not."""
+    rng = random.Random(seed)
+    numerators = [rng.randrange(2**20) if rng.random() < 0.5 else -rng.randrange(2**40)
+                  for _ in range(27)]
+    return hypergroups.StructureTensor(np.array(numerators).reshape(3, 3, 3), 2**25)
+
+
 @pytest.mark.parametrize("seed", range(4))
 @pytest.mark.parametrize(
-    "primes, dtype",
+    "build, dtype",
     [
-        ((33554393,), float),  # numerators near 2**25: products near 2**50
-        ((1099511627791, 1099511627817, 1099511627839), object),  # past 2**53
+        # numerators near 2**25: products near 2**50
+        (lambda seed: _large_denominator_tensor(seed, (33554393,)), float),
+        # past 2**53
+        (lambda seed: _large_denominator_tensor(
+            seed, (1099511627791, 1099511627817, 1099511627839)), object),
+        (_negative_numerator_tensor, object),
     ],
-    ids=["float64", "python-ints"],
+    ids=["float64", "python-ints", "negative"],
 )
-def test_associativity_large_numerators_match_loop(seed, primes, dtype, monkeypatch):
-    tensor = _large_denominator_tensor(seed, primes)
+def test_associativity_large_numerators_match_loop(seed, build, dtype, monkeypatch):
+    tensor = build(seed)
     tensor.to_float()  # built once, outside the recorded calls
     contracted = []
 
@@ -533,6 +617,26 @@ def test_truncated_associativity_matches_loop(tensor, pairs):
     assert new == ref_assoc.associativity(tensor)
     assert new.passed == (not pairs)
     _assert_same_float_associativity(tensor)
+    _assert_same_skips(tensor)
+
+
+@pytest.mark.parametrize("tensor", [presets.zlattice_hypergroup(r).tensor for r in (1, 4, 8)]
+                         + [wildberger_tensor(free_ball_graph(2, 3)),
+                            wildberger_tensor(line_window_graph(60))],
+                         ids=("zlattice(1)", "zlattice(4)", "zlattice(8)",
+                              "free-ball(2,3)", "z-window(60)"))
+def test_truncated_skips_match_frozen_mask(tensor):
+    _assert_same_skips(tensor)
+
+
+def test_random_truncated_supports_match_frozen_mask():
+    """Random supports, inside and outside the domain, with empty rows."""
+    rng = np.random.default_rng(20)
+    for _ in range(300):
+        size = int(rng.integers(1, 9))
+        cube = rng.integers(0, 3, (size,) * 3) * (rng.random((size,) * 3) < rng.random())
+        tensor = hypergroups.StructureTensor(cube, 1, int(rng.integers(0, 2 * size)))
+        assert np.array_equal(hypergroups._skipped_triples(tensor), ref_assoc.gemm_skip(tensor))
 
 
 def _report(fn, graph, max_len, mode):

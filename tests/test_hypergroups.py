@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from hyperwalk import (
@@ -21,6 +22,7 @@ from hyperwalk import (
     validate_hypergroup,
 )
 from hyperwalk import presets
+from hyperwalk.hypergroups import quotients
 
 HALF = Fraction(1, 2)
 
@@ -266,3 +268,10 @@ def test_exact_row_sums_are_rounded_once():
     tensor = structure_tensor(1, [(0, 0, 0, near)])
     stochastic = validate_hypergroup(tensor, (0,)).check("stochasticity")
     assert stochastic.passed and stochastic.max_residual == abs(float(near) - 1.0) > 0
+
+
+def test_quotients_read_the_largest_magnitude():
+    # A numerator past -2**53 beside small positive ones is still divided
+    # exactly and rounded once, as Python's int / int rounds it.
+    numerators = np.array([[-(2**60) - 77, 3], [2, 1]])
+    assert quotients(numerators, 3).tolist() == [[n / 3 for n in row] for row in numerators.tolist()]

@@ -306,18 +306,36 @@ C4 = [(0, 0, 0, 1), (0, 1, 1, 1), (0, 2, 2, 1), (1, 0, 1, 1), (2, 0, 2, 1),
       (2, 2, 0, 1)]
 
 
-@pytest.mark.parametrize("at, value", [((1, 1, 2), float("nan")), ((1, 2, 1), float("inf"))])
-def test_bad_constant_in_the_cube_matches_frozen_layer(at, value):
-    # A NaN or inf set directly in a tensor, past the constructor's checks.
+NAN, INF = float("nan"), float("inf")
+
+
+# C4's involution is the identity, so the unit-support rule wants Q[i,j,0] > 0
+# exactly when j == i.
+@pytest.mark.parametrize("changes, witness", [
+    ({(1, 1, 2): NAN}, None),
+    ({(1, 2, 1): INF}, None),
+    ({(1, 1, 0): NAN}, (1, 1)),  # NaN where j = sigma(i)
+    ({(1, 2, 0): INF}, (1, 2)),  # inf where j != sigma(i)
+    ({(1, 2, 0): 0.25, (2, 1, 0): 0.5}, (2, 1)),  # the larger bad value second
+    ({(1, 2, 0): 0.5, (2, 1, 0): 0.5}, (1, 2)),  # a tie: the first
+    ({(1, 1, 0): NAN, (2, 1, 0): INF}, (1, 1)),  # NaN first: the NaN
+    ({(1, 2, 0): 0.25, (2, 2, 0): NAN}, (1, 2)),  # a later NaN: the finite one
+], ids=("at0-nan", "at1-inf", "nan-unit", "inf-unit", "larger-second", "tie", "nan-first",
+        "nan-second"))
+def test_bad_constant_in_the_cube_matches_frozen_layer(changes, witness):
+    # NaN, inf or stray constants set directly in a tensor, past the
+    # constructor's checks.
     c4, old_c4 = hw.structure_tensor(3, C4), ref.structure_tensor(3, C4)
     cube = c4.to_float().cube.copy()
-    cube[at] = value
     rows = {pair: dict(row) for pair, row in old_c4.rows.items()}
-    rows[at[:2]][at[2]] = value
+    for at, value in changes.items():
+        cube[at] = value
+        rows[at[:2]][at[2]] = value
     new, old = hw.StructureTensor(cube), ref.StructureTensor(3, rows)
     with np.errstate(invalid="ignore"):  # inf - inf in the associativity products
-        assert repr(hw.validate_hypergroup(new, (0, 1, 2))) == \
-            repr(ref.validate_hypergroup(old, (0, 1, 2)))
+        report = hw.validate_hypergroup(new, (0, 1, 2))
+        assert repr(report) == repr(ref.validate_hypergroup(old, (0, 1, 2)))
+    assert report.check("unit-support").witness == witness
     assert repr(hw.tensor_difference(new, c4)) == repr(ref.tensor_difference(old, old_c4))
     for word in _words(new, 3):
         assert repr(hw.multi_constants(new, word)) == repr(ref.multi_constants(old, word))
