@@ -143,9 +143,12 @@ class StructureTensor:
 
     @cached_property
     def growth(self) -> int:
-        """An exact tensor's largest integer row sum: the numerators of a
-        fold of n letters sum to at most growth**(n - 1)."""
-        return int(self.cube.sum(axis=2).max(initial=0))
+        """An exact tensor's largest absolute integer row sum: the numerators
+        of a fold of n letters, and every partial sum that forms them, are at
+        most growth**(n - 1) in modulus, whatever their signs.  A cube with
+        no negative numerator is summed as it is, with no copy."""
+        cube = self.cube if self.cube.min(initial=0) >= 0 else np.abs(self.cube)
+        return int(cube.sum(axis=2).max(initial=0))
 
     @cached_property
     def row_sums(self) -> np.ndarray:

@@ -20,9 +20,10 @@ adjoint Phi_k^* is the transpose.  A family holds all d maps as one real
 coordinates, give the masses one map moves from a stack of states
 (``one_step_distributions``), read by the produced constants and the
 mixtures.  The Heisenberg picture Phi_k^*(X)_j = sum_i B[i,j;k]^* X_i
-B[i,j;k] is the adjoint, and the checks run there: two-letter words as one
-GEMM per first letter in chunks of ``_SLAB_ENTRIES`` entries, reduced once per
-family and tensor to worst residuals and block norms (``_two_letter_pass``).
+B[i,j;k] is the adjoint, and the checks run there on one walker of words
+(``heisenberg_levels``), a GEMM per chunk of ``_LEVEL_ENTRIES`` entries;
+its two-letter words are reduced once per family and tensor to worst
+residuals and block norms (``_two_letter_pass``).
 
 Word-order convention, fixed globally because it is easy to get backwards:
 
@@ -55,7 +56,6 @@ from .hypergroups import (
     check_rows,
     fold_level,
     multi_constants,
-    prefix_trie,
     quotients,
 )
 from .report import Report, scan_report, worst_residual
@@ -139,7 +139,7 @@ def _modulus_scales(h: int) -> tuple[np.ndarray, np.ndarray]:
 def _largest_moduli(coords: np.ndarray) -> np.ndarray:
     """Per block, the largest of its ``entry_moduli``.  At h = 1 that is
     |c| (reducing over a one-wide axis costs ten times as much on a large
-    slab); above, the square root of the largest (c_ab^2 + c_ba^2) / 2 over
+    piece); above, the square root of the largest (c_ab^2 + c_ba^2) / 2 over
     the pairs a <= b (c_aa^2 on the diagonal, whose root is |c_aa|
     exactly).  A block whose squares overflow or lose digits, its result
     not finite, past 1e150, or below 1e-150 but not 0, is taken again from
@@ -252,7 +252,7 @@ class KrausFamily(_PositionArray):
         """The superoperators of every letter as one read-only real (d, n,
         n) array, n = d h^2, with T_k at [k] (see the module docstring):
         h^2 / 2 times the memory of the array.  States step by it, the
-        Heisenberg slabs and levels by its transposes.
+        Heisenberg walker by its transposes.
 
         Column q of the block (i, j) of T_k holds the coordinates of
         B E_q B^*, B = B[i,j;k] and E_q the basis matrix of q = (a, b)
@@ -604,9 +604,10 @@ def produced_tensor(family: KrausFamily, state0: BlockState) -> StructureTensor:
     k + l within its radius, from a start certified for the largest such sum.
     A refused one-letter state is refused as the complex maps form it from
     the start (``_complex_map``), so the numbers in the refusal are those of
-    a two-step walk in complex entries.  A mass that is not finite is taken again over the positions its state
-    occupies, so that an overflowing Gram block at an empty position does
-    not count (0 * inf); one still not finite is refused.
+    a two-step walk in complex entries.  A mass that is not finite is taken
+    again over the positions its state occupies, so that an overflowing
+    Gram block at an empty position does not count (0 * inf); one still not
+    finite is refused.
     """
     d, radius = family.d_size, family.truncation_radius
     longest = 2 * (d - 1) if radius is None else min(radius, 2 * (d - 1))
@@ -700,62 +701,9 @@ def common_radius(family: KrausFamily, tensor: StructureTensor) -> int | None:
     return min(radii) if radii else None
 
 
-# Entries of the walk-minus-mixture blocks a chunk of ``heisenberg_slabs``
-# holds (at least one letter's): the products and reductions run per chunk.
-_SLAB_ENTRIES = 2**14
-
-
-def heisenberg_slabs(family: KrausFamily, tensor: StructureTensor, radius: int | None,
-                     all_starts: bool = False):
-    """The walk-minus-mixture observables of the two-letter words, a chunk of
-    first letters at a time.
-
-    With E_i the identity block at position i, the word (l, k), which
-    applies the l-map first, moves mass tr(Phi_l^*(Phi_k^*(E_i)) rho) to
-    position i, and its mixture, through the fold Q[k, l] of the reversed
-    word, moves tr(sum_m Q[k,l,m] Phi_m^*(E_i) rho).
-
-    Yields chunks (l0, D) of consecutive first letters l = l0, ..., l0 + L
-    - 1 within ``radius``, D[l - l0, k, i, j] the difference of the two
-    observables at position j, as an (L, top, d, cols, h, h) array of
-    coordinates (``hermitian_coordinates``): the letters k < top = radius -
-    l0 + 1 (all d when ``radius`` is None) and the starts j < top, or every
-    start with ``all_starts``; the first letter sets top and cols, so the
-    chunk holds its later letters' blocks past the radius too.  A chunk
-    holds at most ``_SLAB_ENTRIES`` entries, or one letter.  The stack of
-    all Phi_k^*(E_i) is the Gram array, and a chunk is one batched product
-    of it with the superoperators of its letters (Phi_l^* is the transpose
-    of T_l: a row of coordinates times ``_stack[l]``), so memory stays
-    O(d^3 h^2 + d^2 h^4) plus the chunk.  Non-finite entries as in
-    ``KrausFamily._gram``.
-    """
-    if family.d_size != tensor.size:
-        raise ValueError(f"size mismatch: family {family.d_size}, tensor {tensor.size}")
-    d, h = family.d_size, family.h_dim
-    hh = h * h
-    # heisenberg[(k, i), (m, b, c)]: the coordinates of B[i,m;k]^* B[i,m;k] = Phi_k^*(E_i)_m
-    heisenberg = family._gram.reshape(d * d, d * hh)
-    by_position = family._gram.reshape(d, d, d * hh).swapaxes(0, 1)  # [i, m, (j, b, c)]
-    q = tensor.to_float().cube  # Q[k, l, m]; rows outside a truncation are zero
-    letters = d if radius is None else min(d, radius + 1)
-    l0 = 0
-    while l0 < letters:
-        top = d if radius is None else min(d, radius - l0 + 1)
-        cols = d if all_starts else top
-        stop = min(letters, l0 + max(1, _SLAB_ENTRIES // (top * d * cols * hh)))
-        with np.errstate(over="ignore", invalid="ignore"):
-            slab = np.matmul(heisenberg[:top * d], family._stack[l0:stop, :, :cols * hh])
-            slab = slab.reshape(stop - l0, top, d, cols, hh)
-            # The mixture as [i, (l, k), (j, b, c)], one product per position i.
-            slab -= np.matmul(q[:top, l0:stop].swapaxes(0, 1).reshape(-1, d),
-                              by_position[:, :, :cols * hh]
-                              ).reshape(d, stop - l0, top, cols, hh).transpose(1, 2, 0, 3, 4)
-        yield l0, slab.reshape(stop - l0, top, d, cols, h, h)
-        l0 = stop
-
-
-# Entries of the observables a longer-word level forms at a time.
-_LEVEL_ENTRIES = 2**18
+# Entries of the observables a piece of ``heisenberg_levels`` forms (at
+# least one letter of d rows): its products and reductions run per piece.
+_LEVEL_ENTRIES = 2**14
 
 
 def _reach(family: KrausFamily) -> np.ndarray:
@@ -785,82 +733,128 @@ def _kept_starts(reach: np.ndarray, max_len: int) -> np.ndarray:
 
 
 def heisenberg_levels(family: KrausFamily, tensor: StructureTensor, max_len: int,
-                      radius: int | None):
-    """The walk-minus-mixture observables of the words of 3 to ``max_len``
-    letters with letter sum within ``radius``, in pieces (the two-letter
-    words are ``heisenberg_slabs``).
+                      radius: int | None, all_starts: bool = False):
+    """The walk-minus-mixture observables of the words of 2 to ``max_len``
+    letters with letter sum within ``radius``, one level at a time.
 
-    The word w = (k1, ..., kn), k1 applied first, moves mass tr(X rho) to
-    position i with X = Phi_{k1}^*(...Phi_{kn}^*(E_i)), and its mixture moves
-    tr(M rho) with M = sum_m q_m Phi_m^*(E_i), q the fold of the reversed
-    word u = (kn, ..., k1).  The levels walk the prefix trie of u: extending
-    u by a letter k applies Phi_k^* last, one product with T_k (its
-    transpose in coordinates), and ``fold_level`` folds the same trie.  One
-    level is kept, grouped by the budget its words have left, at the starts
-    ``_kept_starts`` names; the last level is formed and folded one block of
-    words at a time.
+    With E_i the identity block at position i, the word w = (k1, ..., kn),
+    k1 applied first, moves mass tr(X rho) to position i with X =
+    Phi_{k1}^*(...Phi_{kn}^*(E_i)), and its mixture moves tr(M rho) with M =
+    sum_m q_m Phi_m^*(E_i), q the fold of the reversed word u = (kn, ...,
+    k1).  The levels walk the prefix trie of u from the Gram array: adding
+    a letter l applies Phi_l^* last, a row of coordinates times
+    ``_stack[l]``.  A level is kept by letter sum (level 1 as one group),
+    with its folds, at the starts ``_kept_starts`` names.  A group is
+    extended a chunk of consecutive letters at a time, one batched product
+    with ``_stack[l0:stop]`` of every row l0 admits, of at most
+    ``_LEVEL_ENTRIES`` entries or one letter (its rows in blocks of d times
+    that).  Letter l0 and the first row set the windows; only a two-letter
+    walk's pieces hold later words past theirs, or past the radius.  The
+    folds of two letters are the cube rows Q[k, l], longer ones come from
+    ``fold_level``.  Memory stays O(d^3 h^2 + d^2 h^4) plus the kept level.
 
-    Yields (length, the level's reversed words, the piece's rows in them,
-    D = X - M as an (n, d, win, h, h) array of coordinates at the starts
-    j < win within the budget, all d when ``radius`` is None); the rows of a
-    piece have one letter sum.
+    Yields, per length from 2, an iterator over the level's pieces (u, D):
+    the (L, n, length) reversed words, row b extended by the letter l0 + a
+    at [a, b], and D = X - M as an (L, n, d, win, h, h) array of
+    coordinates at the starts j < win (all d when ``radius`` is None, or
+    with ``all_starts``).  Each word within the radius is in one piece.  The
+    next level extends the whole of this one, the pieces not read included.
+    Non-finite entries as in ``KrausFamily._gram``.
     """
-    if max_len < 3:
-        return
+    if family.d_size != tensor.size:
+        raise ValueError(f"size mismatch: family {family.d_size}, tensor {tensor.size}")
     d, h = family.d_size, family.h_dim
     hh = h * h
-    gram = family._gram.reshape(d, d, d * hh)  # [m, i, (j, b, c)]
-    reach = _reach(family)
-    kept = _kept_starts(reach, max_len)
+    cap = max_len * d if radius is None else radius  # no letter sum passes it untruncated
+    gram = family._gram.reshape(d, d, d * hh)  # [m, i, (j, b, c)]: Phi_m^*(E_i) at j
+    by_position = gram.swapaxes(0, 1)  # [i, m, (j, b, c)]
+    floats = tensor.to_float().cube  # Q[k, l, m]; rows outside a truncation are zero
+    if radius is not None and max_len > 2:
+        reach = _reach(family)
+        kept = _kept_starts(reach, max_len - 1)
 
     def starts(budget, r):
-        return d if budget is None else int(kept[r, min(budget, d - 1)])
+        """The starts kept for a word with ``budget`` left and r letters to come."""
+        if budget is None or all_starts:
+            return d
+        return min(d, budget + 1) if r == 0 else int(kept[r, min(budget, d - 1)])
 
-    level, folds = {}, None  # budget left -> [(rows, Phi_u^*(E_i) as [u, i, (j, b, c)])]
-    trie = prefix_trie(range(d), max_len, radius)
-    for length, (words, parents, letters) in enumerate(trie, start=1):
-        last = length == max_len
-        if not last:
-            folds = fold_level(tensor, folds, parents, letters, length)
-        if length == 1:
-            for k in range(len(words)):
-                budget = None if radius is None else radius - k
-                level.setdefault(budget, []).append(
-                    (np.array([k]), gram[k:k + 1, :, :starts(budget, max_len - 1) * hh]))
-            continue
-        firsts = np.searchsorted(parents, np.arange(parents[-1] + 1))
+    def extended(level, length, nxt):
+        """The pieces of ``length`` letters, kept in ``nxt`` unless None."""
         scale = tensor.denominator ** (length - 1) if tensor.is_exact else None
-        nxt: dict = {}
         while level:
-            budget, pieces = level.popitem()
-            rows = np.concatenate([r for r, _ in pieces])
-            stack = np.concatenate([x for _, x in pieces])
-            del pieces
-            for k in range(d if budget is None else min(d, budget + 1)):
-                child = None if budget is None else budget - k
-                cols = starts(child, max_len - length)
-                feed = d if budget is None else int(reach[cols, k])
-                win = d if child is None else min(d, child + 1)
-                transfer = family._stack[k, :feed * hh, :cols * hh]
-                mixed = gram[:, :, :win * hh].reshape(d, -1) if length >= 3 else None
-                block = max(1, _LEVEL_ENTRIES // (d * max(feed, cols, 1) * hh))
-                for start in range(0, len(rows), block):
-                    part = slice(start, start + block)
-                    children = firsts[rows[part]] + k
+            _, parts = level.popitem()
+            words, folds, stack = (part[0] if len(part) == 1 else np.concatenate(part)
+                                   for part in zip(*parts))
+            del parts
+            sums, width = words.sum(axis=1), stack.shape[-1] // hh
+
+            def windows(l):
+                """The rows l admits, and the starts the first row's word keeps and checks."""
+                child = None if radius is None else radius - int(sums[0]) - l
+                return (int(np.count_nonzero(sums <= cap - l)), starts(child, max_len - length),
+                        d if child is None or all_starts else min(d, child + 1))
+
+            l0, end = 0, min(d, cap - int(sums[0]) + 1)
+            if length > 2:  # a group's rows share a letter sum: one fold for all its words
+                letter, row = np.indices((end, len(words)))
+                numerators = fold_level(tensor, folds, row.ravel(), letter.ravel(), length)
+                numerators = numerators.reshape(end, len(words), d)
+                mixed = numerators if scale is None else quotients(numerators, scale)
+            while l0 < end:
+                admitted, cols, win = shared = windows(l0)
+                per_row = d * cols * hh  # the entries a letter forms per row
+                block = max(d, _LEVEL_ENTRIES * d // per_row)
+                stop = min(end, l0 + max(1, _LEVEL_ENTRIES // (admitted * per_row)))
+                if radius is not None and (nxt is not None or length > 2):
+                    # A product's last bits change with its width: letters
+                    # share their windows so that no word's depends on the budget.
+                    stop = next((l for l in range(l0 + 1, stop) if windows(l) != shared), stop)
+                # Level 1 is the whole Gram array; a kept level's starts are
+                # read from the positions that T_l reaches them from alone.
+                feed = (width if length == 2 or radius is None
+                        else min(width, int(reach[cols, l0:stop].max())))
+                transfer = family._stack[l0:stop, :feed * hh, :cols * hh]
+                ls = np.arange(l0, stop)
+                for start in range(0, admitted, block):
+                    part = slice(start, min(admitted, start + block))
+                    shape = (len(ls), part.stop - start)
+                    u = np.empty(shape + (length,), dtype=words.dtype)
+                    u[..., :-1], u[..., -1] = words[part], ls[:, None]
+                    # The rows of level 1 are its letters k: Q[k, l] at [l - l0, k].
+                    q = (floats[part, l0:stop].swapaxes(0, 1) if length == 2
+                         else mixed[l0:stop, part])
                     with np.errstate(over="ignore", invalid="ignore"):
-                        x = stack[part, :, :feed * hh].reshape(-1, feed * hh) @ transfer
-                        x = x.reshape(-1, d, cols * hh)
-                    if length >= 3:
-                        q = (fold_level(tensor, folds, parents[children], letters[children],
-                                        length) if last else folds[children])
-                        if scale is not None:
-                            q = quotients(q, scale)
-                        with np.errstate(over="ignore", invalid="ignore"):
-                            diff = x[:, :, :win * hh] - (q @ mixed).reshape(-1, d, win * hh)
-                        yield length, words, children, diff.reshape(-1, d, win, h, h)
-                    if not last:
-                        nxt.setdefault(child, []).append((children, x))
+                        x = np.matmul(stack[part, :, :feed * hh].reshape(-1, feed * hh), transfer)
+                        x = x.reshape(shape + (d, cols * hh))
+                        blocks = x[..., :win * hh] if nxt is None else x[..., :win * hh].copy()
+                        # Less the mixture as [i, (l - l0, row), (j, b, c)], one product per i.
+                        blocks -= np.matmul(q.reshape(-1, d), by_position[:, :, :win * hh]).reshape(
+                            (d,) + shape + (win * hh,)).transpose(1, 2, 0, 3)
+                    yield u, blocks.reshape(shape + (d, win, h, h))
+                    if nxt is None:
+                        continue
+                    kept = (tensor.cube[part, l0:stop].swapaxes(0, 1) if length == 2
+                            else numerators[l0:stop, part]).reshape(-1, d)
+                    u, x = u.reshape(-1, length), x.reshape(len(kept), d, -1)
+                    totals = u.sum(axis=1) if radius is not None else np.zeros(len(u), dtype=int)
+                    sums_kept = np.unique(totals).tolist()  # a kept level's words are all within
+                    for total in sums_kept:
+                        within = slice(None) if len(sums_kept) == 1 else totals == total
+                        keep = starts(None if radius is None else radius - total, max_len - length)
+                        nxt.setdefault(total, []).append(
+                            (u[within], kept[within], x[within, :, :keep * hh]))
+                l0 = stop
+
+    letters = np.arange(min(d, cap + 1))
+    # letter sum -> [(reversed words, their folds, X as [u, i, (j, b, c)])]
+    level = {None: [(letters[:, None], None, gram[:len(letters)])]}
+    for length in range(2, max_len):
+        nxt = {}
+        yield (pieces := extended(level, length, nxt))
+        deque(pieces, maxlen=0)  # the next level extends the whole of this one
         level = nxt
+    yield extended(level, max_len, None)
 
 
 def _two_letter_pass(family: KrausFamily, tensor: StructureTensor) -> tuple:
@@ -870,34 +864,38 @@ def _two_letter_pass(family: KrausFamily, tensor: StructureTensor) -> tuple:
     return family._passes[tensor]
 
 
-def _two_letter_chunks(family: KrausFamily, tensor: StructureTensor, slabs=None):
-    """Yields the chunks (l0, D, holds) of ``slabs``, the ``heisenberg_slabs``
-    (formed if None), each reduced first, and keeps on the family when they
-    run out: ``check_hb``'s first worst residual per chunk ((k, l), value, (i,
-    j, k, l)), in (k, l) order, and checked tuples; ``holds``, every chunk so
-    far within EPS_HB (Theorem 5.1's branch); and up to the first that is not,
-    Theorem 5.1's ``_first_worst`` candidates, letter sums and bound: O(d^2)."""
+def _two_letter_chunks(family: KrausFamily, tensor: StructureTensor, pieces=None):
+    """Yields the two-letter pieces of a ``heisenberg_levels`` walk (formed
+    if None) with ``holds``, every piece so far within EPS_HB (Theorem 5.1's
+    branch), each reduced first, and keeps on the family when they run out:
+    ``check_hb``'s first worst residual per piece ((k, l), value, (i, j, k,
+    l)), in (k, l) order, and checked tuples; ``holds``; and up to the first
+    piece that is not, Theorem 5.1's ``_first_worst`` candidates, letter
+    sums and bound: O(d^2)."""
     radius = common_radius(family, tensor)
-    cap = np.inf if radius is None else radius
+    cap = 3 * family.d_size if radius is None else radius  # untruncated, past every k + l + j
     hb, words, sums, checked, holds, bound = [], [], [], 0, True, 0.0
-    for l0, slab in slabs or heisenberg_slabs(family, tensor, radius):
-        letters = np.add.outer(np.arange(l0, l0 + len(slab)), np.arange(slab.shape[1]))  # l + k
-        within = np.add.outer(letters, np.arange(slab.shape[3])) <= cap
-        mask = np.broadcast_to(within[:, :, None], slab.shape[:4])  # [l - l0, k, i, j]
-        entries = _largest_moduli(slab)
-        residuals = np.where(mask, entries, -1.0).swapaxes(0, 1)  # [k, l, i, j]
+    for piece in pieces or next(heisenberg_levels(family, tensor, 2, radius)):
+        u, blocks = piece
+        totals = u.sum(axis=-1)  # the letter sums k + l at [l - l0, row]
+        within = totals[..., None] + np.arange(blocks.shape[3]) <= cap
+        mask = np.broadcast_to(within[:, :, None], blocks.shape[:4])  # [l - l0, row, i, j]
+        entries = _largest_moduli(blocks)
+        residuals = np.where(mask, entries, -1.0).swapaxes(0, 1)  # [row, l - l0, i, j]
         worst, n = worst_residual(residuals)
-        k, l, i, j = (int(x) for x in np.unravel_index(n, residuals.shape))
-        hb.append(((k, l0 + l), worst, (i, j, k, l0 + l)))
+        b, a, i, j = (int(x) for x in np.unravel_index(n, residuals.shape))
+        k, l = u[a, b].tolist()
+        hb.append(((k, l), worst, (i, j, k, l)))
         checked += int(np.count_nonzero(mask))
         holds = holds and worst <= EPS_HB
         if holds:
-            sums.append(letters[letters <= cap])
-            worst, index, bound = _first_worst(slab, mask & (entries != 0), bound)
+            sums.append(totals[totals <= cap])
+            worst, index, bound = _first_worst(blocks, mask & (entries != 0), bound)
             if index is not None:
-                l, k, i, j = index
-                words.append(((2, l0 + l, k, i, j), worst, ((l0 + l, k), i, j)))
-        yield l0, slab, holds
+                a, b, i, j = index
+                k, l = u[a, b].tolist()
+                words.append(((2, l, k, i, j), worst, ((l, k), i, j)))
+        yield piece, holds
     hb.sort()  # into (k, l, i, j) order; each (k, l) occurs once
     family._passes[tensor] = hb, checked, holds, words, sums, bound
 
@@ -954,10 +952,10 @@ def check_hb(
     radius (j + k + l past it) are skipped and counted.
 
     In the Heisenberg picture this reads Phi_l^*(Phi_k^*(E_i)) == sum_m
-    Q[k,l,m] Phi_m^*(E_i): the residual of a tuple is the largest entry
-    modulus of its block of a ``heisenberg_slabs`` chunk, each chunk's
-    worst kept by the ``_two_letter_pass`` that ``verify_theorem_5_1``
-    reads too; only ``tol`` is applied here.
+    Q[k,l,m] Phi_m^*(E_i), level 2 of the ``heisenberg_levels`` walk: the
+    residual of a tuple is the largest entry modulus of its block of a
+    two-letter piece, each piece's worst kept by the ``_two_letter_pass``
+    that ``verify_theorem_5_1`` reads too; only ``tol`` is applied here.
     """
     hb, checked = _two_letter_pass(family, tensor)[:2]
     return scan_report("block-decomposition", [value for _, value, _ in hb], lambda n: hb[n][2],

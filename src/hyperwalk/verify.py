@@ -45,7 +45,6 @@ from .oqrw import (
     block_state,
     common_radius,
     heisenberg_levels,
-    heisenberg_slabs,
     hermitian_coordinates,
     kraus_family,
     produced_tensor,
@@ -261,7 +260,8 @@ def verify_theorem_5_1(
 
     The branch follows the block-decomposition identity, by ``check_hb``'s
     rule on the two-letter blocks, read with their norms off the family's
-    ``_two_letter_pass``.  If it holds, every word of up to ``max_word_len``
+    ``_two_letter_pass``, which one walk forms (if none is kept) and extends.
+    If it holds, every word of up to ``max_word_len``
     letters and every (i, j) with j + sum(w) within the common radius is
     checked (the other starts are skipped and counted): the residual is the
     largest block norm, within ``tol``, an exact worst case over all states
@@ -269,7 +269,8 @@ def verify_theorem_5_1(
     word length, word, i, j.  If the identity fails, the scan instead looks
     for the guaranteed witness: a basis state (position m, spanning density)
     and a two-letter word whose distributions differ by at least
-    ``min_gap``, the first by (m, density), then word.
+    ``min_gap``, the first by (m, density), then word: untruncated, a first
+    piece that fails, holding every start, goes on into it with its walk.
 
     ``n_states`` (at least 1) and ``seed`` are accepted for compatibility
     and no longer affect the result.  A bool or non-integral
@@ -281,12 +282,12 @@ def verify_theorem_5_1(
         raise ValueError("max_word_len and n_states must be at least 1")
     d = family.d_size
     radius = common_radius(family, tensor)
+    levels = heisenberg_levels(family, tensor, max(2, max_word_len), radius)
+    two = next(levels)  # the two-letter pieces, read here only to form the pass
     if tensor not in family._passes:
-        slabs = heisenberg_slabs(family, tensor, radius)
-        for l0, slab, holds in _two_letter_chunks(family, tensor, slabs):
-            if not holds and radius is None and l0 == 0:  # untruncated: every start
-                return _converse_witness(family, tensor, min_gap,
-                                         itertools.chain([(l0, slab)], slabs))
+        for n, (piece, holds) in enumerate(_two_letter_chunks(family, tensor, two)):
+            if not holds and radius is None and n == 0:  # untruncated: every start
+                return _converse_witness(family, tensor, min_gap, itertools.chain([piece], two))
     _, _, holds, two_letter, sums, bound = _two_letter_pass(family, tensor)
     if not holds:
         return _converse_witness(family, tensor, min_gap)
@@ -306,20 +307,17 @@ def verify_theorem_5_1(
         count(np.concatenate(sums))
         candidates += two_letter
 
-    level = None
-    for length, words, rows, blocks in heisenberg_levels(family, tensor, max_word_len, radius):
-        if words is not level:
-            level = words
-            rank = np.lexsort(words.T).argsort()  # the words' order in the walk's order
-        count(np.full(len(rows), int(words[rows[0]].sum())))
-        order = np.argsort(rank[rows])
-        blocks = blocks[order]
-        worst, index, bound = _first_worst(blocks, blocks.any(axis=(-2, -1)), bound)
-        if index is not None:
-            row, i, j = index
-            word = int(rows[order[row]])
-            candidates.append(((length, int(rank[word]), i, j), worst,
-                               (tuple(words[word, ::-1].tolist()), i, j)))
+    for pieces in levels:  # three letters and more, a piece's words at its windows
+        for u, blocks in pieces:
+            u, blocks = u.reshape(-1, u.shape[-1]), blocks.reshape((-1,) + blocks.shape[2:])
+            count(u.sum(axis=1))
+            order = np.lexsort(u.T)  # the walk's order: by its first letter, u's last
+            blocks = blocks[order]
+            worst, index, bound = _first_worst(blocks, blocks.any(axis=(-2, -1)), bound)
+            if index is not None:
+                row, i, j = index
+                word = tuple(u[order[row], ::-1].tolist())
+                candidates.append(((len(word), word, i, j), worst, (word, i, j)))
 
     candidates.sort(key=lambda candidate: candidate[0])
     return scan_report(
@@ -329,27 +327,26 @@ def verify_theorem_5_1(
 
 
 def _converse_witness(family: KrausFamily, tensor: StructureTensor, min_gap: float,
-                      chunks=None) -> Report:
+                      pieces=None) -> Report:
     """The first start E_m (x) sigma_s, sigma_s of ``spanning_states``, and
     two-letter word w with letter sum within the tensor's radius whose walk
     and mixture differ by at least ``min_gap``: max_i |tr(D_{w,i,m} sigma_s)|,
-    in (m, s) order, then word order.  ``chunks`` are the tensor's
-    all-starts ``heisenberg_slabs``, if already begun."""
+    in (m, s) order, then word order.  ``pieces`` are the rest of the
+    two-letter pieces of an all-starts ``heisenberg_levels`` walk already
+    begun, if any."""
     d, h = family.d_size, family.h_dim
     radius = tensor.truncation_radius
+    cap = 2 * d if radius is None else radius  # no letter sum passes it untruncated
     spanning = spanning_states(h)
     # tr(D sigma) is the dot product of the coordinates of D and sigma.
     densities = hermitian_coordinates([rho for _, rho in spanning]).reshape(len(spanning), -1).T
     words, gaps = [], []
-    for l0, slab in chunks or heisenberg_slabs(family, tensor, radius, all_starts=True):
-        letters, top = slab.shape[:2]
+    for u, blocks in pieces or next(heisenberg_levels(family, tensor, 2, radius, all_starts=True)):
+        inside = u.sum(axis=-1) <= cap
         with np.errstate(invalid="ignore"):
-            traces = (slab.reshape(-1, h * h) @ densities).reshape(letters, top, d, d, -1)
-        kept = [(l, k) for l in range(l0, l0 + letters) for k in range(top)
-                if radius is None or l + k <= radius]
-        ls, ks = np.array(kept).T
-        gaps.append(np.abs(traces[ls - l0, ks]).max(axis=1))  # [word, m, s]
-        words += kept
+            traces = (blocks.reshape(-1, h * h) @ densities).reshape(inside.shape + (d, d, -1))
+        gaps.append(np.abs(traces[inside]).max(axis=1))  # [word, m, s]
+        words += [tuple(w) for w in u[inside, ::-1].tolist()]
     gaps = np.concatenate(gaps).transpose(1, 2, 0)  # [m, s, word]
     hits = np.flatnonzero(gaps >= min_gap)  # a NaN gap is no witness
     if hits.size:

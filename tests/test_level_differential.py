@@ -9,6 +9,8 @@ in ``tests/reference/level_loops.py``.
   condition-(S) graph of the graph corpus, on windowed graphs (z-window,
   free-ball), on budgeted tries, past 2**53 into Python ints, and on the
   large-denominator tensors of the associativity tests.
+- Folds of tensors with a large negative numerator equal plain
+  ``Fraction`` folds: the exact tier bounds numerators of either sign.
 - A fold that leaves a truncated tensor's stored rows refuses with the same
   ``TruncationExceededError`` (j, k) as the per-letter loop.
 - Shrinking the block budget to one letter, or to blocks that do not divide
@@ -16,6 +18,7 @@ in ``tests/reference/level_loops.py``.
 """
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -149,6 +152,34 @@ def test_large_denominator_folds_match_per_letter_loop(seed, primes):
         assert_same_folds(tensor, levels)
     folds = list(fold_levels(tensor, levels))
     assert folds[-1][0].dtype == object
+
+
+def _fraction_fold(tensor, word):
+    """The fold of ``word`` in plain Fractions, one letter at a time."""
+    q = [[[Fraction(int(v), tensor.denominator) for v in row] for row in plane]
+         for plane in tensor.cube.tolist()]
+    fold = [Fraction(int(m == word[0])) for m in range(tensor.size)]
+    for k in word[1:]:
+        fold = [sum(fold[j] * q[j][k][m] for j in range(tensor.size)) for m in range(tensor.size)]
+    return fold
+
+
+def test_negative_numerator_folds_match_fractions():
+    # The exact tier is chosen from the largest absolute row sum: a row sum
+    # bounds the folds only while every numerator is nonnegative, and one
+    # entry of -2**40 among numerators below 2**20 makes the folds of four
+    # letters pass 2**53 in modulus while the signed row sums stay small.
+    rng = np.random.default_rng(5)
+    for _ in range(50):
+        cube = rng.integers(0, 2**20, size=(3, 3, 3))
+        cube[tuple(rng.integers(0, 3, size=3))] = -2**40
+        tensor = hypergroups.exact_tensor(cube, 2**25)
+        for word in ((1, 2, 1, 2), (2, 2, 2, 2), (0, 1, 2, 1)):
+            assert hypergroups.multi_constants(tensor, word) == _fraction_fold(tensor, word)
+        levels = list(prefix_trie(range(3), 4, None))
+        for (words, _, _), (folds, scale) in zip(levels, fold_levels(tensor, levels)):
+            for word, fold in zip(words.tolist(), folds.tolist()):
+                assert [Fraction(int(v), scale) for v in fold] == _fraction_fold(tensor, word)
 
 
 def _refusal(call):

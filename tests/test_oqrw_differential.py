@@ -18,9 +18,11 @@ test-side loop over the point starts instead, since the loops' sampled
 states leave the certified window.
 """
 
+import collections
 import copy
 import functools
 import gc
+import itertools
 import pickle
 import warnings
 
@@ -545,9 +547,9 @@ def test_theorem_5_1_truncated_matches_point_starts(name, max_len):
     assert_theorem_5_1_matches_point_starts(name, max_len)
 
 
-# Slab entry budgets that give each first letter of heisenberg_slabs a chunk
-# of its own, and all of them one chunk.
-SLAB_BUDGETS = {"one letter per chunk": 1, "one chunk": 2**62}
+# Level entry budgets that give each letter of heisenberg_levels a piece of
+# its own, and every letter of a group one piece.
+LEVEL_BUDGETS = {"one letter per piece": 1, "one piece": 2**62}
 
 
 def chunked_reports(family, tensor):
@@ -571,47 +573,63 @@ def compared(reports):
 
 
 def fresh(family):
-    """A family equal to ``family`` with nothing cached: a check on it forms
-    its slabs anew instead of reading a kept ``_two_letter_pass``."""
+    """A family equal to ``family`` with nothing cached: a check on it walks
+    the levels anew instead of reading a kept ``_two_letter_pass``."""
     return hw.KrausFamily(array=family.array, truncation_radius=family.truncation_radius)
 
 
-def spied_slabs(monkeypatch):
-    """Record, at every call of ``heisenberg_slabs`` from the library, the
-    slab entry budget then set and whether it was for all starts."""
+def spied_walks(monkeypatch):
+    """Record every ``heisenberg_levels`` walk the library starts: the level
+    entry budget then set, its longest words, whether it is for all starts,
+    and a Counter of the pieces read from each of its levels, by length."""
     calls = []
-    slabs = oqrw.heisenberg_slabs
+    walk = oqrw.heisenberg_levels
 
-    def spy(family, tensor, radius, all_starts=False):
-        calls.append((oqrw._SLAB_ENTRIES, all_starts))
-        return slabs(family, tensor, radius, all_starts)
+    def spy(family, tensor, max_len, radius, all_starts=False):
+        read = collections.Counter()
+        calls.append((oqrw._LEVEL_ENTRIES, max_len, all_starts, read))
 
-    monkeypatch.setattr(oqrw, "heisenberg_slabs", spy)
-    monkeypatch.setattr(verify, "heisenberg_slabs", spy)
+        def counted(pieces, length):
+            for piece in pieces:
+                read[length] += 1
+                yield piece
+
+        for length, pieces in enumerate(walk(family, tensor, max_len, radius, all_starts), start=2):
+            yield counted(pieces, length)
+
+    monkeypatch.setattr(oqrw, "heisenberg_levels", spy)
+    monkeypatch.setattr(verify, "heisenberg_levels", spy)
     return calls
 
 
-@pytest.mark.parametrize("slab_budget", SLAB_BUDGETS)
+def two_letter_passes(calls):
+    """The walks whose two-letter pieces were read for a pass: all but the
+    converse scan's all-starts walks."""
+    return sum(1 for _, _, all_starts, read in calls if read[2] and not all_starts)
+
+
+@pytest.mark.parametrize("level_budget", LEVEL_BUDGETS)
 @pytest.mark.parametrize("name", CASES)
-def test_slab_chunks_give_the_same_reports(name, slab_budget, monkeypatch):
+def test_level_pieces_give_the_same_reports(name, level_budget, monkeypatch):
     family, tensor, _, _, _ = case(name)
     expected = chunked_reports(fresh(family), tensor)
-    entries = SLAB_BUDGETS[slab_budget]
-    monkeypatch.setattr(oqrw, "_SLAB_ENTRIES", entries)
-    calls = spied_slabs(monkeypatch)
+    entries = LEVEL_BUDGETS[level_budget]
+    monkeypatch.setattr(oqrw, "_LEVEL_ENTRIES", entries)
+    calls = spied_walks(monkeypatch)
     family = fresh(family)
     assert chunked_reports(family, tensor) == expected
     assert_check_hb_matches_loops(name, family)
     for max_len in (2, 3):
         assert_theorem_5_1_matches_loops(name, max_len, family)
-    assert (entries, False) in calls and {budget for budget, _ in calls} == {entries}
+    assert (entries, 2, False) in [call[:3] for call in calls]
+    assert {budget for budget, _, _, _ in calls} == {entries}
 
 
 @functools.lru_cache(maxsize=None)
 def _non_finite_cases():
-    """d = 6, h = 2 inputs whose slabs hold NaN: a block of letter 3 of a
-    dense family, and constants of the rows (1, 3) and (2, 1) of a group's
-    tensor, which come first in (k, l) and in (l, k) order."""
+    """d = 6, h = 2 inputs whose two-letter observables hold NaN: a block of
+    letter 3 of a dense family, and constants of the rows (1, 3) and (2, 1)
+    of a group's tensor, which come first in (k, l) and in (l, k) order."""
     family, tensor, _, _, _ = case("random d6 h2")
     array = family.array.copy()
     array[1, 2, 3] = np.nan  # B[1,2;3]
@@ -628,17 +646,18 @@ def _non_finite_cases():
 def test_first_non_finite_witness_is_the_per_letter_one(name, monkeypatch):
     family, tensor = _non_finite_cases()[name]
     d = family.d_size
-    # Letter 3 is inside a chunk of five letters and inside the one chunk.
-    budgets = {"default": oqrw._SLAB_ENTRIES, "five letters per chunk": 5 * d**3 * 4,
-               **SLAB_BUDGETS}
+    # Letter 3 is inside a piece of five letters and inside the one piece.
+    budgets = {"default": oqrw._LEVEL_ENTRIES, "five letters per piece": 5 * d**3 * 4,
+               **LEVEL_BUDGETS}
     reports = {}
-    calls = spied_slabs(monkeypatch)
-    for slab_budget, entries in budgets.items():
-        monkeypatch.setattr(oqrw, "_SLAB_ENTRIES", entries)
-        reports[slab_budget] = chunked_reports(fresh(family), tensor)
-        assert (entries, False) in calls and {budget for budget, _ in calls} == {entries}
+    calls = spied_walks(monkeypatch)
+    for level_budget, entries in budgets.items():
+        monkeypatch.setattr(oqrw, "_LEVEL_ENTRIES", entries)
+        reports[level_budget] = chunked_reports(fresh(family), tensor)
+        assert (entries, 2, False) in [call[:3] for call in calls]
+        assert {budget for budget, _, _, _ in calls} == {entries}
         calls.clear()
-    assert all(r == reports["one letter per chunk"] for r in reports.values())
+    assert all(r == reports["one letter per piece"] for r in reports.values())
     report = hw.check_hb(family, tensor)
     assert not report.passed and np.isnan(report.max_residual)
     # The loop formula's first non-finite tuple in (k, l, i, j) order.
@@ -651,44 +670,86 @@ def test_first_non_finite_witness_is_the_per_letter_one(name, monkeypatch):
 @pytest.mark.parametrize("name", ["z-lattice(10) h3", "s3 h2 radius 3", "c4 h2", "random d4 h2"])
 def test_one_two_letter_pass_per_family_and_tensor(name, monkeypatch):
     """check_hb, Theorem 5.1 at two and three letters and check_hb at
-    another tolerance form the two-letter slabs once; an equal but distinct
-    tensor gets a pass of its own, which goes with the tensor.  Only the
-    converse branch (the random family) forms its all-starts slabs."""
+    another tolerance read the two-letter pieces of one walk; an equal but
+    distinct tensor gets a pass of its own, which goes with the tensor.
+    Only the converse branch (the random family) reads an all-starts walk."""
     family, tensor, _, _, _ = case(name)
     family = fresh(family)
-    calls = spied_slabs(monkeypatch)
+    calls = spied_walks(monkeypatch)
     first = hw.check_hb(family, tensor)
     t51 = [hw.verify_theorem_5_1(family, tensor, max_word_len=n) for n in (2, 3)]
     loose = hw.check_hb(family, tensor, tol=1e-3)
-    assert [all_starts for _, all_starts in calls].count(False) == 1
+    assert two_letter_passes(calls) == 1
+    assert any(all_starts for _, _, all_starts, _ in calls) == (not first.passed)
     assert (first.max_residual, first.witness, first.checked) == (
         loose.max_residual, loose.witness, loose.checked)
     assert (loose.passed, loose.tolerance) == (first.max_residual <= 1e-3, 1e-3)
     assert all(("holds" in r.note) == first.passed for r in t51)
     equal = hw.StructureTensor(tensor.cube, tensor.denominator, tensor.truncation_radius)
     assert repr(hw.check_hb(family, equal)) == repr(first)
-    assert [all_starts for _, all_starts in calls].count(False) == 2
+    assert two_letter_passes(calls) == 2
     assert len(family._passes) == 2
     del equal
     gc.collect()
     assert len(family._passes) == 1 and tensor in family._passes
 
 
+@pytest.mark.parametrize("max_len", (2, 3))
 @pytest.mark.parametrize("name", ["ex44", "c4-perturbed h2", "random d6 h2"])
-def test_theorem_5_1_alone_goes_on_from_its_first_failing_chunk(name, monkeypatch):
-    """Untruncated, the first chunk holds every start: Theorem 5.1 run alone
-    on an identity that fails there continues it into the converse scan
-    instead of forming all-starts slabs, and keeps no pass, which check_hb
-    then forms on its own."""
+def test_theorem_5_1_alone_goes_on_from_its_first_failing_piece(name, max_len, monkeypatch):
+    """Untruncated, the first piece holds every start: Theorem 5.1 run alone
+    on an identity that fails there continues its walk into the converse
+    scan instead of starting an all-starts walk, reads no longer word, and
+    keeps no pass, which check_hb then forms on its own."""
     family, tensor, _, _, _ = case(name)
     expected = chunked_reports(fresh(family), tensor)
     family = fresh(family)
-    calls = spied_slabs(monkeypatch)
-    t51 = hw.verify_theorem_5_1(family, tensor, max_word_len=2)
-    assert calls == [(oqrw._SLAB_ENTRIES, False)] and tensor not in family._passes
+    calls = spied_walks(monkeypatch)
+    t51 = hw.verify_theorem_5_1(family, tensor, max_word_len=max_len)
+    assert [call[:3] for call in calls] == [(oqrw._LEVEL_ENTRIES, max_len, False)]
+    assert set(calls[0][3]) == {2} and tensor not in family._passes
     hb = hw.check_hb(family, tensor)
-    assert calls == [(oqrw._SLAB_ENTRIES, False)] * 2 and tensor in family._passes
+    assert [call[:3] for call in calls[1:]] == [(oqrw._LEVEL_ENTRIES, 2, False)]
+    assert tensor in family._passes
     assert compared([hb, t51]) == expected[:2]
+
+
+def counted_products(family):
+    """A fresh copy of ``family`` whose superoperator stack records, for each
+    product it is the right operand of, the observables times the letters
+    they are extended by: one per word formed; and that list."""
+    products = []
+    d = family.d_size
+
+    class CountedStack(np.ndarray):
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            left, right = inputs[0], inputs[-1]
+            if ufunc is np.matmul and isinstance(right, CountedStack):
+                products.append(left.shape[-2] // d * (right.shape[0] if right.ndim == 3 else 1))
+            inputs = [x.view(np.ndarray) if isinstance(x, CountedStack) else x for x in inputs]
+            return getattr(ufunc, method)(*inputs, **kwargs)
+
+    counted = fresh(family)
+    counted.__dict__["_stack"] = family._stack.view(CountedStack)
+    return counted, products
+
+
+@pytest.mark.parametrize("name", ["z-lattice(10) h3", "ex45 h3", "s3 h2 radius 3", "c4 h2"])
+def test_theorem_5_1_forms_each_word_once(name, monkeypatch):
+    """With one letter per piece, Theorem 5.1 at three letters on a fresh
+    family forms the observables of each word of two and three letters
+    once: the pass it keeps and the longer words share one walk.  check_hb
+    then forms none."""
+    family, tensor, _, _, _ = case(name)
+    monkeypatch.setattr(oqrw, "_LEVEL_ENTRIES", 1)
+    family, products = counted_products(family)
+    d, cap = family.d_size, budget(family, tensor)
+    words = sum(1 for n in (2, 3) for word in itertools.product(range(d), repeat=n)
+                if cap is None or sum(word) <= cap)
+    assert hw.verify_theorem_5_1(family, tensor, max_word_len=3).passed
+    assert sum(products) == words and tensor in family._passes
+    products.clear()
+    assert hw.check_hb(family, tensor).passed and not products
 
 
 @pytest.mark.parametrize("name", ["z-lattice(10) h3", "s3 h2 radius 3", "random d4 h2"])
