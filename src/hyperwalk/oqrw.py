@@ -753,13 +753,13 @@ def heisenberg_levels(family: KrausFamily, tensor: StructureTensor, max_len: int
     folds of two letters are the cube rows Q[k, l], longer ones come from
     ``fold_level``.  Memory stays O(d^3 h^2 + d^2 h^4) plus the kept level.
 
-    Yields, per length from 2, an iterator over the level's pieces (u, D):
-    the (L, n, length) reversed words, row b extended by the letter l0 + a
-    at [a, b], and D = X - M as an (L, n, d, win, h, h) array of
-    coordinates at the starts j < win (all d when ``radius`` is None, or
-    with ``all_starts``).  Each word within the radius is in one piece.  The
-    next level extends the whole of this one, the pieces not read included.
-    Non-finite entries as in ``KrausFamily._gram``.
+    Yields, per length from 2, an iterator over the level's pieces (rows,
+    letters, D): the n reversed words extended, the L letters, and D = X -
+    M as an (L, n, d, win, h, h) array of coordinates, D[a, b] for u =
+    rows[b] + (letters[a],), at the starts j < win (all d when ``radius``
+    is None, or with ``all_starts``); non-finite entries as in
+    ``KrausFamily._gram``.  Each word within the radius is in one piece.
+    The next level extends the whole of this one, the pieces not read too.
     """
     if family.d_size != tensor.size:
         raise ValueError(f"size mismatch: family {family.d_size}, tensor {tensor.size}")
@@ -784,22 +784,22 @@ def heisenberg_levels(family: KrausFamily, tensor: StructureTensor, max_len: int
         scale = tensor.denominator ** (length - 1) if tensor.is_exact else None
         while level:
             _, parts = level.popitem()
-            words, folds, stack = (part[0] if len(part) == 1 else np.concatenate(part)
-                                   for part in zip(*parts))
+            words, sums, folds, stack = (part[0] if len(part) == 1 else np.concatenate(part)
+                                         for part in zip(*parts))
             del parts
-            sums, width = words.sum(axis=1), stack.shape[-1] // hh
+            first, width = int(sums[0]), stack.shape[-1] // hh
 
             def windows(l):
                 """The rows l admits, and the starts the first row's word keeps and checks."""
-                child = None if radius is None else radius - int(sums[0]) - l
-                return (int(np.count_nonzero(sums <= cap - l)), starts(child, max_len - length),
+                child = None if radius is None else radius - first - l
+                return (int(sums.searchsorted(cap - l, side="right")),
+                        starts(child, max_len - length),
                         d if child is None or all_starts else min(d, child + 1))
 
-            l0, end = 0, min(d, cap - int(sums[0]) + 1)
+            l0, end = 0, min(d, cap - first + 1)
             if length > 2:  # a group's rows share a letter sum: one fold for all its words
-                letter, row = np.indices((end, len(words)))
-                numerators = fold_level(tensor, folds, row.ravel(), letter.ravel(), length)
-                numerators = numerators.reshape(end, len(words), d)
+                letter, row = np.indices((end, len(words))).reshape(2, -1)
+                numerators = fold_level(tensor, folds, row, letter, length).reshape(end, -1, d)
                 mixed = numerators if scale is None else quotients(numerators, scale)
             while l0 < end:
                 admitted, cols, win = shared = windows(l0)
@@ -807,11 +807,9 @@ def heisenberg_levels(family: KrausFamily, tensor: StructureTensor, max_len: int
                 block = max(d, _LEVEL_ENTRIES * d // per_row)
                 stop = min(end, l0 + max(1, _LEVEL_ENTRIES // (admitted * per_row)))
                 if radius is not None and (nxt is not None or length > 2):
-                    # A product's last bits change with its width: letters
-                    # share their windows so that no word's depends on the budget.
+                    # Bits change with a product's width: a piece's letters share its windows.
                     stop = next((l for l in range(l0 + 1, stop) if windows(l) != shared), stop)
-                # Level 1 is the whole Gram array; a kept level's starts are
-                # read from the positions that T_l reaches them from alone.
+                # Past level 1, rows are read only where T_l reaches the kept starts from.
                 feed = (width if length == 2 or radius is None
                         else min(width, int(reach[cols, l0:stop].max())))
                 transfer = family._stack[l0:stop, :feed * hh, :cols * hh]
@@ -819,8 +817,6 @@ def heisenberg_levels(family: KrausFamily, tensor: StructureTensor, max_len: int
                 for start in range(0, admitted, block):
                     part = slice(start, min(admitted, start + block))
                     shape = (len(ls), part.stop - start)
-                    u = np.empty(shape + (length,), dtype=words.dtype)
-                    u[..., :-1], u[..., -1] = words[part], ls[:, None]
                     # The rows of level 1 are its letters k: Q[k, l] at [l - l0, k].
                     q = (floats[part, l0:stop].swapaxes(0, 1) if length == 2
                          else mixed[l0:stop, part])
@@ -831,24 +827,26 @@ def heisenberg_levels(family: KrausFamily, tensor: StructureTensor, max_len: int
                         # Less the mixture as [i, (l - l0, row), (j, b, c)], one product per i.
                         blocks -= np.matmul(q.reshape(-1, d), by_position[:, :, :win * hh]).reshape(
                             (d,) + shape + (win * hh,)).transpose(1, 2, 0, 3)
-                    yield u, blocks.reshape(shape + (d, win, h, h))
+                    yield words[part], ls, blocks.reshape(shape + (d, win, h, h))
                     if nxt is None:
                         continue
-                    kept = (tensor.cube[part, l0:stop].swapaxes(0, 1) if length == 2
-                            else numerators[l0:stop, part]).reshape(-1, d)
-                    u, x = u.reshape(-1, length), x.reshape(len(kept), d, -1)
+                    u = np.column_stack([np.tile(words[part], (len(ls), 1)), ls.repeat(shape[1])])
+                    folded = (tensor.cube[part, l0:stop].swapaxes(0, 1) if length == 2
+                              else numerators[l0:stop, part]).reshape(-1, d)
+                    x = x.reshape(len(u), d, -1)
+                    # Untruncated, a level is one group: every start is kept and checked.
                     totals = u.sum(axis=1) if radius is not None else np.zeros(len(u), dtype=int)
                     sums_kept = np.unique(totals).tolist()  # a kept level's words are all within
                     for total in sums_kept:
                         within = slice(None) if len(sums_kept) == 1 else totals == total
                         keep = starts(None if radius is None else radius - total, max_len - length)
                         nxt.setdefault(total, []).append(
-                            (u[within], kept[within], x[within, :, :keep * hh]))
+                            (u[within], totals[within], folded[within], x[within, :, :keep * hh]))
                 l0 = stop
 
     letters = np.arange(min(d, cap + 1))
-    # letter sum -> [(reversed words, their folds, X as [u, i, (j, b, c)])]
-    level = {None: [(letters[:, None], None, gram[:len(letters)])]}
+    # sum -> [(words u, ascending letter sums or 0s, folds, X as [u, i, (j, b, c)])]
+    level = {None: [(letters[:, None], letters, None, gram[:len(letters)])]}
     for length in range(2, max_len):
         nxt = {}
         yield (pieces := extended(level, length, nxt))
@@ -876,15 +874,15 @@ def _two_letter_chunks(family: KrausFamily, tensor: StructureTensor, pieces=None
     cap = 3 * family.d_size if radius is None else radius  # untruncated, past every k + l + j
     hb, words, sums, checked, holds, bound = [], [], [], 0, True, 0.0
     for piece in pieces or next(heisenberg_levels(family, tensor, 2, radius)):
-        u, blocks = piece
-        totals = u.sum(axis=-1)  # the letter sums k + l at [l - l0, row]
+        rows, letters, blocks = piece
+        totals = np.add.outer(letters, rows[:, 0])  # the letter sums k + l at [l - l0, row]
         within = totals[..., None] + np.arange(blocks.shape[3]) <= cap
         mask = np.broadcast_to(within[:, :, None], blocks.shape[:4])  # [l - l0, row, i, j]
         entries = _largest_moduli(blocks)
         residuals = np.where(mask, entries, -1.0).swapaxes(0, 1)  # [row, l - l0, i, j]
         worst, n = worst_residual(residuals)
         b, a, i, j = (int(x) for x in np.unravel_index(n, residuals.shape))
-        k, l = u[a, b].tolist()
+        k, l = int(rows[b, 0]), int(letters[a])
         hb.append(((k, l), worst, (i, j, k, l)))
         checked += int(np.count_nonzero(mask))
         holds = holds and worst <= EPS_HB
@@ -893,7 +891,7 @@ def _two_letter_chunks(family: KrausFamily, tensor: StructureTensor, pieces=None
             worst, index, bound = _first_worst(blocks, mask & (entries != 0), bound)
             if index is not None:
                 a, b, i, j = index
-                k, l = u[a, b].tolist()
+                k, l = int(rows[b, 0]), int(letters[a])
                 words.append(((2, l, k, i, j), worst, ((l, k), i, j)))
         yield piece, holds
     hb.sort()  # into (k, l, i, j) order; each (k, l) occurs once

@@ -283,8 +283,8 @@ def verify_theorem_5_1(
     d = family.d_size
     radius = common_radius(family, tensor)
     levels = heisenberg_levels(family, tensor, max(2, max_word_len), radius)
-    two = next(levels)  # the two-letter pieces, read here only to form the pass
-    if tensor not in family._passes:
+    two = next(levels) if tensor not in family._passes or max_word_len > 2 else None
+    if tensor not in family._passes:  # the two-letter pieces form the pass
         for n, (piece, holds) in enumerate(_two_letter_chunks(family, tensor, two)):
             if not holds and radius is None and n == 0:  # untruncated: every start
                 return _converse_witness(family, tensor, min_gap, itertools.chain([piece], two))
@@ -307,9 +307,10 @@ def verify_theorem_5_1(
         count(np.concatenate(sums))
         candidates += two_letter
 
-    for pieces in levels:  # three letters and more, a piece's words at its windows
-        for u, blocks in pieces:
-            u, blocks = u.reshape(-1, u.shape[-1]), blocks.reshape((-1,) + blocks.shape[2:])
+    for pieces in levels if max_word_len > 2 else ():  # from 3 letters: no word past its window
+        for rows, letters, blocks in pieces:
+            u = np.column_stack([np.tile(rows, (len(letters), 1)), letters.repeat(len(rows))])
+            blocks = blocks.reshape((-1,) + blocks.shape[2:])
             count(u.sum(axis=1))
             order = np.lexsort(u.T)  # the walk's order: by its first letter, u's last
             blocks = blocks[order]
@@ -341,12 +342,14 @@ def _converse_witness(family: KrausFamily, tensor: StructureTensor, min_gap: flo
     # tr(D sigma) is the dot product of the coordinates of D and sigma.
     densities = hermitian_coordinates([rho for _, rho in spanning]).reshape(len(spanning), -1).T
     words, gaps = [], []
-    for u, blocks in pieces or next(heisenberg_levels(family, tensor, 2, radius, all_starts=True)):
-        inside = u.sum(axis=-1) <= cap
+    for rows, letters, blocks in pieces or next(
+            heisenberg_levels(family, tensor, 2, radius, all_starts=True)):
+        inside = np.add.outer(letters, rows[:, 0]) <= cap  # [l - l0, row]
         with np.errstate(invalid="ignore"):
             traces = (blocks.reshape(-1, h * h) @ densities).reshape(inside.shape + (d, d, -1))
         gaps.append(np.abs(traces[inside]).max(axis=1))  # [word, m, s]
-        words += [tuple(w) for w in u[inside, ::-1].tolist()]
+        a, b = np.nonzero(inside)
+        words += zip(letters[a].tolist(), rows[b, 0].tolist())  # (l, k), in word order
     gaps = np.concatenate(gaps).transpose(1, 2, 0)  # [m, s, word]
     hits = np.flatnonzero(gaps >= min_gap)  # a NaN gap is no witness
     if hits.size:
