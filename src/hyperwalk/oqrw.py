@@ -357,59 +357,48 @@ class BlockState(_PositionArray):
         return coords
 
 
-# Entries of the states checked at a time: a walk level can hold many
-# states, and a check forms a few temporaries the size of what it checks.
+# Entries of the states a walk holds for one ``_certified`` call.
 _CHECK_ENTRIES = 2**12
+
+
+def _certified(coords: np.ndarray) -> bool:
+    """Whether every state of an (S, d, h, h) stack of coordinates passes
+    ``_check_states`` as the exactly Hermitian blocks they stand for
+    (``hermitian_blocks``), from that scan's own numbers reduced over the
+    stack: the total traces (sums of the diagonal coordinates), the
+    Gershgorin rows (twice the diagonal coordinate less the row's
+    ``entry_moduli``), and ``eigvalsh`` on the rebuilt blocks those leave
+    uncertain.  A non-finite coordinate makes a row NaN or -inf (a valid
+    state's coordinates are at most 1), which never passes."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = np.trace(coords, axis1=-2, axis2=-1).sum(axis=-1)
+        if not np.abs(total - 1.0).max() <= EPS_PROB:
+            return False
+        rows = 2 * np.diagonal(coords, axis1=-2, axis2=-1) - entry_moduli(coords).sum(axis=-1)
+    least = rows.min(axis=-1)
+    lowest = least.min()
+    if lowest >= 0:
+        return True
+    if not lowest > -np.inf:  # NaN or -inf: eigvalsh never sees a non-finite block
+        return False
+    return np.linalg.eigvalsh(hermitian_blocks(coords[least < 0]))[..., 0].min() >= -EPS_PSD
 
 
 def _check_states(stack: np.ndarray) -> None:
     """Raise ValueError for the first invalid state (in C order) of a
-    (..., d, h, h) stack, naming its first bad block, else its trace.
+    (..., d, h, h) stack of complex blocks, naming its first bad block,
+    else its trace: the check of record, which words every refusal.
 
-    The stack is checked ``_CHECK_ENTRIES`` entries at a time, each chunk
-    first by ``_certified`` in a few passes over the whole chunk, and block
-    by block only when that cannot pass it."""
-    flat = stack.reshape((-1,) + stack.shape[-3:])
-    chunk = max(1, _CHECK_ENTRIES // flat[0].size) if len(flat) else 1
-    for start in range(0, len(flat), chunk):
-        _check_flat_states(flat[start:start + chunk])
-
-
-def _certified(flat: np.ndarray) -> bool:
-    """Whether every state of an (S, d, h, h) stack passes, from the
-    quantities the scan of ``_check_flat_states`` computes, reduced over the
-    whole stack: the largest Hermitian gap (NaN or inf anywhere makes it
-    NaN or inf, so finiteness needs no pass of its own), the total traces,
-    the Gershgorin row bounds, and ``eigvalsh`` on the blocks those bounds
-    leave uncertain.  True only where the scan would pass."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        adjoint = flat.conj().swapaxes(-1, -2)
-        if not np.abs(flat - adjoint).max() <= EPS_PSD:
-            return False
-        total = np.trace(flat, axis1=-2, axis2=-1).real.sum(axis=-1)
-        if not np.abs(total - 1.0).max() <= EPS_PROB:
-            return False
-        symmetric = (flat + adjoint) / 2
-        rows = 2 * np.diagonal(symmetric, axis1=-2, axis2=-1).real - np.abs(symmetric).sum(axis=-1)
-    if rows.min() >= 0:
-        return True
-    uncertain = ~(rows.min(axis=-1) >= 0)
-    return np.linalg.eigvalsh(symmetric[uncertain])[..., 0].min() >= -EPS_PSD
-
-
-def _check_flat_states(flat: np.ndarray) -> None:
-    """``_check_states`` on an (S, d, h, h) stack.
-
-    A stack that ``_certified`` passes is done; otherwise the scan below
-    finds the first failing state and words its refusal, per block.  A
-    block's least eigenvalue is taken with ``eigvalsh`` only where the
+    A block's least eigenvalue is taken with ``eigvalsh`` only where the
     Gershgorin bound (per row, the diagonal entry less the other entries'
     moduli) cannot certify it as nonnegative.  Blocks are certified only at
     a bound >= 0: a certified block has a nonnegative diagonal, so in a
     state that passes its entries are at most the total trace 1, and the
-    round-off in its bound is far below EPS_PSD."""
-    if _certified(flat):
-        return
+    round-off in its bound is far below EPS_PSD.  Walked states are
+    certified in coordinates first (``_certified``); this scan runs on
+    blocks that enter as complex values, and on walked stacks that the
+    certificate cannot pass."""
+    flat = stack.reshape((-1,) + stack.shape[-3:])
     finite = np.isfinite(flat).all(axis=(-2, -1))
     # Non-finite blocks are refused by name below, not by these sums.
     with np.errstate(invalid="ignore"):
@@ -551,11 +540,12 @@ def _checked_walk(family: KrausFamily, state: BlockState, word: Word = (),
 
 def step(family: KrausFamily, k: int, state: BlockState) -> BlockState:
     """One application of the distance-k map: rho'_i = sum_j B rho_j B^*."""
-    _checked_walk(family, state)
-    k = _vertex_index(k, "distance")
-    if not (0 <= k < family.d_size):
-        raise IndexError(f"distance {k} out of range")
-    return block_state(hermitian_blocks(_apply_reached(family, k, state._coordinates)))
+    (k,) = _checked_walk(family, state, (k,))
+    coords = _apply_reached(family, k, state._coordinates)
+    blocks = hermitian_blocks(coords)
+    if not _certified(coords[None]):
+        _check_states(blocks)
+    return block_state(blocks, validate=False)
 
 
 def distribution(state: BlockState) -> np.ndarray:
@@ -573,8 +563,8 @@ def walk_distribution(family: KrausFamily, word: Word, state0: BlockState) -> np
     batch that is not certified runs again, checking the state after every
     letter (``_apply_reached``), so a walk refuses the first invalid state it
     reaches as a walk checked letter by letter does.  The walk steps state
-    coordinates (``BlockState._coordinates``); the checks read them as
-    complex blocks, converted one batch at a time.
+    coordinates (``BlockState._coordinates``) and certifies them as they
+    are; only that rerun reads them as complex blocks, to word its refusal.
 
     On a truncated family the state's support must stay within the radius
     less the word's letter sum (see ``_checked_walk``)."""
@@ -587,7 +577,7 @@ def walk_distribution(family: KrausFamily, word: Word, state0: BlockState) -> np
         with np.errstate(over="ignore", invalid="ignore"):
             for n, k in enumerate(letters):
                 held[n] = stack = _apply(family, k, stack)
-        if not _certified(hermitian_blocks(held[:len(letters)])):
+        if not _certified(held[:len(letters)]):
             for k in letters:
                 before = _apply_reached(family, k, before)
                 _check_states(hermitian_blocks(before))
@@ -615,11 +605,12 @@ def produced_tensor(family: KrausFamily, state0: BlockState) -> StructureTensor:
     letters = d if radius is None else min(d, radius + 1)
     rho = state0._coordinates
     firsts = (family._stack[:letters] @ rho.ravel()).reshape((letters,) + rho.shape)
-    try:
-        _check_states(hermitian_blocks(firsts))
-    except ValueError:
-        _check_states(np.array([_complex_map(family, l, state0.array) for l in range(letters)]))
-        raise
+    if not _certified(firsts):
+        try:
+            _check_states(hermitian_blocks(firsts))
+        except ValueError:
+            _check_states(np.array([_complex_map(family, l, state0.array) for l in range(letters)]))
+            raise
     masses = one_step_distributions(family, firsts)  # [l, k, m]
     if radius is not None:
         masses[np.add.outer(np.arange(letters), np.arange(d)) > radius] = 0.0

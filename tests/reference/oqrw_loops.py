@@ -8,11 +8,12 @@ sequential map, ``from_family``/``from_state`` convert the library's
 dense objects into the sparse ones used here, and ``VerificationReport`` is
 a local copy of the report class the library has since replaced.
 
-``check_states``, ``realize_array`` and ``walk_per_letter`` at the end
-are frozen copies of later library code, the eigvalsh-only state check, the
-per-block ``realize`` and the dense walk that checks the state after every
-letter, kept as the oracles of their batched replacements.  Do not optimise
-this file.
+``check_states``, ``realize_array``, ``walk_per_letter`` and ``certified``
+at the end are frozen copies of later library code, the eigvalsh-only state
+check, the per-block ``realize``, the dense walk that checks the state after
+every letter and the certificate of complex state stacks, kept as the
+oracles of their batched or coordinate replacements.  Do not optimise this
+file.
 """
 
 from __future__ import annotations
@@ -563,3 +564,32 @@ def walk_per_letter(family, word: Word, state0) -> np.ndarray:
         stack = _apply_reached(family, k, stack)
         _check_states(hermitian_blocks(stack))
     return np.trace(stack, axis1=-2, axis2=-1)
+
+
+def gershgorin_rows(flat: np.ndarray) -> np.ndarray:
+    """The Gershgorin row bounds ``certified`` reads: per row of each block's
+    Hermitian part, twice the real diagonal entry less the row's moduli."""
+    symmetric = (flat + flat.conj().swapaxes(-1, -2)) / 2
+    return 2 * np.diagonal(symmetric, axis1=-2, axis2=-1).real - np.abs(symmetric).sum(axis=-1)
+
+
+def certified(flat: np.ndarray) -> bool:
+    """Whether every state of an (S, d, h, h) stack of complex blocks passes
+    ``check_states``, from the quantities its scan computes, reduced over
+    the whole stack: the largest Hermitian gap (NaN or inf anywhere makes it
+    NaN or inf, so finiteness needs no pass of its own), the total traces,
+    the Gershgorin row bounds, and ``eigvalsh`` on the blocks those bounds
+    leave uncertain.  True only where the scan would pass."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        adjoint = flat.conj().swapaxes(-1, -2)
+        if not np.abs(flat - adjoint).max() <= EPS_PSD:
+            return False
+        total = np.trace(flat, axis1=-2, axis2=-1).real.sum(axis=-1)
+        if not np.abs(total - 1.0).max() <= EPS_PROB:
+            return False
+        symmetric = (flat + adjoint) / 2
+        rows = 2 * np.diagonal(symmetric, axis1=-2, axis2=-1).real - np.abs(symmetric).sum(axis=-1)
+    if rows.min() >= 0:
+        return True
+    uncertain = ~(rows.min(axis=-1) >= 0)
+    return np.linalg.eigvalsh(symmetric[uncertain])[..., 0].min() >= -EPS_PSD

@@ -219,6 +219,25 @@ def test_cli_walk_json(tmp_path, capsys):
     assert "probability" in table and "0.500000" in table
 
 
+@pytest.mark.parametrize("block, refusal", [
+    ([[0.5, 0.1], [0.0, 0.5]], "block 0 is not Hermitian"),
+    ([[1.5, 0.0], [0.0, -0.5]], "block 0 has negative eigenvalue -0.5"),
+])
+def test_cli_walk_refuses_an_invalid_state_document(tmp_path, capsys, block, refusal):
+    kraus_file = tmp_path / "ex44.json"
+    state_file = tmp_path / "s.json"
+    assert run_cli("gen", "ex44", "--out", str(kraus_file)) == 0
+    zero = [[0.0, 0.0], [0.0, 0.0]]
+    state_file.write_text(json.dumps({
+        "kind": "state", "version": "1", "h_dim": 2,
+        "blocks": [[[[x, 0.0] for x in row] for row in b] for b in (block, zero, zero)],
+    }))
+    capsys.readouterr()
+    assert run_cli("walk", "--kraus", str(kraus_file), "--state", str(state_file),
+                   "--word", "1") == 2
+    assert capsys.readouterr().err == f"error: invalid state: {refusal}\n"
+
+
 def test_cli_produce_and_verify(tmp_path, capsys):
     lo2 = tmp_path / "lo2.json"
     ex56 = tmp_path / "ex56.json"

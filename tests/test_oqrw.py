@@ -154,6 +154,8 @@ def test_walks_reject_out_of_range_letters(c4):
     for fn in (walk_distribution, lambda f, w, s: mixture_distribution(f, c4.tensor, w, s)):
         with pytest.raises(ValueError, match="letter 5 out of range"):
             fn(fam, (1, 5), state)
+    with pytest.raises(ValueError, match="^letter 5 out of range for size 3$"):
+        step(fam, 5, state)
 
 
 @pytest.mark.parametrize("letter", [True, False, 1.0, np.float64(1), np.bool_(True), "1"])

@@ -936,6 +936,13 @@ def _rotated(eigenvalues, seed):
     return (u * np.asarray(eigenvalues, dtype=float)) @ u.conj().T
 
 
+def _ulps(x, n):
+    """x moved n ulps (toward +inf for n > 0)."""
+    for _ in range(abs(n)):
+        x = np.nextafter(x, np.inf if n > 0 else -np.inf)
+    return x
+
+
 @functools.lru_cache(maxsize=None)
 def _state_stacks():
     """Named (S, d, h, h) stacks, each holding valid and invalid states."""
@@ -982,7 +989,16 @@ def _state_stacks():
         stack[1] *= 1 + 2 * ref.EPS_PROB
         stack[3, 0] = -stack[3, 0]
         out[f"h{h} trace before block"] = stack
-    # Enough states that the check runs in several chunks.
+    # A least eigenvalue one ulp below -EPS_PSD in a rotated eigenbasis,
+    # where the block's Hermitian projection rebuilt from its coordinates
+    # reads above -EPS_PSD: a block that enters as complex values is
+    # checked as it is given.
+    stack = _states(2, 4, 5, seed=2)
+    stack[2, 1] = _rotated([_ulps(-eps, -1), 1 / 8], seed=18)
+    stack[2, [0, 2, 3]] *= (1 - np.trace(stack[2, 1]).real) / np.trace(
+        stack[2, [0, 2, 3]], axis1=-2, axis2=-1).real.sum()
+    out["h2 rotated eigenvalue an ulp below -EPS_PSD"] = stack
+    # Many states in one stack, failing late.
     many = _states(3, 13, 300, seed=9)
     many[250, 7] = np.diag([-1e-9, 0.0, 0.0])
     many[250] /= np.trace(many[250], axis1=-2, axis2=-1).real.sum()
@@ -1000,6 +1016,18 @@ def test_state_checks_match_eigvalsh_oracle(name):
         assert _verdict(oqrw._check_states, state) == _verdict(ref.check_states, state)
 
 
+def test_entering_blocks_are_refused_as_given():
+    """``block_state`` refuses the rotated block whose least eigenvalue
+    sits an ulp below -EPS_PSD, as the oracle does, though the coordinate
+    certificate passes the projection rebuilt from its coordinates."""
+    state = _state_stacks()["h2 rotated eigenvalue an ulp below -EPS_PSD"][2]
+    refusal = _verdict(ref.check_states, state)
+    assert refusal.startswith("block 1 has negative eigenvalue -1.000000")
+    assert oqrw._certified(oqrw.hermitian_coordinates(state)[None])
+    with pytest.raises(ValueError, match=f"^{refusal}$"):
+        hw.block_state(state)
+
+
 def _verdict(check, stack):
     """None for a pass, else the refusal's message.  The oracle's eigvalsh
     can fail to converge on a NaN block before the block is named, where
@@ -1013,13 +1041,6 @@ def _verdict(check, stack):
     except ValueError as exc:
         return str(exc)
     return None
-
-
-def _ulps(x, n):
-    """x moved n ulps (toward +inf for n > 0)."""
-    for _ in range(abs(n)):
-        x = np.nextafter(x, np.inf if n > 0 else -np.inf)
-    return x
 
 
 @st.composite
@@ -1062,17 +1083,18 @@ def _edge_stacks(draw):
 
 @given(_edge_stacks())
 def test_certified_state_checks_match_eigvalsh_oracle(stack):
-    """On stacks pushed to the edges of every check, ``_check_states`` (the
-    certificate, then the scan where it cannot pass) refuses exactly as the
-    frozen eigvalsh-only check does, and the certificate passes a stack
-    only where that check passes it."""
+    """On stacks pushed to the edges of every check, ``_check_states``
+    refuses exactly as the frozen eigvalsh-only check does, and the
+    coordinate certificate passes a stack's coordinates only where that
+    check passes the blocks they stand for."""
     with np.errstate(invalid="ignore", over="ignore"):
         expected = _verdict(ref.check_states, stack)
         singles = [_verdict(ref.check_states, state) for state in stack]
     assert _verdict(oqrw._check_states, stack) == expected
     assert [_verdict(oqrw._check_states, state) for state in stack] == singles
-    if oqrw._certified(stack):
-        assert expected is None
+    coords = oqrw.hermitian_coordinates(stack)
+    if oqrw._certified(coords):
+        assert _verdict(ref.check_states, oqrw.hermitian_blocks(coords)) is None
 
 
 def _refusing_walks():
@@ -1141,6 +1163,83 @@ def test_refused_walks_match_the_per_letter_loop(family, state, word):
     expected = _outcome(lambda: ref.walk_per_letter(family, word, state))
     assert isinstance(expected, tuple)
     assert _outcome(lambda: hw.walk_distribution(family, word, state)) == expected
+
+
+def _certificates(monkeypatch):
+    """The (coordinates, verdict) of every ``oqrw._certified`` call, recorded
+    in call order with a copy of the stack."""
+    calls, certified = [], oqrw._certified
+
+    def recorded(coords):
+        verdict = certified(coords)
+        calls.append((coords.copy(), verdict))
+        return verdict
+
+    monkeypatch.setattr(oqrw, "_certified", recorded)
+    return calls
+
+
+def assert_certificates_match_frozen(calls):
+    """Each verdict is the frozen complex certificate's on the blocks the
+    coordinates stand for, from bit-identical Gershgorin rows wherever both
+    are finite."""
+    assert calls
+    for coords, verdict in calls:
+        blocks = oqrw.hermitian_blocks(coords)
+        assert verdict == ref.certified(blocks)
+        with np.errstate(over="ignore", invalid="ignore"):
+            rows = 2 * np.diagonal(coords, axis1=-2, axis2=-1) - oqrw.entry_moduli(coords).sum(-1)
+            old = ref.gershgorin_rows(blocks)
+        both = np.isfinite(rows) & np.isfinite(old)
+        assert np.array_equal(rows[both].view(np.int64), old[both].view(np.int64))
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_certificates_match_the_frozen_complex_certificate(name, monkeypatch):
+    """On every held batch of the corpus walks, every stepped state and
+    ``produced_tensor``'s one-letter states, the certificate in coordinates
+    gives the frozen complex certificate's verdict."""
+    family, tensor, state, _, _ = case(name)
+    starts = [state]
+    if budget(family, tensor) is None:
+        starts.append(hw.random_block_state(family.h_dim, family.d_size, seed=3))
+    calls = _certificates(monkeypatch)
+    hw.produced_tensor(family, state)
+    for start in starts:
+        for k in range(family.d_size):
+            hw.step(family, k, start)
+        for word in sample_words(family, tensor):
+            hw.walk_distribution(family, word, start)
+    assert_certificates_match_frozen(calls)
+
+
+@pytest.mark.parametrize("family, state, word", _refusing_walks())
+def test_refused_walk_certificates_match_the_frozen_complex_certificate(
+        family, state, word, monkeypatch):
+    calls = _certificates(monkeypatch)
+    with np.errstate(all="ignore"), pytest.raises(ValueError):
+        hw.walk_distribution(family, word, state)
+    assert_certificates_match_frozen(calls)
+    assert not calls[-1][1]
+
+
+def test_non_finite_rows_are_never_certified():
+    """Walked coordinates can be non-finite off the diagonal alone, with
+    finite traces and NaN or -inf Gershgorin rows: the certificate passes
+    no such stack, and does not fail on it.  A walk whose last letter
+    writes NaN to the coordinate (0, 1) at every position refuses it by
+    name."""
+    for seed in range(4):
+        coords = oqrw.hermitian_coordinates(_states(3, 4, 2, seed))
+        for value in (np.nan, np.inf, -np.inf):
+            bad = coords.copy()
+            bad[1, 2, 0, 1] = value
+            assert not oqrw._certified(bad)
+    family, state = hw.realize(presets.c4_hypergroup(), h_dim=3)
+    stack = family._stack.copy()
+    stack[1, 1::9] = np.nan  # the rows of the coordinate (0, 1), at each of 3 positions
+    with pytest.raises(ValueError, match="^block 0 has non-finite entries$"):
+        hw.walk_distribution(_with_stack(family, stack), (0, 1), state)
 
 
 def test_walks_refuse_only_the_non_finite_values_they_reach():
