@@ -27,7 +27,6 @@ from .graphs import (
     complete_graph,
     cycle_graph,
     free_ball_graph,
-    generate_graph,
     hypercube_graph,
     line_window_graph,
     path_graph,

@@ -93,6 +93,13 @@ def _count(doc: dict, field: str) -> int:
     return value
 
 
+def _indices(values, what: str, where) -> tuple[int, ...]:
+    """Indices read from ``where``: integers, not bools, floats or strings."""
+    if not all(isinstance(x, int) and not isinstance(x, bool) for x in values):
+        raise FormatError(f"bad {what} indices in {where!r}")
+    return tuple(values)
+
+
 def _list(doc: dict, field: str) -> list:
     value = _require(doc, field)
     if not isinstance(value, list):
@@ -232,10 +239,8 @@ def tensor_and_involution(text: str) -> tuple[StructureTensor, tuple[int, ...] |
     for entry in _list(doc, "entries"):
         if not isinstance(entry, (list, tuple)) or len(entry) != 4:
             raise FormatError(f"bad entry {entry!r}")
-        i, j, k, raw = entry
-        if not all(isinstance(x, int) for x in (i, j, k)):
-            raise FormatError(f"bad entry indices in {entry!r}")
-        entries.append((i, j, k, decode_value(raw)))
+        i, j, k = _indices(entry[:3], "entry", entry)
+        entries.append((i, j, k, decode_value(entry[3])))
     tensor = structure_tensor(size, entries, truncation_radius=doc.get("truncation_radius"))
     return tensor, _involution(doc)
 
@@ -320,10 +325,7 @@ def parse_kraus(text: str) -> KrausFamily:
     for block in _list(doc, "blocks"):
         if not isinstance(block, dict):
             raise FormatError(f"bad block {block!r}")
-        try:
-            key = (int(block["i"]), int(block["j"]), int(block["k"]))
-        except (KeyError, TypeError, ValueError):
-            raise FormatError(f"bad block indices in {block!r}") from None
+        key = _indices([block.get(c) for c in "ijk"], "block", block)
         if key in blocks:
             raise FormatError(f"duplicate block {key}")
         blocks[key] = _decode_matrix(block.get("matrix"), f"block {key}")

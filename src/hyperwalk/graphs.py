@@ -675,21 +675,3 @@ def free_ball_graph(n_generators: int, radius: int) -> PointedGraph:
     labels = ["e" if not w else w for w in words]
     return pointed_graph(labels, edges, base=0, window_radius=radius)
 
-
-_GENERATORS = {
-    "cycle": cycle_graph,
-    "complete": complete_graph,
-    "hypercube": hypercube_graph,
-    "path": path_graph,
-    "line_window": line_window_graph,
-    "free_ball": free_ball_graph,
-}
-
-
-def generate_graph(name: str, *args, **kwargs) -> PointedGraph:
-    """Dispatch to a named generator: cycle(n), complete(n), hypercube(d),
-    path(n), line_window(radius), free_ball(n_generators, radius)."""
-    key = name.replace("-", "_")
-    if key not in _GENERATORS:
-        raise ValueError(f"unknown graph family {name!r}")
-    return _GENERATORS[key](*args, **kwargs)

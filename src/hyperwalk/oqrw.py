@@ -846,26 +846,21 @@ def heisenberg_levels(family: KrausFamily, tensor: StructureTensor, max_len: int
     yield extended(level, max_len, None)
 
 
-def _two_letter_pass(family: KrausFamily, tensor: StructureTensor) -> tuple:
-    """The (hb, checked, holds, words, sums, bound) ``_two_letter_chunks`` keeps."""
-    if tensor not in family._passes:
-        deque(_two_letter_chunks(family, tensor), maxlen=0)
-    return family._passes[tensor]
-
-
-def _two_letter_chunks(family: KrausFamily, tensor: StructureTensor, pieces=None):
-    """Yields the two-letter pieces of a ``heisenberg_levels`` walk (formed
-    if None) with ``holds``, every piece so far within EPS_HB (Theorem 5.1's
-    branch), each reduced first, and keeps on the family when they run out:
+def _two_letter_pass(family: KrausFamily, tensor: StructureTensor, pieces=None) -> tuple:
+    """The pass of the family against the tensor, kept on the family: the
+    two-letter pieces of a ``heisenberg_levels`` walk (``pieces``, formed if
+    None; left unread if a pass is kept), each reduced in turn.  It holds
     ``check_hb``'s first worst residual per piece ((k, l), value, (i, j, k,
-    l)), in (k, l) order, and checked tuples; ``holds``; and up to the first
-    piece that is not, Theorem 5.1's ``_first_worst`` candidates, letter
-    sums and bound: O(d^2)."""
+    l)), in (k, l) order, and checked tuples; ``holds``, every piece within
+    EPS_HB (Theorem 5.1's branch); and up to the first piece that is not,
+    Theorem 5.1's ``_first_worst`` candidates, letter sums and bound:
+    O(d^2)."""
+    if tensor in family._passes:
+        return family._passes[tensor]
     radius = common_radius(family, tensor)
     cap = 3 * family.d_size if radius is None else radius  # untruncated, past every k + l + j
     hb, words, sums, checked, holds, bound = [], [], [], 0, True, 0.0
-    for piece in pieces or next(heisenberg_levels(family, tensor, 2, radius)):
-        rows, letters, blocks = piece
+    for rows, letters, blocks in pieces or next(heisenberg_levels(family, tensor, 2, radius)):
         totals = np.add.outer(letters, rows[:, 0])  # the letter sums k + l at [l - l0, row]
         within = totals[..., None] + np.arange(blocks.shape[3]) <= cap
         mask = np.broadcast_to(within[:, :, None], blocks.shape[:4])  # [l - l0, row, i, j]
@@ -884,9 +879,9 @@ def _two_letter_chunks(family: KrausFamily, tensor: StructureTensor, pieces=None
                 a, b, i, j = index
                 k, l = int(rows[b, 0]), int(letters[a])
                 words.append(((2, l, k, i, j), worst, ((l, k), i, j)))
-        yield piece, holds
     hb.sort()  # into (k, l, i, j) order; each (k, l) occurs once
-    family._passes[tensor] = hb, checked, holds, words, sums, bound
+    family._passes[tensor] = kept = hb, checked, holds, words, sums, bound
+    return kept
 
 
 def _first_worst(blocks: np.ndarray, nonzero: np.ndarray, bound: float):

@@ -40,7 +40,6 @@ from .oqrw import (
     BlockState,
     KrausFamily,
     _first_worst,
-    _two_letter_chunks,
     _two_letter_pass,
     block_state,
     common_radius,
@@ -269,8 +268,8 @@ def verify_theorem_5_1(
     word length, word, i, j.  If the identity fails, the scan instead looks
     for the guaranteed witness: a basis state (position m, spanning density)
     and a two-letter word whose distributions differ by at least
-    ``min_gap``, the first by (m, density), then word: untruncated, a first
-    piece that fails, holding every start, goes on into it with its walk.
+    ``min_gap``, the first by (m, density), then word, read off an
+    all-starts two-letter walk of its own.  The pass is kept either way.
 
     ``n_states`` (at least 1) and ``seed`` are accepted for compatibility
     and no longer affect the result.  A bool or non-integral
@@ -283,12 +282,9 @@ def verify_theorem_5_1(
     d = family.d_size
     radius = common_radius(family, tensor)
     levels = heisenberg_levels(family, tensor, max(2, max_word_len), radius)
+    # The walk's two-letter pieces form the pass if none is kept; longer words extend them.
     two = next(levels) if tensor not in family._passes or max_word_len > 2 else None
-    if tensor not in family._passes:  # the two-letter pieces form the pass
-        for n, (piece, holds) in enumerate(_two_letter_chunks(family, tensor, two)):
-            if not holds and radius is None and n == 0:  # untruncated: every start
-                return _converse_witness(family, tensor, min_gap, itertools.chain([piece], two))
-    _, _, holds, two_letter, sums, bound = _two_letter_pass(family, tensor)
+    _, _, holds, two_letter, sums, bound = _two_letter_pass(family, tensor, two)
     if not holds:
         return _converse_witness(family, tensor, min_gap)
     cases = [0, 0]  # (word, i, j) checked and skipped
@@ -327,14 +323,12 @@ def verify_theorem_5_1(
     )
 
 
-def _converse_witness(family: KrausFamily, tensor: StructureTensor, min_gap: float,
-                      pieces=None) -> Report:
+def _converse_witness(family: KrausFamily, tensor: StructureTensor, min_gap: float) -> Report:
     """The first start E_m (x) sigma_s, sigma_s of ``spanning_states``, and
     two-letter word w with letter sum within the tensor's radius whose walk
     and mixture differ by at least ``min_gap``: max_i |tr(D_{w,i,m} sigma_s)|,
-    in (m, s) order, then word order.  ``pieces`` are the rest of the
-    two-letter pieces of an all-starts ``heisenberg_levels`` walk already
-    begun, if any."""
+    in (m, s) order, then word order, read off a two-letter
+    ``heisenberg_levels`` walk of its own at every start."""
     d, h = family.d_size, family.h_dim
     radius = tensor.truncation_radius
     cap = 2 * d if radius is None else radius  # no letter sum passes it untruncated
@@ -342,7 +336,7 @@ def _converse_witness(family: KrausFamily, tensor: StructureTensor, min_gap: flo
     # tr(D sigma) is the dot product of the coordinates of D and sigma.
     densities = hermitian_coordinates([rho for _, rho in spanning]).reshape(len(spanning), -1).T
     words, gaps = [], []
-    for rows, letters, blocks in pieces or next(
+    for rows, letters, blocks in next(
             heisenberg_levels(family, tensor, 2, radius, all_starts=True)):
         inside = np.add.outer(letters, rows[:, 0]) <= cap  # [l - l0, row]
         with np.errstate(invalid="ignore"):

@@ -519,6 +519,34 @@ def test_cli_tensor_size_must_be_an_integer(tmp_path, capsys):
     assert "size must be an integer >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", [True, 1.0, 1.9, "1", None])
+@pytest.mark.parametrize("name, command", [
+    ("ex56", ["verify-hb", "--tensor", "{z2}", "--kraus"]),
+    ("z2", ["validate", "--tensor"]),
+])
+def test_cli_refuses_indices_that_are_not_integers(tmp_path, capsys, value, name, command):
+    # A block index used to be read with int(), so true, 1.0, 1.9 and "1"
+    # each read as 1, and an entry's indices admitted true as 1.
+    z2, doc_path = tmp_path / "z2.json", tmp_path / "doc.json"
+    assert run_cli("gen", "z2", "--out", str(z2)) == 0
+    assert run_cli("gen", name, "--out", str(doc_path)) == 0
+    doc = json.loads(doc_path.read_text())
+    if name == "ex56":
+        block = next(block for block in doc["blocks"] if block["i"] == 1)
+        block["i"], parse, message = value, formats.parse_kraus, "bad block indices"
+    else:
+        entry = next(entry for entry in doc["entries"] if entry[0] == 1)
+        entry[0], parse, message = value, formats.parse_tensor, "bad entry indices"
+    with pytest.raises(FormatError, match=message):
+        parse(json.dumps(doc))
+    doc_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run_cli(*[part.format(z2=z2) for part in command], str(doc_path)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(f"error: {message} in ")
+    assert captured.err.count("\n") == 1
+
+
 def test_cli_refuses_empty_verifications(tmp_path, capsys):
     c4 = tmp_path / "c4.json"
     c4h = tmp_path / "c4h.json"

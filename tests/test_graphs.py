@@ -15,7 +15,6 @@ from hyperwalk import (
     complete_graph,
     cycle_graph,
     free_ball_graph,
-    generate_graph,
     hypercube_graph,
     line_window_graph,
     multi_constants,
@@ -249,16 +248,14 @@ def test_transition_family_refuses_truncated(zlattice8):
         transition_family(zlattice8.tensor)
 
 
-def test_generate_graph_dispatch():
-    assert generate_graph("cycle", 4).n_vertices == 4
-    assert generate_graph("free_ball", 2, 2).n_vertices == 17
-    assert generate_graph("line_window", radius=3).window_radius == 3
+def test_generators_and_their_degenerate_sizes():
+    assert cycle_graph(4).n_vertices == 4
+    assert free_ball_graph(2, 2).n_vertices == 17
+    assert line_window_graph(radius=3).window_radius == 3
     with pytest.raises(ValueError):
-        generate_graph("cycle", 2)
+        cycle_graph(2)
     with pytest.raises(ValueError):
-        generate_graph("moebius", 5)
-    with pytest.raises(ValueError):
-        generate_graph("complete", 1)
+        complete_graph(1)
 
 
 def test_base_point_independence_on_distance_regular():

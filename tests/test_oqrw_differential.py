@@ -696,21 +696,20 @@ def test_one_two_letter_pass_per_family_and_tensor(name, monkeypatch):
 
 @pytest.mark.parametrize("max_len", (2, 3))
 @pytest.mark.parametrize("name", ["ex44", "c4-perturbed h2", "random d6 h2"])
-def test_theorem_5_1_alone_goes_on_from_its_first_failing_piece(name, max_len, monkeypatch):
-    """Untruncated, the first piece holds every start: Theorem 5.1 run alone
-    on an identity that fails there continues its walk into the converse
-    scan instead of starting an all-starts walk, reads no longer word, and
-    keeps no pass, which check_hb then forms on its own."""
+def test_theorem_5_1_alone_keeps_its_pass_and_scans_its_own_walk(name, max_len, monkeypatch):
+    """Theorem 5.1 run alone on an identity that fails reads only the
+    two-letter pieces of its walk, keeps the pass they form and starts an
+    all-starts walk for the converse scan; check_hb then starts no walk."""
     family, tensor, _, _, _ = case(name)
     expected = chunked_reports(fresh(family), tensor)
     family = fresh(family)
     calls = spied_walks(monkeypatch)
     t51 = hw.verify_theorem_5_1(family, tensor, max_word_len=max_len)
-    assert [call[:3] for call in calls] == [(oqrw._LEVEL_ENTRIES, max_len, False)]
-    assert set(calls[0][3]) == {2} and tensor not in family._passes
+    assert [call[:3] for call in calls] == [(oqrw._LEVEL_ENTRIES, max_len, False),
+                                            (oqrw._LEVEL_ENTRIES, 2, True)]
+    assert [set(call[3]) for call in calls] == [{2}, {2}] and tensor in family._passes
     hb = hw.check_hb(family, tensor)
-    assert [call[:3] for call in calls[1:]] == [(oqrw._LEVEL_ENTRIES, 2, False)]
-    assert tensor in family._passes
+    assert len(calls) == 2
     assert compared([hb, t51]) == expected[:2]
 
 
