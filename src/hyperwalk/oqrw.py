@@ -506,9 +506,18 @@ def _complex_map(family: KrausFamily, k: int, blocks: np.ndarray) -> np.ndarray:
 def one_step_distributions(family: KrausFamily, stack: np.ndarray) -> np.ndarray:
     """Mass at i after the m-map, at [..., m, i], for a (..., d, h, h) stack
     of state coordinates: sum_j tr(B[i,j;m]^* B[i,j;m] rho_j), the dot
-    products of the coordinates, one product with a view of the Gram array."""
+    products of the coordinates, one product with a view of the Gram array.
+    A mass that is not finite is formed again, as ``_apply_reached`` forms
+    a state, from the occupied positions only (0 * inf is unread)."""
     d, flat = family.d_size, stack.reshape(stack.shape[:-3] + (-1,))
-    masses = flat @ family._gram.reshape(d * d, -1).T
+    with np.errstate(over="ignore", invalid="ignore"):
+        masses = flat @ family._gram.reshape(d * d, -1).T
+    if not np.isfinite(masses).all():
+        rows, states = masses.reshape(-1, d * d), stack.reshape((-1,) + stack.shape[-3:])
+        for n in np.flatnonzero(~np.isfinite(rows).all(axis=1)).tolist():
+            bad, occupied = ~np.isfinite(rows[n]), states[n].any(axis=(-2, -1))  # NaN counts
+            gram = family._gram[:, :, occupied].reshape(d * d, -1)
+            rows[n, bad] = (gram @ states[n, occupied].ravel())[bad]
     return masses.reshape(stack.shape[:-3] + (d, d))
 
 
@@ -592,20 +601,24 @@ def produced_tensor(family: KrausFamily, state0: BlockState) -> StructureTensor:
     then the k-map to the initial state, ``one_step_distributions`` of the
     checked states Phi_l(rho0).  A truncated family produces the rows with
     k + l within its radius, from a start certified for the largest such sum.
+    A one-letter state or a mass that is not finite is formed again from
+    the positions the start or the state occupies (``_apply_reached``,
+    ``one_step_distributions``), so that an overflowing block at an empty
+    position does not count (0 * inf); a mass still not finite is refused.
     A refused one-letter state is refused as the complex maps form it from
     the start (``_complex_map``), so the numbers in the refusal are those of
-    a two-step walk in complex entries.  A mass that is not finite is taken
-    again over the positions its state occupies, so that an overflowing
-    Gram block at an empty position does not count (0 * inf); one still not
-    finite is refused.
+    a two-step walk in complex entries.
     """
     d, radius = family.d_size, family.truncation_radius
     longest = 2 * (d - 1) if radius is None else min(radius, 2 * (d - 1))
     _checked_walk(family, state0, (min(longest, d - 1), max(0, longest - d + 1)), radius)
     letters = d if radius is None else min(d, radius + 1)
     rho = state0._coordinates
-    firsts = (family._stack[:letters] @ rho.ravel()).reshape((letters,) + rho.shape)
+    with np.errstate(over="ignore", invalid="ignore"):
+        firsts = (family._stack[:letters] @ rho.ravel()).reshape((letters,) + rho.shape)
     if not _certified(firsts):
+        for l in np.flatnonzero(~np.isfinite(firsts).all(axis=(1, 2, 3))).tolist():
+            firsts[l] = _apply_reached(family, l, rho)  # not finite: formed as a walk forms it
         try:
             _check_states(hermitian_blocks(firsts))
         except ValueError:
@@ -614,15 +627,9 @@ def produced_tensor(family: KrausFamily, state0: BlockState) -> StructureTensor:
     masses = one_step_distributions(family, firsts)  # [l, k, m]
     if radius is not None:
         masses[np.add.outer(np.arange(letters), np.arange(d)) > radius] = 0.0
-    bad = ~np.isfinite(masses)
-    if bad.any():
-        for l in np.flatnonzero(bad.any(axis=(1, 2))).tolist():
-            occupied = firsts[l].any(axis=(-2, -1))
-            gram = family._gram[:, :, occupied].reshape(d * d, -1)
-            masses[l][bad[l]] = (gram @ firsts[l, occupied].ravel()).reshape(d, d)[bad[l]]
-        if not np.isfinite(masses).all():
-            l, k, m = np.argwhere(~np.isfinite(masses))[0].tolist()
-            raise ValueError(f"mass at {m} after the word ({l}, {k}) is not finite")
+    if not np.isfinite(masses).all():
+        l, k, m = np.argwhere(~np.isfinite(masses))[0].tolist()
+        raise ValueError(f"mass at {m} after the word ({l}, {k}) is not finite")
     # Word (l, k) applies the l-map first: its distribution is the row Q[k, l].
     cube = np.zeros((d,) * 3)
     cube[:, :letters] = np.where(masses > 1e-14, masses, 0.0).swapaxes(0, 1)
@@ -724,7 +731,7 @@ def _kept_starts(reach: np.ndarray, max_len: int) -> np.ndarray:
 
 
 def heisenberg_levels(family: KrausFamily, tensor: StructureTensor, max_len: int,
-                      radius: int | None, all_starts: bool = False):
+                      radius: int | None):
     """The walk-minus-mixture observables of the words of 2 to ``max_len``
     letters with letter sum within ``radius``, one level at a time.
 
@@ -748,8 +755,8 @@ def heisenberg_levels(family: KrausFamily, tensor: StructureTensor, max_len: int
     letters, D): the n reversed words extended, the L letters, and D = X -
     M as an (L, n, d, win, h, h) array of coordinates, D[a, b] for u =
     rows[b] + (letters[a],), at the starts j < win (all d when ``radius``
-    is None, or with ``all_starts``); non-finite entries as in
-    ``KrausFamily._gram``.  Each word within the radius is in one piece.
+    is None); non-finite entries as in ``KrausFamily._gram``.  Each word
+    within the radius is in one piece, whose starts cover its window.
     The next level extends the whole of this one, the pieces not read too.
     """
     if family.d_size != tensor.size:
@@ -766,7 +773,7 @@ def heisenberg_levels(family: KrausFamily, tensor: StructureTensor, max_len: int
 
     def starts(budget, r):
         """The starts kept for a word with ``budget`` left and r letters to come."""
-        if budget is None or all_starts:
+        if budget is None:
             return d
         return min(d, budget + 1) if r == 0 else int(kept[r, min(budget, d - 1)])
 
@@ -784,8 +791,7 @@ def heisenberg_levels(family: KrausFamily, tensor: StructureTensor, max_len: int
                 """The rows l admits, and the starts the first row's word keeps and checks."""
                 child = None if radius is None else radius - first - l
                 return (int(sums.searchsorted(cap - l, side="right")),
-                        starts(child, max_len - length),
-                        d if child is None or all_starts else min(d, child + 1))
+                        starts(child, max_len - length), starts(child, 0))
 
             l0, end = 0, min(d, cap - first + 1)
             if length > 2:  # a group's rows share a letter sum: one fold for all its words
@@ -849,20 +855,20 @@ def heisenberg_levels(family: KrausFamily, tensor: StructureTensor, max_len: int
 def _two_letter_pass(family: KrausFamily, tensor: StructureTensor, pieces=None) -> tuple:
     """The pass of the family against the tensor, kept on the family: the
     two-letter pieces of a ``heisenberg_levels`` walk (``pieces``, formed if
-    None; left unread if a pass is kept), each reduced in turn.  It holds
+    None; left unread if a pass is kept), each reduced in turn over its
+    cases (word, i, j) with k + l + j within the common radius.  It holds
     ``check_hb``'s first worst residual per piece ((k, l), value, (i, j, k,
-    l)), in (k, l) order, and checked tuples; ``holds``, every piece within
-    EPS_HB (Theorem 5.1's branch); and up to the first piece that is not,
-    Theorem 5.1's ``_first_worst`` candidates, letter sums and bound:
-    O(d^2)."""
+    l)), in (k, l) order, and the checked tuples (Theorem 5.1's two-letter
+    cases); ``holds``, every piece within EPS_HB (Theorem 5.1's branch); and
+    up to the first piece that is not, its ``_first_worst`` candidates and
+    bound: O(d^2)."""
     if tensor in family._passes:
         return family._passes[tensor]
     radius = common_radius(family, tensor)
     cap = 3 * family.d_size if radius is None else radius  # untruncated, past every k + l + j
-    hb, words, sums, checked, holds, bound = [], [], [], 0, True, 0.0
+    hb, words, checked, holds, bound = [], [], 0, True, 0.0
     for rows, letters, blocks in pieces or next(heisenberg_levels(family, tensor, 2, radius)):
-        totals = np.add.outer(letters, rows[:, 0])  # the letter sums k + l at [l - l0, row]
-        within = totals[..., None] + np.arange(blocks.shape[3]) <= cap
+        within = np.add.outer(np.add.outer(letters, rows[:, 0]), np.arange(blocks.shape[3])) <= cap
         mask = np.broadcast_to(within[:, :, None], blocks.shape[:4])  # [l - l0, row, i, j]
         entries = _largest_moduli(blocks)
         residuals = np.where(mask, entries, -1.0).swapaxes(0, 1)  # [row, l - l0, i, j]
@@ -873,29 +879,31 @@ def _two_letter_pass(family: KrausFamily, tensor: StructureTensor, pieces=None) 
         checked += int(np.count_nonzero(mask))
         holds = holds and worst <= EPS_HB
         if holds:
-            sums.append(totals[totals <= cap])
-            worst, index, bound = _first_worst(blocks, mask & (entries != 0), bound)
-            if index is not None:
-                a, b, i, j = index
-                k, l = int(rows[b, 0]), int(letters[a])
-                words.append(((2, l, k, i, j), worst, ((l, k), i, j)))
+            candidates, bound = _first_worst(rows, letters, blocks, mask & (entries != 0), bound)
+            words += candidates
     hb.sort()  # into (k, l, i, j) order; each (k, l) occurs once
-    family._passes[tensor] = kept = hb, checked, holds, words, sums, bound
+    family._passes[tensor] = kept = hb, checked, holds, words, bound
     return kept
 
 
-def _first_worst(blocks: np.ndarray, nonzero: np.ndarray, bound: float):
-    """The largest ``_block_norms`` norm of the coordinate blocks that
-    ``nonzero`` selects from ``blocks`` (a zero block's norm is zero), the
-    index of its first block in C order (None for no block), and the raised
-    bound."""
-    selected = blocks[nonzero]
-    if not len(selected):
-        return -1.0, None, bound
-    norms = np.full(nonzero.shape, -1.0)  # -1 at the blocks not selected
-    norms[nonzero], bound = _block_norms(selected, bound)
-    worst, n = worst_residual(norms)
-    return worst, tuple(int(x) for x in np.unravel_index(n, norms.shape)), bound
+def _first_worst(rows: np.ndarray, letters: np.ndarray, blocks: np.ndarray,
+                 selected: np.ndarray, bound: float):
+    """Theorem 5.1's one reduction of a ``heisenberg_levels`` piece: the
+    first worst ``_block_norms`` norm of the blocks ``selected`` picks, in
+    the order of the word (u = rows[b] + (letters[a],) read in reverse), i,
+    j; the norms, not the blocks, are reordered, and only past one-letter
+    rows.  Returns the piece's candidates, none for no block or one (key
+    (length, word, i, j), norm, witness (word, i, j)), and the raised bound."""
+    picked = blocks[selected]
+    if not len(picked):
+        return [], bound
+    norms = np.full(selected.shape, -1.0)  # -1 at the blocks not picked
+    norms[selected], bound = _block_norms(picked, bound)
+    order = np.lexsort(rows.T) if rows.shape[1] > 1 else None  # by rows[b] read in reverse
+    worst, n = worst_residual(norms if order is None else norms[:, order])
+    a, b, i, j = (int(x) for x in np.unravel_index(n, norms.shape))
+    word = (int(letters[a]),) + tuple(rows[b if order is None else order[b], ::-1].tolist())
+    return [((len(word), word, i, j), worst, (word, i, j))], bound
 
 
 def _block_norms(blocks: np.ndarray, bound: float) -> tuple[np.ndarray, float]:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -122,6 +123,15 @@ def spanning_states(h_dim: int) -> list[tuple[tuple, np.ndarray]]:
             v = eye[a] + phase * eye[b]
             out.append(((label, a, b), np.outer(v, v.conj()) / 2))
     return out
+
+
+@lru_cache(maxsize=None)
+def _spanning_coordinates(h_dim: int) -> tuple[tuple, np.ndarray]:
+    """The labels of ``spanning_states`` and their coordinates, as columns of a read-only array."""
+    spanning = spanning_states(h_dim)
+    densities = hermitian_coordinates([rho for _, rho in spanning]).reshape(len(spanning), -1).T
+    densities.setflags(write=False)
+    return tuple(label for label, _ in spanning), densities
 
 
 def verify_theorem_2_4(
@@ -260,16 +270,13 @@ def verify_theorem_5_1(
     The branch follows the block-decomposition identity, by ``check_hb``'s
     rule on the two-letter blocks, read with their norms off the family's
     ``_two_letter_pass``, which one walk forms (if none is kept) and extends.
-    If it holds, every word of up to ``max_word_len``
-    letters and every (i, j) with j + sum(w) within the common radius is
-    checked (the other starts are skipped and counted): the residual is the
-    largest block norm, within ``tol``, an exact worst case over all states
-    rather than a sample, and the witness (word, i, j) its first case by
-    word length, word, i, j.  If the identity fails, the scan instead looks
-    for the guaranteed witness: a basis state (position m, spanning density)
-    and a two-letter word whose distributions differ by at least
-    ``min_gap``, the first by (m, density), then word, read off an
-    all-starts two-letter walk of its own.  The pass is kept either way.
+    If it holds, every word of up to ``max_word_len`` letters and every (i,
+    j) with j + sum(w) within the common radius is checked (the other
+    starts are skipped and counted): the residual is the largest block norm,
+    within ``tol``, an exact worst case over all states rather than a
+    sample, and the witness (word, i, j) its first case by word length,
+    word, i, j.  If the identity fails, ``_converse_witness`` looks for the
+    guaranteed witness among the two-letter cases.  The pass is kept either way.
 
     ``n_states`` (at least 1) and ``seed`` are accepted for compatibility
     and no longer affect the result.  A bool or non-integral
@@ -281,82 +288,63 @@ def verify_theorem_5_1(
         raise ValueError("max_word_len and n_states must be at least 1")
     d = family.d_size
     radius = common_radius(family, tensor)
+    cap = (max_word_len + 1) * d if radius is None else radius  # untruncated, past every sum + j
     levels = heisenberg_levels(family, tensor, max(2, max_word_len), radius)
     # The walk's two-letter pieces form the pass if none is kept; longer words extend them.
     two = next(levels) if tensor not in family._passes or max_word_len > 2 else None
-    _, _, holds, two_letter, sums, bound = _two_letter_pass(family, tensor, two)
+    _, pairs, holds, two_letter, bound = _two_letter_pass(family, tensor, two)
     if not holds:
         return _converse_witness(family, tensor, min_gap)
-    cases = [0, 0]  # (word, i, j) checked and skipped
-
-    def count(sums):
-        """Count the cases of words with these letter sums."""
-        windows = np.full(len(sums), d) if radius is None else np.minimum(d, radius - sums + 1)
-        cases[0] += d * int(windows.sum())
-        cases[1] += d * (d * len(sums) - int(windows.sum()))
-
-    # The one-letter blocks are Phi_k^*(E_i) less itself, zero: only counted.
-    count(np.arange(d if radius is None else min(d, radius + 1)))
-    # (order key, the first worst block norm of a piece, its witness)
-    candidates = []
-    if max_word_len >= 2:
-        count(np.concatenate(sums))
-        candidates += two_letter
-
+    sums = [np.arange(min(d, cap + 1))]  # one letter: Phi_k^*(E_i) less itself, zero
+    candidates = list(two_letter) if max_word_len >= 2 else []  # (order key, norm, witness)
     for pieces in levels if max_word_len > 2 else ():  # from 3 letters: no word past its window
         for rows, letters, blocks in pieces:
-            u = np.column_stack([np.tile(rows, (len(letters), 1)), letters.repeat(len(rows))])
-            blocks = blocks.reshape((-1,) + blocks.shape[2:])
-            count(u.sum(axis=1))
-            order = np.lexsort(u.T)  # the walk's order: by its first letter, u's last
-            blocks = blocks[order]
-            worst, index, bound = _first_worst(blocks, blocks.any(axis=(-2, -1)), bound)
-            if index is not None:
-                row, i, j = index
-                word = tuple(u[order[row], ::-1].tolist())
-                candidates.append(((len(word), word, i, j), worst, (word, i, j)))
-
+            sums.append(np.add.outer(letters, rows.sum(axis=1)).ravel())
+            found, bound = _first_worst(rows, letters, blocks, blocks.any(axis=(-2, -1)), bound)
+            candidates += found
+    sums = np.concatenate(sums)  # a case (word, i, j) with j + sum(w) past cap is skipped
+    checked, words = d * int(np.minimum(d, cap - sums + 1).sum()), len(sums)
+    if max_word_len >= 2:  # the pass checked the two-letter cases
+        checked += pairs
+        words += int(np.count_nonzero(np.add.outer(np.arange(d), np.arange(d)) <= cap))
     candidates.sort(key=lambda candidate: candidate[0])
-    return scan_report(
-        "walk-vs-mixture", [value for _, value, _ in candidates], lambda n: candidates[n][2],
-        tol, checked=cases[0], skipped=cases[1], note="decomposition holds; walk == mixture",
-    )
+    return scan_report("walk-vs-mixture", [value for _, value, _ in candidates],
+                       lambda n: candidates[n][2], tol, checked=checked,
+                       skipped=d * d * words - checked, note="decomposition holds; walk == mixture")
 
 
 def _converse_witness(family: KrausFamily, tensor: StructureTensor, min_gap: float) -> Report:
     """The first start E_m (x) sigma_s, sigma_s of ``spanning_states``, and
-    two-letter word w with letter sum within the tensor's radius whose walk
-    and mixture differ by at least ``min_gap``: max_i |tr(D_{w,i,m} sigma_s)|,
-    in (m, s) order, then word order, read off a two-letter
-    ``heisenberg_levels`` walk of its own at every start."""
+    two-letter word w whose walk and mixture differ by at least ``min_gap``:
+    max_i |tr(D_{w,i,m} sigma_s)|, in (m, s) order, then word order, over
+    the cases the two-letter pass checks, m + sum(w) within the common
+    radius, read off a two-letter ``heisenberg_levels`` walk of its own
+    with each piece's starts padded to d; ``checked`` counts the cases read."""
     d, h = family.d_size, family.h_dim
-    radius = tensor.truncation_radius
-    cap = 2 * d if radius is None else radius  # no letter sum passes it untruncated
-    spanning = spanning_states(h)
-    # tr(D sigma) is the dot product of the coordinates of D and sigma.
-    densities = hermitian_coordinates([rho for _, rho in spanning]).reshape(len(spanning), -1).T
+    radius = common_radius(family, tensor)
+    cap = 3 * d if radius is None else radius  # untruncated, past every k + l + m
+    labels, densities = _spanning_coordinates(h)
     words, gaps = [], []
-    for rows, letters, blocks in next(
-            heisenberg_levels(family, tensor, 2, radius, all_starts=True)):
-        inside = np.add.outer(letters, rows[:, 0]) <= cap  # [l - l0, row]
-        with np.errstate(invalid="ignore"):
-            traces = (blocks.reshape(-1, h * h) @ densities).reshape(inside.shape + (d, d, -1))
-        gaps.append(np.abs(traces[inside]).max(axis=1))  # [word, m, s]
+    for rows, letters, blocks in next(heisenberg_levels(family, tensor, 2, radius)):
+        within = np.add.outer(np.add.outer(letters, rows[:, 0]), np.arange(d)) <= cap  # [., ., m]
+        inside = within[..., 0]  # the words with a certified start
+        with np.errstate(invalid="ignore"):  # tr(D sigma) is the dot product of coordinates
+            traces = (blocks.reshape(-1, h * h) @ densities).reshape(blocks.shape[:4] + (-1,))
+        gap = np.full(within.shape + (len(labels),), -1.0)  # [l - l0, row, m, s]; -1: no case
+        gap[:, :, :blocks.shape[3]] = np.abs(traces).max(axis=2)
+        gap[~within] = -1.0
+        gaps.append(gap[inside])
         a, b = np.nonzero(inside)
         words += zip(letters[a].tolist(), rows[b, 0].tolist())  # (l, k), in word order
     gaps = np.concatenate(gaps).transpose(1, 2, 0)  # [m, s, word]
-    hits = np.flatnonzero(gaps >= min_gap)  # a NaN gap is no witness
-    if hits.size:
-        m, s, w = np.unravel_index(int(hits[0]), gaps.shape)
-        return Report(
-            "walk-vs-mixture", True, float(gaps[m, s, w]),
-            (int(m), spanning[s][0], words[w]), min_gap, int(hits[0]) + 1,
-            note="decomposition fails; converse witness found",
-        )
-    return Report(
-        "walk-vs-mixture", False, 0.0, None, min_gap, gaps.size,
-        note="decomposition fails but no distribution witness found",
-    )
+    hits = np.flatnonzero(gaps >= min_gap)  # a NaN gap is a case read, but no witness
+    cases = int(np.count_nonzero(gaps.ravel()[:hits[0] + 1 if hits.size else None] != -1.0))
+    if not hits.size:
+        return Report("walk-vs-mixture", False, 0.0, None, min_gap, cases,
+                      note="decomposition fails but no distribution witness found")
+    m, s, w = np.unravel_index(int(hits[0]), gaps.shape)
+    return Report("walk-vs-mixture", True, float(gaps[m, s, w]), (int(m), labels[s], words[w]),
+                  min_gap, cases, note="decomposition fails; converse witness found")
 
 
 def verify_roundtrip(

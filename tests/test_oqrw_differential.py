@@ -580,32 +580,41 @@ def fresh(family):
 
 def spied_walks(monkeypatch):
     """Record every ``heisenberg_levels`` walk the library starts: the level
-    entry budget then set, its longest words, whether it is for all starts,
-    and a Counter of the pieces read from each of its levels, by length."""
-    calls = []
-    walk = oqrw.heisenberg_levels
+    entry budget then set, its longest words, whether the converse scan
+    (``verify._converse_witness``) started it, and a Counter of the pieces
+    read from each of its levels, by length."""
+    calls, scanning = [], []
+    walk, scan = oqrw.heisenberg_levels, verify._converse_witness
 
-    def spy(family, tensor, max_len, radius, all_starts=False):
+    def spy(family, tensor, max_len, radius):
         read = collections.Counter()
-        calls.append((oqrw._LEVEL_ENTRIES, max_len, all_starts, read))
+        calls.append((oqrw._LEVEL_ENTRIES, max_len, bool(scanning), read))
 
         def counted(pieces, length):
             for piece in pieces:
                 read[length] += 1
                 yield piece
 
-        for length, pieces in enumerate(walk(family, tensor, max_len, radius, all_starts), start=2):
+        for length, pieces in enumerate(walk(family, tensor, max_len, radius), start=2):
             yield counted(pieces, length)
+
+    def spied_scan(*args):
+        scanning.append(True)
+        try:
+            return scan(*args)
+        finally:
+            scanning.pop()
 
     monkeypatch.setattr(oqrw, "heisenberg_levels", spy)
     monkeypatch.setattr(verify, "heisenberg_levels", spy)
+    monkeypatch.setattr(verify, "_converse_witness", spied_scan)
     return calls
 
 
 def two_letter_passes(calls):
     """The walks whose two-letter pieces were read for a pass: all but the
-    converse scan's all-starts walks."""
-    return sum(1 for _, _, all_starts, read in calls if read[2] and not all_starts)
+    converse scan's walks."""
+    return sum(1 for _, _, converse, read in calls if read[2] and not converse)
 
 
 @pytest.mark.parametrize("level_budget", LEVEL_BUDGETS)
@@ -672,7 +681,8 @@ def test_one_two_letter_pass_per_family_and_tensor(name, monkeypatch):
     """check_hb, Theorem 5.1 at two and three letters and check_hb at
     another tolerance read the two-letter pieces of one walk; an equal but
     distinct tensor gets a pass of its own, which goes with the tensor.
-    Only the converse branch (the random family) reads an all-starts walk."""
+    Only the converse branch (the random family) starts a converse scan,
+    which walks the two letters again."""
     family, tensor, _, _, _ = case(name)
     family = fresh(family)
     calls = spied_walks(monkeypatch)
@@ -680,7 +690,7 @@ def test_one_two_letter_pass_per_family_and_tensor(name, monkeypatch):
     t51 = [hw.verify_theorem_5_1(family, tensor, max_word_len=n) for n in (2, 3)]
     loose = hw.check_hb(family, tensor, tol=1e-3)
     assert two_letter_passes(calls) == 1
-    assert any(all_starts for _, _, all_starts, _ in calls) == (not first.passed)
+    assert any(converse for _, _, converse, _ in calls) == (not first.passed)
     assert (first.max_residual, first.witness, first.checked) == (
         loose.max_residual, loose.witness, loose.checked)
     assert (loose.passed, loose.tolerance) == (first.max_residual <= 1e-3, 1e-3)
@@ -698,8 +708,8 @@ def test_one_two_letter_pass_per_family_and_tensor(name, monkeypatch):
 @pytest.mark.parametrize("name", ["ex44", "c4-perturbed h2", "random d6 h2"])
 def test_theorem_5_1_alone_keeps_its_pass_and_scans_its_own_walk(name, max_len, monkeypatch):
     """Theorem 5.1 run alone on an identity that fails reads only the
-    two-letter pieces of its walk, keeps the pass they form and starts an
-    all-starts walk for the converse scan; check_hb then starts no walk."""
+    two-letter pieces of its walk, keeps the pass they form and starts a
+    two-letter walk for the converse scan; check_hb then starts no walk."""
     family, tensor, _, _, _ = case(name)
     expected = chunked_reports(fresh(family), tensor)
     family = fresh(family)
@@ -852,6 +862,30 @@ def test_check_hb_window_matches_loops(name):
     assert (new.checked, new.skipped) == (old.checked, old.skipped)
 
 
+def converse_in_window(family, tensor, min_gap=1e-8):
+    """The loops' converse scan over the certified cases only: the first
+    start (m, density), then two-letter word w, with m + sum(w) within the
+    common radius whose walk and mixture differ by ``min_gap``, walked by
+    the frozen loops; its gap and the cases read up to it.  The frozen
+    ``verify_theorem_5_1`` caps w by the tensor's radius alone and reads
+    every start."""
+    old = ref.from_family(family)
+    d, radius = family.d_size, oqrw.common_radius(family, tensor)
+    cases = 0
+    for m in range(d):
+        for label, rho in verify.spanning_states(family.h_dim):
+            state = ref.point_state(rho, m, d)
+            for word in itertools.product(range(d), repeat=2):
+                if radius is not None and m + sum(word) > radius:
+                    continue
+                cases += 1
+                gap = float(np.abs(ref.walk_distribution(old, word, state)
+                                   - ref.mixture_distribution(old, tensor, word, state)).max())
+                if gap >= min_gap:
+                    return (m, label, word), cases, gap
+    return None, cases, 0.0
+
+
 @pytest.mark.parametrize("name", _hb_window_cases())
 def test_theorem_5_1_window_matches_loops(name):
     family, tensor = _hb_window_cases()[name]
@@ -859,9 +893,10 @@ def test_theorem_5_1_window_matches_loops(name):
     old = ref.verify_theorem_5_1(ref.from_family(family), tensor, max_word_len=3)
     assert new.note == old.note
     if "converse" in old.note:
-        # Over the tensor's radius and every start, as the loops walk it.
-        assert (new.witness, new.checked) == (old.worst_case, old.checked_cases)
-        assert abs(new.max_residual - old.max_residual) <= TOL
+        # Over the cases m + sum(w) within the common radius, as check_hb reads them.
+        witness, cases, gap = converse_in_window(family, tensor)
+        assert (new.witness, new.checked) == (witness, cases)
+        assert abs(new.max_residual - gap) <= TOL
     else:
         assert new.passed and new.max_residual <= TOL
 
@@ -1263,3 +1298,25 @@ def test_walks_refuse_only_the_non_finite_values_they_reach():
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(ValueError, match="^block 1 has non-finite entries$"):
             hw.step(big, 1, hw.point_state(np.eye(2) / 2, 2, 3))
+
+
+def test_mixtures_and_produced_tensor_read_only_the_occupied_positions():
+    """On c4 at h_dim 2 with every block B[., 2; k] scaled to overflow, a
+    mixture from position 0 never reads position 2's Gram blocks: it agrees
+    with the walk, with no warning.  produced_tensor forms the one-letter
+    state Phi_2(rho0) at position 2 as the walk does, and refuses the first
+    word whose mass reads the overflow there."""
+    family, start = hw.realize(presets.c4_hypergroup(), h_dim=2)
+    tensor = presets.c4_hypergroup().tensor
+    big = hw.KrausFamily(array=family.array * np.where(np.arange(3) == 2, 1e200, 1.0)[
+        None, :, None, None, None])
+    assert not np.isfinite(big._gram[:, :, 2]).all()
+    assert _outcome(lambda: hw.walk_distribution(big, (2,), start)) == [0.0, 0.0, 1.0]
+    for word in [(0,), (1,), (2,), (1, 1), (0, 1)]:
+        walked = _outcome(lambda: hw.walk_distribution(big, word, start))
+        mixed = _outcome(lambda: hw.mixture_distribution(big, tensor, word, start))
+        assert type(mixed) is list and np.allclose(mixed, walked, rtol=0, atol=TOL), word
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert produced_refusal(hw.produced_tensor, big, start) == (
+            "ValueError", "mass at 2 after the word (2, 0) is not finite")

@@ -142,6 +142,26 @@ def test_verify_theorem_5_1_converse_witness(c4):
     assert len(word) == 2
 
 
+def test_converse_witness_is_a_certified_case():
+    """Example 4.5 truncated at radius 6 against the untruncated C13
+    constants with the row (3, 3) tilted to 3/5 at 0 and 2/5 at 6: check_hb
+    fails at (0, 0, 3, 3) by 1/10, and the converse reads the same gap off
+    the word (3, 3) from position 0, not a word whose letter sum is past
+    the family's radius, whose blocks are the arbitrary completion."""
+    family = presets.zwindow_family(6)
+    cube = wildberger_tensor(cycle_graph(13)).to_float().cube.copy()
+    cube[3, 3, [0, 6]] = 0.6, 0.4
+    tensor = StructureTensor(cube)
+    hb = check_hb(family, tensor)
+    assert (hb.passed, hb.witness) == (False, (0, 0, 3, 3))
+    assert abs(hb.max_residual - 0.1) <= 1e-12
+    report = verify_theorem_5_1(family, tensor)
+    assert report.passed and report.note == "decomposition fails; converse witness found"
+    # The cases before it: the words (l, k) in order with l + k <= 6, from position 0.
+    assert (report.witness, report.checked) == ((0, ("diag", 0), (3, 3)), 7 + 6 + 5 + 4)
+    assert abs(report.max_residual - 0.1) <= 1e-12
+
+
 def test_verify_theorem_5_1_ignores_states_and_seed(c4):
     # Every state is covered, so the sampling arguments change nothing.
     fam, _ = realize(c4, h_dim=2, isometries=random_isometries(c4.tensor, 2, 3))
