@@ -3,7 +3,7 @@
 Thin orchestration over the library: every subcommand parses documents, calls
 one or two library operations, and prints either a human-readable summary or,
 with --json, a machine document.  Exit codes: 0 success/pass, 1 verification
-failure or out of memory (one line, no traceback), 2 input error.
+failure, 2 input error, 3 out of memory (one line, no traceback).
 """
 
 from __future__ import annotations
@@ -256,7 +256,7 @@ def main(argv=None) -> int:
         return 2
     except MemoryError as exc:
         sys.stderr.write(f"error: {args.command}: out of memory ({str(exc) or 'no details'})\n")
-        return 1
+        return 3
 
 
 if __name__ == "__main__":

@@ -23,7 +23,10 @@ mixtures.  The Heisenberg picture Phi_k^*(X)_j = sum_i B[i,j;k]^* X_i
 B[i,j;k] is the adjoint, and the checks run there on one walker of words
 (``heisenberg_levels``), a GEMM per chunk of ``_LEVEL_ENTRIES`` entries;
 its two-letter words are reduced once per family and tensor to worst
-residuals and block norms (``_two_letter_pass``).
+residuals (``_two_letter_pass``), each piece's largest entries taken
+across its coordinate planes (``_planes``).  Theorem 5.1's block norms
+are taken once per walk, in one ``eigvalsh`` call, on the blocks whose
+largest entries let them reach the largest norm (``_Candidates``).
 
 Word-order convention, fixed globally because it is easy to get backwards:
 
@@ -136,34 +139,66 @@ def _modulus_scales(h: int) -> tuple[np.ndarray, np.ndarray]:
     return np.where(off, _ROOT_HALF, 1.0), np.where(off, _ROOT_HALF, 0.0)
 
 
-def _largest_moduli(coords: np.ndarray) -> np.ndarray:
+def _planes(coords: np.ndarray) -> np.ndarray:
+    """The coordinate-major copy of a (..., h, h) stack of coordinates: an
+    (h^2, n) array whose row a h + b holds the coordinate (a, b) of every
+    block, so that a reduction over a block's entries runs across h^2
+    contiguous planes, not over short trailing axes."""
+    hh = coords.shape[-1] ** 2
+    flat = coords.reshape(coords.shape[:-2] + (hh,))
+    return flat.transpose((flat.ndim - 1, *range(flat.ndim - 1))).reshape(hh, -1)
+
+
+def _plane_moduli(planes: np.ndarray, h: int) -> np.ndarray:
+    """``entry_moduli`` on the planes of ``_planes``: the same complex
+    numbers, plane by plane, so the same moduli bit for bit."""
+    own, partner = _modulus_scales(h)
+    pairs = np.empty(planes.shape, dtype=complex)
+    with np.errstate(invalid="ignore"):  # inf * 0 on the diagonal, as in entry_moduli
+        np.multiply(planes, own.reshape(-1, 1), out=pairs.real)
+        np.multiply(planes[_pairs(h)[2]], partner.reshape(-1, 1), out=pairs.imag)
+    return np.abs(pairs)
+
+
+def _largest_moduli(coords: np.ndarray, planes: np.ndarray | None = None) -> np.ndarray:
     """Per block, the largest of its ``entry_moduli``.  At h = 1 that is
     |c| (reducing over a one-wide axis costs ten times as much on a large
     piece); above, the square root of the largest (c_ab^2 + c_ba^2) / 2 over
     the pairs a <= b (c_aa^2 on the diagonal, whose root is |c_aa|
-    exactly).  A block whose squares overflow or lose digits, its result
-    not finite, past 1e150, or below 1e-150 but not 0, is taken again from
-    its ``entry_moduli``; one whose entries are all below 1e-162, every
+    exactly), taken across the ``_planes`` of the stack (passed in if the
+    caller holds them).  A block whose squares overflow or lose digits, its
+    result not finite, past 1e150, or below 1e-150 but not 0, is taken
+    again from its moduli; one whose entries are all below 1e-162, every
     square 0, reads 0."""
     h = coords.shape[-1]
     if h == 1:
         return np.abs(coords[..., 0, 0])
-    upper, lower = _pairs(h)
-    flat = coords.reshape(-1, h * h)
+    upper, lower, _ = _pairs(h)
+    planes = _planes(coords) if planes is None else planes
     with np.errstate(over="ignore", invalid="ignore"):
-        squares = flat * flat
-        largest = np.sqrt((squares[:, upper] + squares[:, lower]).max(axis=-1) * 0.5)
+        squares = planes * planes
+        largest = np.sqrt((squares[upper] + squares[lower]).max(axis=0) * 0.5)
     redo = ~(largest < 1e150) | (largest < 1e-150) & (largest > 0)
     if redo.any():
-        largest[redo] = entry_moduli(flat[redo].reshape(-1, h, h)).max(axis=(-2, -1))
+        largest[redo] = _plane_moduli(planes[:, redo], h).max(axis=0)
     return largest.reshape(coords.shape[:-2])
 
 
 @lru_cache(maxsize=None)
-def _pairs(h: int) -> tuple[np.ndarray, np.ndarray]:
-    """The flat indices a h + b and b h + a of the pairs a <= b."""
+def _pairs(h: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The flat indices a h + b and b h + a of the pairs a <= b, and the
+    flat index b h + a of every entry a h + b."""
     a, b = np.triu_indices(h)
-    return a * h + b, b * h + a
+    return a * h + b, b * h + a, np.arange(h * h).reshape(h, h).T.ravel()
+
+
+def _nonzero_blocks(array: np.ndarray) -> np.ndarray:
+    """Per block of a (..., h, h) complex array, whether an entry is nonzero
+    (NaN counts): the boolean product of its parts' nonzero flags with ones,
+    their any.  Reducing over the short trailing axes instead costs twice
+    as much on a family's array."""
+    parts = np.ascontiguousarray(array).view(float).reshape(array.shape[:-2] + (-1,))
+    return (parts != 0) @ np.ones(parts.shape[-1], dtype=bool)
 
 
 def _as_block(matrix, h_dim: int) -> np.ndarray:
@@ -218,14 +253,14 @@ class KrausFamily(_PositionArray):
     @cached_property
     def blocks(self) -> dict[tuple[int, int, int], np.ndarray]:
         """The nonzero blocks keyed by (i, j, k), in index order."""
-        nonzero = np.argwhere(self.array.any(axis=(-2, -1))).tolist()
+        nonzero = np.argwhere(_nonzero_blocks(self.array)).tolist()
         return {tuple(idx): self.array[tuple(idx)] for idx in nonzero}
 
     @cached_property
     def _nonzero(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """The indices k, i, j of the nonzero blocks (NaN counts) and the
         (n, h, h) blocks themselves."""
-        i, j, k = np.nonzero(self.array.any(axis=(-2, -1)))
+        i, j, k = np.nonzero(_nonzero_blocks(self.array))
         return k, i, j, self.array[i, j, k]
 
     @cached_property
@@ -246,6 +281,16 @@ class KrausFamily(_PositionArray):
             gram[k, i, j] = (transposed * (2 * _basis(h)[0])).real
         gram.setflags(write=False)
         return gram
+
+    @cached_property
+    def _bounds_masses(self) -> bool:
+        """Whether every mass ``one_step_distributions`` forms from checked
+        states is finite.  Such a state's blocks are positive within
+        EPS_PSD and its total trace is 1 within EPS_PROB, so each coordinate
+        is below 2 in modulus, and a mass, d h^2 products with Gram
+        coordinates, is below 2 d h^2 times the largest of these."""
+        largest = float(np.abs(self._gram).max(initial=0.0))  # NaN if one is NaN
+        return 2.0 * self._gram[0, 0].size * largest < np.finfo(float).max
 
     @cached_property
     def _stack(self) -> np.ndarray:
@@ -503,13 +548,18 @@ def _complex_map(family: KrausFamily, k: int, blocks: np.ndarray) -> np.ndarray:
         return (transfer @ blocks.ravel()).reshape(blocks.shape)
 
 
-def one_step_distributions(family: KrausFamily, stack: np.ndarray) -> np.ndarray:
+def one_step_distributions(family: KrausFamily, stack: np.ndarray,
+                           checked: bool = False) -> np.ndarray:
     """Mass at i after the m-map, at [..., m, i], for a (..., d, h, h) stack
     of state coordinates: sum_j tr(B[i,j;m]^* B[i,j;m] rho_j), the dot
     products of the coordinates, one product with a view of the Gram array.
     A mass that is not finite is formed again, as ``_apply_reached`` forms
-    a state, from the occupied positions only (0 * inf is unread)."""
+    a state, from the occupied positions only (0 * inf is unread).  States
+    ``checked`` (each passed the state checks) on a family whose Gram array
+    bounds their masses (``KrausFamily._bounds_masses``) skip that scan."""
     d, flat = family.d_size, stack.reshape(stack.shape[:-3] + (-1,))
+    if checked and family._bounds_masses:
+        return (flat @ family._gram.reshape(d * d, -1).T).reshape(stack.shape[:-3] + (d, d))
     with np.errstate(over="ignore", invalid="ignore"):
         masses = flat @ family._gram.reshape(d * d, -1).T
     if not np.isfinite(masses).all():
@@ -624,7 +674,7 @@ def produced_tensor(family: KrausFamily, state0: BlockState) -> StructureTensor:
         except ValueError:
             _check_states(np.array([_complex_map(family, l, state0.array) for l in range(letters)]))
             raise
-    masses = one_step_distributions(family, firsts)  # [l, k, m]
+    masses = one_step_distributions(family, firsts, checked=True)  # [l, k, m]
     if radius is not None:
         masses[np.add.outer(np.arange(letters), np.arange(d)) > radius] = 0.0
     if not np.isfinite(masses).all():
@@ -673,9 +723,10 @@ def realize(
         finally:
             # A non-isometry is refused before any error of a later block.
             units = np.array(supplied).reshape(-1, h_dim, h_dim)
-            residuals = np.abs(units.conj().swapaxes(-1, -2) @ units - eye).max(axis=(-2, -1))
-            failing = residuals > EPS_KRAUS  # a NaN is refused below, as non-finite
-            if failing.any():
+            gaps = np.abs(units.conj().swapaxes(-1, -2) @ units - eye)
+            # Blocks are reduced only on failure; a NaN block is refused below, as non-finite.
+            failing = (gaps > EPS_KRAUS).any() and gaps.max(axis=(-2, -1)) > EPS_KRAUS
+            if np.any(failing):
                 raise ValueError(
                     f"supplied matrix for {keys[int(np.argmax(failing))]} is not an isometry")
     truncation_radius = check_radius(tensor.truncation_radius, "truncation radius")
@@ -684,8 +735,8 @@ def realize(
     # Arbitrary completion outside the certified rows.
     k, j = np.nonzero(~tensor.domain)
     array[np.abs(j - k), j, k] = eye
-    bad = ~np.isfinite(array).all(axis=(-2, -1)).T  # [k, j, i]
-    if bad.any():
+    if not np.isfinite(array.view(float)).all():
+        bad = ~np.isfinite(array).all(axis=(-2, -1)).T  # [k, j, i]
         k, j, i = np.unravel_index(int(np.argmax(bad)), bad.shape)
         raise ValueError(f"block {(int(i), int(j), int(k))} has non-finite entries")
     array.setflags(write=False)
@@ -708,7 +759,7 @@ def _reach(family: KrausFamily) -> np.ndarray:
     """``reach[c, k]``: Phi_k^* reads the starts j < c from the positions
     m < reach[c, k] alone, those with a block B[m, j; k] (NaN counts)."""
     d = family.d_size
-    nonzero = family.array.any(axis=(-2, -1))  # [m, j, k]
+    nonzero = _nonzero_blocks(family.array)  # [m, j, k]
     last = np.where(nonzero.any(axis=0), d - 1 - np.argmax(nonzero[::-1], axis=0), -1)
     return np.vstack([np.zeros((1, d), dtype=int), np.maximum.accumulate(last, axis=0) + 1])
 
@@ -860,50 +911,144 @@ def _two_letter_pass(family: KrausFamily, tensor: StructureTensor, pieces=None) 
     ``check_hb``'s first worst residual per piece ((k, l), value, (i, j, k,
     l)), in (k, l) order, and the checked tuples (Theorem 5.1's two-letter
     cases); ``holds``, every piece within EPS_HB (Theorem 5.1's branch); and
-    up to the first piece that is not, its ``_first_worst`` candidates and
-    bound: O(d^2)."""
+    if it does, the first worst block norm of the two-letter cases and its
+    bound (``_Candidates``): one ``_block_norms`` call after the last piece,
+    on the blocks that the residuals, their largest entries, let reach it.
+    O(d^2)."""
     if tensor in family._passes:
         return family._passes[tensor]
     radius = common_radius(family, tensor)
-    cap = 3 * family.d_size if radius is None else radius  # untruncated, past every k + l + j
-    hb, words, checked, holds, bound = [], [], 0, True, 0.0
+    hb, checked, holds, found = [], 0, True, _Candidates(family.h_dim, 2)
     for rows, letters, blocks in pieces or next(heisenberg_levels(family, tensor, 2, radius)):
-        within = np.add.outer(np.add.outer(letters, rows[:, 0]), np.arange(blocks.shape[3])) <= cap
-        mask = np.broadcast_to(within[:, :, None], blocks.shape[:4])  # [l - l0, row, i, j]
-        entries = _largest_moduli(blocks)
-        residuals = np.where(mask, entries, -1.0).swapaxes(0, 1)  # [row, l - l0, i, j]
-        worst, n = worst_residual(residuals)
-        b, a, i, j = (int(x) for x in np.unravel_index(n, residuals.shape))
+        entries = _largest_moduli(blocks)  # [l - l0, row, i, j]
+        if radius is None:
+            checked += entries.size
+        else:  # a case past the radius reads -1
+            within = np.add.outer(np.add.outer(letters, rows[:, 0]), np.arange(blocks.shape[3]))
+            within = within <= radius
+            np.copyto(entries, -1.0, where=~within[:, :, None])
+            checked += int(np.count_nonzero(within)) * blocks.shape[2]
+        worst, (a, b, i, j) = _worst_entry(entries)
         k, l = int(rows[b, 0]), int(letters[a])
         hb.append(((k, l), worst, (i, j, k, l)))
-        checked += int(np.count_nonzero(mask))
         holds = holds and worst <= EPS_HB
         if holds:
-            candidates, bound = _first_worst(rows, letters, blocks, mask & (entries != 0), bound)
-            words += candidates
+            found.add(rows, letters, blocks, entries, worst)
     hb.sort()  # into (k, l, i, j) order; each (k, l) occurs once
+    words, bound = found.worst() if holds else ([], 0.0)
     family._passes[tensor] = kept = hb, checked, holds, words, bound
     return kept
 
 
-def _first_worst(rows: np.ndarray, letters: np.ndarray, blocks: np.ndarray,
-                 selected: np.ndarray, bound: float):
-    """Theorem 5.1's one reduction of a ``heisenberg_levels`` piece: the
-    first worst ``_block_norms`` norm of the blocks ``selected`` picks, in
-    the order of the word (u = rows[b] + (letters[a],) read in reverse), i,
-    j; the norms, not the blocks, are reordered, and only past one-letter
-    rows.  Returns the piece's candidates, none for no block or one (key
-    (length, word, i, j), norm, witness (word, i, j)), and the raised bound."""
-    picked = blocks[selected]
-    if not len(picked):
-        return [], bound
-    norms = np.full(selected.shape, -1.0)  # -1 at the blocks not picked
-    norms[selected], bound = _block_norms(picked, bound)
-    order = np.lexsort(rows.T) if rows.shape[1] > 1 else None  # by rows[b] read in reverse
-    worst, n = worst_residual(norms if order is None else norms[:, order])
-    a, b, i, j = (int(x) for x in np.unravel_index(n, norms.shape))
-    word = (int(letters[a]),) + tuple(rows[b if order is None else order[b], ::-1].tolist())
-    return [((len(word), word, i, j), worst, (word, i, j))], bound
+def _worst_entry(entries: np.ndarray) -> tuple[float, tuple[int, int, int, int]]:
+    """``worst_residual`` of a piece's [l - l0, row, i, j] residuals read in
+    (row, l - l0, i, j) order: the value and its (l - l0, row, i, j) index.
+    Only the ties of the largest residual (or the non-finite ones) are
+    ordered."""
+    top = entries.max()
+    tied = np.flatnonzero(entries == top if np.isfinite(top) else ~np.isfinite(entries))
+    a, b, i, j = np.unravel_index(tied, entries.shape)
+    n = int(np.lexsort((j, i, a, b))[0])
+    return float(entries.flat[tied[n]]), (int(a[n]), int(b[n]), int(i[n]), int(j[n]))
+
+
+# Relative slack of the entry bound by which ``_Candidates`` drops blocks:
+# it covers the round-off of a row sum of h moduli and of the squares that
+# ``_largest_moduli`` takes.
+_NORM_SLACK = 1 + 1e-12
+# Entries of the blocks ``_Candidates`` holds before it prunes them again,
+# and past half of which it takes their norms early.
+_CANDIDATE_ENTRIES = 2**16
+
+
+class _Candidates:
+    """Theorem 5.1's reduction of the blocks of a walk of up to ``max_len``
+    letters: the first worst ``_block_norms`` norm in the order of the
+    word's length, the word, i, j, from one ``_block_norms`` call after the
+    last piece (``worst``).
+
+    A Hermitian h x h block's spectral norm lies between its largest entry
+    modulus and h times it, so a block whose h times largest entry (with a
+    slack of ``_NORM_SLACK``) lies below the largest entry seen so far
+    cannot reach the largest norm: ``add`` holds only the other blocks of a
+    piece, and the non-finite ones, with their keys (length, word, padding,
+    i, j).  When the held blocks pass ``_CANDIDATE_ENTRIES`` entries they
+    are pruned again by the raised bound, and reduced early if half of them
+    remain, so memory stays bounded whatever the walk's length.  ``bound``
+    is the largest entry of the blocks reduced (carried from a pass to
+    longer words), as ``_block_norms`` raises it."""
+
+    def __init__(self, h: int, max_len: int, bound: float = 0.0):
+        self.scale, self.hh, self.width = h * _NORM_SLACK, h * h, max_len + 3
+        self.bound = self.reach = bound
+        self.held, self.size, self.found = [], 0, []  # (keys, blocks, entries); candidates
+
+    def add(self, rows, letters, blocks, entries=None, top=None) -> None:
+        """Hold the blocks of a ``heisenberg_levels`` piece that may reach
+        the largest norm.  ``entries`` are their largest entries, positive
+        at the blocks to reduce, inf at those always held, and ``top`` the
+        largest finite one; if None, they are taken here for the nonzero
+        blocks (NaN counts), with inf at a non-finite block and at one whose
+        entries read 0 (all below 1e-162)."""
+        if entries is None:
+            planes = _planes(blocks)
+            entries = _largest_moduli(blocks, planes)
+            top = entries.max()
+            if not np.isfinite(top):
+                entries[~np.isfinite(entries)] = np.inf
+                top = entries.max(where=entries < np.inf, initial=0.0)
+            tiny = entries == 0
+            if tiny.any():
+                entries[tiny & (planes != 0).any(axis=0).reshape(tiny.shape)] = np.inf
+        self.reach = max(self.reach, float(top))
+        kept = np.flatnonzero(self._kept(entries))
+        if not kept.size:
+            return
+        a, b, i, j = np.unravel_index(kept, entries.shape)
+        keys = np.zeros((kept.size, self.width), dtype=int)
+        n = rows.shape[1] + 1
+        keys[:, 0], keys[:, 1], keys[:, 2:n + 1] = n, letters[a], rows[b, ::-1]
+        keys[:, -2], keys[:, -1] = i, j
+        self.held.append((keys, blocks.reshape((-1,) + blocks.shape[-2:])[kept],
+                          entries.ravel()[kept]))
+        self.size += kept.size
+        if self.size * self.hh > _CANDIDATE_ENTRIES:
+            self._prune()
+            if self.size * self.hh > _CANDIDATE_ENTRIES // 2:
+                self.found.append(self._reduced())
+
+    def _kept(self, entries: np.ndarray) -> np.ndarray:
+        """The blocks whose entries let them reach the largest norm."""
+        return entries * self.scale >= self.reach if self.reach > 0 else entries > 0
+
+    def _prune(self) -> None:
+        """Drop the held blocks that the raised bound screens out."""
+        pruned = []
+        for keys, blocks, entries in self.held:
+            kept = self._kept(entries)
+            pruned.append((keys[kept], blocks[kept], entries[kept]))
+        self.held, self.size = pruned, sum(len(entries) for _, _, entries in pruned)
+
+    def _reduced(self) -> tuple:
+        """The held blocks' first worst norm as a candidate ((length, word, i,
+        j), norm, (word, i, j)), the bound raised by their norms."""
+        keys, blocks, _ = (np.concatenate(part) for part in zip(*self.held))
+        self.held, self.size = [], 0
+        norms, self.bound = _block_norms(blocks, self.bound)
+        worst, _ = worst_residual(norms)
+        tied = np.flatnonzero(norms == worst if np.isfinite(worst) else ~np.isfinite(norms))
+        n = tied[np.lexsort(keys[tied].T[::-1])[0]]
+        length, (i, j) = int(keys[n, 0]), keys[n, -2:].tolist()
+        word = tuple(keys[n, 1:length + 1].tolist())
+        return (length, word, i, j), float(norms[n]), (word, i, j)
+
+    def worst(self) -> tuple[list, float]:
+        """The candidates, none for no block held or one per reduction, and
+        the bound."""
+        self._prune()
+        if self.size:
+            self.found.append(self._reduced())
+        return self.found, self.bound
 
 
 def _block_norms(blocks: np.ndarray, bound: float) -> tuple[np.ndarray, float]:
@@ -913,15 +1058,13 @@ def _block_norms(blocks: np.ndarray, bound: float) -> tuple[np.ndarray, float]:
 
     A Hermitian block's norm is at least its largest entry and at most its
     largest absolute row sum (Gershgorin), both read off the entry moduli
-    of the coordinates, so ``eigvalsh`` runs only on the blocks whose row
-    sums reach the bound, raised first to the largest entry of this stack,
-    rebuilt as complex blocks.  The others come back as 0: they lie below
-    the largest norm.  A non-finite block comes back as NaN or inf.
-    Returns the norms and the raised bound.
+    of the coordinates (``_block_bounds``), so ``eigvalsh`` runs only on the
+    blocks whose row sums reach the bound, raised first to the largest
+    entry of this stack, rebuilt as complex blocks.  The others come
+    back as 0: they lie below the largest norm.  A non-finite block comes
+    back as NaN or inf.  Returns the norms and the raised bound.
     """
-    magnitudes = entry_moduli(blocks)
-    lower = magnitudes.max(axis=(-2, -1))  # NaN or inf exactly where not finite
-    upper = magnitudes.sum(axis=-1).max(axis=-1)
+    lower, upper = _block_bounds(blocks)
     finite = np.isfinite(lower)
     bound = max(bound, float(lower[finite].max(initial=0.0)))
     exact = finite & (upper >= bound) & (upper > 0)
@@ -930,6 +1073,17 @@ def _block_norms(blocks: np.ndarray, bound: float) -> tuple[np.ndarray, float]:
         eigenvalues = np.linalg.eigvalsh(hermitian_blocks(blocks[exact]))
         norms[exact] = np.maximum(-eigenvalues[:, 0], eigenvalues[:, -1])
     return norms, bound
+
+
+def _block_bounds(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The largest entry modulus of each block of an (n, h, h) stack of
+    coordinates (NaN or inf exactly where the block is not finite) and its
+    largest absolute row sum, across the ``_planes`` of its moduli, each row
+    summed in entry order as numpy sums a row of fewer than 8 entries."""
+    h = blocks.shape[-1]
+    moduli = _plane_moduli(_planes(blocks), h).reshape(h, h, -1)
+    with np.errstate(over="ignore"):  # a row sum past the largest float is inf
+        return moduli.max(axis=(0, 1)), moduli.sum(axis=1).max(axis=0)
 
 
 def check_hb(
@@ -969,7 +1123,7 @@ def mixture_distribution(
     """
     word = _checked_walk(family, state0, word, common_radius(family, tensor))
     coeffs = np.array(multi_constants(tensor, word[::-1]), dtype=float)
-    return coeffs @ one_step_distributions(family, state0._coordinates)
+    return coeffs @ one_step_distributions(family, state0._coordinates, state0._checked)
 
 
 @dataclass(frozen=True)

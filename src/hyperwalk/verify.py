@@ -40,7 +40,7 @@ from .hypergroups import (
 from .oqrw import (
     BlockState,
     KrausFamily,
-    _first_worst,
+    _Candidates,
     _two_letter_pass,
     block_state,
     common_radius,
@@ -275,8 +275,10 @@ def verify_theorem_5_1(
     starts are skipped and counted): the residual is the largest block norm,
     within ``tol``, an exact worst case over all states rather than a
     sample, and the witness (word, i, j) its first case by word length,
-    word, i, j.  If the identity fails, ``_converse_witness`` looks for the
-    guaranteed witness among the two-letter cases.  The pass is kept either way.
+    word, i, j.  The longer words' norms are taken once, after the walk,
+    on the blocks whose largest entries let them reach it (``_Candidates``).
+    If the identity fails, ``_converse_witness`` looks for the guaranteed
+    witness among the two-letter cases.  The pass is kept either way.
 
     ``n_states`` (at least 1) and ``seed`` are accepted for compatibility
     and no longer affect the result.  A bool or non-integral
@@ -296,12 +298,13 @@ def verify_theorem_5_1(
     if not holds:
         return _converse_witness(family, tensor, min_gap)
     sums = [np.arange(min(d, cap + 1))]  # one letter: Phi_k^*(E_i) less itself, zero
-    candidates = list(two_letter) if max_word_len >= 2 else []  # (order key, norm, witness)
+    longer = _Candidates(family.h_dim, max_word_len, bound)  # the pass's bound prunes them too
     for pieces in levels if max_word_len > 2 else ():  # from 3 letters: no word past its window
         for rows, letters, blocks in pieces:
             sums.append(np.add.outer(letters, rows.sum(axis=1)).ravel())
-            found, bound = _first_worst(rows, letters, blocks, blocks.any(axis=(-2, -1)), bound)
-            candidates += found
+            longer.add(rows, letters, blocks)
+    # (order key, norm, witness)
+    candidates = (two_letter if max_word_len >= 2 else []) + longer.worst()[0]
     sums = np.concatenate(sums)  # a case (word, i, j) with j + sum(w) past cap is skipped
     checked, words = d * int(np.minimum(d, cap - sums + 1).sum()), len(sums)
     if max_word_len >= 2:  # the pass checked the two-letter cases

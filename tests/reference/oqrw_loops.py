@@ -504,8 +504,9 @@ def check_states(stack: np.ndarray) -> None:
     flat = stack.reshape((-1,) + stack.shape[-3:])
     adjoint = flat.conj().swapaxes(-1, -2)
     finite = np.isfinite(flat).all(axis=(-2, -1))
-    hermitian = np.abs(flat - adjoint).max(axis=(-2, -1)) <= EPS_PSD
-    eigmin = np.linalg.eigvalsh((flat + adjoint) / 2)[..., 0]
+    with np.errstate(invalid="ignore"):  # inf - inf in a non-finite block, refused by name
+        hermitian = np.abs(flat - adjoint).max(axis=(-2, -1)) <= EPS_PSD
+        eigmin = np.linalg.eigvalsh((flat + adjoint) / 2)[..., 0]
     bad = ~finite | ~hermitian | (eigmin < -EPS_PSD)
     total = np.trace(flat, axis1=-2, axis2=-1).real.sum(axis=-1)
     failing = bad.any(axis=-1) | ~(np.abs(total - 1.0) <= EPS_PROB)

@@ -299,7 +299,7 @@ def test_cli_out_of_memory_is_one_line(tmp_path, capsys, monkeypatch, message):
         raise MemoryError(message)
     monkeypatch.setattr(cli, "check_distance_regular", exhausted)
     capsys.readouterr()
-    assert run_cli("check-graph", "--graph", str(graph)) == 1
+    assert run_cli("check-graph", "--graph", str(graph)) == 3
     captured = capsys.readouterr()
     assert captured.err == f"error: check-graph: out of memory ({message or 'no details'})\n"
     assert captured.out == "" and "Traceback" not in captured.err
