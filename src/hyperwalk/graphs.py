@@ -29,6 +29,7 @@ from .errors import (
     TruncationExceededError,
 )
 from .hypergroups import (
+    _COUNT_BLOCK,
     Number,
     StructureTensor,
     Word,
@@ -38,11 +39,6 @@ from .hypergroups import (
     letter_blocks,
 )
 from .report import Report
-
-# Keys, and counts, that ``_row_counts`` bins at a time, and pairs that
-# ``check_distance_regular`` counts at a time: 512 KB of int64 stays in
-# cache, where larger blocks measured slower.
-_COUNT_BLOCK = 2**16
 
 
 @dataclass(frozen=True)
@@ -170,7 +166,8 @@ class SphereTable:
     @cached_property
     def base_counts(self) -> np.ndarray:
         """``base_counts[v, r, k] = |S_r(v) & S_k(base)|`` for r and k in the
-        index set, in the narrowest unsigned dtype that holds n."""
+        index set, in the narrowest unsigned dtype that holds n, binned from
+        the keys of a block of rows at a time (``_row_counts``)."""
         n, size, width = self.graph.n_vertices, len(self.index_set), self.starts.shape[1] - 1
         # Keys r * size + d(base, w): the first size**2 have r in the index set.
         counts = _row_counts(self.dist, size, self.dist[self.graph.base], width * size,
@@ -212,7 +209,8 @@ def _neighbour_array(graph: PointedGraph) -> np.ndarray:
 def _row_counts(dist: np.ndarray, scale: int, shift, cell: int, keep: int, dtype) -> np.ndarray:
     """``counts[v, c]`` for c < ``keep``: how many w have the key ``dist[v, w]
     * scale + shift[w] == c``, formed in ``np.intp`` and below ``cell``.  One
-    bincount per block of rows, each row's keys offset by its cell."""
+    bincount per block of rows, each row's keys offset by its cell, the keys
+    and the counts of a block within ``_COUNT_BLOCK`` entries."""
     n = len(dist)
     counts = np.empty((n, keep), dtype=dtype)
     rows = max(1, _COUNT_BLOCK // max(n, cell))
@@ -226,6 +224,20 @@ def _row_counts(dist: np.ndarray, scale: int, shift, cell: int, keep: int, dtype
     return counts
 
 
+# Set bits per byte, for numpy releases without ``np.bitwise_count``.
+_BYTE_BITS = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
+
+
+def _row_bits(rows: np.ndarray) -> np.ndarray:
+    """The number of set bits in each row of a 2-D uint64 array, as intp
+    (uint8 for rows of one word, whose sum would cost more than the count)."""
+    if not hasattr(np, "bitwise_count"):
+        return _BYTE_BITS[rows.view(np.uint8)].sum(axis=1, dtype=np.intp)
+    if rows.shape[1] == 1:
+        return np.bitwise_count(rows[:, 0])
+    return np.bitwise_count(rows).sum(axis=1, dtype=np.intp)
+
+
 def build_spheres(graph: PointedGraph) -> SphereTable:
     """Distances from every vertex at once, one BFS level at a time; the
     index set is the set of base distances.
@@ -235,10 +247,12 @@ def build_spheres(graph: PointedGraph) -> SphereTable:
     level, in 64-bit words.  Distances are symmetric, so the next level of
     row v is the OR of its neighbours' frontier rows, less the sources that
     already reached v: one gather of n/8-byte rows per neighbour column,
-    O(n² · max degree / 64) word operations per level.  The levels set the
-    binary digits of the distances, packed like the frontier until the end,
-    where they become ``dist``: one n×n array of 8- or 16-bit keys.  The
-    sphere sizes are counted from the keys, one bincount per block of rows.
+    O(n² · max degree / 64) word operations per level.  The bits set in
+    row v of a level's frontier are the sphere size |S_level(v)|.  The
+    levels set the binary digits of the distances, packed like the frontier
+    until the end, where they become ``dist``: one n×n array of 8- or
+    16-bit keys, the only n×n array the table holds or the build forms,
+    unpacked a block of ``_COUNT_BLOCK // n`` rows at a time.
     """
     n = graph.n_vertices
     # A row's own frontier bits are never unseen, so padding a neighbour
@@ -253,6 +267,7 @@ def build_spheres(graph: PointedGraph) -> SphereTable:
     unseen = np.packbits(np.arange(64 * words) < n) ^ frontier
     frontier, unseen = frontier.view(np.uint64), unseen.view(np.uint64)
     planes: list[np.ndarray] = []  # bit b of d(v, s)
+    sizes = [np.ones(n, dtype=np.intp)]  # |S_level(v)|
     level = 0
     while unseen.any():
         reached = frontier[nbrs[:, 0]]
@@ -264,18 +279,24 @@ def build_spheres(graph: PointedGraph) -> SphereTable:
         level += 1
         unseen ^= reached
         frontier = reached
+        sizes.append(_row_bits(reached))
         if level.bit_length() > len(planes):
             planes.append(np.zeros((n, words), dtype=np.uint64))
         for b, plane in enumerate(planes):
             if level >> b & 1:
                 plane |= reached
+    frontier = unseen = reached = None  # the planes are all that is left to read
     dist = np.zeros((n, n), dtype=np.min_scalar_type(level))
-    for b, plane in enumerate(planes):
-        bits = np.unpackbits(plane.view(np.uint8), axis=1, count=n)
-        dist |= bits.astype(dist.dtype, copy=False) << b
-    width = level + 1
-    starts = np.zeros((n, width + 1), dtype=np.intp)
-    np.cumsum(_row_counts(dist, 1, 0, width, width, np.intp), axis=1, out=starts[:, 1:])
+    rows = max(1, _COUNT_BLOCK // n)
+    for lo in range(0, n, rows):
+        block = dist[lo:lo + rows]
+        for b, plane in enumerate(planes):
+            bits = np.unpackbits(plane[lo:lo + rows].view(np.uint8), axis=1, count=n)
+            bits = bits.astype(dist.dtype, copy=False)
+            bits <<= b
+            block |= bits
+    starts = np.zeros((n, level + 2), dtype=np.intp)
+    np.cumsum(np.column_stack(sizes), axis=1, out=starts[:, 1:])
     base_row = dist[graph.base]
     index_set = tuple(np.flatnonzero(np.bincount(base_row)).tolist())
     base_order = np.argsort(base_row, kind="stable").astype(np.int32)
@@ -306,6 +327,10 @@ def wildberger_tensor(graph_or_table) -> StructureTensor:
 
 
 def _sphere_count_tensor(table: SphereTable) -> StructureTensor:
+    """The cube of ``wildberger_tensor``, summed from the base counts of the
+    vertices in base order a block of ``_COUNT_BLOCK // size**2`` vertices
+    at a time, into the rows of the base spheres each block meets: the cube
+    is the only array of its size that is formed."""
     graph = table.graph
     index_set = table.index_set
     size = len(index_set)
@@ -321,7 +346,8 @@ def _sphere_count_tensor(table: SphereTable) -> StructureTensor:
     allowed = np.ones((size, size), dtype=bool)
     if window is not None:
         allowed = np.add.outer(np.arange(size), np.arange(size)) <= window
-    inside = allowed[np.repeat(np.arange(size), base_sizes)]
+    rank = np.repeat(np.arange(size), base_sizes)  # base distance, in base order
+    inside = allowed[rank]
     empty = allowed & (np.minimum.reduceat(sizes, cuts) == 0)
     if empty.any():
         i, j = divmod(int(np.argmax(empty)), size)
@@ -336,9 +362,16 @@ def _sphere_count_tensor(table: SphereTable) -> StructureTensor:
     dtype = np.int64 if denominator < 2**63 else object
     weights = np.zeros(sizes.shape, dtype=dtype)
     weights[inside] = landing // sizes[inside].astype(dtype)
-    counts = table.base_counts[base_row] * weights[:, :, None]
-    scale = denominator // (landing * base_sizes.astype(dtype))
-    cube = np.add.reduceat(counts, cuts) * scale[:, None, None]
+    # A block meets the spheres rank[lo] to rank[hi - 1], each in one run
+    # of its rows: the runs start at the sphere starts inside it.
+    cube = np.zeros((size, size, size), dtype=dtype)
+    rows = max(1, _COUNT_BLOCK // (size * size))
+    for lo in range(0, len(base_row), rows):
+        hi = min(lo + rows, len(base_row))
+        counts = table.base_counts[base_row[lo:hi]] * weights[lo:hi, :, None]
+        runs = np.concatenate(([0], cuts[rank[lo] + 1:rank[hi - 1] + 1] - lo))
+        cube[rank[lo]:rank[hi - 1] + 1] += np.add.reduceat(counts, runs)
+    cube *= (denominator // (landing * base_sizes.astype(dtype)))[:, None, None]
     return exact_tensor(cube, denominator, window)
 
 
@@ -385,12 +418,14 @@ def _condition_s(table: SphereTable) -> Report:
     # order, has the counts[v, i, j] of the member before it.  Members are
     # compared a block at a time, over the i that the window keeps for their
     # k (none at a sphere's first member); spread[i, j, k] is formed only
-    # once a pair differs, to name the first uneven class.
+    # once a pair differs, to name the first uneven class.  The counts and
+    # their comparisons take a byte or two an entry, so a block's members
+    # are counted in the int64 words they fill (see check_distance_regular).
     counts, order = table.base_counts, table.base_order
     ks = table.dist[base, order].astype(np.intp)
     limits = np.full(len(order), size) if window is None else window - ks
     limits[table.starts[base, :size]] = -1
-    rows = max(1, _COUNT_BLOCK // (size * size))
+    rows = max(1, _COUNT_BLOCK // -(-size * size * counts.itemsize // 8))
     spread = None
     for lo in range(1, len(order), rows):
         block = counts[order[lo - 1:lo + rows]]
@@ -449,13 +484,18 @@ def check_distance_regular(graph_or_table) -> Report:
     first_v = np.argmax(table.sphere_sizes > 0, axis=0)
     first_u = np.argmax(dist[first_v] == radii[:, None], axis=1)
     near = dist[nbrs[first_v], first_u[:, None]]  # [i, neighbour]
-    c, a = (near < radii[:, None]).sum(axis=1), (near == radii[:, None]).sum(axis=1)
     # The same counts for every pair, one block of rows v at a time: row
     # gathers d(w, u) = d(u, w) of each neighbour column w, by symmetry.
-    rows = max(1, _COUNT_BLOCK // n)
+    # Counts and distances take a byte or two an entry, so a block's rows
+    # are counted in the int64 words they fill: each temporary holds the
+    # bytes of at most _COUNT_BLOCK int64 entries (or of one row).
+    tally = np.min_scalar_type(nbrs.shape[1])
+    c = (near < radii[:, None]).sum(axis=1).astype(tally)
+    a = (near == radii[:, None]).sum(axis=1).astype(tally)
+    rows = max(1, _COUNT_BLOCK // -(-n * max(dist.itemsize, tally.itemsize) // 8))
     for lo in range(0, n, rows):
         block = dist[lo:lo + rows]
-        behind = np.zeros(block.shape, dtype=np.min_scalar_type(nbrs.shape[1]))
+        behind = np.zeros(block.shape, dtype=tally)
         level = np.zeros_like(behind)
         for column in nbrs[lo:lo + rows].T:
             near = dist[column]
@@ -528,22 +568,26 @@ def path_sum_levels(table: SphereTable, levels):
     (``path_sum_distribution`` is the single-word sum that refuses) and a
     letter k multiplies every denominator by |S_k(base)|.
 
-    Holds the integer vertex masses of every prefix in a level and extends
-    them a block of letters at a time (``letter_blocks``), by one product of
-    the masses of the block's prefixes, over their support, with the
-    distance-k indicators of the support for the block's letters k; the
-    distributions then sum the masses by base distance.  The last level
-    needs only the distributions: its product is with the counts
-    |S_k(v) & S_r(base)| instead.  Yields per level the numerators of the
+    Holds the integer vertex masses of every prefix in a level.  A word
+    ending in the letter 0 stays where its prefix is: its masses are a copy
+    of its prefix's.  The other letters extend them a block of letters at a
+    time (``letter_blocks``, within ``_COUNT_BLOCK``), by one product of the
+    masses of the block's prefixes with the distance-k indicators of their
+    support for the block's letters k, built and multiplied a chunk of
+    support rows at a time (``_indicator_product``); the distributions then
+    sum the masses by base distance (``_by_distance``).  The last level
+    needs only the distributions: a letter 0 sums its prefix's masses by
+    base distance, and the other products are with the counts |S_k(v) &
+    S_r(base)| instead.  Yields per level the numerators of the
     distributions, a (words, size) array, and their denominators, a list.
     The masses of a word sum to its denominator, so the sums run in float64
-    while every denominator is below 2**53, and in Python ints above.  Like
-    the single-word sum, this never reads structure constants.
+    while every denominator is below 2**53, and in Python ints above; both
+    are exact in any order, so the chunks change no bit.  Like the
+    single-word sum, this never reads structure constants.
     """
     graph = table.graph
     n, size = graph.n_vertices, len(table.index_set)
     spheres = table.sphere_sizes[graph.base, :size]
-    by_distance = table.dist[graph.base][:, None] == np.arange(size)  # [w, r]
     levels = list(levels)
     mass = np.zeros((1, n))
     mass[0, graph.base] = 1
@@ -557,21 +601,48 @@ def path_sum_levels(table: SphereTable, levels):
         last = depth == len(levels) - 1
         width = size if last else n
         out = np.empty((len(words), width), dtype=mass.dtype)
-        support = np.count_nonzero(mass.any(axis=0))
-        for ks, rows, chosen, at in letter_blocks(parents, letters, max(len(mass), support) * width):
-            prefixes = mass[rows]
-            on = np.flatnonzero(prefixes.any(axis=0))
-            if last:
-                block = table.base_counts[np.ix_(on, ks)]  # [v, k, r]
-            else:
-                block = table.dist[on, None, :] == ks.astype(table.dist.dtype)[:, None]  # [v, k, w]
-            block = exact_tier(bound, block).reshape(len(on), -1)
-            out[chosen] = (prefixes[:, on] @ block).reshape(-1, width)[at]
-        if last:
-            yield out, children.tolist()
-        else:
-            yield out @ exact_tier(bound, by_distance), children.tolist()
+        stay, move = (letters == 0).nonzero()[0], letters.nonzero()[0]
+        if len(stay):
+            out[stay] = _by_distance(table, mass[parents[stay]]) if last else mass[parents[stay]]
+        for ks, rows, chosen, at in letter_blocks(parents[move], letters[move], len(mass) * width,
+                                                  _COUNT_BLOCK):
+            product = _indicator_product(table, mass[rows], ks, last, bound)
+            out[move[chosen]] = product.reshape(-1, width)[at]
+        yield (out if last else _by_distance(table, out)), children.tolist()
         mass, denominators = out, children
+
+
+def _indicator_product(table: SphereTable, prefixes: np.ndarray, ks: np.ndarray, last: bool,
+                       bound: int) -> np.ndarray:
+    """``prefixes`` times, over their support v, the indicators [d(v, w) =
+    k] at [v, (k, w)], or on the ``last`` level the counts |S_k(v) &
+    S_r(base)| at [v, (k, r)], for the letters ``ks``: summed over chunks of
+    support rows whose indicators and prefix columns each hold at most
+    ``_COUNT_BLOCK`` entries, in the tier ``exact_tier`` picks for ``bound``."""
+    on = prefixes.any(axis=0).nonzero()[0]
+    keys = ks.astype(table.dist.dtype)[:, None]
+    columns = len(ks) * (len(table.index_set) if last else table.graph.n_vertices)
+    step = max(1, _COUNT_BLOCK // max(columns, len(prefixes)))
+    product = None
+    for lo in range(0, len(on), step):
+        chunk = on[lo:lo + step]
+        if last:
+            block = table.base_counts[np.ix_(chunk, ks)]  # [v, k, r]
+        else:
+            block = table.dist[chunk, None, :] == keys  # [v, k, w]
+        part = prefixes[:, chunk] @ exact_tier(bound, block).reshape(len(chunk), -1)
+        if product is None:
+            product = part
+        else:
+            product += part
+    return product
+
+
+def _by_distance(table: SphereTable, masses: np.ndarray) -> np.ndarray:
+    """Vertex ``masses`` (rows of n) summed by base distance: (rows, size)."""
+    base = table.graph.base
+    return np.add.reduceat(masses[:, table.base_order], table.starts[base, :len(table.index_set)],
+                           axis=1)
 
 
 @dataclass(frozen=True)

@@ -135,6 +135,12 @@ class StructureTensor:
         """The float view, built once: each constant as ``float(Fraction)``."""
         return self._float if self.is_exact else self
 
+    def floats_at(self, index) -> np.ndarray:
+        """The float view's constants at ``index`` of the cube, formed from
+        those numerators alone: ``quotients`` rounds each on its own."""
+        part = self.cube[index]
+        return quotients(part, self.denominator) if self.is_exact else part
+
     @cached_property
     def _float(self) -> "StructureTensor":
         cube = quotients(self.cube, self.denominator)
@@ -164,7 +170,9 @@ def quotients(numerators: np.ndarray, denominator: int) -> np.ndarray:
     each correctly rounded like Python's int / int: one float64 division
     while both are exact in float64, Python int division otherwise."""
     if denominator < 2**53 and _magnitude(numerators) < 2**53:
-        return numerators.astype(float) / denominator
+        floats = numerators.astype(float)
+        floats /= denominator
+        return floats
     return (exact_tier(2**53, numerators) / denominator).astype(float)
 
 
@@ -176,10 +184,15 @@ def _magnitude(numerators: np.ndarray) -> int:
 def exact_tensor(cube: np.ndarray, denominator: int,
                  truncation_radius: int | None = None) -> StructureTensor:
     """The exact tensor ``cube / denominator`` of nonnegative integer
-    numerators, brought over the lcm of its entries' reduced denominators."""
+    numerators, brought over the lcm of its entries' reduced denominators.
+    Takes ``cube`` over: it is reduced in place and, when its dtype is
+    already the one the row sums call for, kept as the tensor's cube."""
     common = math.gcd(denominator, int(np.gcd.reduce(cube, axis=None)))
-    cube, denominator = cube // common, denominator // common
-    cube = cube.astype(np.int64 if cube.sum(axis=2).max(initial=0) < 2**63 else object)
+    if common > 1:
+        cube //= common
+        denominator //= common
+    cube = cube.astype(np.int64 if cube.sum(axis=2).max(initial=0) < 2**63 else object,
+                       copy=False)
     cube.setflags(write=False)
     return StructureTensor(cube, denominator, truncation_radius)
 
@@ -360,12 +373,22 @@ def prefix_trie(letters: Sequence[int], max_len: int, budget: int | None):
 # block of letters at a time, a small one in one block.
 _BLOCK_ENTRIES = 2**16
 
+# Entries that a temporary of the exact graph route holds at a time: the
+# blocks that ``graphs`` unpacks, bins, compares, sums and multiplies, and
+# the chunks that ``validate_hypergroup`` contracts (one- and two-byte
+# entries are counted by the int64 words they fill).  64 KiB of int64 or
+# float64 stays below glibc's default 128 KiB mmap threshold, so a block is
+# reused from the heap instead of being mapped, and faulted in, on each
+# call.  ``graphs`` imports the name; a test sets it in each module.
+_COUNT_BLOCK = 2**13
 
-def letter_blocks(parents: np.ndarray, letters: np.ndarray, per_letter: int):
+
+def letter_blocks(parents: np.ndarray, letters: np.ndarray, per_letter: int,
+                  budget: int | None = None):
     """The words of a trie level in blocks of consecutive letters that they
-    use, at most ``_BLOCK_ENTRIES // per_letter`` letters a block (at least
-    one), ``per_letter`` being the entries a letter adds to an operand or a
-    product.
+    use, at most ``budget // per_letter`` letters a block (at least one),
+    ``per_letter`` being the entries a letter adds to an operand or a
+    product and ``budget`` ``_BLOCK_ENTRIES`` unless given.
 
     Yields per block (ks, rows, words, at): its letters in increasing
     order, the parents with a child in it (increasing), the index of the
@@ -378,7 +401,7 @@ def letter_blocks(parents: np.ndarray, letters: np.ndarray, per_letter: int):
     if not len(letters):
         return
     used = np.flatnonzero(np.bincount(letters))
-    step = max(1, _BLOCK_ENTRIES // max(per_letter, 1))
+    step = max(1, (_BLOCK_ENTRIES if budget is None else budget) // max(per_letter, 1))
     width = int(parents.max()) + 1
     for lo in range(0, len(used), step):
         ks = used[lo:lo + step]
@@ -495,6 +518,37 @@ def _skipped_triples(tensor: StructureTensor) -> np.ndarray:
             | (indices[:, None, None] + top > radius))
 
 
+def _first_worst(cases: list[tuple[float, tuple]]) -> tuple[float, tuple]:
+    """The case ``worst_residual`` picks from (residual, position) pairs, as
+    if the residuals were scanned in position order: the first non-finite,
+    else the first of the largest."""
+    bad = [case for case in cases if not np.isfinite(case[0])]
+    if bad:
+        return min(bad, key=lambda case: case[1])
+    top = max(worst for worst, _ in cases)
+    return min((case for case in cases if case[0] == top), key=lambda case: case[1])
+
+
+def _worst_gap(lhs: np.ndarray, rhs: np.ndarray, skipped: np.ndarray,
+               scale: int | None) -> tuple[float, int] | None:
+    """The first worst |lhs - rhs| outside the ``skipped`` entries
+    (``worst_residual``): float sides as they are, and exact sides over
+    ``scale**2``, where only an entry at which they differ is converted,
+    each side correctly rounded; None when exact sides agree."""
+    if scale is None:
+        return worst_residual(np.where(skipped, 0.0, np.abs(lhs - rhs)))
+    differ = lhs != rhs
+    if not differ.any():
+        return None
+    differ &= ~skipped
+    if not differ.any():
+        return None
+    gaps = np.zeros(lhs.shape)
+    for at in zip(*np.nonzero(differ)):
+        gaps[at] = abs(int(lhs[at]) / scale**2 - int(rhs[at]) / scale**2)
+    return worst_residual(gaps)
+
+
 def validate_hypergroup(
     tensor: StructureTensor, involution: Sequence[int]
 ) -> ValidationReport:
@@ -504,7 +558,10 @@ def validate_hypergroup(
     associativity, the star law Q[i,j,k] == Q[s(j),s(i),s(k)], and the
     zero-index support rule (Q[i,j,0] > 0 exactly when j == s(i)).  On a
     truncated tensor, triples whose intermediate products leave the stored
-    domain are skipped and counted.
+    domain are skipped and counted.  Associativity is contracted per i a
+    chunk of k at a time, and the star law a block of i at a time, each
+    temporary within ``_COUNT_BLOCK`` entries; an exact tensor's float
+    constants are formed only where an axiom reads them (``floats_at``).
     """
     sigma = _check_permutation(involution, tensor.size)
     for i, s in enumerate(sigma):
@@ -513,7 +570,6 @@ def validate_hypergroup(
 
     size, domain = tensor.size, tensor.domain
     n_pairs = int(domain.sum())
-    floats = tensor.to_float().cube
 
     def pair(mask, n):
         """The n-th pair (i, j) of ``mask`` in row-major order."""
@@ -525,58 +581,85 @@ def validate_hypergroup(
     # Unit laws: the rows (0, j) and (j, 0) are the point mass at j.
     units = [(a, b) for j in range(size) for a, b in ((UNIT, j), (j, UNIT)) if domain[a, b]]
     a, b = np.array(units, dtype=np.intp).reshape(-1, 2).T
-    unit = scan_report("unit", np.abs(floats[a, b] - np.eye(size)[a + b]),
+    unit = scan_report("unit", np.abs(tensor.floats_at((a, b)) - np.eye(size)[a + b]),
                        lambda n: (*units[n // size], n % size), EPS_PROB)
 
-    # Associativity: (x_i x_j) x_k against x_i (x_j x_k), contracted per i so
-    # only size^3 residuals are held at once, over the triples not skipped.
+    # Associativity: (x_i x_j) x_k against x_i (x_j x_k), over the triples
+    # not skipped.
     skip = _skipped_triples(tensor)
     # Numerators are exact in float64 while every partial sum of size
     # products of two is an integer below 2**53, in any BLAS order.
     scale = tensor.denominator
-    cube = floats if scale is None else exact_tier(_magnitude(tensor.cube)**2 * size, tensor.cube)
+    cube = tensor.cube
+    if scale is not None:
+        cube = exact_tier(_magnitude(cube)**2 * size, cube)
     skipped, per_i = int(skip.sum()), [(0.0, None)] * size
-    # Per i, only the box j < jmax, k < kmax around the kept (j, k) is
-    # contracted, in the cube's scan order; an i with none kept is not.
-    jmaxs = size - np.argmax(~skip.all(axis=2)[:, ::-1], axis=1)
-    kmaxs = size - np.argmax(~skip.all(axis=1)[:, ::-1], axis=1)
-    for i, jmax, kmax in zip(range(size), jmaxs.tolist(), kmaxs.tolist()):
-        kept = ~skip[i, :jmax, :kmax, None]
-        if not kept.any():
-            continue
-        lhs = (cube[i, :jmax] @ cube[:, :kmax].reshape(size, -1)).reshape(jmax, kmax, size)
-        rhs = (cube[:jmax, :kmax].reshape(-1, size) @ cube[i]).reshape(jmax, kmax, size)
-        if scale is None:
-            gaps = np.where(kept, np.abs(lhs - rhs), 0.0)
-        else:
-            # Both sides are exact sums over scale**2: only where they differ
-            # is a residual converted, each side correctly rounded to float.
-            differ = (lhs != rhs) & kept
-            if not differ.any():
+    # Per i, the (j, k) box is contracted a chunk of k at a time, each side
+    # within _COUNT_BLOCK entries (at least one k), over the j up to the
+    # last one kept for a k of the chunk (``reach[i, k]`` less one); a chunk
+    # with no j kept is not.  Chunks of k read each side's large operand,
+    # the cube's (m, (k, l)) columns and (j, k) rows, once per i.
+    reach = np.where(skip.all(axis=1), 0, size - np.argmax(~skip[:, ::-1], axis=1))  # [i, k]
+    kmaxs = size - np.argmax(reach[:, ::-1] > 0, axis=1)  # 1 + the last k kept
+    flat = cube.reshape(size, -1)  # [m, (k, l)]
+    for i, (row, kmax) in enumerate(zip(reach.tolist(), kmaxs.tolist())):
+        step = max(1, _COUNT_BLOCK // (max(row) * size or 1))
+        chunks = []
+        for lo in range(0, kmax, step):
+            hi = min(lo + step, kmax)
+            jmax = max(row[lo:hi])
+            if not jmax:
                 continue
-            gaps = np.zeros(lhs.shape)
-            for at in zip(*np.nonzero(differ)):
-                gaps[at] = abs(int(lhs[at]) / scale**2 - int(rhs[at]) / scale**2)
-        worst, n = worst_residual(gaps)
-        per_i[i] = (worst, (i, *(int(x) for x in np.unravel_index(n, gaps.shape))))
+            lhs = (cube[i, :jmax] @ flat[:, lo * size:hi * size]).reshape(jmax, -1, size)
+            rhs = (cube[:jmax, lo:hi].reshape(-1, size) @ cube[i]).reshape(lhs.shape)
+            gap = _worst_gap(lhs, rhs, skip[i, :jmax, lo:hi, None], scale)
+            if gap is not None:
+                j, k = divmod(gap[1] // size, hi - lo)
+                chunks.append((gap[0], (i, j, lo + k, gap[1] % size)))
+        if chunks:
+            per_i[i] = _first_worst(chunks)
     associativity = scan_report(
         "associativity", [w for w, _ in per_i], lambda i: per_i[i][1],
         EPS_ASSOC, checked=size**3 - skipped, skipped=skipped,
     )
 
-    # Star law: Q[i,j,k] == Q[s(j),s(i),s(k)], wherever the mirror row is stored.
-    # Permuted one axis at a time: a gather by np.ix_ took 2-2.5 times longer.
+    # Star law: Q[i,j,k] == Q[s(j),s(i),s(k)], wherever the mirror row is
+    # stored, a block of i within _COUNT_BLOCK entries at a time; a scan's
+    # first worst is the first worst of its blocks' first worst.  Permuted
+    # one axis at a time: a gather by np.ix_ took 2-2.5 times longer.  The
+    # identity, which every graph's constants have, permutes nothing.  Exact
+    # constants differ only where their numerators do, so only there is a
+    # gap formed, from the two constants as the float view holds them.
     s = np.array(sigma)
-    mirrored = domain & domain[s][:, s].T
-    gaps = np.abs(floats - floats[s][:, s][:, :, s].transpose(1, 0, 2))[mirrored]
-    star = scan_report("star", gaps, lambda n: (*pair(mirrored, n // size), n % size),
-                       EPS_PROB, skipped=n_pairs - len(gaps))
+    hermitian = sigma == identity_permutation(size)
+    mirrored = domain & (domain if hermitian else domain[s][:, s]).T
+    cube = tensor.cube
+    rows, worsts, firsts, pairs = max(1, _COUNT_BLOCK // size**2), [], [], 0
+    for lo in range(0, size, rows):
+        mirror = cube[:, lo:lo + rows] if hermitian else cube[:, s[lo:lo + rows]][s][:, :, s]
+        kept = mirrored[lo:lo + rows]
+        ours, theirs = cube[lo:lo + rows][kept], mirror.transpose(1, 0, 2)[kept]
+        if scale is None:
+            gaps = np.abs(ours - theirs)
+        else:
+            gaps, differ = np.zeros(ours.shape), ours != theirs
+            if differ.any():
+                gaps[differ] = np.abs(quotients(ours[differ], scale)
+                                      - quotients(theirs[differ], scale))
+        if len(gaps):
+            worst, n = worst_residual(gaps)
+            worsts.append(worst)
+            firsts.append(pairs * size + n)
+            pairs += len(gaps)
+    star = scan_report("star", worsts, lambda c: (*pair(mirrored, firsts[c] // size),
+                                                  firsts[c] % size),
+                       EPS_PROB, checked=pairs, skipped=n_pairs - pairs)
 
     # Zero-index support: Q[i,j,0] > EPS_PROB iff j == sigma(i).  The
     # witness is the first bad entry if it is NaN, else the first of the
     # largest bad values, as a scan that keeps the first bad entry and
     # replaces it only by a larger one would find.
-    values = floats[:, :, UNIT][domain]
+    values = tensor.floats_at(np.s_[:, :, UNIT])[domain]
     bad = np.flatnonzero((values > EPS_PROB) != (np.arange(size) == s[:, None])[domain])
     worst, witness = 0.0, None
     if len(bad):
@@ -584,10 +667,8 @@ def validate_hypergroup(
         worst, witness = float(values[n]), pair(domain, n)
     support = Report("unit-support", witness is None, worst, witness, EPS_PROB, n_pairs)
 
-    return ValidationReport(
-        checks=(stochastic, unit, associativity, star, support),
-        hermitian=sigma == identity_permutation(size),
-    )
+    return ValidationReport(checks=(stochastic, unit, associativity, star, support),
+                            hermitian=hermitian)
 
 
 @dataclass(frozen=True)
@@ -629,7 +710,7 @@ def derive_involution(tensor: StructureTensor, partial: bool = False):
     as None instead of raising; determined pairs are still required to be
     mutually inverse.
     """
-    hits = tensor.domain & (tensor.to_float().cube[:, :, UNIT] > EPS_PROB)
+    hits = tensor.domain & (tensor.floats_at(np.s_[:, :, UNIT]) > EPS_PROB)
     sigma: list[int | None] = []
     for i in range(tensor.size):
         candidates = np.flatnonzero(hits[i]).tolist()

@@ -598,13 +598,17 @@ def _checked_walk(family: KrausFamily, state: BlockState, word: Word = (),
 
 
 def step(family: KrausFamily, k: int, state: BlockState) -> BlockState:
-    """One application of the distance-k map: rho'_i = sum_j B rho_j B^*."""
+    """One application of the distance-k map: rho'_i = sum_j B rho_j B^*.
+    The state returned passed the state checks, so it is marked checked as
+    ``block_state`` marks the states it validates."""
     (k,) = _checked_walk(family, state, (k,))
     coords = _apply_reached(family, k, state._coordinates)
     blocks = hermitian_blocks(coords)
     if not _certified(coords[None]):
         _check_states(blocks)
-    return block_state(blocks, validate=False)
+    stepped = block_state(blocks, validate=False)
+    object.__setattr__(stepped, "_checked", True)
+    return stepped
 
 
 def distribution(state: BlockState) -> np.ndarray:

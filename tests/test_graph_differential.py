@@ -231,11 +231,12 @@ def _assert_same_condition_s(table):
     """The scan against the frozen reduceat scan, in blocks of the default
     size, of one member and of three members."""
     expected = _fields(ref.condition_s_reduceat(table))
-    cells = len(table.index_set) ** 2
+    # A member's counts fill this many int64 words of the budget.
+    words = -(-len(table.index_set) ** 2 * table.base_counts.itemsize // 8)
     for block in (None, 1, 3):
         with pytest.MonkeyPatch.context() as patch:
             if block is not None:
-                patch.setattr(graphs, "_COUNT_BLOCK", block * cells)
+                patch.setattr(graphs, "_COUNT_BLOCK", block * words)
             assert _fields(graphs._condition_s(table)) == expected, block
 
 
@@ -433,12 +434,14 @@ def test_wildberger_tensor_matches_intersection_array(name):
 def test_intersection_array_certificate_in_blocks_of_rows(rows, monkeypatch):
     # One row, or three (which divide few of the vertex counts), a block:
     # the report is the frozen scan's or the loop's on the whole corpus.  On
-    # k34-plus-matching the first failing row is in the second block.
+    # k34-plus-matching the first failing row is in the second block.  A row
+    # of one-byte distances and counts fills n/8 int64 words of the budget.
     corpus = SHAPES + [graph for graph, _ in CERTIFICATE_GRAPHS.values()]
     corpus += [random_graph(seed) for seed in range(400)]
     tables = [build_spheres(graph) for graph in corpus]
     for graph, table in zip(corpus, tables):
-        monkeypatch.setattr(graphs, "_COUNT_BLOCK", rows * graph.n_vertices)
+        assert table.dist.itemsize == 1
+        monkeypatch.setattr(graphs, "_COUNT_BLOCK", rows * -(-graph.n_vertices // 8))
         _assert_same_distance_regularity(graph, table)
 
 

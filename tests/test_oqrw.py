@@ -453,6 +453,28 @@ def test_mixture_single_letter_is_one_step(c4):
         assert np.abs(mixed - distribution(step(fam, k, state))).max() < 1e-15
 
 
+def test_stepped_state_mixes_as_a_validated_state(c4, monkeypatch):
+    # A stepped state passed the state checks, so its mixture takes the
+    # checked path, bit for bit the mixture of the same blocks validated by
+    # block_state; only an unchecked state's masses are scanned.
+    fam, _ = realize(c4, h_dim=2)
+    start = random_block_state(2, 3, seed=5)
+    scans = []
+    isfinite = np.isfinite
+    monkeypatch.setattr(np, "isfinite", lambda x: scans.append(x.shape) or isfinite(x))
+    for k in range(3):
+        stepped = step(fam, k, start)
+        validated = block_state(stepped.blocks)
+        for word in ((0,), (1, 2), (2, 1, 1)):
+            scans.clear()
+            mixed = mixture_distribution(fam, c4.tensor, word, stepped)
+            assert scans == []
+            assert mixed.tobytes() == mixture_distribution(fam, c4.tensor, word, validated).tobytes()
+    unchecked = block_state(stepped.blocks, validate=False)
+    mixture_distribution(fam, c4.tensor, (1,), unchecked)
+    assert scans
+
+
 def test_mixture_uses_reversed_word():
     # The left-zero constants make the reversal observable: folding
     # (k2, k1) keeps the mass at k2, the last-applied map.
