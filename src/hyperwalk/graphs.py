@@ -30,11 +30,11 @@ from .errors import (
 )
 from .hypergroups import (
     _COUNT_BLOCK,
+    _exact_tensor_taking,
     Number,
     StructureTensor,
     Word,
     check_radius,
-    exact_tensor,
     exact_tier,
     letter_blocks,
 )
@@ -213,7 +213,7 @@ def _row_counts(dist: np.ndarray, scale: int, shift, cell: int, keep: int, dtype
     and the counts of a block within ``_COUNT_BLOCK`` entries."""
     n = len(dist)
     counts = np.empty((n, keep), dtype=dtype)
-    rows = max(1, _COUNT_BLOCK // max(n, cell))
+    rows = max(1, _COUNT_BLOCK // max(dist.shape[1], cell))
     shift = shift + np.arange(min(rows, n))[:, None] * cell
     for lo in range(0, n, rows):
         keys = dist[lo:lo + rows].astype(np.intp)
@@ -222,20 +222,6 @@ def _row_counts(dist: np.ndarray, scale: int, shift, cell: int, keep: int, dtype
         counts[lo:lo + rows] = np.bincount(
             keys.ravel(), minlength=len(keys) * cell).reshape(-1, cell)[:, :keep]
     return counts
-
-
-# Set bits per byte, for numpy releases without ``np.bitwise_count``.
-_BYTE_BITS = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
-
-
-def _row_bits(rows: np.ndarray) -> np.ndarray:
-    """The number of set bits in each row of a 2-D uint64 array, as intp
-    (uint8 for rows of one word, whose sum would cost more than the count)."""
-    if not hasattr(np, "bitwise_count"):
-        return _BYTE_BITS[rows.view(np.uint8)].sum(axis=1, dtype=np.intp)
-    if rows.shape[1] == 1:
-        return np.bitwise_count(rows[:, 0])
-    return np.bitwise_count(rows).sum(axis=1, dtype=np.intp)
 
 
 def build_spheres(graph: PointedGraph) -> SphereTable:
@@ -247,12 +233,13 @@ def build_spheres(graph: PointedGraph) -> SphereTable:
     level, in 64-bit words.  Distances are symmetric, so the next level of
     row v is the OR of its neighbours' frontier rows, less the sources that
     already reached v: one gather of n/8-byte rows per neighbour column,
-    O(n² · max degree / 64) word operations per level.  The bits set in
-    row v of a level's frontier are the sphere size |S_level(v)|.  The
-    levels set the binary digits of the distances, packed like the frontier
-    until the end, where they become ``dist``: one n×n array of 8- or
-    16-bit keys, the only n×n array the table holds or the build forms,
-    unpacked a block of ``_COUNT_BLOCK // n`` rows at a time.
+    O(n² · max degree / 64) word operations per level.  The levels set the
+    binary digits of the distances, packed like the frontier until the end,
+    where they become ``dist``: one n×n array of 8- or 16-bit keys, the
+    only n×n array the table holds or the build forms, unpacked a block of
+    rows at a time, as many as fill ``_COUNT_BLOCK`` int64 words.  Each
+    block's sphere sizes are counted from its keys while it is in cache
+    (``_row_counts``).
     """
     n = graph.n_vertices
     # A row's own frontier bits are never unseen, so padding a neighbour
@@ -267,7 +254,6 @@ def build_spheres(graph: PointedGraph) -> SphereTable:
     unseen = np.packbits(np.arange(64 * words) < n) ^ frontier
     frontier, unseen = frontier.view(np.uint64), unseen.view(np.uint64)
     planes: list[np.ndarray] = []  # bit b of d(v, s)
-    sizes = [np.ones(n, dtype=np.intp)]  # |S_level(v)|
     level = 0
     while unseen.any():
         reached = frontier[nbrs[:, 0]]
@@ -279,7 +265,6 @@ def build_spheres(graph: PointedGraph) -> SphereTable:
         level += 1
         unseen ^= reached
         frontier = reached
-        sizes.append(_row_bits(reached))
         if level.bit_length() > len(planes):
             planes.append(np.zeros((n, words), dtype=np.uint64))
         for b, plane in enumerate(planes):
@@ -287,7 +272,9 @@ def build_spheres(graph: PointedGraph) -> SphereTable:
                 plane |= reached
     frontier = unseen = reached = None  # the planes are all that is left to read
     dist = np.zeros((n, n), dtype=np.min_scalar_type(level))
-    rows = max(1, _COUNT_BLOCK // n)
+    width = level + 1
+    starts = np.zeros((n, width + 1), dtype=np.intp)
+    rows = max(1, _COUNT_BLOCK // -(-n * dist.itemsize // 8))
     for lo in range(0, n, rows):
         block = dist[lo:lo + rows]
         for b, plane in enumerate(planes):
@@ -295,8 +282,8 @@ def build_spheres(graph: PointedGraph) -> SphereTable:
             bits = bits.astype(dist.dtype, copy=False)
             bits <<= b
             block |= bits
-    starts = np.zeros((n, level + 2), dtype=np.intp)
-    np.cumsum(np.column_stack(sizes), axis=1, out=starts[:, 1:])
+        np.cumsum(_row_counts(block, 1, 0, width, width, np.intp), axis=1,
+                  out=starts[lo:lo + rows, 1:])
     base_row = dist[graph.base]
     index_set = tuple(np.flatnonzero(np.bincount(base_row)).tolist())
     base_order = np.argsort(base_row, kind="stable").astype(np.int32)
@@ -372,7 +359,7 @@ def _sphere_count_tensor(table: SphereTable) -> StructureTensor:
         runs = np.concatenate(([0], cuts[rank[lo] + 1:rank[hi - 1] + 1] - lo))
         cube[rank[lo]:rank[hi - 1] + 1] += np.add.reduceat(counts, runs)
     cube *= (denominator // (landing * base_sizes.astype(dtype)))[:, None, None]
-    return exact_tensor(cube, denominator, window)
+    return _exact_tensor_taking(cube, denominator, window)
 
 
 def check_condition_s(graph_or_table) -> Report:

@@ -181,12 +181,13 @@ def _magnitude(numerators: np.ndarray) -> int:
     return max(int(numerators.max(initial=0)), -int(numerators.min(initial=0)))
 
 
-def exact_tensor(cube: np.ndarray, denominator: int,
-                 truncation_radius: int | None = None) -> StructureTensor:
+def _exact_tensor_taking(cube: np.ndarray, denominator: int,
+                         truncation_radius: int | None = None) -> StructureTensor:
     """The exact tensor ``cube / denominator`` of nonnegative integer
     numerators, brought over the lcm of its entries' reduced denominators.
-    Takes ``cube`` over: it is reduced in place and, when its dtype is
-    already the one the row sums call for, kept as the tensor's cube."""
+    Takes ``cube`` over, so a caller passes an array it owns and does not
+    read again: it is reduced in place, made read-only and, when its dtype
+    is already the one the row sums call for, kept as the tensor's cube."""
     common = math.gcd(denominator, int(np.gcd.reduce(cube, axis=None)))
     if common > 1:
         cube //= common
@@ -258,7 +259,7 @@ def structure_tensor(
         numerators = [v.numerator * (scale // v.denominator) for v in values.values()]
         cube = np.zeros((size,) * 3, dtype=np.int64 if sum(numerators) < 2**63 else object)
         cube[where] = numerators
-        return check_rows(exact_tensor(cube, scale, truncation_radius))
+        return check_rows(_exact_tensor_taking(cube, scale, truncation_radius))
     cube = np.zeros((size, size, size))
     cube[where] = [float(v) for v in values.values()]
     cube.setflags(write=False)
@@ -379,7 +380,8 @@ _BLOCK_ENTRIES = 2**16
 # entries are counted by the int64 words they fill).  64 KiB of int64 or
 # float64 stays below glibc's default 128 KiB mmap threshold, so a block is
 # reused from the heap instead of being mapped, and faulted in, on each
-# call.  ``graphs`` imports the name; a test sets it in each module.
+# call.  ``graphs`` and ``verify`` (Theorem 2.4's folds) import the name; a
+# test sets it in each module.
 _COUNT_BLOCK = 2**13
 
 
@@ -426,29 +428,31 @@ def exact_tier(bound: int, values: np.ndarray) -> np.ndarray:
     return values.astype(np.int64).astype(object)
 
 
-def fold_levels(tensor: StructureTensor, levels):
+def fold_levels(tensor: StructureTensor, levels, budget: int | None = None):
     """Folds of every word of a ``prefix_trie``, one level at a time.
 
     A level extends the folds of its prefixes by their last letter (see
-    ``fold_level``), and yields them, a (words, size) array, with their
-    common denominator: L**(length - 1) on an exact tensor, L its
-    denominator, and 1 on a float tensor.
+    ``fold_level``, which reads ``budget``), and yields them, a (words,
+    size) array, with their common denominator: L**(length - 1) on an
+    exact tensor, L its denominator, and 1 on a float tensor.
     """
     folds = None
     for length, (_, parents, letters) in enumerate(levels, start=1):
-        folds = fold_level(tensor, folds, parents, letters, length)
+        folds = fold_level(tensor, folds, parents, letters, length, budget)
         yield folds, tensor.denominator ** (length - 1) if tensor.is_exact else 1
 
 
 def fold_level(tensor: StructureTensor, prefixes: np.ndarray | None, parents: np.ndarray,
-               letters: np.ndarray, length: int) -> np.ndarray:
+               letters: np.ndarray, length: int, budget: int | None = None) -> np.ndarray:
     """The folds of words of ``length`` letters: row n extends the fold
     ``prefixes[parents[n]]`` of its prefix by the letter ``letters[n]``
     through the rows (j, k); at length 1 it is the point mass at the letter.
 
     An exact tensor's folds are integer numerators over L**(length - 1),
-    formed by one product per block of letters (``letter_blocks``) of
-    their prefixes with the rows (j, k) of the block; a float tensor's are
+    formed by one product per block of letters (``letter_blocks`` at
+    ``budget``) of their prefixes with the rows (j, k) of the block, whose
+    copy, operand and product each hold at most ``budget`` entries
+    (``_BLOCK_ENTRIES`` unless given) or one letter; a float tensor's are
     floats, formed per letter by ``fold_step``.  Each row depends on its
     own prefix alone, so a level may be folded in blocks of rows.  A fold
     that needs a row outside the stored domain raises
@@ -468,7 +472,8 @@ def fold_level(tensor: StructureTensor, prefixes: np.ndarray | None, parents: np
     bound = tensor.growth ** (length - 1)
     prefixes = exact_tier(bound, prefixes)
     folds = np.empty((len(letters), size), dtype=prefixes.dtype)
-    for ks, rows, words, at in letter_blocks(parents, letters, max(len(prefixes), size) * size):
+    for ks, rows, words, at in letter_blocks(parents, letters, max(len(prefixes), size) * size,
+                                             budget):
         chosen = prefixes[rows]
         _check_stored(tensor, chosen[at // len(ks)], ks[at % len(ks)])
         block = exact_tier(bound, tensor.cube[:, ks]).reshape(size, -1)  # [j, (k, m)]
@@ -593,31 +598,31 @@ def validate_hypergroup(
     cube = tensor.cube
     if scale is not None:
         cube = exact_tier(_magnitude(cube)**2 * size, cube)
-    skipped, per_i = int(skip.sum()), [(0.0, None)] * size
-    # Per i, the (j, k) box is contracted a chunk of k at a time, each side
-    # within _COUNT_BLOCK entries (at least one k), over the j up to the
-    # last one kept for a k of the chunk (``reach[i, k]`` less one); a chunk
-    # with no j kept is not.  Chunks of k read each side's large operand,
-    # the cube's (m, (k, l)) columns and (j, k) rows, once per i.
+    skipped, found = int(skip.sum()), [[] for _ in range(size)]
+    # The (j, k) box is contracted a chunk of k at a time, each side within
+    # _COUNT_BLOCK entries (at least one k), and per i over the j up to the
+    # last one kept for a k of the chunk (``reach[i, k]`` less one); an i
+    # with no j kept in the chunk is not.  A chunk's (j, k) rows are copied
+    # once for every i; its (m, (k, l)) columns are read in place.
     reach = np.where(skip.all(axis=1), 0, size - np.argmax(~skip[:, ::-1], axis=1))  # [i, k]
-    kmaxs = size - np.argmax(reach[:, ::-1] > 0, axis=1)  # 1 + the last k kept
     flat = cube.reshape(size, -1)  # [m, (k, l)]
-    for i, (row, kmax) in enumerate(zip(reach.tolist(), kmaxs.tolist())):
-        step = max(1, _COUNT_BLOCK // (max(row) * size or 1))
-        chunks = []
-        for lo in range(0, kmax, step):
-            hi = min(lo + step, kmax)
-            jmax = max(row[lo:hi])
+    step = max(1, _COUNT_BLOCK // size**2)
+    for lo in range(0, size, step):
+        hi = min(lo + step, size)
+        jmaxs = reach[:, lo:hi].max(axis=1).tolist()
+        if not any(jmaxs):
+            continue
+        rows = np.ascontiguousarray(cube[:, lo:hi])  # [j, k, m]
+        for i, jmax in enumerate(jmaxs):
             if not jmax:
                 continue
             lhs = (cube[i, :jmax] @ flat[:, lo * size:hi * size]).reshape(jmax, -1, size)
-            rhs = (cube[:jmax, lo:hi].reshape(-1, size) @ cube[i]).reshape(lhs.shape)
+            rhs = (rows[:jmax].reshape(-1, size) @ cube[i]).reshape(lhs.shape)
             gap = _worst_gap(lhs, rhs, skip[i, :jmax, lo:hi, None], scale)
             if gap is not None:
                 j, k = divmod(gap[1] // size, hi - lo)
-                chunks.append((gap[0], (i, j, lo + k, gap[1] % size)))
-        if chunks:
-            per_i[i] = _first_worst(chunks)
+                found[i].append((gap[0], (i, j, lo + k, gap[1] % size)))
+    per_i = [_first_worst(cases) if cases else (0.0, None) for cases in found]
     associativity = scan_report(
         "associativity", [w for w, _ in per_i], lambda i: per_i[i][1],
         EPS_ASSOC, checked=size**3 - skipped, skipped=skipped,
@@ -626,17 +631,15 @@ def validate_hypergroup(
     # Star law: Q[i,j,k] == Q[s(j),s(i),s(k)], wherever the mirror row is
     # stored, a block of i within _COUNT_BLOCK entries at a time; a scan's
     # first worst is the first worst of its blocks' first worst.  Permuted
-    # one axis at a time: a gather by np.ix_ took 2-2.5 times longer.  The
-    # identity, which every graph's constants have, permutes nothing.  Exact
+    # one axis at a time: a gather by np.ix_ took 2-2.5 times longer.  Exact
     # constants differ only where their numerators do, so only there is a
     # gap formed, from the two constants as the float view holds them.
     s = np.array(sigma)
-    hermitian = sigma == identity_permutation(size)
-    mirrored = domain & (domain if hermitian else domain[s][:, s]).T
+    mirrored = domain & domain[s][:, s].T
     cube = tensor.cube
     rows, worsts, firsts, pairs = max(1, _COUNT_BLOCK // size**2), [], [], 0
     for lo in range(0, size, rows):
-        mirror = cube[:, lo:lo + rows] if hermitian else cube[:, s[lo:lo + rows]][s][:, :, s]
+        mirror = cube[:, s[lo:lo + rows]][s][:, :, s]
         kept = mirrored[lo:lo + rows]
         ours, theirs = cube[lo:lo + rows][kept], mirror.transpose(1, 0, 2)[kept]
         if scale is None:
@@ -667,8 +670,10 @@ def validate_hypergroup(
         worst, witness = float(values[n]), pair(domain, n)
     support = Report("unit-support", witness is None, worst, witness, EPS_PROB, n_pairs)
 
-    return ValidationReport(checks=(stochastic, unit, associativity, star, support),
-                            hermitian=hermitian)
+    return ValidationReport(
+        checks=(stochastic, unit, associativity, star, support),
+        hermitian=sigma == identity_permutation(size),
+    )
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,7 @@ from .graphs import (
     wildberger_tensor,
 )
 from .hypergroups import (
+    _COUNT_BLOCK,
     EPS_PROB,
     Hypergroup,
     StructureTensor,
@@ -145,7 +146,8 @@ def verify_theorem_2_4(
     must coincide with the fold of the sphere-count constants: identically
     in exact mode, within 1e-12 in float mode.  Both sides walk the prefix
     trie of the words one length at a time (``path_sum_levels`` and
-    ``fold_levels``, in float mode over the float view).  A bool or
+    ``fold_levels``, in float mode over the float view), the folds in
+    blocks of letters within the graph route's budget, ``_COUNT_BLOCK``.  A bool or
     non-integral ``max_word_len`` is refused.
     """
     if mode not in ("exact", "float"):
@@ -182,7 +184,7 @@ def _theorem_2_4_residuals(table: SphereTable, tensor: StructureTensor, max_word
     words, residuals = [], []
     for (level, _, _), (numerators, denominators), (folds, scale) in zip(
         levels, path_sum_levels(table, levels),
-        fold_levels(tensor if exact else tensor.to_float(), levels),
+        fold_levels(tensor if exact else tensor.to_float(), levels, _COUNT_BLOCK),
     ):
         words.append(level)
         if not exact:

@@ -1,11 +1,12 @@
 """Differential tests of the exact graph route's blocked paths against the
 frozen loops in ``tests/reference/``, and the memory those blocks bound.
 
-The block budget ``_COUNT_BLOCK`` is read by ``graphs`` and by
-``hypergroups.validate_hypergroup``; each test sets it in both modules, to
-its default, to one entry (every block then holds one row, one j or one
-support vertex), and to r rows of the path's unit, r the least count >= 2
-that does not divide the rows the path splits ("uneven").
+The block budget ``_COUNT_BLOCK`` is read by ``graphs``, by
+``hypergroups.validate_hypergroup`` and by Theorem 2.4's folds in
+``verify``; each test sets it in the three modules, to its default, to one
+entry (every block then holds one row, one j or one support vertex), and
+to r rows of the path's unit, r the least count >= 2 that does not divide
+the rows the path splits ("uneven").
 - ``build_spheres``: distances (dtype included), sphere sizes and spheres
   of the packed-BFS corpus (n around the 64-bit word boundaries, P300's
   uint16 distances) against the loop BFS.
@@ -17,6 +18,8 @@ that does not divide the rows the path splits ("uneven").
   folds on the tensor and on its float copy.
 - ``path_sum_levels``: the per-letter loop, with the letter 0 on every
   level, in float64 and past 2**53 in Python ints.
+- Theorem 2.4's ``fold_levels`` at the budget: the per-letter loop on the
+  same graphs, and the theorem's report.
 - ``validate_hypergroup``: the frozen associativity loop on exact tensors
   bit for bit, and on their float copies within round-off; the frozen
   layer's whole report on every preset, a non-identity involution among
@@ -47,8 +50,10 @@ from hyperwalk import (
     verify_theorem_2_4,
     wildberger_tensor,
 )
-from hyperwalk import graphs, hypergroups
+from hyperwalk import graphs, hypergroups, verify
+from hyperwalk.hypergroups import fold_levels, prefix_trie
 from reference import graph_loops as ref
+from reference import level_loops as ref_level
 from reference import hypergroup_loops as ref_assoc
 from reference import tensor_loops as ref_tensor
 from test_graph_differential import (
@@ -58,7 +63,7 @@ from test_graph_differential import (
     _base_counts_loop,
     _moved_mass,
 )
-from test_level_differential import assert_same_walks
+from test_level_differential import assert_same_array, assert_same_walks
 from test_tensor_differential import (
     _assert_same_entries,
     _assert_same_graph_tensor,
@@ -76,7 +81,7 @@ def _set_budget(monkeypatch, kind, rows, unit):
     entries = 1
     if kind == "uneven":
         entries = unit * next(r for r in range(2, rows + 3) if rows % r)
-    for module in (graphs, hypergroups):
+    for module in (graphs, hypergroups, verify):
         monkeypatch.setattr(module, "_COUNT_BLOCK", entries)
 
 
@@ -153,6 +158,28 @@ def test_blocked_path_sums_match_per_letter_loop(graph, max_len, kind, monkeypat
     tiers = {numerators.dtype for numerators, _ in paths}
     assert tiers == ({np.dtype(float), np.dtype(object)} if graph.n_vertices == 100
                      else {np.dtype(float)})
+
+
+@pytest.mark.parametrize("kind", BUDGETS)
+@pytest.mark.parametrize("graph, max_len", [
+    (line_window_graph(30), 3), (free_ball_graph(2, 5), 3), (hypercube_graph(6), 3),
+    (cycle_graph(9), 4), (complete_graph(100), 8)],
+    ids=("z-window(30)", "free-ball(2,5)", "Q6", "C9", "K100"))
+def test_theorem_2_4_folds_at_the_budget_match_per_letter_loop(graph, max_len, kind,
+                                                               monkeypatch):
+    # Theorem 2.4 folds a block of letters within the graph budget: a
+    # letter's block of the cube is size**2 entries.
+    table = build_spheres(graph)
+    tensor, size = wildberger_tensor(table), len(table.index_set)
+    _set_budget(monkeypatch, kind, size, size * size)
+    levels = list(prefix_trie(table.index_set, max_len, graph.window_radius))
+    folds = fold_levels(tensor, levels, verify._COUNT_BLOCK)
+    for (fold, scale), (old_fold, old_scale) in zip(folds, ref_level.fold_levels(tensor, levels),
+                                                    strict=True):
+        assert_same_array(fold, old_fold)
+        assert scale == old_scale
+    report = verify_theorem_2_4(table, max_len)
+    assert report.passed and report.max_residual == 0
 
 
 def _random_supports(seed, count):
