@@ -147,8 +147,8 @@ def verify_theorem_2_4(
     in exact mode, within 1e-12 in float mode.  Both sides walk the prefix
     trie of the words one length at a time (``path_sum_levels`` and
     ``fold_levels``, in float mode over the float view), the folds in
-    blocks of letters within the graph route's budget, ``_COUNT_BLOCK``.  A bool or
-    non-integral ``max_word_len`` is refused.
+    blocks of letters within the graph route's budget, ``_COUNT_BLOCK``.
+    A bool or non-integral ``max_word_len`` is refused.
     """
     if mode not in ("exact", "float"):
         raise ValueError("mode must be 'exact' or 'float'")
