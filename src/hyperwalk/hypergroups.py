@@ -563,10 +563,11 @@ def validate_hypergroup(
     associativity, the star law Q[i,j,k] == Q[s(j),s(i),s(k)], and the
     zero-index support rule (Q[i,j,0] > 0 exactly when j == s(i)).  On a
     truncated tensor, triples whose intermediate products leave the stored
-    domain are skipped and counted.  Associativity is contracted per i a
-    chunk of k at a time, and the star law a block of i at a time, each
-    temporary within ``_COUNT_BLOCK`` entries; an exact tensor's float
-    constants are formed only where an axiom reads them (``floats_at``).
+    domain are skipped and counted.  Associativity is contracted a chunk of
+    k at a time, one i at a time within it, and the star law a block of i
+    at a time, each temporary within ``_COUNT_BLOCK`` entries; an exact
+    tensor's float constants are formed only where an axiom reads them
+    (``floats_at``).
     """
     sigma = _check_permutation(involution, tensor.size)
     for i, s in enumerate(sigma):
