@@ -534,18 +534,19 @@ def _first_worst(cases: list[tuple[float, tuple]]) -> tuple[float, tuple]:
     return min((case for case in cases if case[0] == top), key=lambda case: case[1])
 
 
-def _worst_gap(lhs: np.ndarray, rhs: np.ndarray, skipped: np.ndarray,
+def _worst_gap(lhs: np.ndarray, rhs: np.ndarray, kept: np.ndarray | None,
                scale: int | None) -> tuple[float, int] | None:
-    """The first worst |lhs - rhs| outside the ``skipped`` entries
-    (``worst_residual``): float sides as they are, and exact sides over
-    ``scale**2``, where only an entry at which they differ is converted,
-    each side correctly rounded; None when exact sides agree."""
+    """The first worst |lhs - rhs| over the ``kept`` entries, or over all
+    when ``kept`` is None (``worst_residual``): float sides as they are,
+    and exact sides over ``scale**2``, where only an entry at which they
+    differ is converted, each side correctly rounded; None when exact
+    sides agree."""
     if scale is None:
-        return worst_residual(np.where(skipped, 0.0, np.abs(lhs - rhs)))
+        gaps = np.abs(lhs - rhs)
+        return worst_residual(gaps if kept is None else np.where(kept, gaps, 0.0))
     differ = lhs != rhs
-    if not differ.any():
-        return None
-    differ &= ~skipped
+    if kept is not None:
+        differ &= kept
     if not differ.any():
         return None
     gaps = np.zeros(lhs.shape)
@@ -592,20 +593,20 @@ def validate_hypergroup(
 
     # Associativity: (x_i x_j) x_k against x_i (x_j x_k), over the triples
     # not skipped.
-    skip = _skipped_triples(tensor)
+    kept = ~_skipped_triples(tensor)
     # Numerators are exact in float64 while every partial sum of size
     # products of two is an integer below 2**53, in any BLAS order.
     scale = tensor.denominator
     cube = tensor.cube
     if scale is not None:
         cube = exact_tier(_magnitude(cube)**2 * size, cube)
-    skipped, found = int(skip.sum()), [[] for _ in range(size)]
+    skipped, found = size**3 - int(kept.sum()), [[] for _ in range(size)]
     # The (j, k) box is contracted a chunk of k at a time, each side within
     # _COUNT_BLOCK entries (at least one k), and per i over the j up to the
     # last one kept for a k of the chunk (``reach[i, k]`` less one); an i
     # with no j kept in the chunk is not.  A chunk's (j, k) rows are copied
     # once for every i; its (m, (k, l)) columns are read in place.
-    reach = np.where(skip.all(axis=1), 0, size - np.argmax(~skip[:, ::-1], axis=1))  # [i, k]
+    reach = np.where(kept.any(axis=1), size - np.argmax(kept[:, ::-1], axis=1), 0)  # [i, k]
     flat = cube.reshape(size, -1)  # [m, (k, l)]
     step = max(1, _COUNT_BLOCK // size**2)
     for lo in range(0, size, step):
@@ -619,7 +620,7 @@ def validate_hypergroup(
                 continue
             lhs = (cube[i, :jmax] @ flat[:, lo * size:hi * size]).reshape(jmax, -1, size)
             rhs = (rows[:jmax].reshape(-1, size) @ cube[i]).reshape(lhs.shape)
-            gap = _worst_gap(lhs, rhs, skip[i, :jmax, lo:hi, None], scale)
+            gap = _worst_gap(lhs, rhs, kept[i, :jmax, lo:hi, None] if skipped else None, scale)
             if gap is not None:
                 j, k = divmod(gap[1] // size, hi - lo)
                 found[i].append((gap[0], (i, j, lo + k, gap[1] % size)))
