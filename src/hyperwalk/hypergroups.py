@@ -614,12 +614,12 @@ def validate_hypergroup(
         jmaxs = reach[:, lo:hi].max(axis=1).tolist()
         if not any(jmaxs):
             continue
-        rows = np.ascontiguousarray(cube[:, lo:hi])  # [j, k, m]
+        box = np.ascontiguousarray(cube[:, lo:hi])  # [j, k, m]
         for i, jmax in enumerate(jmaxs):
             if not jmax:
                 continue
             lhs = (cube[i, :jmax] @ flat[:, lo * size:hi * size]).reshape(jmax, -1, size)
-            rhs = (rows[:jmax].reshape(-1, size) @ cube[i]).reshape(lhs.shape)
+            rhs = (box[:jmax].reshape(-1, size) @ cube[i]).reshape(lhs.shape)
             gap = _worst_gap(lhs, rhs, kept[i, :jmax, lo:hi, None] if skipped else None, scale)
             if gap is not None:
                 j, k = divmod(gap[1] // size, hi - lo)
@@ -642,8 +642,8 @@ def validate_hypergroup(
     rows, worsts, firsts, pairs = max(1, _COUNT_BLOCK // size**2), [], [], 0
     for lo in range(0, size, rows):
         mirror = cube[:, s[lo:lo + rows]][s][:, :, s]
-        kept = mirrored[lo:lo + rows]
-        ours, theirs = cube[lo:lo + rows][kept], mirror.transpose(1, 0, 2)[kept]
+        stored = mirrored[lo:lo + rows]
+        ours, theirs = cube[lo:lo + rows][stored], mirror.transpose(1, 0, 2)[stored]
         if scale is None:
             gaps = np.abs(ours - theirs)
         else:
