@@ -166,12 +166,25 @@ class SphereTable:
     @cached_property
     def base_counts(self) -> np.ndarray:
         """``base_counts[v, r, k] = |S_r(v) & S_k(base)|`` for r and k in the
-        index set, in the narrowest unsigned dtype that holds n, binned from
-        the keys of a block of rows at a time (``_row_counts``)."""
+        index set, in the narrowest unsigned dtype that holds n.
+
+        One bincount per block of rows, of the keys ``d(v, w) * size +
+        d(base, w)`` widened to ``np.intp`` and offset by each row's cell of
+        ``width * size`` keys, the first size**2 of which have r in the
+        index set; a block's keys and counts take at most ``_COUNT_BLOCK``
+        entries."""
         n, size, width = self.graph.n_vertices, len(self.index_set), self.starts.shape[1] - 1
-        # Keys r * size + d(base, w): the first size**2 have r in the index set.
-        counts = _row_counts(self.dist, size, self.dist[self.graph.base], width * size,
-                             size * size, np.min_scalar_type(n)).reshape(n, size, size)
+        cell = width * size
+        counts = np.empty((n, size * size), dtype=np.min_scalar_type(n))
+        rows = max(1, _COUNT_BLOCK // max(n, cell))
+        shift = self.dist[self.graph.base] + np.arange(min(rows, n))[:, None] * cell
+        for lo in range(0, n, rows):
+            keys = self.dist[lo:lo + rows].astype(np.intp)
+            keys *= size
+            keys += shift[:len(keys)]
+            counts[lo:lo + rows] = np.bincount(
+                keys.ravel(), minlength=len(keys) * cell).reshape(-1, cell)[:, :size * size]
+        counts = counts.reshape(n, size, size)
         counts.setflags(write=False)
         return counts
 
@@ -206,22 +219,10 @@ def _neighbour_array(graph: PointedGraph) -> np.ndarray:
     return nbrs
 
 
-def _row_counts(dist: np.ndarray, scale: int, shift, cell: int, keep: int, dtype) -> np.ndarray:
-    """``counts[v, c]`` for c < ``keep``: how many w have the key ``dist[v, w]
-    * scale + shift[w] == c``, formed in ``np.intp`` and below ``cell``.  One
-    bincount per block of rows, each row's keys offset by its cell, the keys
-    and the counts of a block within ``_COUNT_BLOCK`` entries."""
-    n = len(dist)
-    counts = np.empty((n, keep), dtype=dtype)
-    rows = max(1, _COUNT_BLOCK // max(dist.shape[1], cell))
-    shift = shift + np.arange(min(rows, n))[:, None] * cell
-    for lo in range(0, n, rows):
-        keys = dist[lo:lo + rows].astype(np.intp)
-        keys *= scale
-        keys += shift[:len(keys)]
-        counts[lo:lo + rows] = np.bincount(
-            keys.ravel(), minlength=len(keys) * cell).reshape(-1, cell)[:, :keep]
-    return counts
+# Unpacked, a source is a byte holding 0 or 1: shifted by b mod 8 as 64-bit
+# words, eight sources a word, distance plane b's bit stays in its byte, and
+# eight planes OR into the byte of distance bits b - b mod 8 on.
+_PLANE_SHIFTS = np.arange(64, dtype=np.uint64) % 8
 
 
 def build_spheres(graph: PointedGraph) -> SphereTable:
@@ -233,13 +234,17 @@ def build_spheres(graph: PointedGraph) -> SphereTable:
     level, in 64-bit words.  Distances are symmetric, so the next level of
     row v is the OR of its neighbours' frontier rows, less the sources that
     already reached v: one gather of n/8-byte rows per neighbour column,
-    O(n² · max degree / 64) word operations per level.  The levels set the
-    binary digits of the distances, packed like the frontier until the end,
-    where they become ``dist``: one n×n array of 8- or 16-bit keys, the
-    only n×n array the table holds or the build forms, unpacked a block of
-    rows at a time, as many as fill ``_COUNT_BLOCK`` int64 words.  Each
-    block's sphere sizes are counted from its keys while it is in cache
-    (``_row_counts``).
+    O(n² · max degree / 64) word operations per level.  By the same
+    symmetry, level r's row v is the sphere S_r(v), so the sphere sizes are
+    counted on the search: each level's ``np.bitwise_count``, a byte a
+    word, goes into a words-major buffer, which is summed over its words
+    once per batch of levels.  The levels set the binary digits of the
+    distances, packed like the frontier until the end, where they become
+    ``dist``: one n×n array of 8- or 16-bit keys, the only n×n array the
+    table holds or the build forms, unpacked a block of rows at a time, all
+    planes of a block in one ``np.unpackbits`` and one OR-reduce per eight
+    planes.  The count buffer and the unpacked planes of a block each take
+    at most ``_COUNT_BLOCK`` int64 words (or one level, or one row).
     """
     n = graph.n_vertices
     # A row's own frontier bits are never unseen, so padding a neighbour
@@ -253,37 +258,57 @@ def build_spheres(graph: PointedGraph) -> SphereTable:
     frontier[vertices, vertices // 8] = 0x80 >> (vertices % 8)
     unseen = np.packbits(np.arange(64 * words) < n) ^ frontier
     frontier, unseen = frontier.view(np.uint64), unseen.view(np.uint64)
-    planes: list[np.ndarray] = []  # bit b of d(v, s)
-    level = 0
-    while unseen.any():
-        reached = frontier[nbrs[:, 0]]
-        for column in nbrs.T[1:]:
+    columns = list(nbrs.T)
+    planes = [np.zeros((n, words), dtype=np.uint64)]  # bit b of d(v, s)
+    tally = np.min_scalar_type(n)
+    sizes = [np.ones((1, n), dtype=tally)]  # [r, v] = |S_r(v)|, a batch of levels each
+    # Words-major, so that a row's words sum as whole rows (numpy sums
+    # along a row's few words several times slower); a batch of levels
+    # whose bytes fill at most _COUNT_BLOCK int64 words, and whose sums
+    # hold at most _COUNT_BLOCK entries.
+    batch = max(1, 8 * _COUNT_BLOCK // (n * max(words, 8)))
+    counts = np.empty((words, min(batch, n), n), dtype=np.uint8)
+    filled = 0
+    level, more = 0, n > 1
+    while more:
+        reached = frontier[columns[0]]
+        for column in columns[1:]:
             reached |= frontier[column]
         reached &= unseen
-        if not reached.any():
-            raise DisconnectedGraphError("distance matrix has unreachable pairs")
         level += 1
         unseen ^= reached
+        more = unseen.any()
         frontier = reached
         if level.bit_length() > len(planes):
             planes.append(np.zeros((n, words), dtype=np.uint64))
         for b, plane in enumerate(planes):
             if level >> b & 1:
                 plane |= reached
-    frontier = unseen = reached = None  # the planes are all that is left to read
-    dist = np.zeros((n, n), dtype=np.min_scalar_type(level))
-    width = level + 1
-    starts = np.zeros((n, width + 1), dtype=np.intp)
-    rows = max(1, _COUNT_BLOCK // -(-n * dist.itemsize // 8))
+        np.bitwise_count(reached.T, out=counts[:, filled])
+        filled += 1
+        if filled == len(counts[0]) or not more:
+            sizes.append(counts[:, :filled].sum(axis=0, dtype=tally))
+            filled = 0
+            # A level that reaches nothing leaves every later one empty.
+            if not sizes[-1][-1].any():
+                raise DisconnectedGraphError("distance matrix has unreachable pairs")
+    frontier = unseen = reached = counts = None  # the planes are all that is left to read
+    dist = np.empty((n, n), dtype=np.min_scalar_type(level))
+    starts = np.zeros((n, level + 2), dtype=np.intp)
+    np.cumsum(np.concatenate(sizes, dtype=np.intp).T, axis=1, out=starts[:, 1:])
+    shifts = _PLANE_SHIFTS[:len(planes), None, None]
+    rows = max(1, _COUNT_BLOCK // (len(planes) * 8 * words))
     for lo in range(0, n, rows):
+        packed = np.array([plane[lo:lo + rows] for plane in planes]).view(np.uint8)
+        lanes = np.unpackbits(packed, axis=2).view(np.uint64)
+        lanes <<= shifts
         block = dist[lo:lo + rows]
-        for b, plane in enumerate(planes):
-            bits = np.unpackbits(plane[lo:lo + rows].view(np.uint8), axis=1, count=n)
-            bits = bits.astype(dist.dtype, copy=False)
-            bits <<= b
-            block |= bits
-        np.cumsum(_row_counts(block, 1, 0, width, width, np.intp), axis=1,
-                  out=starts[lo:lo + rows, 1:])
+        for b in range(0, len(planes), 8):
+            byte = np.bitwise_or.reduce(lanes[b:b + 8], axis=0).view(np.uint8)[:, :n]
+            if b:
+                block |= byte.astype(dist.dtype) << b
+            else:
+                block[...] = byte
     base_row = dist[graph.base]
     index_set = tuple(np.flatnonzero(np.bincount(base_row)).tolist())
     base_order = np.argsort(base_row, kind="stable").astype(np.int32)
@@ -379,9 +404,11 @@ def check_condition_s(graph_or_table) -> Report:
 
 def _condition_s(table: SphereTable) -> Report:
     graph = table.graph
-    window = graph.window_radius
     base = graph.base
     size = len(table.index_set)
+    window = graph.window_radius
+    if window is not None:  # past every base distance plus radius, and within int64
+        window = min(window, 2 * size)
     radii = np.arange(size)
 
     def uneven(name: tuple, members: np.ndarray, counts: np.ndarray, checked: int) -> Report:

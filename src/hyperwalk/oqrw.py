@@ -818,7 +818,9 @@ def heisenberg_levels(family: KrausFamily, tensor: StructureTensor, max_len: int
         raise ValueError(f"size mismatch: family {family.d_size}, tensor {tensor.size}")
     d, h = family.d_size, family.h_dim
     hh = h * h
-    cap = max_len * d if radius is None else radius  # no letter sum passes it untruncated
+    # Past every letter sum, as is any larger radius, which need not fit int64.
+    cap = max_len * d
+    cap = cap if radius is None else min(radius, cap)
     gram = family._gram.reshape(d, d, d * hh)  # [m, i, (j, b, c)]: Phi_m^*(E_i) at j
     by_position = gram.swapaxes(0, 1)  # [i, m, (j, b, c)]
     floats = tensor.to_float().cube  # Q[k, l, m]; rows outside a truncation are zero

@@ -61,14 +61,20 @@ def _rng(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
+def _random_unitaries(count: int, dim: int, rng) -> np.ndarray:
+    """``count`` Haar-ish unitaries, (count, dim, dim): the QR of complex
+    Gaussian matrices, each drawn as its real then its imaginary part, in
+    one draw and one stacked QR."""
+    draws = _rng(rng).standard_normal((count, 2, dim, dim))
+    q, r = np.linalg.qr(draws[:, 0] + 1j * draws[:, 1])
+    phases = np.diagonal(r, axis1=1, axis2=2).copy()
+    phases /= np.abs(phases)
+    return q * phases[:, None, :]
+
+
 def random_unitary(dim: int, rng) -> np.ndarray:
     """Haar-ish unitary from the QR of a complex Gaussian matrix."""
-    rng = _rng(rng)
-    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    q, r = np.linalg.qr(z)
-    phases = np.diag(r).copy()
-    phases /= np.abs(phases)
-    return q * phases
+    return _random_unitaries(1, dim, rng)[0]
 
 
 def random_isometries(
@@ -76,12 +82,8 @@ def random_isometries(
 ) -> dict[tuple[int, int, int], np.ndarray]:
     """One random unitary per block (i, j, k) that ``realize`` builds from
     ``tensor``, drawn in sorted (k, j), then sorted i order."""
-    rng = _rng(rng)
-    return {
-        (i, j, k): random_unitary(h_dim, rng)
-        for k, j in sorted(tensor.defined_pairs())
-        for i in sorted(tensor.row(k, j))
-    }
+    keys = [(i, j, k) for k, j in sorted(tensor.defined_pairs()) for i in sorted(tensor.row(k, j))]
+    return dict(zip(keys, _random_unitaries(len(keys), h_dim, rng)))
 
 
 def random_block_state(h_dim: int, d_size: int, seed) -> BlockState:
@@ -292,7 +294,9 @@ def verify_theorem_5_1(
         raise ValueError("max_word_len and n_states must be at least 1")
     d = family.d_size
     radius = common_radius(family, tensor)
-    cap = (max_word_len + 1) * d if radius is None else radius  # untruncated, past every sum + j
+    # Past every sum + j, as is any larger radius, which need not fit int64.
+    cap = (max_word_len + 1) * d
+    cap = cap if radius is None else min(radius, cap)
     levels = heisenberg_levels(family, tensor, max(2, max_word_len), radius)
     # The walk's two-letter pieces form the pass if none is kept; longer words extend them.
     two = next(levels) if tensor not in family._passes or max_word_len > 2 else None

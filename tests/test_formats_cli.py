@@ -581,6 +581,41 @@ def test_cli_refuses_bad_radius_and_nan_documents(tmp_path, capsys):
     assert capsys.readouterr().err.count("non-finite constant") == 2
 
 
+def _with_radius(path, field, radius):
+    doc = json.loads(path.read_text())
+    doc[field] = radius
+    out = path.with_name(f"{path.stem}-{radius}.json")
+    out.write_text(json.dumps(doc))
+    return str(out)
+
+
+def test_cli_radius_past_int64_reads_as_a_radius_past_every_sum(tmp_path, capsys):
+    # c4's base distances and radii are at most 2, so a window of 7 is past
+    # every base distance plus radius and every letter sum of 3 letters; a
+    # truncation radius of 9 is past every start plus letter sum of 4
+    # letters.  A radius past int64 must read the same, not overflow.
+    graph, tensor = tmp_path / "c4.json", tmp_path / "c4h.json"
+    assert run_cli("gen", "c4", "--out", str(graph)) == 0
+    assert run_cli("gen", "c4-hypergroup", "--out", str(tensor)) == 0
+    capsys.readouterr()
+    results = []
+    for window, truncation in ((7, 9), (2**70, 2**70)):
+        window_graph = _with_radius(graph, "window_radius", window)
+        truncated = _with_radius(tensor, "truncation_radius", truncation)
+        kraus = str(tmp_path / f"kraus-{truncation}.json")
+        state = str(tmp_path / f"state-{truncation}.json")
+        runs = [("check-graph", "--graph", window_graph),
+                ("verify-t24", "--graph", window_graph, "--max-len", "3"),
+                ("realize", "--tensor", truncated, "--h-dim", "2", "--random-isometries",
+                 "--seed", "7", "--out-kraus", kraus, "--out-state", state),
+                ("verify-t51", "--kraus", kraus, "--tensor", truncated, "--max-len", "3"),
+                ("verify-hb", "--kraus", kraus, "--tensor", truncated),
+                ("walk", "--kraus", kraus, "--state", state, "--word", "2,2,2")]
+        results.append([(run_cli(*argv), capsys.readouterr()) for argv in runs])
+    assert [code for code, _ in results[0]] == [0] * 6
+    assert results[1] == results[0]
+
+
 def test_cli_gen_state_site_out_of_range(capsys):
     assert run_cli("gen", "mixed-state", "--site", "5") == 2
     assert run_cli("gen", "mixed-state", "--site", "-1", "--d-size", "3") == 2

@@ -453,11 +453,21 @@ def _bfs_graph(n, seed):
     return pointed_graph([f"v{v}" for v in range(n)], sorted(edges), rng.randrange(n))
 
 
+def _grid_graph(rows, cols):
+    """The rows × cols grid, based at a corner."""
+    edges = [(v, v + 1) for v in range(rows * cols) if (v + 1) % cols]
+    edges += [(v, v + cols) for v in range((rows - 1) * cols)]
+    return pointed_graph([f"v{v}" for v in range(rows * cols)], edges, 0)
+
+
 # Vertex counts around the byte and 64-bit word boundaries of the packed
-# rows; P300 has a diameter past 255, so its sort keys take 16 bits.
+# rows; P300 has a diameter past 255, so its sort keys take 16 bits.  The
+# 4 × 40 grid (diameter 42, three words a row) unpacks six distance planes
+# at once; C520 unpacks nine, and its nine-word rows size a batch of
+# sphere-size counts by its bytes rather than by its sums.
 BFS_GRAPHS = ([_bfs_graph(n, seed) for n in (1, 7, 8, 9, 63, 64, 65) for seed in (0, 1)]
               + [path_graph(n) for n in (7, 8, 9, 63, 64, 65, 300)]
-              + [free_ball_graph(2, 5)])
+              + [free_ball_graph(2, 5), _grid_graph(4, 40), cycle_graph(520)])
 
 
 @pytest.mark.parametrize("graph", BFS_GRAPHS, ids=lambda g: f"n{g.n_vertices}-base{g.base}")

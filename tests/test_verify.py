@@ -32,6 +32,7 @@ from hyperwalk.verify import (
     verify_theorem_2_4,
     verify_theorem_5_1,
 )
+from reference import isometry_loops as ref_iso
 
 
 def test_verify_theorem_2_4_exact():
@@ -302,6 +303,21 @@ def test_random_isometries_draw_in_block_order(zlattice8):
     got = random_isometries(zlattice8.tensor, 2, 4)
     assert list(got) == list(expected)
     assert all(np.array_equal(got[key], expected[key]) for key in expected)
+
+
+@pytest.mark.parametrize("h_dim", (1, 2, 3))
+@pytest.mark.parametrize("name", ("z-lattice(6)", "c4", "s3"))
+def test_random_isometries_match_the_per_block_draws(name, h_dim):
+    tensor = {"z-lattice(6)": presets.zlattice_hypergroup(6), "c4": presets.c4_hypergroup(),
+              "s3": presets.s3_class_hypergroup()}[name].tensor
+    for seed in (7, 8):
+        got, expected = random_isometries(tensor, h_dim, seed), ref_iso.random_isometries(
+            tensor, h_dim, seed)
+        assert list(got) == list(expected)
+        assert all(np.array_equal(got[key], expected[key]) for key in expected)
+    rng, old_rng = np.random.default_rng(7), np.random.default_rng(7)
+    for _ in range(3):
+        assert np.array_equal(random_unitary(h_dim, rng), ref_iso.random_unitary(h_dim, old_rng))
 
 
 def test_empty_scans_are_refused(c4):
