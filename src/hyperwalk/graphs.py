@@ -618,8 +618,7 @@ def path_sum_levels(table: SphereTable, levels):
         stay, move = (letters == 0).nonzero()[0], letters.nonzero()[0]
         if len(stay):
             out[stay] = _by_distance(table, mass[parents[stay]]) if last else mass[parents[stay]]
-        for ks, rows, chosen, at in letter_blocks(parents[move], letters[move], len(mass) * width,
-                                                  _COUNT_BLOCK):
+        for ks, rows, chosen, at in letter_blocks(parents[move], letters[move], len(mass) * width):
             product = _indicator_product(table, mass[rows], ks, last, bound)
             out[move[chosen]] = product.reshape(-1, width)[at]
         yield (out if last else _by_distance(table, out)), children.tolist()

@@ -369,28 +369,25 @@ def prefix_trie(letters: Sequence[int], max_len: int, budget: int | None):
         yield words, parents, last
 
 
-# Entries that a block of ``letter_blocks`` may hold per operand and per
-# product (512 KB in float64): a level of a large trie is extended a
-# block of letters at a time, a small one in one block.
-_BLOCK_ENTRIES = 2**16
-
-# Entries that a temporary of the exact graph route holds at a time: the
-# blocks that ``graphs`` unpacks, bins, compares, sums and multiplies, and
-# the chunks that ``validate_hypergroup`` contracts (one- and two-byte
-# entries are counted by the int64 words they fill).  64 KiB of int64 or
+# Words that a temporary of a blocked loop holds at a time: the blocks
+# that ``graphs`` unpacks, bins, compares, sums and multiplies, the chunks
+# that ``validate_hypergroup`` contracts, the letter blocks of a fold
+# level, and in ``oqrw`` the stack build, a walk's held states and
+# Theorem 5.1's held blocks (one- and two-byte entries are counted by the
+# int64 words they fill, a complex entry as two).  64 KiB of int64 or
 # float64 stays below glibc's default 128 KiB mmap threshold, so a block is
 # reused from the heap instead of being mapped, and faulted in, on each
-# call.  ``graphs`` and ``verify`` (Theorem 2.4's folds) import the name; a
-# test sets it in each module.
+# call.  ``graphs``, ``verify`` and ``oqrw`` import the name, so a test
+# that changes it sets it in every module that reads it; the Heisenberg
+# walker keeps its own budget (``oqrw._LEVEL_ENTRIES``).
 _COUNT_BLOCK = 2**13
 
 
-def letter_blocks(parents: np.ndarray, letters: np.ndarray, per_letter: int,
-                  budget: int | None = None):
+def letter_blocks(parents: np.ndarray, letters: np.ndarray, per_letter: int):
     """The words of a trie level in blocks of consecutive letters that they
-    use, at most ``budget // per_letter`` letters a block (at least one),
-    ``per_letter`` being the entries a letter adds to an operand or a
-    product and ``budget`` ``_BLOCK_ENTRIES`` unless given.
+    use, at most ``_COUNT_BLOCK // per_letter`` letters a block (at least
+    one), ``per_letter`` being the entries a letter adds to an operand or a
+    product.
 
     Yields per block (ks, rows, words, at): its letters in increasing
     order, the parents with a child in it (increasing), the index of the
@@ -403,7 +400,7 @@ def letter_blocks(parents: np.ndarray, letters: np.ndarray, per_letter: int,
     if not len(letters):
         return
     used = np.flatnonzero(np.bincount(letters))
-    step = max(1, (_BLOCK_ENTRIES if budget is None else budget) // max(per_letter, 1))
+    step = max(1, _COUNT_BLOCK // max(per_letter, 1))
     width = int(parents.max()) + 1
     for lo in range(0, len(used), step):
         ks = used[lo:lo + step]
@@ -428,33 +425,33 @@ def exact_tier(bound: int, values: np.ndarray) -> np.ndarray:
     return values.astype(np.int64).astype(object)
 
 
-def fold_levels(tensor: StructureTensor, levels, budget: int | None = None):
+def fold_levels(tensor: StructureTensor, levels):
     """Folds of every word of a ``prefix_trie``, one level at a time.
 
     A level extends the folds of its prefixes by their last letter (see
-    ``fold_level``, which reads ``budget``), and yields them, a (words,
+    ``fold_level``), and yields them, a (words,
     size) array, with their common denominator: L**(length - 1) on an
     exact tensor, L its denominator, and 1 on a float tensor.
     """
     folds = None
     for length, (_, parents, letters) in enumerate(levels, start=1):
-        folds = fold_level(tensor, folds, parents, letters, length, budget)
+        folds = fold_level(tensor, folds, parents, letters, length)
         yield folds, tensor.denominator ** (length - 1) if tensor.is_exact else 1
 
 
 def fold_level(tensor: StructureTensor, prefixes: np.ndarray | None, parents: np.ndarray,
-               letters: np.ndarray, length: int, budget: int | None = None) -> np.ndarray:
+               letters: np.ndarray, length: int) -> np.ndarray:
     """The folds of words of ``length`` letters: row n extends the fold
     ``prefixes[parents[n]]`` of its prefix by the letter ``letters[n]``
     through the rows (j, k); at length 1 it is the point mass at the letter.
 
     An exact tensor's folds are integer numerators over L**(length - 1),
-    formed by one product per block of letters (``letter_blocks`` at
-    ``budget``) of their prefixes with the rows (j, k) of the block, whose
-    copy, operand and product each hold at most ``budget`` entries
-    (``_BLOCK_ENTRIES`` unless given) or one letter; a float tensor's are
-    floats, formed per letter by ``fold_step``.  Each row depends on its
-    own prefix alone, so a level may be folded in blocks of rows.  A fold
+    formed by one product per block of letters (``letter_blocks``) of their
+    prefixes with the rows (j, k) of the block, whose copy, operand and
+    product each hold at most ``_COUNT_BLOCK`` entries or one letter; a
+    float tensor's are floats, formed per letter by ``fold_step``.  Each
+    row depends on its own prefix alone, so a level may be folded in blocks
+    of rows.  A fold
     that needs a row outside the stored domain raises
     TruncationExceededError, for its smallest letter k, then j.
     """
@@ -472,8 +469,7 @@ def fold_level(tensor: StructureTensor, prefixes: np.ndarray | None, parents: np
     bound = tensor.growth ** (length - 1)
     prefixes = exact_tier(bound, prefixes)
     folds = np.empty((len(letters), size), dtype=prefixes.dtype)
-    for ks, rows, words, at in letter_blocks(parents, letters, max(len(prefixes), size) * size,
-                                             budget):
+    for ks, rows, words, at in letter_blocks(parents, letters, max(len(prefixes), size) * size):
         chosen = prefixes[rows]
         _check_stored(tensor, chosen[at // len(ks)], ks[at % len(ks)])
         block = exact_tier(bound, tensor.cube[:, ks]).reshape(size, -1)  # [j, (k, m)]

@@ -52,6 +52,7 @@ import numpy as np
 from .errors import TruncationExceededError
 from .graphs import _vertex_index
 from .hypergroups import (
+    _COUNT_BLOCK,
     EPS_PROB,
     StructureTensor,
     Word,
@@ -253,15 +254,17 @@ class KrausFamily(_PositionArray):
     @cached_property
     def blocks(self) -> dict[tuple[int, int, int], np.ndarray]:
         """The nonzero blocks keyed by (i, j, k), in index order."""
-        nonzero = np.argwhere(_nonzero_blocks(self.array)).tolist()
-        return {tuple(idx): self.array[tuple(idx)] for idx in nonzero}
+        k, i, j, blocks = self._nonzero
+        return dict(zip(zip(i.tolist(), j.tolist(), k.tolist()), blocks))
 
     @cached_property
     def _nonzero(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """The indices k, i, j of the nonzero blocks (NaN counts) and the
-        (n, h, h) blocks themselves."""
+        """The indices k, i, j of the nonzero blocks (NaN counts), in (i, j,
+        k) order, and the read-only (n, h, h) blocks themselves."""
         i, j, k = np.nonzero(_nonzero_blocks(self.array))
-        return k, i, j, self.array[i, j, k]
+        blocks = self.array[i, j, k]
+        blocks.setflags(write=False)
+        return k, i, j, blocks
 
     @cached_property
     def _gram(self) -> np.ndarray:
@@ -307,16 +310,17 @@ class KrausFamily(_PositionArray):
         per chunk, with the basis.  Both w and the basis scale each term by
         1/sqrt(2) or less before it is added, so no entry overflows where
         B (x) conj(B) does not, bar the doubling of a sum that does not fit.
-        Built on first use from the nonzero blocks only, ``_BUILD_ENTRIES``
-        entries of Y at a time, so the build holds no complex temporary of
-        the stack's size.  Non-finite entries as in ``_gram``."""
+        Built on first use from the nonzero blocks only, ``_COUNT_BLOCK``
+        words of Y at a time (two a complex entry), so the build holds no
+        complex temporary of the stack's size.  Non-finite entries as in
+        ``_gram``."""
         d, h = self.d_size, self.h_dim
         hh = h * h
         k, i, j, blocks = self._nonzero
         weights, basis = _basis(h)
         weights = weights[:, :, None, None]
         stack = np.zeros((d, d, hh, d, hh))
-        step = max(1, _BUILD_ENTRIES // (hh * hh))
+        step = max(1, _COUNT_BLOCK // (2 * hh * hh))
         with np.errstate(over="ignore", invalid="ignore"):
             for start in range(0, len(k), step):
                 part = slice(start, start + step)
@@ -335,10 +339,6 @@ class KrausFamily(_PositionArray):
 
     def __getstate__(self):  # a weak dictionary does not pickle: a copy forms its own passes
         return {name: value for name, value in self.__dict__.items() if name != "_passes"}
-
-
-# Entries that building ``KrausFamily._stack`` forms at a time.
-_BUILD_ENTRIES = 2**16
 
 
 def kraus_family(
@@ -400,10 +400,6 @@ class BlockState(_PositionArray):
                 _check_states(self.array)
         coords.setflags(write=False)
         return coords
-
-
-# Entries of the states a walk holds for one ``_certified`` call.
-_CHECK_ENTRIES = 2**12
 
 
 def _certified(coords: np.ndarray) -> bool:
@@ -619,7 +615,7 @@ def distribution(state: BlockState) -> np.ndarray:
 def walk_distribution(family: KrausFamily, word: Word, state0: BlockState) -> np.ndarray:
     """Distribution after applying the maps of ``word`` in order to ``state0``.
 
-    The state after each letter is held, up to ``_CHECK_ENTRIES`` entries
+    The state after each letter is held, up to ``_COUNT_BLOCK`` entries
     of states at a time, and each batch of held states is certified at once
     (``_certified``), so memory stays the same whatever the word's length.
     A batch's letters run with numpy's overflow and invalid warnings off.  A
@@ -633,7 +629,7 @@ def walk_distribution(family: KrausFamily, word: Word, state0: BlockState) -> np
     less the word's letter sum (see ``_checked_walk``)."""
     word = _checked_walk(family, state0, word, family.truncation_radius)
     stack = state0._coordinates
-    batch = max(1, _CHECK_ENTRIES // stack.size)
+    batch = max(1, _COUNT_BLOCK // stack.size)
     held = np.empty((min(batch, len(word)),) + stack.shape)
     for start in range(0, len(word), batch):
         letters, before = word[start:start + batch], stack
@@ -756,6 +752,10 @@ def common_radius(family: KrausFamily, tensor: StructureTensor) -> int | None:
 
 # Entries of the observables a piece of ``heisenberg_levels`` forms (at
 # least one letter of d rows): its products and reductions run per piece.
+# The walker keeps its own budget, twice ``_COUNT_BLOCK``: at 2**13 the
+# in-process quantum pipelines read 18% slower on Q8 h3 and 12% on C16 h3,
+# and the quantum-realize benchmark 230 -> 219 ops/s with a tail of 5.29 ->
+# 5.66 ms (6 alternating pairs on a 2-core VM).
 _LEVEL_ENTRIES = 2**14
 
 
@@ -763,7 +763,9 @@ def _reach(family: KrausFamily) -> np.ndarray:
     """``reach[c, k]``: Phi_k^* reads the starts j < c from the positions
     m < reach[c, k] alone, those with a block B[m, j; k] (NaN counts)."""
     d = family.d_size
-    nonzero = _nonzero_blocks(family.array)  # [m, j, k]
+    k, m, j, _ = family._nonzero
+    nonzero = np.zeros((d, d, d), dtype=bool)  # [m, j, k]
+    nonzero[m, j, k] = True
     last = np.where(nonzero.any(axis=0), d - 1 - np.argmax(nonzero[::-1], axis=0), -1)
     return np.vstack([np.zeros((1, d), dtype=int), np.maximum.accumulate(last, axis=0) + 1])
 
@@ -962,9 +964,6 @@ def _worst_entry(entries: np.ndarray) -> tuple[float, tuple[int, int, int, int]]
 # it covers the round-off of a row sum of h moduli and of the squares that
 # ``_largest_moduli`` takes.
 _NORM_SLACK = 1 + 1e-12
-# Entries of the blocks ``_Candidates`` holds before it prunes them again,
-# and past half of which it takes their norms early.
-_CANDIDATE_ENTRIES = 2**16
 
 
 class _Candidates:
@@ -978,8 +977,8 @@ class _Candidates:
     slack of ``_NORM_SLACK``) lies below the largest entry seen so far
     cannot reach the largest norm: ``add`` holds only the other blocks of a
     piece, and the non-finite ones, with their keys (length, word, padding,
-    i, j).  When the held blocks pass ``_CANDIDATE_ENTRIES`` entries they
-    are pruned again by the raised bound, and reduced early if half of them
+    i, j).  When the held blocks pass ``_COUNT_BLOCK`` entries they are
+    pruned again by the raised bound, and reduced early if half of them
     remain, so memory stays bounded whatever the walk's length.  ``bound``
     is the largest entry of the blocks reduced (carried from a pass to
     longer words), as ``_block_norms`` raises it."""
@@ -1018,9 +1017,9 @@ class _Candidates:
         self.held.append((keys, blocks.reshape((-1,) + blocks.shape[-2:])[kept],
                           entries.ravel()[kept]))
         self.size += kept.size
-        if self.size * self.hh > _CANDIDATE_ENTRIES:
+        if self.size * self.hh > _COUNT_BLOCK:
             self._prune()
-            if self.size * self.hh > _CANDIDATE_ENTRIES // 2:
+            if self.size * self.hh > _COUNT_BLOCK // 2:
                 self.found.append(self._reduced())
 
     def _kept(self, entries: np.ndarray) -> np.ndarray:

@@ -149,7 +149,7 @@ def verify_theorem_2_4(
     in exact mode, within 1e-12 in float mode.  Both sides walk the prefix
     trie of the words one length at a time (``path_sum_levels`` and
     ``fold_levels``, in float mode over the float view), the folds in
-    blocks of letters within the graph route's budget, ``_COUNT_BLOCK``.
+    blocks of letters within ``_COUNT_BLOCK``.
     A bool or non-integral ``max_word_len`` is refused.
     """
     if mode not in ("exact", "float"):
@@ -186,7 +186,7 @@ def _theorem_2_4_residuals(table: SphereTable, tensor: StructureTensor, max_word
     words, residuals = [], []
     for (level, _, _), (numerators, denominators), (folds, scale) in zip(
         levels, path_sum_levels(table, levels),
-        fold_levels(tensor if exact else tensor.to_float(), levels, _COUNT_BLOCK),
+        fold_levels(tensor if exact else tensor.to_float(), levels),
     ):
         words.append(level)
         if not exact:
@@ -207,10 +207,6 @@ def _theorem_2_4_residuals(table: SphereTable, tensor: StructureTensor, max_word
     return words, np.concatenate(residuals)
 
 
-# Words of the last trie level that verify_corollary_2_6 folds at a time.
-_FOLD_BLOCK = 1024
-
-
 def verify_corollary_2_6(
     hypergroup: Hypergroup, max_word_len: int, tol: float = 1e-12
 ) -> Report:
@@ -222,7 +218,7 @@ def verify_corollary_2_6(
     its prefix in the trie, still formed left to right (``fold_level`` over
     the float view).  Only the products and folds of the words shorter than
     ``max_word_len`` are kept, one length at a time; the last length is
-    folded one block of words at a time.  A bool or non-integral
+    folded ``_COUNT_BLOCK // size`` words at a time.  A bool or non-integral
     ``max_word_len`` is refused.
     """
     max_word_len = _vertex_index(max_word_len, "max_word_len")
@@ -235,7 +231,7 @@ def verify_corollary_2_6(
     trie = prefix_trie(range(tensor.size), max_word_len, None)
     for length, (level, parents, letters) in enumerate(trie, start=1):
         keep = length < max_word_len
-        block = len(level) if keep else _FOLD_BLOCK
+        block = len(level) if keep else max(1, _COUNT_BLOCK // tensor.size)
         kept = []
         for start in range(0, len(level), block):
             part = slice(start, start + block)

@@ -2,8 +2,9 @@
 frozen loops in ``tests/reference/``, and the memory those blocks bound.
 
 The block budget ``_COUNT_BLOCK`` is read by ``graphs``, by
-``hypergroups.validate_hypergroup`` and by Theorem 2.4's folds in
-``verify``; each test sets it in the three modules, to its default, to one
+``hypergroups`` (``validate_hypergroup``, and the letter blocks of Theorem
+2.4's folds and path sums) and by ``verify``; each test sets it in the
+three modules, to its default, to one
 entry (every block then holds one row, one j or one support vertex), and
 to r rows of the path's unit, r the least count >= 2 that does not divide
 the rows the path splits ("uneven").
@@ -173,7 +174,7 @@ def test_theorem_2_4_folds_at_the_budget_match_per_letter_loop(graph, max_len, k
     tensor, size = wildberger_tensor(table), len(table.index_set)
     _set_budget(monkeypatch, kind, size, size * size)
     levels = list(prefix_trie(table.index_set, max_len, graph.window_radius))
-    folds = fold_levels(tensor, levels, verify._COUNT_BLOCK)
+    folds = fold_levels(tensor, levels)
     for (fold, scale), (old_fold, old_scale) in zip(folds, ref_level.fold_levels(tensor, levels),
                                                     strict=True):
         assert_same_array(fold, old_fold)

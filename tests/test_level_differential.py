@@ -36,9 +36,9 @@ from hyperwalk import (
     verify_theorem_2_4,
     wildberger_tensor,
 )
-from hyperwalk import hypergroups
+from hyperwalk import graphs, hypergroups, verify
 from hyperwalk.graphs import path_sum_levels
-from hyperwalk.hypergroups import fold_level, fold_levels, prefix_trie
+from hyperwalk.hypergroups import fold_level, fold_levels, letter_blocks, prefix_trie
 from reference import level_loops as ref
 from test_graph_differential import SHAPES, _large_denominator_tensor, random_graph
 
@@ -48,8 +48,8 @@ LARGE = [hypercube_graph(6), cycle_graph(30)]
 
 
 def _condition_s_graphs():
-    graphs = [g for g in SHAPES + WINDOWS + LARGE if check_condition_s(g).passed]
-    return graphs + [g for g in map(random_graph, range(400)) if check_condition_s(g).passed]
+    shaped = [g for g in SHAPES + WINDOWS + LARGE if check_condition_s(g).passed]
+    return shaped + [g for g in map(random_graph, range(400)) if check_condition_s(g).passed]
 
 
 CORPUS = _condition_s_graphs()
@@ -223,31 +223,63 @@ BUDGET_GRAPHS = [(line_window_graph(30), 3), (free_ball_graph(2, 5), 3), (hyperc
                  (cycle_graph(30), 3), (complete_graph(100), 8)]
 
 
+def _spied_blocks(monkeypatch):
+    """The blocks ``letter_blocks`` yields from now on, to the folds and to
+    the path sums, as (entries, per_letter): the entries a block adds, its
+    letters times ``per_letter``."""
+    blocks = []
+
+    def spied(parents, letters, per_letter):
+        for block in letter_blocks(parents, letters, per_letter):
+            blocks.append((len(block[0]) * per_letter, per_letter))
+            yield block
+
+    for module in (hypergroups, graphs):
+        monkeypatch.setattr(module, "letter_blocks", spied)
+    return blocks
+
+
 @pytest.mark.parametrize("entries", BUDGETS.values(), ids=BUDGETS)
 @pytest.mark.parametrize("graph, max_len", BUDGET_GRAPHS,
                          ids=[_graph_id(g) for g, _ in BUDGET_GRAPHS])
 def test_letter_blocks_give_the_same_reports(graph, max_len, entries, monkeypatch):
+    # The budget is set in every module that reads it, so Theorem 2.4's
+    # folds and path sums both run in its blocks: each holds at most
+    # ``entries`` or one letter, so a level that the default budget folds
+    # in a larger block of letters is split further.  Q6 and K100 have no
+    # such block at 3000 entries.
     table = build_spheres(graph)
+    default = _spied_blocks(monkeypatch)
     reports = [verify_theorem_2_4(table, max_len, mode) for mode in ("exact", "float")]
-    monkeypatch.setattr(hypergroups, "_BLOCK_ENTRIES", entries)
+    for module in (hypergroups, graphs, verify):
+        monkeypatch.setattr(module, "_COUNT_BLOCK", entries)
+    patched = _spied_blocks(monkeypatch)
     assert [verify_theorem_2_4(table, max_len, mode) for mode in ("exact", "float")] == reports
+    assert all(size <= entries or size == per_letter for size, per_letter in patched)
+    if any(entries < size > per_letter for size, per_letter in default):
+        assert len(patched) > len(default)
     assert_same_walks(table, wildberger_tensor(table), max_len, graph.window_radius)
 
 
 def test_a_small_budget_splits_levels_into_blocks(monkeypatch):
     # z-window(30) at two letters: 31 prefixes of up to 61 vertices and 31
-    # distances a letter take one block, or one letter a block of 3000
-    # entries; 1000 entries a letter take three.
+    # distances a letter take blocks of 4 letters at the default budget of
+    # 2**13 entries, one block of 61 * 31 * 31 entries, or one letter a
+    # block of 3000 entries; 1000 entries a letter take three.
     table = build_spheres(line_window_graph(30))
     levels = list(prefix_trie(table.index_set, 2, 30))
     _, parents, letters = levels[1]
-    blocks = [ks.tolist() for ks, *_ in hypergroups.letter_blocks(parents, letters, 61 * 31)]
-    assert blocks == [list(range(31))]
-    monkeypatch.setattr(hypergroups, "_BLOCK_ENTRIES", 3000)
-    blocks = [ks.tolist() for ks, *_ in hypergroups.letter_blocks(parents, letters, 61 * 31)]
+
+    def blocks_at(entries, per_letter):
+        monkeypatch.setattr(hypergroups, "_COUNT_BLOCK", entries)
+        return [ks.tolist() for ks, *_ in letter_blocks(parents, letters, per_letter)]
+
+    assert blocks_at(2**13, 61 * 31) == [list(range(lo, min(lo + 4, 31))) for lo in range(0, 31, 4)]
+    assert blocks_at(61 * 31 * 31, 61 * 31) == [list(range(31))]
+    blocks = blocks_at(3000, 61 * 31)
     assert list(itertools.chain(*blocks)) == list(range(31)) and len(blocks) == 31
-    for ks, rows, words, at in hypergroups.letter_blocks(parents, letters, 1000):
-        assert len(ks) == 3 or ks[-1] == 30
+    assert blocks_at(3000, 1000) == [list(range(lo, min(lo + 3, 31))) for lo in range(0, 31, 3)]
+    for ks, rows, words, at in letter_blocks(parents, letters, 1000):
         # Every word of the block, and only those, at its (parent, letter).
         assert np.isin(letters[words], ks).all() and np.array_equal(rows, np.unique(parents[words]))
         assert np.array_equal(rows[at // len(ks)], parents[words])

@@ -186,7 +186,7 @@ def test_numpy_integer_letters_and_sites_walk_as_ints(c4):
 
 
 def test_long_walk_holds_a_bounded_batch_of_states():
-    """A walk holds at most ``_CHECK_ENTRIES`` entries of states at a time:
+    """A walk holds at most ``_COUNT_BLOCK`` entries of states at a time:
     5,000 letters on d = 9, h = 3 stay far below the 6.5 MB that holding
     every letter's state would take, and give the bits of the walk checked
     letter by letter."""
@@ -506,6 +506,19 @@ def test_realized_and_recovered_is_isomorphic(z3):
     produced = produced_tensor(fam, state)
     recovered = Hypergroup.build(produced, derive_involution(produced))
     assert check_isomorphism(recovered, z3, (0, 1, 2))
+
+
+def test_blocks_are_the_nonzero_blocks_in_index_order():
+    """``blocks`` keys every nonzero block (NaN counts) by (i, j, k) in
+    index order, read-only, as ``_nonzero`` lists them."""
+    array = hw.random_kraus_family(4, 2, seed=4).array.copy()
+    array[1, 2, 3, 0, 1] = np.nan
+    array[0, 3, 2] = 0
+    fam = hw.KrausFamily(array=array)
+    keys = [tuple(idx) for idx in np.argwhere((array != 0).any(axis=(-2, -1))).tolist()]
+    assert len(keys) == 63 and list(fam.blocks) == keys
+    for key, block in fam.blocks.items():
+        assert np.array_equal(block, array[key], equal_nan=True) and not block.flags.writeable
 
 
 def test_scalar_isometry_defect(c4):

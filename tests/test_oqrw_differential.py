@@ -282,23 +282,26 @@ STACK_CASES = ["ex44", "ex45 h3", "c4 h2", "s3 h2", "z-lattice(10) h1", "z-latti
                "random d2 h3", "random d4 h2", "random d6 h1"]
 
 
-@pytest.mark.parametrize("blocks_per_chunk", (None, 1, 3))
+@pytest.mark.parametrize("blocks_per_chunk", (None, "all", 1, 3))
 @pytest.mark.parametrize("name", STACK_CASES)
 def test_real_stack_is_the_complex_superoperator_in_the_basis(name, blocks_per_chunk,
                                                               monkeypatch):
     """Each real ``_stack[k]`` is V^* T_k V, with T_k the kron(B, conj B)
     superoperator and V the basis of coordinates at every position; the
     imaginary part of V^* T_k V is round-off, as the maps keep Hermitian
-    blocks Hermitian.  The build runs in one chunk of nonzero blocks, or in
-    chunks of 1 or 3 blocks, on a fresh family.  The Gram array holds the
+    blocks Hermitian.  The build runs at the default budget, in one chunk
+    of nonzero blocks under a large budget, or in chunks of 1 or 3 blocks
+    (of 2 h^4 words each), on a fresh family.  The Gram array holds the
     coordinates of the blocks B^* B."""
     family = case(name)[0]
     h = family.h_dim
+    if blocks_per_chunk == "all":
+        monkeypatch.setattr(oqrw, "_COUNT_BLOCK", 2**24)
+        assert len(family._nonzero[0]) <= oqrw._COUNT_BLOCK // (2 * h**4)  # one chunk
+    elif blocks_per_chunk is not None:
+        monkeypatch.setattr(oqrw, "_COUNT_BLOCK", blocks_per_chunk * 2 * h**4)
     if blocks_per_chunk is not None:
-        monkeypatch.setattr(oqrw, "_BUILD_ENTRIES", blocks_per_chunk * h**4)
         family = hw.KrausFamily(array=family.array, truncation_radius=family.truncation_radius)
-    else:
-        assert len(family._nonzero[0]) <= oqrw._BUILD_ENTRIES // h**4  # one chunk
     parts = oqrw._basis(h)[1].reshape(h * h, 2, h * h)  # [entry, re/im, q]
     basis = np.kron(np.eye(family.d_size), parts[:, 0] + 1j * parts[:, 1])
     for k in range(family.d_size):
@@ -1154,7 +1157,7 @@ def _refusing_walks():
         "trace growing to overflow": (_with_blocks(family, 1, lambda b: b * 1e3), state),
         "negative output": (_with_stack(family, negative), pure),
     }
-    batch = oqrw._CHECK_ENTRIES // state.array.size
+    batch = oqrw._COUNT_BLOCK // state.array.size
     out = []
     for name, (fam, start) in bad.items():
         for n in (1, 2, 3, batch + 3):
