@@ -429,9 +429,9 @@ def fold_levels(tensor: StructureTensor, levels):
     """Folds of every word of a ``prefix_trie``, one level at a time.
 
     A level extends the folds of its prefixes by their last letter (see
-    ``fold_level``), and yields them, a (words,
-    size) array, with their common denominator: L**(length - 1) on an
-    exact tensor, L its denominator, and 1 on a float tensor.
+    ``fold_level``), and yields them, a (words, size) array, with their
+    common denominator: L**(length - 1) on an exact tensor, L its
+    denominator, and 1 on a float tensor.
     """
     folds = None
     for length, (_, parents, letters) in enumerate(levels, start=1):
@@ -451,8 +451,7 @@ def fold_level(tensor: StructureTensor, prefixes: np.ndarray | None, parents: np
     product each hold at most ``_COUNT_BLOCK`` entries or one letter; a
     float tensor's are floats, formed per letter by ``fold_step``.  Each
     row depends on its own prefix alone, so a level may be folded in blocks
-    of rows.  A fold
-    that needs a row outside the stored domain raises
+    of rows.  A fold that needs a row outside the stored domain raises
     TruncationExceededError, for its smallest letter k, then j.
     """
     size = tensor.size
