@@ -311,8 +311,11 @@ class KrausFamily(_PositionArray):
         1/sqrt(2) or less before it is added, so no entry overflows where
         B (x) conj(B) does not, bar the doubling of a sum that does not fit.
         Built on first use from the nonzero blocks only, ``_COUNT_BLOCK``
-        words of Y at a time (two a complex entry), so the build holds no
-        complex temporary of the stack's size.  Non-finite entries as in
+        words of Y at a time (two a complex entry, at least two blocks), so
+        the build holds no complex temporary of the stack's size.  numpy
+        multiplies a lone complex entry without its vector loop's fused
+        rounding, so a lone last block is built again with the one before
+        it: the bits do not depend on the budget.  Non-finite entries as in
         ``_gram``."""
         d, h = self.d_size, self.h_dim
         hh = h * h
@@ -320,10 +323,10 @@ class KrausFamily(_PositionArray):
         weights, basis = _basis(h)
         weights = weights[:, :, None, None]
         stack = np.zeros((d, d, hh, d, hh))
-        step = max(1, _COUNT_BLOCK // (2 * hh * hh))
+        step = max(2, _COUNT_BLOCK // (2 * hh * hh))
         with np.errstate(over="ignore", invalid="ignore"):
             for start in range(0, len(k), step):
-                part = slice(start, start + step)
+                part = slice(max(0, min(start, len(k) - 2)), start + step)
                 columns = blocks[part].swapaxes(1, 2)  # [n, a, x]: B[x, a]
                 y = np.multiply(columns[:, :, None, :, None] * weights,
                                 columns.conj()[:, None, :, None, :], order="C")  # [n, a, b, x, y]

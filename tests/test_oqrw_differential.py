@@ -290,7 +290,7 @@ def test_real_stack_is_the_complex_superoperator_in_the_basis(name, blocks_per_c
     superoperator and V the basis of coordinates at every position; the
     imaginary part of V^* T_k V is round-off, as the maps keep Hermitian
     blocks Hermitian.  The build runs at the default budget, in one chunk
-    of nonzero blocks under a large budget, or in chunks of 1 or 3 blocks
+    of nonzero blocks under a large budget, or at a budget of 1 or 3 blocks
     (of 2 h^4 words each), on a fresh family.  The Gram array holds the
     coordinates of the blocks B^* B."""
     family = case(name)[0]
@@ -314,6 +314,19 @@ def test_real_stack_is_the_complex_superoperator_in_the_basis(name, blocks_per_c
     grams = np.einsum("ijkxa,ijkxc->kijac", family.array.conj(), family.array)
     expected = oqrw.hermitian_coordinates(grams)
     assert np.abs(family._gram - expected).max() <= 1e-15 * max(1.0, np.abs(expected).max())
+
+
+@pytest.mark.parametrize("name", [*STACK_CASES, "z-lattice(6) h1"])
+def test_stack_bits_do_not_depend_on_the_budget(name, monkeypatch):
+    """The stack built at a budget of one word, or of 1, 2, 3 or 5 blocks,
+    or in one chunk, is the default build bit for bit, though at 3 or 5
+    blocks each h = 1 case would end on a lone block."""
+    family = case(name)[0]
+    h4 = 2 * family.h_dim**4
+    stack = fresh(family)._stack
+    for budget in (1, h4, 2 * h4, 3 * h4, 5 * h4, 2**24):
+        monkeypatch.setattr(oqrw, "_COUNT_BLOCK", budget)
+        assert fresh(family)._stack.tobytes() == stack.tobytes(), budget
 
 
 @pytest.mark.parametrize("name", STACK_CASES)
