@@ -291,17 +291,20 @@ def test_real_stack_is_the_complex_superoperator_in_the_basis(name, blocks_per_c
     imaginary part of V^* T_k V is round-off, as the maps keep Hermitian
     blocks Hermitian.  The build runs at the default budget, in one chunk
     of nonzero blocks under a large budget, or at a budget of 1 or 3 blocks
-    (of 2 h^4 words each), on a fresh family.  The Gram array holds the
+    (of 2 h^4 words each), on a fresh family, to the default build's bits,
+    also where 3 blocks leave one over.  The Gram array holds the
     coordinates of the blocks B^* B."""
     family = case(name)[0]
     h = family.h_dim
+    default = fresh(family)._stack
     if blocks_per_chunk == "all":
         monkeypatch.setattr(oqrw, "_COUNT_BLOCK", 2**24)
         assert len(family._nonzero[0]) <= oqrw._COUNT_BLOCK // (2 * h**4)  # one chunk
     elif blocks_per_chunk is not None:
         monkeypatch.setattr(oqrw, "_COUNT_BLOCK", blocks_per_chunk * 2 * h**4)
     if blocks_per_chunk is not None:
-        family = hw.KrausFamily(array=family.array, truncation_radius=family.truncation_radius)
+        family = fresh(family)
+        assert family._stack.tobytes() == default.tobytes()
     parts = oqrw._basis(h)[1].reshape(h * h, 2, h * h)  # [entry, re/im, q]
     basis = np.kron(np.eye(family.d_size), parts[:, 0] + 1j * parts[:, 1])
     for k in range(family.d_size):
@@ -314,19 +317,6 @@ def test_real_stack_is_the_complex_superoperator_in_the_basis(name, blocks_per_c
     grams = np.einsum("ijkxa,ijkxc->kijac", family.array.conj(), family.array)
     expected = oqrw.hermitian_coordinates(grams)
     assert np.abs(family._gram - expected).max() <= 1e-15 * max(1.0, np.abs(expected).max())
-
-
-@pytest.mark.parametrize("name", [*STACK_CASES, "z-lattice(6) h1"])
-def test_stack_bits_do_not_depend_on_the_budget(name, monkeypatch):
-    """The stack built at a budget of one word, or of 1, 2, 3 or 5 blocks,
-    or in one chunk, is the default build bit for bit, though at 3 or 5
-    blocks each h = 1 case would end on a lone block."""
-    family = case(name)[0]
-    h4 = 2 * family.h_dim**4
-    stack = fresh(family)._stack
-    for budget in (1, h4, 2 * h4, 3 * h4, 5 * h4, 2**24):
-        monkeypatch.setattr(oqrw, "_COUNT_BLOCK", budget)
-        assert fresh(family)._stack.tobytes() == stack.tobytes(), budget
 
 
 @pytest.mark.parametrize("name", STACK_CASES)
