@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import stat
 import sys
 from functools import cache, partial
 
@@ -27,11 +29,17 @@ from .verify import (
 
 
 def _emit(text: str, out: str | None) -> None:
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
+    """Write ``text`` to the file ``out``, or to stdout when there is none.
+    An existing file is written over in place and then cut to the length
+    written, not truncated first (which costs far more on file systems that
+    discard freed blocks); a FIFO or a device is written and never cut."""
+    if out is None:
         sys.stdout.write(text)
+        return
+    with open(os.open(out, os.O_WRONLY | os.O_CREAT, 0o666), "w", encoding="utf-8") as fh:
+        fh.write(text)
+        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            fh.truncate()
 
 
 def _finish(args, check: str, report, payload=None) -> int:

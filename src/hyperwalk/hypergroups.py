@@ -22,6 +22,7 @@ import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from operator import attrgetter
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
@@ -188,7 +189,7 @@ def _exact_tensor_taking(cube: np.ndarray, denominator: int,
     Takes ``cube`` over, so a caller passes an array it owns and does not
     read again: it is reduced in place, made read-only and, when its dtype
     is already the one the row sums call for, kept as the tensor's cube."""
-    common = math.gcd(denominator, int(np.gcd.reduce(cube, axis=None)))
+    common = math.gcd(denominator, int(np.gcd.reduce(cube[cube != 0])))
     if common > 1:
         cube //= common
         denominator //= common
@@ -219,6 +220,38 @@ def check_radius(value, name: str) -> int | None:
     return int(value)
 
 
+def index_columns(columns) -> np.ndarray:
+    """Three index sequences as one (3, n) integer array: ``np.intp``, or
+    Python ints where one does not fit (it is out of range of any size)."""
+    try:
+        return np.array(columns, dtype=np.intp).reshape(3, -1)
+    except OverflowError:
+        return np.array(columns, dtype=object).reshape(3, -1)
+
+
+def _int_array(values: list) -> np.ndarray:
+    """Python ints as int64, or as objects when one does not fit."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
+
+
+def _numerator_cube(size: int, index: np.ndarray, numerators: np.ndarray,
+                    denominators: np.ndarray) -> tuple[np.ndarray, int]:
+    """The sums of the positive exact constants numerators / denominators at
+    the (3, n) ``index``, as a cube of integer numerators over the lcm of
+    the denominators: int64 when their sum fits, Python ints otherwise."""
+    scale = math.lcm(*set(denominators.tolist()))
+    if numerators.dtype == object or (
+            int(numerators.max(initial=0)) * scale * len(numerators) >= 2**63):
+        numerators, denominators = numerators.astype(object), denominators.astype(object)
+    scaled = numerators * (scale // denominators)
+    cube = np.zeros((size,) * 3, dtype=np.int64 if scaled.sum() < 2**63 else object)
+    np.add.at(cube.reshape(-1), np.ravel_multi_index(tuple(index), cube.shape), scaled)
+    return cube, scale
+
+
 def structure_tensor(
     size: int,
     entries: Iterable[tuple[int, int, int, Number]],
@@ -231,39 +264,91 @@ def structure_tensor(
     row inside the domain must be present and sum to one within EPS_PROB.
     The tensor is exact when every value is an int or a ``Fraction``.
     """
+    i, j, k, values = tuple(zip(*entries)) or ((),) * 4
+    return tensor_from_columns(size, (i, j, k), values, truncation_radius)
+
+
+def tensor_from_columns(
+    size: int,
+    index: Sequence[Sequence[int]],
+    values: Sequence[Number],
+    truncation_radius: int | None = None,
+) -> StructureTensor:
+    """``structure_tensor`` on columns: the index sequences (i, j, k) of the
+    entries and their values, in entry order.  Each check runs on every
+    entry at once; a refusal names the first entry that fails one, by the
+    first check it fails (indices in range, inside the truncation radius, a
+    finite value, none below -EPS_PROB), as a loop over the entries would.
+    Repeated (i, j, k) add up in entry order as Python numbers do: exactly
+    up to the entry's first float, as floats from it on."""
     if size <= 0:
         raise ValueError("size must be positive")
     truncation_radius = check_radius(truncation_radius, "truncation radius")
-    values: dict[tuple[int, int, int], Number] = {}
-    for i, j, k, value in entries:
-        for idx in (i, j, k):
-            if not (0 <= idx < size):
-                raise ValueError(f"index {idx} out of range for size {size}")
-        if truncation_radius is not None and i + j > truncation_radius:
-            raise ValueError(
-                f"entry ({i}, {j}, {k}) lies outside truncation radius {truncation_radius}"
-            )
-        if not isinstance(value, (int, Fraction)) and not math.isfinite(value):
-            raise ValueError(f"non-finite constant at ({i}, {j}, {k}): {value}")
-        if value < 0:
-            if float(value) < -EPS_PROB:
-                raise ValueError(f"negative constant at ({i}, {j}, {k}): {value}")
-            continue
-        if value == 0:
-            continue
-        key = (i, j, k)
-        values[key] = values[key] + value if key in values else value
-    where = tuple(np.array(list(values), dtype=np.intp).reshape(-1, 3).T)
-    if all(isinstance(v, (int, Fraction)) for v in values.values()):
-        scale = math.lcm(*(v.denominator for v in values.values()))
-        numerators = [v.numerator * (scale // v.denominator) for v in values.values()]
-        cube = np.zeros((size,) * 3, dtype=np.int64 if sum(numerators) < 2**63 else object)
-        cube[where] = numerators
+    index = index_columns(index)
+    n = len(values)
+    kinds = set(map(type, values))
+    exact_kinds = {t for t in kinds if issubclass(t, (int, Fraction))}
+    if len(exact_kinds) in (0, len(kinds)):
+        exact = np.full(n, bool(exact_kinds))
+    else:
+        exact = np.fromiter(map(exact_kinds.__contains__, map(type, values)), bool, n)
+    ratios = list(itertools.compress(values, exact))
+    numerators = _int_array(list(map(attrgetter("numerator"), ratios)))
+    denominators = _int_array(list(map(attrgetter("denominator"), ratios)))
+    exact_at = exact.nonzero()[0]
+    floats = np.zeros(n)  # the float values; 0 at exact ones, which are checked by sign
+    floats[~exact] = list(itertools.compress(values, ~exact))
+    refused = ((index < 0) | (index >= size)).any(axis=0)
+    refused |= ~(np.isfinite(floats) & (floats >= -EPS_PROB))
+    if truncation_radius is not None:
+        refused |= index[0] + index[1] > truncation_radius
+    refused[exact_at[numerators < 0]] = True  # those within EPS_PROB of 0 are let through below
+    for first in refused.nonzero()[0].tolist():
+        _check_entry(*index[:, first].tolist(), values[first], size, truncation_radius)
+    kept = numerators > 0
+    numerators, denominators, exact_at = numerators[kept], denominators[kept], exact_at[kept]
+    float_at = (floats > 0).nonzero()[0]
+    if not len(float_at):
+        cube, scale = _numerator_cube(size, index[:, exact_at], numerators, denominators)
         return check_rows(_exact_tensor_taking(cube, scale, truncation_radius))
-    cube = np.zeros((size, size, size))
-    cube[where] = [float(v) for v in values.values()]
+    cube = np.zeros((size,) * 3)
+    keys = np.ravel_multi_index(tuple(index), cube.shape)
+    late = float_at
+    if len(exact_at):
+        # An exact value adds exactly up to the first float at its (i, j, k),
+        # whose exact sum is rounded once, and after it as a float.
+        entries, inverse = np.unique(keys[np.concatenate([exact_at, float_at])],
+                                     return_inverse=True)
+        first_float = np.full(len(entries), n)
+        np.minimum.at(first_float, inverse[len(exact_at):], float_at)
+        early = exact_at < first_float[inverse[:len(exact_at)]]
+        sums, scale = _numerator_cube(size, index[:, exact_at[early]], numerators[early],
+                                      denominators[early])
+        cube = quotients(sums, scale)
+        late = np.sort(np.concatenate([exact_at[~early], float_at]))
+        floats[exact_at[~early]] = np.fromiter(
+            map(values.__getitem__, exact_at[~early].tolist()), float, np.count_nonzero(~early))
+    with np.errstate(over="ignore"):
+        np.add.at(cube.reshape(-1), keys[late], floats[late])
     cube.setflags(write=False)
     return check_rows(StructureTensor(cube, None, truncation_radius))
+
+
+def _check_entry(i, j, k, value, size: int, truncation_radius: int | None) -> None:
+    """Refuse the entry (i, j, k, value) as ``structure_tensor`` does: an
+    index out of range, outside the truncation radius, a non-finite value,
+    or one below -EPS_PROB as a float."""
+    for idx in (i, j, k):
+        if not (0 <= idx < size):
+            raise ValueError(f"index {idx} out of range for size {size}")
+    if truncation_radius is not None and i + j > truncation_radius:
+        raise ValueError(
+            f"entry ({i}, {j}, {k}) lies outside truncation radius {truncation_radius}"
+        )
+    if not isinstance(value, (int, Fraction)) and not math.isfinite(value):
+        raise ValueError(f"non-finite constant at ({i}, {j}, {k}): {value}")
+    if value < 0 and float(value) < -EPS_PROB:
+        raise ValueError(f"negative constant at ({i}, {j}, {k}): {value}")
 
 
 def tensor_difference(

@@ -59,6 +59,7 @@ from .hypergroups import (
     check_radius,
     check_rows,
     fold_level,
+    index_columns,
     multi_constants,
     quotients,
 )
@@ -351,17 +352,49 @@ def kraus_family(
     truncation_radius: int | None = None,
 ) -> KrausFamily:
     """Build a family from an (i, j, k) -> matrix map; absent blocks are zero."""
+    return family_from_arrays(d_size, h_dim, tuple(zip(*blocks)) or ((),) * 3,
+                              list(blocks.values()), truncation_radius)
+
+
+def family_from_arrays(
+    d_size: int,
+    h_dim: int,
+    index: Sequence[Sequence[int]],
+    blocks: Sequence[np.ndarray],
+    truncation_radius: int | None = None,
+) -> KrausFamily:
+    """``kraus_family`` on arrays: the index sequences (i, j, k) of the
+    blocks and the blocks, an (n, h, h) array or n matrices, in block order.
+    Each check runs on every block at once; a refusal names the first block
+    that fails one, by the first check it fails (indices in range, shape (h,
+    h), finite entries), as a loop over the blocks would."""
     if d_size <= 0 or h_dim <= 0:
         raise ValueError("d_size and h_dim must be positive")
     truncation_radius = check_radius(truncation_radius, "truncation radius")
+    index = index_columns(index)
+    n = index.shape[1]
+    try:
+        stack = np.array(blocks, dtype=complex)
+    except ValueError:  # blocks of different shapes
+        stack = None
+    shaped = n  # the blocks before the first of another shape than (h, h)
+    if n and (stack is None or stack.shape != (n, h_dim, h_dim)):
+        shapes = list(map(np.shape, blocks))
+        shaped = next((m for m, shape in enumerate(shapes) if shape != (h_dim, h_dim)), n)
+        stack = np.array(blocks[:shaped], dtype=complex)
+    stack = stack.reshape(shaped, h_dim, h_dim)
+    outside = ((index < 0) | (index >= d_size)).astype(bool, copy=False).any(axis=0)
+    refused = outside[:shaped] | ~np.isfinite(stack).all(axis=(1, 2))
+    if refused.any() or shaped < n:
+        first = int(np.argmax(refused)) if refused.any() else shaped
+        key = tuple(index[:, first].tolist())
+        if outside[first]:
+            raise ValueError(f"block index {key} out of range")
+        if first == shaped:
+            raise ValueError(f"block has shape {shapes[first]}, expected ({h_dim}, {h_dim})")
+        raise ValueError(f"block {key} has non-finite entries")
     array = np.zeros((d_size, d_size, d_size, h_dim, h_dim), dtype=complex)
-    for (i, j, k), matrix in blocks.items():
-        if not all(0 <= idx < d_size for idx in (i, j, k)):
-            raise ValueError(f"block index {(i, j, k)} out of range")
-        arr = _as_block(matrix, h_dim)
-        if not np.isfinite(arr).all():
-            raise ValueError(f"block {(i, j, k)} has non-finite entries")
-        array[i, j, k] = arr
+    array[tuple(index)] = stack
     array.setflags(write=False)
     return KrausFamily(array=array, truncation_radius=truncation_radius)
 
@@ -479,7 +512,13 @@ def block_state(blocks: Sequence[np.ndarray], validate: bool = True) -> BlockSta
     h = np.asarray(blocks[0]).shape[0]
     if h == 0:
         raise ValueError("state blocks must be at least 1x1")
-    array = np.stack([_as_block(b, h) for b in blocks])
+    try:
+        array = np.array(blocks, dtype=complex)
+    except ValueError:  # blocks of different shapes
+        array = None
+    if array is None or array.shape != (len(blocks), h, h):
+        for b in blocks:  # _as_block refuses the first block of another shape
+            _as_block(b, h)
     if validate:
         _check_states(array)
     array.setflags(write=False)

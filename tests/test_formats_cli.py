@@ -1,4 +1,7 @@
 import json
+import os
+import stat
+import threading
 import warnings
 from fractions import Fraction
 
@@ -643,3 +646,74 @@ def test_cli_refuses_malformed_stored_involution(tmp_path, capsys, involution):
 def test_cli_gen_state_refuses_empty_blocks(capsys):
     assert run_cli("gen", "mixed-state", "--h-dim", "0") == 2
     assert capsys.readouterr().err == "error: state blocks must be at least 1x1\n"
+
+
+# ---------------------------------------------------------------------------
+# Output files.
+
+
+@pytest.mark.parametrize("options", [("gen", "c4", "--out", ""),
+                                     ("realize", "--out-kraus", ""),
+                                     ("realize", "--out-state", "")])
+def test_cli_empty_output_path_is_an_input_error(tmp_path, capsys, monkeypatch, options):
+    monkeypatch.chdir(tmp_path)  # realize writes its other document here
+    assert run_cli("gen", "c4-hypergroup", "--out", "c4h.json") == 0
+    if options[0] == "realize":
+        options = ("realize", "--tensor", "c4h.json", *options[1:])
+    assert run_cli(*options) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_cli_out_overwrites_a_longer_file_to_its_new_length(tmp_path, capsys):
+    out = tmp_path / "c4.json"
+    out.write_bytes(b"x" * 100_000)
+    assert run_cli("gen", "c4") == 0
+    expected = capsys.readouterr().out
+    assert run_cli("gen", "c4", "--out", str(out)) == 0
+    assert out.read_bytes() == expected.encode()
+
+
+def test_cli_out_writes_a_device_without_cutting_it():
+    assert run_cli("gen", "c4", "--out", os.devnull) == 0
+
+
+def test_cli_out_writes_a_fifo_whole(tmp_path, capsys):
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    assert run_cli("gen", "z-lattice", "--radius", "40", "--out", str(fifo)) == 0
+    reader.join(timeout=30)
+    assert not reader.is_alive()
+    assert run_cli("gen", "z-lattice", "--radius", "40") == 0
+    assert received == [capsys.readouterr().out.encode()]
+
+
+def test_cli_out_creates_a_file_with_the_mode_open_gives(tmp_path):
+    previous = os.umask(0o027)
+    try:
+        assert run_cli("gen", "c4", "--out", str(tmp_path / "new.json")) == 0
+        with open(tmp_path / "opened.json", "w"):
+            pass
+    finally:
+        os.umask(previous)
+    modes = [stat.S_IMODE((tmp_path / name).stat().st_mode)
+             for name in ("new.json", "opened.json")]
+    assert modes[0] == modes[1] == 0o640
+
+
+def test_cli_produce_over_its_own_kraus_document(tmp_path, capsys):
+    c4h, kraus, state = (str(tmp_path / name) for name in ("c4h.json", "k.json", "s.json"))
+    assert run_cli("gen", "c4-hypergroup", "--out", c4h) == 0
+    assert run_cli("realize", "--tensor", c4h, "--h-dim", "2", "--random-isometries",
+                   "--out-kraus", kraus, "--out-state", state) == 0
+    capsys.readouterr()
+    assert run_cli("produce", "--kraus", kraus, "--state", state) == 0
+    produced = capsys.readouterr().out
+    assert os.path.getsize(kraus) > len(produced)
+    assert run_cli("produce", "--kraus", kraus, "--state", state, "--out", kraus) == 0
+    with open(kraus, encoding="utf-8") as fh:
+        assert fh.read() == produced

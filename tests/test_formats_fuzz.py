@@ -1,5 +1,6 @@
-"""Property tests: malformed documents never escape as a traceback, and
-every document is written as the frozen writer in ``tests/reference`` wrote it.
+"""Property tests: malformed documents never escape as a traceback, every
+document is read as the frozen readers in ``tests/reference`` read it, and
+every document is written as the frozen writer there wrote it.
 
 Each case is a valid document edited at one to three random places (a value
 replaced by random JSON, or a field or list item dropped), or random text.
@@ -34,6 +35,7 @@ from hyperwalk.cli import main
 from hyperwalk.graphs import build_spheres, check_condition_s, check_distance_regular
 from hyperwalk.hypergroups import validate_hypergroup
 from hyperwalk.verify import verify_corollary_2_6
+from reference import formats_parse as frozen
 from reference.formats_dump import _dump as reference_dump
 
 
@@ -117,6 +119,29 @@ def _texts(documents):
     return edited(documents) | st.text(max_size=20)
 
 
+# An index out of range of any fixture, a negative constant, non-finite ones.
+OFFENDERS = st.sampled_from([-1, 7, math.nan, -math.inf])
+
+
+@st.composite
+def scalars_replaced(draw, documents):
+    """A valid document with two to four scalars of its entries or blocks
+    replaced by random ones, so that checks past the decoding (indices in
+    range, finite, not negative) often see several offenders at once."""
+    doc = copy.deepcopy(draw(st.sampled_from(documents)))
+    leaves = [path for path in _paths(doc) if path and path[0] in ("entries", "blocks")
+              and not isinstance(_at(doc, path), (dict, list))]
+    for path in draw(st.lists(st.sampled_from(leaves), min_size=2, max_size=4)):
+        _at(doc, path[:-1])[path[-1]] = draw(OFFENDERS | SCALARS)
+    return json.dumps(doc)
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
 @pytest.fixture(scope="module")
 def fixtures(tmp_path_factory):
     root = tmp_path_factory.mktemp("fuzz")
@@ -150,6 +175,46 @@ def test_parsers_refuse_or_accept(kind, fixtures, capsys):
     @given(_texts(CASES[kind][2]))
     def run(text):
         _check(kind, text, fixtures, capsys)
+
+    run()
+
+
+# kind -> (the library's reader, the frozen reader it replaced)
+READERS = {
+    "tensor": (formats.tensor_and_involution, frozen.tensor_and_involution),
+    "hypergroup": (formats.tensor_and_involution, frozen.tensor_and_involution),
+    "kraus": (formats.parse_kraus, frozen.parse_kraus),
+    "state": (formats.parse_state, frozen.parse_state),
+}
+
+
+def _bits(array: np.ndarray):
+    """An array's dtype, shape and bits (its values, for Python objects)."""
+    return array.dtype, array.shape, array.tolist() if array.dtype == object else array.tobytes()
+
+
+def _read(read, text):
+    """What a reader makes of ``text``: the fields of its object, bit for
+    bit, or the type and message of its refusal."""
+    try:
+        value = read(text)
+    except Exception as exc:  # any refusal, whatever its type, is compared
+        return type(exc), str(exc)
+    if isinstance(value, tuple):  # a tensor and its involution
+        tensor, involution = value
+        return (_bits(tensor.cube), tensor.denominator, tensor.truncation_radius, involution)
+    if isinstance(value, KrausFamily):
+        return _bits(value.array), value.truncation_radius
+    return _bits(value.array), value._checked
+
+
+@pytest.mark.parametrize("kind", READERS)
+def test_readers_match_the_frozen_readers(kind):
+    read, frozen_read = READERS[kind]
+
+    @given(_texts(CASES[kind][2]) | scalars_replaced(CASES[kind][2]))
+    def run(text):
+        assert _read(read, text) == _read(frozen_read, text)
 
     run()
 
