@@ -14,7 +14,6 @@ import math
 from dataclasses import asdict, is_dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-from operator import length_hint
 
 import numpy as np
 
@@ -93,20 +92,6 @@ def _count(doc: dict, field: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int) or value < 1:
         raise FormatError(f"{field} must be an integer >= 1, got {value!r}")
     return value
-
-
-def _of_type(items, kinds: set) -> np.ndarray:
-    """Per item, whether its type is one of ``kinds`` (a bool is not an int)."""
-    found = set(map(type, items))
-    if found <= kinds or not found & kinds:
-        return np.full(len(items), found <= kinds)
-    return np.fromiter(map(kinds.__contains__, map(type, items)), bool, len(items))
-
-
-def _lengths(items) -> np.ndarray:
-    """Per item, how many items iterating it yields: a list its items, a
-    string its characters, an object its keys; -1 for any other value."""
-    return np.fromiter(map(length_hint, items, itertools.repeat(-1)), np.intp, len(items))
 
 
 def _list(doc: dict, field: str) -> list:
@@ -274,7 +259,7 @@ def tensor_and_involution(text: str) -> tuple[StructureTensor, tuple[int, ...] |
         if set(map(type, itertools.chain(i, j, k))) <= {int}:
             values = _decode_values(raw)
     if values is None:
-        _refuse_entries(entries)
+        i, j, k, values = _read_entries(entries)
     tensor = tensor_from_columns(size, (i, j, k), values,
                                  truncation_radius=doc.get("truncation_radius"))
     return tensor, _involution(doc)
@@ -296,28 +281,18 @@ def _decode_values(raw) -> list | None:
     return list(map(fractions.get, raw, raw))
 
 
-def _refuse_entries(entries: list) -> None:
-    """Raise the refusal of the first entry that is not a list of three
-    integer indices and a constant ``decode_value`` reads, as a loop over
-    the entries would, from one mask per check."""
-    listed = _of_type(entries, {list}) & (_lengths(entries) == 4)
-    i, j, k, raw = tuple(zip(*itertools.compress(entries, listed))) or ((),) * 4
-    indexed = _of_type(i, {int}) & _of_type(j, {int}) & _of_type(k, {int})
-    valued = _of_type(raw, {int, float})
-    strings = _of_type(raw, {str})
-    read = {text for text in set(itertools.compress(raw, strings))
-            if _decode_values([text]) is not None}
-    valued[strings] = np.fromiter(map(read.__contains__, itertools.compress(raw, strings)),
-                                  bool, np.count_nonzero(strings))
-    refused = ~listed
-    refused[listed] = ~(indexed & valued)
-    first = int(np.argmax(refused))
-    entry = entries[first]
-    if not listed[first]:
-        raise FormatError(f"bad entry {entry!r}")
-    if not indexed[np.count_nonzero(listed[:first])]:
-        raise FormatError(f"bad entry indices in {entry!r}")
-    decode_value(entry[3])  # raises its refusal
+def _read_entries(entries: list) -> tuple:
+    """The columns i, j, k and the values of tensor ``entries``, read one
+    entry at a time; refuses the first that is not a list of three integer
+    indices and a constant ``decode_value`` reads."""
+    read = []
+    for entry in entries:
+        if not isinstance(entry, list) or len(entry) != 4:
+            raise FormatError(f"bad entry {entry!r}")
+        if not set(map(type, entry[:3])) <= {int}:
+            raise FormatError(f"bad entry indices in {entry!r}")
+        read.append((*entry[:3], decode_value(entry[3])))
+    return tuple(zip(*read)) or ((),) * 4
 
 
 def _involution(doc: dict) -> tuple[int, ...] | None:
@@ -359,68 +334,46 @@ def _encode_cells(array: np.ndarray) -> list:
     return np.stack((array.real, array.imag), axis=-1).astype(float, copy=False).tolist()
 
 
-def _decode_matrices(raw: list) -> tuple[np.ndarray, np.ndarray | None]:
-    """Square matrices of [re, im] cells: per matrix its number of rows if
-    every row has that many cells, 0 if not, and -1 if it is malformed (it,
-    a row or a cell not iterable, a cell not a pair of JSON numbers, not
-    bools, a part too large for a float, or rows of different lengths); and
-    the entries of all of them, in order, as complex numbers when none is
-    malformed.  The common case is checked by the types and lengths each
-    nesting level holds, any other a level at a time with ``_lengths``."""
-    n = len(raw)
-    if set(map(type, raw)) <= {list} and len(sizes := set(map(len, raw))) == 1:
-        # Every matrix a list of as many rows, each a list of as many [re,
-        # im] lists of JSON numbers.
-        rows = list(itertools.chain.from_iterable(raw))
-        if set(map(type, rows)) <= {list} and set(map(len, rows)) <= sizes:
-            cells = list(itertools.chain.from_iterable(rows))
-            if set(map(type, cells)) <= {list} and set(map(len, cells)) <= {2}:
-                parts = list(itertools.chain.from_iterable(cells))
-                if set(map(type, parts)) <= {int, float}:
-                    try:
-                        values = np.array(parts, dtype=float)
-                    except OverflowError:
-                        pass
-                    else:
-                        return np.full(n, sizes.pop()), values.view(complex)
-    counts = _lengths(raw)  # rows per matrix
-    rows = list(itertools.chain.from_iterable(itertools.compress(raw, counts >= 0)))
-    row_of = np.repeat(np.arange(n), np.maximum(counts, 0))
-    widths = _lengths(rows)
-    cells = list(itertools.chain.from_iterable(itertools.compress(rows, widths >= 0)))
-    cell_of = np.repeat(row_of, np.maximum(widths, 0))
-    paired = _lengths(cells) == 2
-    parts = list(itertools.chain.from_iterable(itertools.compress(cells, paired)))
-    numeric = _of_type(parts, {int, float})
-    numbers = list(itertools.compress(parts, numeric))
+def _decode_matrices(raw: list) -> np.ndarray | None:
+    """Square matrices of [re, im] cells as one (n, s, s) complex array, when
+    the types and lengths each nesting level holds show that every matrix is
+    s >= 1 lists of s pairs of JSON numbers (not bools), s the same for all,
+    and every number fits a float; None otherwise."""
+    sizes = set(map(len, raw)) if set(map(type, raw)) <= {list} else set()
+    if len(sizes) != 1 or 0 in sizes:
+        return None
+    level = raw
+    for length in (*sizes, 2):  # the rows of a matrix, then the cells of a row
+        level = list(itertools.chain.from_iterable(level))
+        if not (set(map(type, level)) <= {list} and set(map(len, level)) <= {length}):
+            return None
+    parts = list(itertools.chain.from_iterable(level))
+    if not set(map(type, parts)) <= {int, float}:
+        return None
     try:
-        values = np.array(numbers, dtype=float)
-    except OverflowError:  # complex() refuses an int past the float range
-        huge = _of_type(numbers, {int}) & (np.abs(np.array(numbers, dtype=object)) >= _TOO_LARGE)
-        numeric[np.flatnonzero(numeric)[huge]] = False
-        values = None
-    first_row = np.cumsum(np.maximum(counts, 0)) - np.maximum(counts, 0)
-    malformed = np.zeros(n, dtype=bool)
-    malformed[counts < 0] = True
-    malformed[row_of[(widths < 0) | (widths != widths[first_row[row_of]])]] = True
-    malformed[cell_of[~paired]] = True
-    malformed[np.repeat(cell_of[paired], 2)[~numeric]] = True
-    size = np.where(malformed, -1, counts)
-    has_rows = size > 0
-    size[has_rows] *= widths[first_row[has_rows]] == size[has_rows]
-    return size, (None if malformed.any() else values.view(complex))
+        values = np.array(parts, dtype=float)
+    except OverflowError:  # an int past the float range
+        return None
+    return values.view(complex).reshape(len(raw), *sizes, *sizes)
 
 
-# The least int that ``float`` refuses: 2**1024 less half a unit in the last
-# place of the largest float rounds up to 2**1024.
-_TOO_LARGE = 2**1024 - 2**970
+def _decode_cell(cell) -> complex:
+    """A matrix entry: a [re, im] pair of JSON numbers (not bools)."""
+    if len(cell) != 2 or not set(map(type, cell)) <= {int, float}:
+        raise ValueError(f"bad matrix cell {cell!r}")
+    return complex(*cell)
 
 
-def _matrix_refusal(size: int, where: str) -> FormatError:
-    """The refusal of a matrix ``_decode_matrices`` sized below 1."""
-    if size < 0:
-        return FormatError(f"bad matrix in {where}")
-    return FormatError(f"matrix in {where} is not square")
+def _decode_matrix(raw, where: str) -> np.ndarray:
+    """One matrix, read a cell at a time; refused as bad (it, a row or a cell
+    malformed, or a part past the float range) or as not square."""
+    try:
+        arr = np.asarray([[_decode_cell(cell) for cell in row] for row in raw])
+    except (TypeError, ValueError, OverflowError):
+        raise FormatError(f"bad matrix in {where}") from None
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        raise FormatError(f"matrix in {where} is not square")
+    return arr
 
 
 def serialize_kraus(family: KrausFamily) -> str:
@@ -440,45 +393,40 @@ def serialize_kraus(family: KrausFamily) -> str:
 
 
 def parse_kraus(text: str) -> KrausFamily:
-    """A Kraus document's family.  Each check runs on every block at once; a
-    refusal names the first block that fails one (an object, integer
-    indices, not a repeat, a square matrix), as a loop would."""
+    """A Kraus document's family.  A document whose blocks are objects with
+    integer indices, no key twice, and matrices ``_decode_matrices`` reads is
+    read a whole array at a time; any other one block at a time."""
     doc = _load(text, ("kraus",))
     d_size = _count(doc, "d_size")
     h_dim = _count(doc, "h_dim")
-    raw = _list(doc, "blocks")
-    objects = _of_type(raw, {dict})
-    blocks = list(itertools.compress(raw, objects))
-    i, j, k = index = [list(map(dict.get, blocks, itertools.repeat(c))) for c in "ijk"]
-    indexed = _of_type(i, {int}) & _of_type(j, {int}) & _of_type(k, {int})
-    keys = list(itertools.compress(zip(i, j, k), indexed))
-    first_seen = dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))
-    repeated = np.zeros(len(blocks), dtype=bool)
-    seen_at = np.fromiter(map(first_seen.get, keys), np.intp, len(keys))
-    repeated[indexed] = seen_at < np.arange(len(keys))
-    size, values = _decode_matrices(
-        list(map(dict.get, blocks, itertools.repeat("matrix"))))
-    refused = ~objects
-    refused[objects] = ~indexed | repeated | (size < 1)
-    if refused.any():
-        first = int(np.argmax(refused))
-        block = raw[first]
-        if not objects[first]:
-            raise FormatError(f"bad block {block!r}")
-        m = np.count_nonzero(objects[:first])
-        if not indexed[m]:
-            raise FormatError(f"bad block indices in {block!r}")
-        key = (i[m], j[m], k[m])
-        if repeated[m]:
-            raise FormatError(f"duplicate block {key}")
-        raise _matrix_refusal(size[m], f"block {key}")
-    if (size == h_dim).all():
-        matrices = values.reshape(-1, h_dim, h_dim)
-    else:  # kraus_family refuses the first block of another shape
-        ends = np.cumsum(size * size)
-        matrices = [part.reshape(s, s) for part, s in zip(np.split(values, ends[:-1]), size)]
+    blocks = _list(doc, "blocks")
+    matrices = None
+    if set(map(type, blocks)) <= {dict}:
+        index = [list(map(dict.get, blocks, itertools.repeat(c))) for c in "ijk"]
+        if (set(map(type, itertools.chain(*index))) <= {int}
+                and len(set(zip(*index))) == len(blocks)):
+            matrices = _decode_matrices(list(map(dict.get, blocks, itertools.repeat("matrix"))))
+    if matrices is None:
+        index, matrices = _read_blocks(blocks)
     return family_from_arrays(d_size, h_dim, index, matrices,
                               truncation_radius=doc.get("truncation_radius"))
+
+
+def _read_blocks(blocks: list) -> tuple[list, list]:
+    """The index columns i, j, k and the matrices of Kraus ``blocks``, read
+    one block at a time; refuses the first that is not an object with
+    integer indices, repeats a key, or holds a malformed matrix."""
+    matrices = {}
+    for block in blocks:
+        if not isinstance(block, dict):
+            raise FormatError(f"bad block {block!r}")
+        key = tuple(block.get(c) for c in "ijk")
+        if not set(map(type, key)) <= {int}:
+            raise FormatError(f"bad block indices in {block!r}")
+        if key in matrices:
+            raise FormatError(f"duplicate block {key}")
+        matrices[key] = _decode_matrix(block.get("matrix"), f"block {key}")
+    return list(zip(*matrices)), list(matrices.values())
 
 
 def serialize_state(state: BlockState) -> str:
@@ -492,19 +440,20 @@ def serialize_state(state: BlockState) -> str:
 
 
 def parse_state(text: str) -> BlockState:
+    """A state document's state, its blocks read a whole array at a time
+    when ``_decode_matrices`` reads them, one block at a time otherwise."""
     doc = _load(text, ("state",))
     h_dim = _count(doc, "h_dim")
     raw = _list(doc, "blocks")
     if not raw:
         raise FormatError("state has no blocks")
-    size, values = _decode_matrices(raw)
-    if (size < 1).any():
-        first = int(np.argmax(size < 1))
-        raise _matrix_refusal(size[first], f"state block {first}")
-    if (size != h_dim).any():
+    blocks = _decode_matrices(raw)
+    if blocks is None:
+        blocks = [_decode_matrix(matrix, f"state block {n}") for n, matrix in enumerate(raw)]
+    if set(map(np.shape, blocks)) != {(h_dim, h_dim)}:
         raise FormatError("state blocks disagree with h_dim")
     try:
-        return block_state(values.reshape(-1, h_dim, h_dim))
+        return block_state(blocks)
     except ValueError as exc:
         raise FormatError(f"invalid state: {exc}") from None
 

@@ -168,13 +168,26 @@ class StructureTensor:
 
 def quotients(numerators: np.ndarray, denominator: int) -> np.ndarray:
     """Integer ``numerators`` (any dtype) over ``denominator`` in float64,
-    each correctly rounded like Python's int / int: one float64 division
-    while both are exact in float64, Python int division otherwise."""
+    each correctly rounded like Python's int / int, and ±inf past the float
+    range: one float64 division while both are exact in float64, Python int
+    division otherwise."""
     if denominator < 2**53 and _magnitude(numerators) < 2**53:
         floats = numerators.astype(float)
         floats /= denominator
         return floats
-    return (exact_tier(2**53, numerators) / denominator).astype(float)
+    exact = exact_tier(2**53, numerators)
+    try:
+        return (exact / denominator).astype(float)
+    except OverflowError:  # a quotient past the float range
+        return np.vectorize(_quotient, otypes=[float])(exact, denominator)
+
+
+def _quotient(numerator: int, denominator: int) -> float:
+    """``numerator / denominator``, or ±inf past the float range."""
+    try:
+        return numerator / denominator
+    except OverflowError:
+        return math.inf if numerator > 0 else -math.inf
 
 
 def _magnitude(numerators: np.ndarray) -> int:
@@ -326,8 +339,8 @@ def tensor_from_columns(
                                       denominators[early])
         cube = quotients(sums, scale)
         late = np.sort(np.concatenate([exact_at[~early], float_at]))
-        floats[exact_at[~early]] = np.fromiter(
-            map(values.__getitem__, exact_at[~early].tolist()), float, np.count_nonzero(~early))
+        floats[exact_at[~early]] = list(map(_quotient, numerators[~early].tolist(),
+                                            denominators[~early].tolist()))
     with np.errstate(over="ignore"):
         np.add.at(cube.reshape(-1), keys[late], floats[late])
     cube.setflags(write=False)
@@ -337,7 +350,7 @@ def tensor_from_columns(
 def _check_entry(i, j, k, value, size: int, truncation_radius: int | None) -> None:
     """Refuse the entry (i, j, k, value) as ``structure_tensor`` does: an
     index out of range, outside the truncation radius, a non-finite value,
-    or one below -EPS_PROB as a float."""
+    or one below -EPS_PROB."""
     for idx in (i, j, k):
         if not (0 <= idx < size):
             raise ValueError(f"index {idx} out of range for size {size}")
@@ -347,7 +360,7 @@ def _check_entry(i, j, k, value, size: int, truncation_radius: int | None) -> No
         )
     if not isinstance(value, (int, Fraction)) and not math.isfinite(value):
         raise ValueError(f"non-finite constant at ({i}, {j}, {k}): {value}")
-    if value < 0 and float(value) < -EPS_PROB:
+    if value < -EPS_PROB:  # exactly, so an int past the float range is refused too
         raise ValueError(f"negative constant at ({i}, {j}, {k}): {value}")
 
 

@@ -584,6 +584,26 @@ def test_cli_refuses_bad_radius_and_nan_documents(tmp_path, capsys):
     assert capsys.readouterr().err.count("non-finite constant") == 2
 
 
+@pytest.mark.parametrize("entries, message", [
+    ([[0, 0, 0, -10**400], [0, 0, 0, 1]], "negative constant"),
+    ([[0, 0, 0, "-" + "9" * 400], [0, 0, 0, 1]], "negative constant"),
+    ([[0, 0, 0, 10**400]], "sums to inf"),
+    ([[0, 0, 0, 0.5], [0, 0, 0, 10**400]], "sums to inf"),
+], ids=["negative-int", "negative-string", "huge-int", "huge-int-after-a-float"])
+def test_exact_constants_past_the_float_range_are_refused(tmp_path, capsys, entries, message):
+    # Comparing such a constant, or its row sum, as a float used to escape
+    # as an OverflowError traceback.
+    text = json.dumps({"kind": "tensor", "version": "1", "size": 1, "entries": entries})
+    with pytest.raises(ValueError, match=message):
+        formats.parse_tensor(text)
+    path = tmp_path / "huge.json"
+    path.write_text(text)
+    assert run_cli("validate", "--tensor", str(path)) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and message in captured.err
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
 def _with_radius(path, field, radius):
     doc = json.loads(path.read_text())
     doc[field] = radius

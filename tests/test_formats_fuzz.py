@@ -30,6 +30,7 @@ from hyperwalk import (
     StructureTensor,
     formats,
     presets,
+    realize,
 )
 from hyperwalk.cli import main
 from hyperwalk.graphs import build_spheres, check_condition_s, check_distance_regular
@@ -217,6 +218,63 @@ def test_readers_match_the_frozen_readers(kind):
         assert _read(read, text) == _read(frozen_read, text)
 
     run()
+
+
+def _blocks_edited(at: int, plant):
+    """A realized z-lattice(16) h2 Kraus document with one offender planted
+    in its block at ``at`` by ``plant(blocks, at)``."""
+    family, _ = realize(presets.zlattice_hypergroup(16), h_dim=2)
+    doc = json.loads(formats.serialize_kraus(family))
+    plant(doc["blocks"], at)
+    return "kraus", json.dumps(doc)
+
+
+def _bool_cell(blocks, at):
+    blocks[at]["matrix"][0][0] = [True, 0.0]
+
+
+def _float_index(blocks, at):
+    blocks[at]["i"] = float(blocks[at]["i"])
+
+
+def _duplicate_key(blocks, at):
+    other = blocks[1 if at == 0 else 0]
+    blocks[at].update(i=other["i"], j=other["j"], k=other["k"])
+
+
+def _ragged_row(blocks, at):
+    blocks[at]["matrix"][0].append([0.0, 0.0])
+
+
+def _tensor_with_bad_last_entry():
+    doc = json.loads(formats.serialize_hypergroup(presets.zlattice_hypergroup(32)))
+    doc["entries"][-1] = doc["entries"][-1][:3] + ["1/0"]
+    return "tensor", json.dumps(doc)
+
+
+def _document_with(kind, **fields):
+    return kind, json.dumps({"kind": kind, "version": "1", **fields})
+
+
+LARGE_AND_EDGE = {
+    **{f"{plant.__name__[1:]}-{where}": lambda plant=plant, at=at: _blocks_edited(at, plant)
+       for plant in (_bool_cell, _float_index, _duplicate_key, _ragged_row)
+       for where, at in (("first", 0), ("last", -1))},
+    "tensor-bad-last-entry": _tensor_with_bad_last_entry,
+    "kraus-no-blocks": lambda: _document_with("kraus", d_size=2, h_dim=1, blocks=[]),
+    "state-two-sizes": lambda: _document_with(
+        "state", h_dim=1,
+        blocks=[[[[0.5, 0.0]]], [[[0.25, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.25, 0.0]]]]),
+    "state-huge-part": lambda: _document_with(
+        "state", h_dim=1, blocks=[[[[1.0, 0.0]]], [[[0.0, 10**400]]]]),
+}
+
+
+@pytest.mark.parametrize("case", LARGE_AND_EDGE)
+def test_readers_match_the_frozen_readers_on_large_and_edge_documents(case):
+    kind, text = LARGE_AND_EDGE[case]()
+    read, frozen_read = READERS[kind]
+    assert _read(read, text) == _read(frozen_read, text)
 
 
 def _cells(doc, kind):
